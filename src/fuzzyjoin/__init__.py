@@ -44,7 +44,6 @@ from .evaluation import (
     pr_auc,
     recall_upper_bound,
     robustness_beta_sweep,
-    robustness_drivers,
     robustness_irrelevant_r,
     robustness_sparse_l,
     robustness_zero_join,
@@ -66,7 +65,6 @@ from .functions import (
 from .multicolumn import MultiSolveResult, combined_distance, interpolate, solve_multi
 from .negative_rules import (
     NegativeRule,
-    apply_rules,
     dump_rules,
     learn_rules,
     pair_blocked,
@@ -89,10 +87,7 @@ from .text import (
     IdfIndex,
     TokenBag,
     apply_preprocess,
-    bag_weight,
-    build_idf,
     build_idf_from_values,
-    token_weight,
     tokenize,
 )
 

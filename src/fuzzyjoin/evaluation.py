@@ -530,17 +530,3 @@ def robustness_beta_sweep(
             )
         )
     return points
-
-
-def robustness_drivers(kind: str, **params) -> list[RobustnessPoint]:
-    """Dispatch a robustness suite by name: irrelevant-R, zero-join,
-    sparse-L, or beta-sweep."""
-    if kind == "irrelevant-R":
-        return robustness_irrelevant_r(**params)
-    if kind == "zero-join":
-        return [robustness_zero_join(**params)]
-    if kind == "sparse-L":
-        return robustness_sparse_l(**params)
-    if kind == "beta-sweep":
-        return robustness_beta_sweep(**params)
-    raise ValueError(f"unknown robustness suite {kind!r}")

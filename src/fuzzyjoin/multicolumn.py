@@ -18,8 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocking import build_index
-from .distances import distance_matrix, evaluate
+from .distances import evaluate
 from .functions import (
     FunctionSpaceOptions,
     JoinFunction,
@@ -27,12 +26,13 @@ from .functions import (
     Solution,
     enumerate_function_space,
 )
-from .negative_rules import NegativeRule, learn_rules, pair_blocked, preprocess_for_rules
+from .negative_rules import NegativeRule
 from .solver import (
-    BlockedPairs,
+    NO_PAIRS,
+    PreparedColumns,
     SolveResult,
-    flatten_index,
-    needed_idf_indexes,
+    _empty_result,
+    prepare_columns,
     solve_from_distances,
 )
 from .tables import DataError, Table
@@ -111,99 +111,6 @@ def shared_columns(L: Table, R: Table, columns: Sequence[str] | None) -> list[st
     return shared
 
 
-class _ColumnSetCache:
-    """Blocked pairs, per-column distances, and negative rules for one set
-    of active columns; rebuilt only when the active set changes."""
-
-    def __init__(
-        self,
-        L: Table,
-        R: Table,
-        cols: list[str],
-        functions: list[JoinFunction],
-        beta: float,
-        threads: int,
-        use_negative_rules: bool,
-    ):
-        self.L, self.R = L, R
-        self.cols = cols
-        self.functions = functions
-        self.beta = beta
-        self.threads = threads
-        self.use_negative_rules = use_negative_rules
-        self.idf_by_column = {
-            c: needed_idf_indexes(
-                functions, L.column_values(c) + R.column_values(c)
-            )
-            for c in cols
-        }
-        self.rule_values_left = {
-            c: [preprocess_for_rules(v) for v in L.column_values(c)] for c in cols
-        }
-        self.rule_values_right = {
-            c: [preprocess_for_rules(v) for v in R.column_values(c)] for c in cols
-        }
-        self._cache: dict[frozenset, tuple] = {}
-
-    def get(self, active: tuple[str, ...]):
-        """(pairs, per-column d_lr, per-column d_ll, rules per column)."""
-        key = frozenset(active)
-        if key in self._cache:
-            return self._cache[key]
-        block_cols = [c for c in self.cols if c in key]
-        idx = build_index(
-            self.L, self.R,
-            block_cols if len(block_cols) > 1 else block_cols[0],
-            self.beta,
-        )
-        pairs = flatten_index(idx)
-
-        rules: dict[str, set[NegativeRule]] = {}
-        if self.use_negative_rules:
-            for c in block_cols:
-                lv = self.rule_values_left[c]
-                rules[c] = learn_rules(
-                    (lv[a], lv[b]) for a, b in zip(pairs.ll_a, pairs.ll_b)
-                )
-            if any(rules.values()) and len(pairs.lr_right) > 0:
-                keep = np.ones(len(pairs.lr_right), dtype=bool)
-                for c in block_cols:
-                    lv = self.rule_values_left[c]
-                    rv = self.rule_values_right[c]
-                    keep &= np.array(
-                        [
-                            not pair_blocked(lv[l], rv[r], rules[c])
-                            for r, l in zip(pairs.lr_right, pairs.lr_left)
-                        ]
-                    )
-                pairs = BlockedPairs(
-                    pairs.left_ids,
-                    pairs.right_ids,
-                    pairs.lr_right[keep],
-                    pairs.lr_left[keep],
-                    pairs.ll_a,
-                    pairs.ll_b,
-                )
-
-        d_lr: dict[str, np.ndarray] = {}
-        d_ll: dict[str, np.ndarray] = {}
-        for c in block_cols:
-            lvals = self.L.column_values(c)
-            rvals = self.R.column_values(c)
-            lr_vals = [
-                (lvals[l], rvals[r]) for r, l in zip(pairs.lr_right, pairs.lr_left)
-            ]
-            ll_vals = [(lvals[a], lvals[b]) for a, b in zip(pairs.ll_a, pairs.ll_b)]
-            d_lr[c] = distance_matrix(
-                self.functions, lr_vals, self.idf_by_column[c], self.threads
-            )
-            d_ll[c] = distance_matrix(
-                self.functions, ll_vals, self.idf_by_column[c], self.threads
-            )
-        self._cache[key] = (pairs, d_lr, d_ll, rules)
-        return self._cache[key]
-
-
 def solve_multi(
     L: Table,
     R: Table,
@@ -226,7 +133,7 @@ def solve_multi(
     cols = shared_columns(L, R, columns)
     fns = list(functions) if functions is not None else enumerate_function_space(space_options)
     m = len(cols)
-    cache = _ColumnSetCache(L, R, cols, fns, beta, threads, use_negative_rules)
+    preps: dict[frozenset, PreparedColumns] = {}
     alphas = [i / g for i in range(1, g)]
 
     t_start = time.perf_counter()
@@ -237,32 +144,23 @@ def solve_multi(
         active = [x for x in w if x > 0.0]
         return tuple(active) if active else (1.0,)
 
-    def empty_inner(active: tuple[str, ...], weights: tuple[float, ...]) -> SolveResult:
-        return SolveResult(
-            solution=Solution((), weights, active),
-            result=JoinResult({}),
-            tp=0.0,
-            fp=0.0,
-            estimated_precision=1.0,
-            estimated_recall=0.0,
-            space=None,
-            warnings=["no candidate pairs survived blocking and negative rules"],
-        )
-
     def run_inner(w: tuple[float, ...]) -> SolveResult:
         nonlocal invocations
         if w in evaluated:
             return evaluated[w]
         invocations += 1
         active = tuple(c for c, x in zip(cols, w) if x > 0.0)
-        pairs, d_lr_cols, d_ll_cols, _ = cache.get(active)
-        if len(pairs.lr_right) == 0:
-            res = empty_inner(active, project(w))
+        key = frozenset(active)
+        if key not in preps:
+            preps[key] = prepare_columns(L, R, active, fns, beta, threads, use_negative_rules)
+        prep = preps[key]
+        if len(prep.pairs.lr_right) == 0:
+            res = _empty_result(active, project(w), NO_PAIRS)
         else:
-            d_lr = sum(w[cols.index(c)] * d_lr_cols[c] for c in active)
-            d_ll = sum(w[cols.index(c)] * d_ll_cols[c] for c in active)
+            d_lr = sum(w[cols.index(c)] * prep.d_lr[c] for c in active)
+            d_ll = sum(w[cols.index(c)] * prep.d_ll[c] for c in active)
             res = solve_from_distances(
-                fns, pairs, d_lr, d_ll, tau, s,
+                fns, prep.pairs, d_lr, d_ll, tau, s,
                 np.random.default_rng(seed), project(w), active,
             )
         evaluated[w] = res
@@ -315,7 +213,7 @@ def solve_multi(
             break
 
     if current is None or not selection_order:
-        current = empty_inner((cols[0],), (1.0,))
+        current = _empty_result((cols[0],), (1.0,), NO_PAIRS)
         current.warnings.append("no column produced any join")
         selected: tuple[str, ...] = (cols[0],)
         weights: tuple[float, ...] = (1.0,)
@@ -323,10 +221,9 @@ def solve_multi(
         # report in selection order, the inherited weights attached
         selected = tuple(cols[j] for j in selection_order)
         weights = tuple(w[j] for j in selection_order)
-    active_rules = {}
-    cached = cache._cache.get(frozenset(selected))
-    if cached is not None:
-        active_rules = cached[3]
+    prep = preps[frozenset(selected)]
+    # preparation stages summed over every column set tried
+    stages = {k: sum(p.timings[k] for p in preps.values()) for k in prep.timings}
     return MultiSolveResult(
         solution=Solution(current.solution.configs, weights, selected),
         result=current.result,
@@ -339,8 +236,8 @@ def solve_multi(
         invocations=invocations,
         history=history,
         trials=trials,
-        rules_by_column=active_rules,
+        rules_by_column=prep.rules,
         warnings=list(current.warnings),
-        timings={"total": time.perf_counter() - t_start, **current.timings},
-        pair_counts=current.pair_counts,
+        timings={"total": time.perf_counter() - t_start, **stages, **current.timings},
+        pair_counts={**prep.pair_counts, **current.pair_counts},
     )

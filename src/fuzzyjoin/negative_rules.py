@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .text import apply_preprocess
 
@@ -64,13 +64,6 @@ def pair_blocked(a: str, b: str, rules: set[NegativeRule]) -> bool:
         return False
     delta = word_delta(a, b)
     return delta is not None and NegativeRule.of(*delta) in rules
-
-
-def apply_rules(
-    pairs: Sequence[tuple[str, str]], rules: set[NegativeRule]
-) -> list[bool]:
-    """Keep-mask over preprocessed pair values: False marks a discarded pair."""
-    return [not pair_blocked(a, b, rules) for a, b in pairs]
 
 
 def dump_rules(rules: set[NegativeRule], path: str | Path) -> None:

@@ -147,11 +147,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineOutcome:
     write_joins_csv(res.result, cfg.out_path)
     save_solution(res.solution, cfg.solution_path)
     if cfg.dump_rules_path is not None:
-        if cfg.multi:
-            rules = set().union(*res.rules_by_column.values()) if res.rules_by_column else set()
-        else:
-            rules = res.rules
-        dump_rules(rules, cfg.dump_rules_path)
+        dump_rules(set().union(*res.rules_by_column.values()), cfg.dump_rules_path)
     timings["write"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_total
 

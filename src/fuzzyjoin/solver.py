@@ -298,7 +298,10 @@ def greedy_select(
     return GreedyOutcome(selected, cur_left, cur_prec, cur_source, tp_cur, fp_cur)
 
 
-# --- end-to-end single-column solve ----------------------------------------
+# --- column-set preparation and end-to-end solve ----------------------------
+
+
+NO_PAIRS = "no candidate pairs survived blocking and negative rules"
 
 
 @dataclass
@@ -309,33 +312,23 @@ class SolveResult:
     fp: float
     estimated_precision: float
     estimated_recall: float
-    space: SearchSpace
-    rules: set[NegativeRule] = field(default_factory=set)
+    rules_by_column: dict[str, set[NegativeRule]] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
     pair_counts: dict[str, int] = field(default_factory=dict)
 
 
 def _empty_result(
-    space: SearchSpace,
-    columns: tuple[str, ...],
-    warning: str,
-    rules: set[NegativeRule] | None = None,
-    timings: dict[str, float] | None = None,
-    pair_counts: dict[str, int] | None = None,
+    columns: tuple[str, ...], weights: tuple[float, ...], warning: str
 ) -> SolveResult:
     return SolveResult(
-        solution=Solution((), (1.0,), columns),
+        solution=Solution((), weights, columns),
         result=JoinResult({}),
         tp=0.0,
         fp=0.0,
         estimated_precision=1.0,
         estimated_recall=0.0,
-        space=space,
-        rules=rules or set(),
         warnings=[warning],
-        timings=timings or {},
-        pair_counts=pair_counts or {},
     )
 
 
@@ -376,18 +369,19 @@ def flatten_index(idx: CandidateIndex) -> BlockedPairs:
 
 def filter_lr_by_rules(
     pairs: BlockedPairs,
-    left_rule_values: Sequence[str],
-    right_rule_values: Sequence[str],
-    rules: set[NegativeRule],
+    column_rules: Sequence[tuple[Sequence[str], Sequence[str], set[NegativeRule]]],
 ) -> tuple[BlockedPairs, int]:
-    """Drop cross-table pairs matching a learned negative rule."""
-    if not rules or len(pairs.lr_right) == 0:
+    """Drop cross-table pairs matching a learned negative rule of any column.
+
+    ``column_rules`` holds, per column, the rule-preprocessed left values,
+    the rule-preprocessed right values and that column's rules.
+    """
+    column_rules = [c for c in column_rules if c[2]]
+    if not column_rules or len(pairs.lr_right) == 0:
         return pairs, 0
     keep = np.array(
         [
-            not pair_blocked(
-                left_rule_values[l], right_rule_values[r], rules
-            )
+            not any(pair_blocked(lv[l], rv[r], rules) for lv, rv, rules in column_rules)
             for r, l in zip(pairs.lr_right, pairs.lr_left)
         ]
     )
@@ -456,7 +450,6 @@ def solve_from_distances(
         fp=outcome.fp,
         estimated_precision=outcome.tp / total if total > 0 else 1.0,
         estimated_recall=outcome.tp,
-        space=space,
         timings={"precompute": t1 - t0, "greedy": t2 - t1},
         pair_counts={
             "lr_pairs": int(len(pairs.lr_right)),
@@ -482,6 +475,77 @@ def needed_idf_indexes(
     }
 
 
+@dataclass
+class PreparedColumns:
+    """Blocked pairs of one column set, after negative rules, with each
+    column's rules and distance matrices over those pairs."""
+
+    pairs: BlockedPairs
+    rules: dict[str, set[NegativeRule]]  # empty when rules are off
+    d_lr: dict[str, np.ndarray]  # empty when no cross-table pair survived
+    d_ll: dict[str, np.ndarray]
+    timings: dict[str, float]
+    pair_counts: dict[str, int]
+
+
+def prepare_columns(
+    L: Table,
+    R: Table,
+    columns: tuple[str, ...],
+    functions: Sequence[JoinFunction],
+    beta: float = 1.0,
+    threads: int = 1,
+    use_negative_rules: bool = True,
+) -> PreparedColumns:
+    """Blocking on the columns' joined values, per-column negative rules
+    filtering the cross-table pairs, and per-column distances."""
+    values = {c: (L.column_values(c), R.column_values(c)) for c in columns}
+    timings: dict[str, float] = {}
+
+    t0 = time.perf_counter()
+    pairs = flatten_index(build_index(L, R, columns, beta))
+    timings["blocking"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    rules: dict[str, set[NegativeRule]] = {}
+    dropped = 0
+    if use_negative_rules:
+        column_rules = []
+        for c in columns:
+            lv = [preprocess_for_rules(v) for v in values[c][0]]
+            rv = [preprocess_for_rules(v) for v in values[c][1]]
+            rules[c] = learn_rules(
+                (lv[a], lv[b]) for a, b in zip(pairs.ll_a, pairs.ll_b)
+            )
+            column_rules.append((lv, rv, rules[c]))
+        pairs, dropped = filter_lr_by_rules(pairs, column_rules)
+    timings["negative_rules"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    d_lr: dict[str, np.ndarray] = {}
+    d_ll: dict[str, np.ndarray] = {}
+    if len(pairs.lr_right) > 0:
+        for c in columns:
+            lvals, rvals = values[c]
+            idf_by_pt = needed_idf_indexes(functions, lvals + rvals)
+            lr_value_pairs = [
+                (lvals[l], rvals[r]) for r, l in zip(pairs.lr_right, pairs.lr_left)
+            ]
+            ll_value_pairs = [
+                (lvals[a], lvals[b]) for a, b in zip(pairs.ll_a, pairs.ll_b)
+            ]
+            d_lr[c] = distance_matrix(functions, lr_value_pairs, idf_by_pt, threads)
+            d_ll[c] = distance_matrix(functions, ll_value_pairs, idf_by_pt, threads)
+    timings["distances"] = time.perf_counter() - t0
+
+    pair_counts = {
+        "ll_pairs": int(len(pairs.ll_a)),
+        "lr_pairs": int(len(pairs.lr_right)),
+        "lr_dropped_by_rules": dropped,
+    }
+    return PreparedColumns(pairs, rules, d_lr, d_ll, timings, pair_counts)
+
+
 def solve(
     L: Table,
     R: Table,
@@ -495,71 +559,24 @@ def solve(
     threads: int = 1,
     use_negative_rules: bool = True,
 ) -> SolveResult:
-    """Single-column end-to-end solve: blocking, negative rules, distance
-    precomputation, threshold discretization, and greedy selection."""
+    """Single-column end-to-end solve: column preparation (blocking,
+    negative rules, distances), then threshold discretization and greedy
+    selection."""
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"precision target must be in (0, 1], got {tau}")
     fns = list(functions) if functions is not None else enumerate_function_space(space_options)
-    timings: dict[str, float] = {}
     columns = (column,)
-
-    t0 = time.perf_counter()
-    idx = build_index(L, R, column, beta)
-    pairs = flatten_index(idx)
-    timings["blocking"] = time.perf_counter() - t0
-
-    left_values = L.column_values(column)
-    right_values = R.column_values(column)
-
-    t0 = time.perf_counter()
-    rules: set[NegativeRule] = set()
-    dropped = 0
-    if use_negative_rules:
-        left_rule_values = [preprocess_for_rules(v) for v in left_values]
-        right_rule_values = [preprocess_for_rules(v) for v in right_values]
-        rules = learn_rules(
-            (left_rule_values[a], left_rule_values[b])
-            for a, b in zip(pairs.ll_a, pairs.ll_b)
+    prep = prepare_columns(L, R, columns, fns, beta, threads, use_negative_rules)
+    if len(prep.pairs.lr_right) == 0:
+        out = _empty_result(columns, (1.0,), NO_PAIRS)
+    else:
+        rng = np.random.default_rng(seed)
+        out = solve_from_distances(
+            fns, prep.pairs, prep.d_lr[column], prep.d_ll[column], tau, s, rng, (1.0,), columns
         )
-        pairs, dropped = filter_lr_by_rules(
-            pairs, left_rule_values, right_rule_values, rules
-        )
-    timings["negative_rules"] = time.perf_counter() - t0
-
-    pair_counts = {
-        "ll_pairs": int(len(pairs.ll_a)),
-        "lr_pairs": int(len(pairs.lr_right)),
-        "lr_dropped_by_rules": dropped,
-    }
-    if len(pairs.lr_right) == 0:
-        return _empty_result(
-            SearchSpace(fns, [np.array([])] * len(fns), s),
-            columns,
-            "no candidate pairs survived blocking and negative rules",
-            rules,
-            timings,
-            pair_counts,
-        )
-
-    t0 = time.perf_counter()
-    corpus = left_values + right_values
-    idf_by_pt = needed_idf_indexes(fns, corpus)
-    lr_value_pairs = [
-        (left_values[l], right_values[r])
-        for r, l in zip(pairs.lr_right, pairs.lr_left)
-    ]
-    ll_value_pairs = [
-        (left_values[a], left_values[b]) for a, b in zip(pairs.ll_a, pairs.ll_b)
-    ]
-    d_lr = distance_matrix(fns, lr_value_pairs, idf_by_pt, threads)
-    d_ll = distance_matrix(fns, ll_value_pairs, idf_by_pt, threads)
-    timings["distances"] = time.perf_counter() - t0
-
-    rng = np.random.default_rng(seed)
-    out = solve_from_distances(fns, pairs, d_lr, d_ll, tau, s, rng, (1.0,), columns)
-    out.rules = rules
-    out.timings = {**timings, **out.timings}
-    out.pair_counts = {**pair_counts, **out.pair_counts}
-    if not out.solution.configs:
-        out.warnings.append("no configuration met the precision target")
+        if not out.solution.configs:
+            out.warnings.append("no configuration met the precision target")
+    out.rules_by_column = prep.rules
+    out.timings = {**prep.timings, **out.timings}
+    out.pair_counts = {**prep.pair_counts, **out.pair_counts}
     return out

@@ -9,6 +9,7 @@ at most one reference row.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -104,38 +105,44 @@ def load_table(
     """
     path = Path(path)
     try:
-        fh = open(path, encoding="utf-8-sig", newline="")
+        data = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        try:
-            reader = csv.reader(fh, delimiter=delimiter)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file, expected a header row")
-            if id_column not in header:
+    try:
+        # decoded whole, so a bad byte's offset is its offset in the file
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}"
+        ) from exc
+    try:
+        reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        if id_column not in header:
+            raise DataError(
+                f"{path}: id column {id_column!r} not in header {header}"
+            )
+        id_idx = header.index(id_column)
+        columns = tuple(c for i, c in enumerate(header) if i != id_idx)
+        rows = []
+        seen = set()
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) > len(header):
                 raise DataError(
-                    f"{path}: id column {id_column!r} not in header {header}"
+                    f"{path}: row {row_no} has {len(row)} cells, "
+                    f"header has {len(header)}"
                 )
-            id_idx = header.index(id_column)
-            columns = tuple(c for i, c in enumerate(header) if i != id_idx)
-            rows = []
-            seen = set()
-            for row_no, row in enumerate(reader, start=2):
-                if len(row) > len(header):
-                    raise DataError(
-                        f"{path}: row {row_no} has {len(row)} cells, "
-                        f"header has {len(header)}"
-                    )
-                row = row + [""] * (len(header) - len(row))
-                rid = row[id_idx]
-                if rid == "":
-                    raise DataError(f"{path}: row {row_no}: empty id")
-                if rid in seen:
-                    raise DataError(f"{path}: row {row_no}: duplicate id {rid!r}")
-                seen.add(rid)
-                values = tuple(c for i, c in enumerate(row) if i != id_idx)
-                rows.append(Record(rid, values))
-        except csv.Error as exc:
-            raise DataError(f"{path}: CSV parse failure: {exc}") from exc
+            row = row + [""] * (len(header) - len(row))
+            rid = row[id_idx]
+            if rid == "":
+                raise DataError(f"{path}: row {row_no}: empty id")
+            if rid in seen:
+                raise DataError(f"{path}: row {row_no}: duplicate id {rid!r}")
+            seen.add(rid)
+            values = tuple(c for i, c in enumerate(row) if i != id_idx)
+            rows.append(Record(rid, values))
+    except csv.Error as exc:
+        raise DataError(f"{path}: CSV parse failure: {exc}") from exc
     return Table(columns, tuple(rows), role)

@@ -11,14 +11,11 @@ import math
 import sys
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Iterable
 
 from .stem import stem
-
-if TYPE_CHECKING:
-    from .tables import Table
 
 _punct_table: dict[int, None] | None = None
 
@@ -60,10 +57,9 @@ def apply_preprocess(s: str, option: str) -> str:
 
 @dataclass(frozen=True)
 class TokenBag:
-    """A multiset of tokens with an optional cached total weight."""
+    """A multiset of tokens."""
 
     tokens: Counter
-    weight_sum: Optional[float] = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return sum(self.tokens.values())
@@ -122,35 +118,3 @@ def build_idf_from_values(
         bag = tokenize(apply_preprocess(v, preprocess), tokenizer)
         doc_freq.update(bag.tokens.keys())
     return IdfIndex(dict(doc_freq), n)
-
-
-def build_idf(
-    left: "Table",
-    right: "Table",
-    column: str,
-    preprocess: str = "L",
-    tokenizer: str = "3G",
-) -> IdfIndex:
-    """IDF statistics over the concatenation of both tables' rows for one column."""
-    values = left.column_values(column) + right.column_values(column)
-    return build_idf_from_values(values, preprocess, tokenizer)
-
-
-def token_weight(token: str, scheme: str, idf: IdfIndex | None = None) -> float:
-    """Weight of one token: EW gives 1.0, IDFW gives log(N / doc_freq)."""
-    if scheme == "EW":
-        return 1.0
-    if scheme == "IDFW":
-        if idf is None:
-            raise ValueError("IDFW weighting requires a built IdfIndex")
-        return idf.weight(token)
-    raise ValueError(f"unknown weight scheme {scheme!r}")
-
-
-def bag_weight(bag: TokenBag, scheme: str, idf: IdfIndex | None = None) -> float:
-    """Total multiset weight of a bag under a weighting scheme."""
-    if scheme == "EW":
-        return float(len(bag))
-    return sum(
-        mult * token_weight(t, scheme, idf) for t, mult in bag.tokens.items()
-    )

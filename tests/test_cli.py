@@ -97,6 +97,18 @@ def test_bad_csv_exits_3(tmp_path, synthetic_csvs, capsys):
     assert "ingest" in capsys.readouterr().err
 
 
+def test_non_utf8_csv_exits_3(tmp_path, synthetic_csvs, capsys):
+    _, right, _ = synthetic_csvs
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes("id,name\n1,caf\u00e9\n".encode("latin-1"))
+    code = main(run_args(tmp_path, bad, right))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "ingest" in err
+    assert "latin1.csv" in err and "byte 13" in err
+    assert "Traceback" not in err
+
+
 def test_config_error_exits_2(tmp_path, synthetic_csvs, capsys):
     left, right, _ = synthetic_csvs
     code = main(run_args(tmp_path, left, right, precision=1.5))
@@ -181,6 +193,28 @@ def test_run_multi_smoke(tmp_path, capsys):
     assert "columns selected" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "m.json").read_text())
     assert manifest["selected_columns"] == ["name"]
+
+
+def test_run_multi_manifest_matches_run(tmp_path, synthetic_csvs):
+    left, right, _ = synthetic_csvs
+    assert main(run_args(tmp_path, left, right, manifest=tmp_path / "single.json")) == 0
+    code = main(
+        [
+            "run-multi",
+            "--left", str(left),
+            "--right", str(right),
+            "--out", str(tmp_path / "joins_multi.csv"),
+            "--solution", str(tmp_path / "sol_multi.txt"),
+            "--manifest", str(tmp_path / "multi.json"),
+        ]
+    )
+    assert code == 0
+    single = json.loads((tmp_path / "single.json").read_text())
+    multi = json.loads((tmp_path / "multi.json").read_text())
+    assert set(multi["timings"]) == set(single["timings"])
+    assert {"blocking", "negative_rules", "distances"} <= set(multi["timings"])
+    assert set(multi["pair_counts"]) == set(single["pair_counts"])
+    assert "lr_dropped_by_rules" in multi["pair_counts"]
 
 
 def test_bench_synthetic_smoke(capsys):

@@ -14,7 +14,8 @@ from fuzzyjoin import (
     generate_synthetic,
     pr_auc,
     recall_upper_bound,
-    robustness_drivers,
+    robustness_beta_sweep,
+    robustness_sparse_l,
     score,
     solve,
     tokenize,
@@ -215,23 +216,15 @@ class TestGenerator:
 class TestRobustnessDrivers:
     def test_sparse_l_series(self):
         L, R, gt = generate_synthetic(n_left=40, seed=12, unmatched_rate=0.1)
-        points = robustness_drivers(
-            "sparse-L", L=L, R=R, gt=gt, fractions=(0.2,), seed=0
-        )
+        points = robustness_sparse_l(L, R, gt, fractions=(0.2,), seed=0)
         assert len(points) == 1
         assert points[0].params == {"fraction": 0.2, "removed": round(0.2 * len(set(gt.matches.values())))}
         assert points[0].report is not None
 
     def test_beta_sweep_stable_beyond_one(self):
         L, R, gt = generate_synthetic(n_left=60, seed=13, unmatched_rate=0.1)
-        points = robustness_drivers(
-            "beta-sweep", L=L, R=R, gt=gt, betas=(1.0, 2.0), seed=0
-        )
+        points = robustness_beta_sweep(L, R, gt, betas=(1.0, 2.0), seed=0)
         r1, r2 = (p.report for p in points)
         base = max(r1.recall_absolute, 1)
         assert abs(r1.recall_absolute - r2.recall_absolute) <= 0.05 * base
         assert abs(r1.precision - r2.precision) <= 0.05
-
-    def test_unknown_suite(self):
-        with pytest.raises(ValueError):
-            robustness_drivers("nope")

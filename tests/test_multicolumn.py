@@ -122,6 +122,16 @@ class TestSolveMulti:
         assert multi.solution.configs == single.solution.configs
         assert multi.invocations == 1
 
+        # no candidate pairs: both modes give the same empty result
+        L2 = make_table(("name",), [("L0", ("aaa bbb",)), ("L1", ("ccc ddd",))])
+        R2 = make_table(("name",), [("R0", ("xxx yyy",)), ("R1", ("zzz www",))], role="query")
+        multi = solve_multi(L2, R2, tau=0.9, g=10, seed=0)
+        single = solve(L2, R2, "name", tau=0.9, seed=0)
+        assert multi.solution == single.solution
+        assert multi.result.assignments == single.result.assignments == {}
+        assert any("no candidate pairs" in w for w in multi.warnings)
+        assert any("no candidate pairs" in w for w in single.warnings)
+
     def test_disambiguating_second_column_selected(self):
         L, R, gt = two_column_tables(seed=1)
         name_only = solve_multi(L, R, tau=0.9, seed=0, columns=["name"])

@@ -2,9 +2,9 @@ import itertools
 
 from fuzzyjoin import (
     NegativeRule,
-    apply_rules,
     dump_rules,
     learn_rules,
+    pair_blocked,
     preprocess_for_rules,
     word_delta,
 )
@@ -80,28 +80,28 @@ class TestApplyRules:
     def test_filters_learned_swap(self):
         l, r = prep(["2007 lsu tigers football team", "2007 lsu tigers baseball team"])
         rules = learn_rules([(l, r)])
-        assert apply_rules([(l, r)], rules) == [False]
+        assert pair_blocked(l, r, rules)
 
     def test_symmetric(self):
         rules = {NegativeRule.of("football", "basebal")}
         a, b = "x football y", "x basebal y"
-        assert apply_rules([(a, b), (b, a)], rules) == [False, False]
+        assert pair_blocked(a, b, rules) and pair_blocked(b, a, rules)
 
     def test_extra_word_exempts(self):
         rules = {NegativeRule.of("football", "baseball")}
         pair = ("big lsu football team", "lsu baseball team")
-        assert apply_rules([pair], rules) == [True]
+        assert not pair_blocked(*pair, rules)
 
     def test_empty_rule_set_identity(self):
         pairs = [("a b", "a c"), ("x", "y")]
-        assert apply_rules(pairs, set()) == [True, True]
+        assert not any(pair_blocked(a, b, set()) for a, b in pairs)
 
     def test_idempotent_filter(self):
         rules = {NegativeRule.of("red", "blue")}
         pairs = [("red car", "blue car"), ("red car", "red car")]
-        keep = apply_rules(pairs, rules)
-        survivors = [p for p, k in zip(pairs, keep) if k]
-        assert apply_rules(survivors, rules) == [True] * len(survivors)
+        survivors = [p for p in pairs if not pair_blocked(*p, rules)]
+        assert survivors == [("red car", "red car")]
+        assert not any(pair_blocked(*p, rules) for p in survivors)
 
 
 def test_dump_rules_sorted(tmp_path):

@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 from fuzzyjoin import (
     TokenBag,
     apply_preprocess,
-    bag_weight,
     build_idf_from_values,
-    token_weight,
+    set_distance,
     tokenize,
 )
 
@@ -88,23 +87,26 @@ class TestIdf:
     def test_token_in_every_record(self):
         idf = build_idf_from_values(["cat hat", "cat mat"], "L", "SP")
         assert idf.doc_freq["cat"] == idf.corpus_size == 2
-        assert token_weight("cat", "IDFW", idf) == 0.0
+        assert idf.weight("cat") == 0.0
 
     def test_token_in_one_of_ten(self):
         values = ["common rare0"] + ["common"] * 9
         idf = build_idf_from_values(values, "L", "SP")
-        assert token_weight("rare0", "IDFW", idf) == pytest.approx(math.log(10))
+        assert idf.weight("rare0") == pytest.approx(math.log(10))
 
     def test_unseen_token_smoothing(self):
         idf = build_idf_from_values(["a"] * 10, "L", "SP")
-        assert token_weight("zzz", "IDFW", idf) == pytest.approx(math.log(10))
+        assert idf.weight("zzz") == pytest.approx(math.log(10))
 
     def test_doc_freq_counts_records_not_occurrences(self):
         idf = build_idf_from_values(["cat cat cat", "dog"], "L", "SP")
         assert idf.doc_freq["cat"] == 1
 
     def test_equal_weights(self):
-        assert token_weight("anything", "EW") == 1.0
+        # every token weighs 1: one shared token of two is half the max weight
+        one = TokenBag(Counter(["anything"]))
+        two = TokenBag(Counter(["anything", "other"]))
+        assert set_distance(one, two, "MD", "EW") == 0.5
 
     def test_idfw_known_value(self):
         # 100 records, token in 10 of them -> ln 10
@@ -112,21 +114,27 @@ class TestIdf:
             f"filler{i}" for i in range(10, 100)
         ]
         idf = build_idf_from_values(values, "L", "SP")
-        assert token_weight("tok", "IDFW", idf) == pytest.approx(2.302585, abs=1e-6)
+        assert idf.weight("tok") == pytest.approx(2.302585, abs=1e-6)
 
     def test_idfw_requires_index(self):
         with pytest.raises(ValueError):
-            token_weight("x", "IDFW", None)
+            set_distance(TokenBag(Counter(["x"])), TokenBag(Counter(["x"])), "JD", "IDFW", None)
 
 
 class TestBagWeight:
-    @given(st.lists(st.sampled_from("abcde"), max_size=10))
+    """A bag's weight, read off MD against one of its own tokens:
+    MD = 1 - weight(token) / weight(bag)."""
+
+    @given(st.lists(st.sampled_from("abcde"), min_size=1, max_size=10))
     def test_ew_weight_is_cardinality(self, tokens):
         bag = TokenBag(Counter(tokens))
-        assert bag_weight(bag, "EW") == len(tokens)
+        one = TokenBag(Counter(tokens[:1]))
+        assert set_distance(bag, one, "MD", "EW") == pytest.approx(1 - 1 / len(tokens))
 
     def test_idfw_weight_sums_tokens(self):
-        idf = build_idf_from_values(["a b", "a"], "L", "SP")
+        idf = build_idf_from_values(["a b", "a", "c"], "L", "SP")
         bag = TokenBag(Counter(["a", "b", "b"]))
-        expected = idf.weight("a") + 2 * idf.weight("b")
-        assert bag_weight(bag, "IDFW", idf) == pytest.approx(expected)
+        one = TokenBag(Counter(["a"]))
+        total = idf.weight("a") + 2 * idf.weight("b")
+        expected = 1 - idf.weight("a") / total
+        assert set_distance(bag, one, "MD", "IDFW", idf) == pytest.approx(expected)
