@@ -8,7 +8,7 @@ above the target.  No labeled examples are used: precision is estimated
 from the geometry of the reference table itself.
 """
 
-from .blocking import CandidateIndex, IndexStats, blocking_cutoff, build_index, index_stats
+from .blocking import CandidateIndex, blocking_cutoff, build_index
 from .distances import (
     char_distance,
     contain_distance,
@@ -73,12 +73,9 @@ from .negative_rules import (
 )
 from .pipeline import ConfigError, PipelineOutcome, RunConfig, StageError, run_pipeline
 from .solver import (
-    SearchSpace,
     SolveResult,
-    build_search_space,
     discretize_thresholds,
     greedy_select,
-    profit,
     solve,
 )
 from .stem import stem

@@ -20,12 +20,6 @@ from .tables import Table
 from .text import apply_preprocess, build_idf_from_values, tokenize
 
 
-@dataclass(frozen=True)
-class IndexStats:
-    ll_pairs: int
-    lr_pairs: int
-
-
 @dataclass
 class CandidateIndex:
     """Blocked candidate lists, sorted by descending blocking score.
@@ -110,10 +104,3 @@ def build_index(
     }
     return CandidateIndex(left_ids, right_ids, lr, ll, beta, k)
 
-
-def index_stats(idx: CandidateIndex) -> IndexStats:
-    """Exact stored pair counts for the self-join and cross-join sides."""
-    return IndexStats(
-        ll_pairs=sum(len(v) for v in idx.ll.values()),
-        lr_pairs=sum(len(v) for v in idx.lr.values()),
-    )

@@ -155,7 +155,7 @@ def solve_multi(
             preps[key] = prepare_columns(L, R, active, fns, beta, threads, use_negative_rules)
         prep = preps[key]
         if len(prep.pairs.lr_right) == 0:
-            res = _empty_result(active, project(w), NO_PAIRS)
+            res = _empty_result(active, project(w), [NO_PAIRS])
         else:
             d_lr = sum(w[cols.index(c)] * prep.d_lr[c] for c in active)
             d_ll = sum(w[cols.index(c)] * prep.d_ll[c] for c in active)
@@ -213,7 +213,8 @@ def solve_multi(
             break
 
     if current is None or not selection_order:
-        current = _empty_result((cols[0],), (1.0,), NO_PAIRS)
+        # every trial joined nothing; the best (first) one says why
+        current = _empty_result((cols[0],), (1.0,), best.warnings)
         current.warnings.append("no column produced any join")
         selected: tuple[str, ...] = (cols[0],)
         weights: tuple[float, ...] = (1.0,)

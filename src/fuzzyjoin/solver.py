@@ -14,7 +14,6 @@ string data.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -61,35 +60,6 @@ def discretize_thresholds(distances: Sequence[float] | np.ndarray, s: int) -> np
     return grid
 
 
-def profit(tp: float, fp: float) -> float:
-    """True-positive mass per unit of false-positive mass; +inf when free
-    of false positives, 0 for the empty solution."""
-    if tp < 0 or fp < 0:
-        raise ValueError("tp and fp must be nonnegative")
-    if fp > 0:
-        return tp / fp
-    return math.inf if tp > 0 else 0.0
-
-
-@dataclass
-class SearchSpace:
-    """Join functions plus their discretized threshold grids."""
-
-    functions: list[JoinFunction]
-    thresholds: list[np.ndarray]
-    s: int
-
-    def size(self) -> int:
-        return sum(len(t) for t in self.thresholds)
-
-
-def build_search_space(
-    functions: Sequence[JoinFunction], d_lr: np.ndarray, s: int
-) -> SearchSpace:
-    grids = [discretize_thresholds(d_lr[fi], s) for fi in range(len(functions))]
-    return SearchSpace(list(functions), grids, s)
-
-
 # --- dense precomputation ---------------------------------------------------
 
 
@@ -100,6 +70,7 @@ class ConfigTable:
     Row c holds configuration c's join: ``left[c, r]`` is the left-record
     position joined to right r (-1 for none) and ``prec[c, r]`` its
     estimated precision under the ball of radius twice the threshold.
+    ``prec`` is 0 exactly where ``left`` is -1 and > 0 elsewhere.
     """
 
     functions: list[JoinFunction]
@@ -145,34 +116,9 @@ def _per_right_minima(
     return dmin, argmin_pair, tie
 
 
-def _ll_padding(ll_a: np.ndarray, n_left: int):
-    """Segment layout of the (sorted-by-a) self-join pair list."""
-    if len(ll_a) == 0:
-        return np.array([], dtype=np.int64), np.array([], dtype=np.int64), 0
-    uniq, starts, counts = np.unique(ll_a, return_index=True, return_counts=True)
-    return starts, counts, int(counts.max())
-
-
-def _ll_sorted_matrix(
-    ll_a: np.ndarray, d_row: np.ndarray, n_left: int, kmax: int
-) -> np.ndarray:
-    """(n_left, kmax) ascending neighbor distances per left record, padded
-    with +inf."""
-    pad = np.full((n_left, kmax), np.inf)
-    if len(ll_a) == 0 or kmax == 0:
-        return pad
-    order = np.lexsort((d_row, ll_a))
-    a_sorted = ll_a[order]
-    d_sorted = d_row[order]
-    _, starts, counts = np.unique(a_sorted, return_index=True, return_counts=True)
-    ranks = np.arange(len(a_sorted)) - np.repeat(starts, counts)
-    pad[a_sorted, ranks] = d_sorted
-    return pad
-
-
 def precompute_config_table(
     functions: Sequence[JoinFunction],
-    space: SearchSpace,
+    thresholds: Sequence[np.ndarray],
     n_right: int,
     n_left: int,
     lr_right: np.ndarray,
@@ -182,36 +128,38 @@ def precompute_config_table(
     d_ll: np.ndarray,
 ) -> ConfigTable:
     """Expand every (function, threshold) pair into dense per-right
-    assignment and precision rows."""
-    _, _, kmax = _ll_padding(ll_a, n_left)
-    cfg_function: list[np.ndarray] = []
-    cfg_threshold: list[np.ndarray] = []
-    left_blocks: list[np.ndarray] = []
-    prec_blocks: list[np.ndarray] = []
-    for fi in range(len(functions)):
-        thetas = space.thresholds[fi]
-        s_f = len(thetas)
+    assignment and precision rows, filled in place.
+
+    ``thresholds[fi]`` is function fi's ascending grid and ``ll_a`` must be
+    sorted ascending.  A precision depends only on the joined left record
+    and the threshold, so each left record's ball is counted once per
+    threshold and gathered at the right records joined to it.
+    """
+    sizes = [len(t) for t in thresholds]
+    left = np.full((sum(sizes), n_right), -1, dtype=np.int32)
+    prec = np.zeros((sum(sizes), n_right), dtype=np.float32)
+    ll_owner, ll_starts = np.unique(ll_a, return_index=True)
+    row = 0
+    for fi, thetas in enumerate(thresholds):
         dmin, argmin_pair, tie = _per_right_minima(lr_right, d_lr[fi], n_right)
-        has = argmin_pair >= 0
-        argmin_left = np.where(has, lr_left[np.where(has, argmin_pair, 0)], -1)
-        assigned = (
-            has[None, :] & ~tie[None, :] & (dmin[None, :] <= thetas[:, None])
-        )
-        nb = _ll_sorted_matrix(ll_a, d_ll[fi], n_left, kmax)
-        nb_rows = nb[np.where(has, argmin_left, 0)]  # (n_right, kmax)
-        counts = (nb_rows[None, :, :] <= (2.0 * thetas)[:, None, None]).sum(axis=2)
-        prec = np.where(assigned, 1.0 / (1.0 + counts), 0.0).astype(np.float32)
-        left = np.where(assigned, argmin_left[None, :], -1).astype(np.int32)
-        cfg_function.append(np.full(s_f, fi, dtype=np.int32))
-        cfg_threshold.append(np.asarray(thetas, dtype=float))
-        left_blocks.append(left)
-        prec_blocks.append(prec)
+        joinable = np.nonzero((argmin_pair >= 0) & ~tie)[0]
+        joined_left = lr_left[argmin_pair[joinable]]
+        balls = np.ones((len(thetas), n_left), dtype=np.int64)
+        if len(ll_starts):  # reduceat needs at least one segment
+            within = d_ll[fi][None, :] <= (2.0 * thetas)[:, None]
+            balls[:, ll_owner] += np.add.reduceat(within, ll_starts, axis=1, dtype=np.int64)
+        inv_balls = (1.0 / balls).astype(np.float32)
+        assigned = dmin[joinable][None, :] <= thetas[:, None]
+        block = slice(row, row + len(thetas))
+        left[block, joinable] = np.where(assigned, joined_left, -1)
+        prec[block, joinable] = np.where(assigned, inv_balls[:, joined_left], 0)
+        row += len(thetas)
     return ConfigTable(
         functions=list(functions),
-        cfg_function=np.concatenate(cfg_function) if cfg_function else np.array([], dtype=np.int32),
-        cfg_threshold=np.concatenate(cfg_threshold) if cfg_threshold else np.array([]),
-        left=np.vstack(left_blocks) if left_blocks else np.empty((0, n_right), dtype=np.int32),
-        prec=np.vstack(prec_blocks) if prec_blocks else np.empty((0, n_right), dtype=np.float32),
+        cfg_function=np.repeat(np.arange(len(sizes), dtype=np.int32), sizes),
+        cfg_threshold=np.concatenate([np.empty(0), *thresholds]),
+        left=left,
+        prec=prec,
     )
 
 
@@ -246,8 +194,13 @@ def greedy_select(
     the best addition would push estimated precision down to tau.  Profit
     ties are broken by larger tp among false-positive-free candidates, then
     by seeded randomness.
+
+    ``cfg_prec`` must be 0 exactly where ``cfg_left`` is -1 and > 0
+    elsewhere (the ConfigTable invariant): a union's per-right precision is
+    then the elementwise maximum of its members' rows.
     """
     n_cfg, n_right = cfg_left.shape
+    cfg_assigned = cfg_left != -1
     available = np.ones(n_cfg, dtype=bool)
     cur_left = np.full(n_right, -1, dtype=np.int32)
     cur_prec = np.zeros(n_right, dtype=np.float32)
@@ -256,10 +209,8 @@ def greedy_select(
     tp_cur = 0.0
 
     while available.any():
-        take = (cfg_left != -1) & (cfg_prec > cur_prec[None, :])
-        new_prec = np.where(take, cfg_prec, cur_prec[None, :])
-        tp_new = new_prec.sum(axis=1, dtype=np.float64)
-        n_assigned = ((cfg_left != -1) | (cur_left != -1)[None, :]).sum(axis=1)
+        tp_new = np.maximum(cfg_prec, cur_prec).sum(axis=1, dtype=np.float64)
+        n_assigned = (cfg_assigned | (cur_left != -1)).sum(axis=1)
         fp_new = np.maximum(n_assigned - tp_new, 0.0)
 
         eligible = available & (tp_new > tp_cur)
@@ -287,7 +238,7 @@ def greedy_select(
         slot = len(selected)
         selected.append(pick)
         available[pick] = False
-        row_take = (cfg_left[pick] != -1) & (cfg_prec[pick] > cur_prec)
+        row_take = cfg_prec[pick] > cur_prec
         cur_left = np.where(row_take, cfg_left[pick], cur_left)
         cur_prec = np.where(row_take, cfg_prec[pick], cur_prec)
         cur_source = np.where(row_take, slot, cur_source)
@@ -319,7 +270,7 @@ class SolveResult:
 
 
 def _empty_result(
-    columns: tuple[str, ...], weights: tuple[float, ...], warning: str
+    columns: tuple[str, ...], weights: tuple[float, ...], warnings: Sequence[str]
 ) -> SolveResult:
     return SolveResult(
         solution=Solution((), weights, columns),
@@ -328,7 +279,7 @@ def _empty_result(
         fp=0.0,
         estimated_precision=1.0,
         estimated_recall=0.0,
-        warnings=[warning],
+        warnings=list(warnings),
     )
 
 
@@ -415,10 +366,10 @@ def solve_from_distances(
     """Threshold discretization, precomputation, and greedy selection, given
     distance matrices over the blocked pairs."""
     t0 = time.perf_counter()
-    space = build_search_space(functions, d_lr, s)
+    thresholds = [discretize_thresholds(d_lr[fi], s) for fi in range(len(functions))]
     table = precompute_config_table(
         functions,
-        space,
+        thresholds,
         n_right=len(pairs.right_ids),
         n_left=len(pairs.left_ids),
         lr_right=pairs.lr_right,
@@ -443,6 +394,7 @@ def solve_from_distances(
                 int(outcome.cur_source[r]),
             )
     total = outcome.tp + outcome.fp
+    warnings = [] if configs else ["no configuration met the precision target"]
     return SolveResult(
         solution=solution,
         result=JoinResult(assignments),
@@ -450,6 +402,7 @@ def solve_from_distances(
         fp=outcome.fp,
         estimated_precision=outcome.tp / total if total > 0 else 1.0,
         estimated_recall=outcome.tp,
+        warnings=warnings,
         timings={"precompute": t1 - t0, "greedy": t2 - t1},
         pair_counts={
             "lr_pairs": int(len(pairs.lr_right)),
@@ -568,14 +521,12 @@ def solve(
     columns = (column,)
     prep = prepare_columns(L, R, columns, fns, beta, threads, use_negative_rules)
     if len(prep.pairs.lr_right) == 0:
-        out = _empty_result(columns, (1.0,), NO_PAIRS)
+        out = _empty_result(columns, (1.0,), [NO_PAIRS])
     else:
         rng = np.random.default_rng(seed)
         out = solve_from_distances(
             fns, prep.pairs, prep.d_lr[column], prep.d_ll[column], tau, s, rng, (1.0,), columns
         )
-        if not out.solution.configs:
-            out.warnings.append("no configuration met the precision target")
     out.rules_by_column = prep.rules
     out.timings = {**prep.timings, **out.timings}
     out.pair_counts = {**prep.pair_counts, **out.pair_counts}

@@ -6,7 +6,6 @@ from fuzzyjoin import (
     build_idf_from_values,
     build_index,
     generate_synthetic,
-    index_stats,
     make_table,
     tokenize,
 )
@@ -133,17 +132,18 @@ class TestBuildIndex:
 
 
 class TestIndexStats:
+    """Stored pair counts of the index."""
+
     def test_counts_match_recount(self):
         L, R, _ = generate_synthetic(n_left=30, seed=2)
         idx = build_index(L, R, "name", beta=1.0)
-        st = index_stats(idx)
-        assert st.lr_pairs == sum(len(v) for v in idx.lr.values())
-        assert st.ll_pairs == sum(len(v) for v in idx.ll.values())
-        assert st.lr_pairs <= len(R) * idx.k
-        assert st.ll_pairs <= len(L) * idx.k
+        lr_pairs = sum(len(v) for v in idx.lr.values())
+        ll_pairs = sum(len(v) for v in idx.ll.values())
+        assert lr_pairs <= len(R) * idx.k
+        assert ll_pairs <= len(L) * idx.k
 
     def test_empty_right_table(self):
         L, *_ = small_tables()
         R = make_table(("name",), [], role="query")
         idx = build_index(L, R, "name", beta=1.0)
-        assert index_stats(idx).lr_pairs == 0
+        assert idx.lr == {}

@@ -15,7 +15,7 @@ from fuzzyjoin import (
     register_plugin,
     union_stats,
 )
-from fuzzyjoin.solver import precompute_config_table, SearchSpace
+from fuzzyjoin.solver import precompute_config_table
 
 
 def ball_from(dists: dict[str, list[float]]) -> BallCounter:
@@ -238,9 +238,17 @@ class TestGridScenario:
 # --- vectorized engine vs readable path ----------------------------------------
 
 
-def test_engine_matches_config_stats():
-    rng = np.random.default_rng(123)
-    n_left, n_right, n_fn = 6, 10, 3
+def check_engine_against_config_stats(
+    seed: int, n_left: int = 6, n_right: int = 10, ll_per_left: int = 3, lonely: int = -1
+):
+    """Build a random blocked instance and check every configuration row of
+    the vectorized table against the readable ``config_stats`` path.
+
+    ``ll_per_left`` self-join draws per left record (0 for none); left
+    record ``lonely`` gets no self-join neighbour at all.
+    """
+    rng = np.random.default_rng(seed)
+    n_fn = 3
     left_ids = [f"l{i}" for i in range(n_left)]
     right_ids = [f"r{i}" for i in range(n_right)]
 
@@ -248,21 +256,22 @@ def test_engine_matches_config_stats():
         {(r, int(rng.integers(0, n_left))) for r in range(n_right) for _ in range(3)}
     )
     ll = sorted(
-        {(a, int(rng.integers(0, n_left))) for a in range(n_left) for _ in range(3)}
+        {(a, int(rng.integers(0, n_left))) for a in range(n_left) for _ in range(ll_per_left)}
     )
-    ll = [(a, b) for a, b in ll if a != b]
+    ll = [(a, b) for a, b in ll if a != b and lonely not in (a, b)]
     lr_right = np.array([p[0] for p in lr])
     lr_left = np.array([p[1] for p in lr])
-    ll_a = np.array([p[0] for p in ll])
+    ll_a = np.array([p[0] for p in ll], dtype=np.int64)
     d_lr = rng.integers(1, 9, size=(n_fn, len(lr))) / 10.0
     d_ll = rng.integers(1, 9, size=(n_fn, len(ll))) / 10.0
 
     functions = [JoinFunction("L", "NONE", "NONE", "ED")] * n_fn
     thetas = [np.array([0.2, 0.45, 0.7, 0.9])] * n_fn
-    space = SearchSpace(functions, thetas, 4)
     table = precompute_config_table(
-        functions, space, n_right, n_left, lr_right, lr_left, d_lr, ll_a, d_ll
+        functions, thetas, n_right, n_left, lr_right, lr_left, d_lr, ll_a, d_ll
     )
+    assert table.n_configs == 4 * n_fn
+    assert ((table.prec > 0) == (table.left >= 0)).all()
 
     for fi in range(n_fn):
         candidates = {
@@ -288,11 +297,33 @@ def test_engine_matches_config_stats():
                 for r in range(n_right)
                 if table.left[row, r] >= 0
             }
-            expected_rounded = {
-                r: (l, pytest.approx(p, rel=1e-6)) for r, (l, p) in expected.assignments.items()
-            }
             assert got.keys() == expected.assignments.keys()
             for r, (l, p) in got.items():
                 el, ep = expected.assignments[r]
                 assert l == el
                 assert p == pytest.approx(ep, rel=1e-6)
+    return table
+
+
+def test_engine_matches_config_stats():
+    check_engine_against_config_stats(123)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_engine_matches_config_stats_over_seeds(seed):
+    check_engine_against_config_stats(seed, n_left=9, n_right=16)
+
+
+def test_engine_without_self_join_pairs():
+    # every ball holds only its own record, so every join has precision 1
+    table = check_engine_against_config_stats(5, ll_per_left=0)
+    assert set(np.unique(table.prec[table.left >= 0])) == {1.0}
+
+
+def test_engine_left_without_neighbours():
+    n_left, lonely = 7, 3
+    table = check_engine_against_config_stats(11, n_left=n_left, n_right=40, lonely=lonely)
+    # the lone record is joined somewhere, always at precision 1
+    joined = table.left == lonely
+    assert joined.any()
+    assert (table.prec[joined] == 1.0).all()

@@ -1,0 +1,66 @@
+"""Golden artifacts: fixed inputs must keep producing byte-identical
+``joins.csv`` and ``solution.txt``.
+
+The digests were recorded before the configuration table was built from
+per-left ball counts; a change that moves them changes the program's output
+and must say why.  ``PYTHONPATH=src:tests python3 tests/test_golden.py``
+prints the current digests.
+"""
+
+import hashlib
+from pathlib import Path
+
+from conftest import write_table_csv
+from fuzzyjoin import add_random_column, generate_synthetic
+from fuzzyjoin.cli import main
+
+GOLDEN = {
+    "run": (
+        "5c933c388cc50a2a237b6877088f7373b418a54dec8a9f0f7825a751e28355c7",
+        "a0abf29812a3e266530f41c33fbc7919613ac1d74d9bd65fd925e3149a965260",
+    ),
+    "run-multi": (
+        "1e4596459629dcf31460280debcfeef475dd3dc9b5ce5e603d6a7545b07f4c3a",
+        "1bf83f5ca2e70b7d229d61d2fe16e07f0a14101ea5b8bff938bdb0f507a189e3",
+    ),
+}
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def artifacts(mode: str, tmp: Path) -> tuple[str, str]:
+    """Run one CLI mode on its fixed inputs; digests of joins and solution."""
+    if mode == "run":
+        L, R, _ = generate_synthetic(n_left=60, seed=0, unmatched_rate=0.2)
+        extra = ["--column", "name"]
+    else:
+        L, R, _ = generate_synthetic(n_left=20, seed=3, unmatched_rate=0.2)
+        L, R = add_random_column(L, seed=1), add_random_column(R, seed=2)
+        extra = ["--space-preset", "reduced24", "--weight-steps", "4"]
+    left = write_table_csv(L, tmp / "left.csv")
+    right = write_table_csv(R, tmp / "right.csv")
+    joins, solution = tmp / "joins.csv", tmp / "solution.txt"
+    code = main(
+        [mode, "--left", str(left), "--right", str(right),
+         "--out", str(joins), "--solution", str(solution), *extra]
+    )
+    assert code == 0
+    return sha256(joins), sha256(solution)
+
+
+def test_run_artifacts_unchanged(tmp_path):
+    assert artifacts("run", tmp_path) == GOLDEN["run"]
+
+
+def test_run_multi_artifacts_unchanged(tmp_path):
+    assert artifacts("run-multi", tmp_path) == GOLDEN["run-multi"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for mode in GOLDEN:
+        with tempfile.TemporaryDirectory() as tmp:
+            print(mode, *artifacts(mode, Path(tmp)))

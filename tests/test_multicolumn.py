@@ -132,6 +132,26 @@ class TestSolveMulti:
         assert any("no candidate pairs" in w for w in multi.warnings)
         assert any("no candidate pairs" in w for w in single.warnings)
 
+    def test_empty_result_warning_names_the_cause(self):
+        # pairs survive blocking, but tau = 1.0 cannot be exceeded
+        L, R, _ = generate_synthetic(n_left=30, seed=2, unmatched_rate=0.2)
+        multi = solve_multi(L, R, tau=1.0, g=10, seed=0)
+        single = solve(L, R, "name", tau=1.0, seed=0)
+        assert multi.pair_counts["lr_pairs"] > 0
+        assert multi.result.assignments == single.result.assignments == {}
+        for res in (multi, single):
+            assert any("precision target" in w for w in res.warnings)
+            assert not any("no candidate pairs" in w for w in res.warnings)
+
+        # disjoint vocabularies: nothing survives blocking
+        L2 = make_table(("name",), [("L0", ("aaa bbb",)), ("L1", ("ccc ddd",))])
+        R2 = make_table(("name",), [("R0", ("xxx yyy",)), ("R1", ("zzz www",))], role="query")
+        multi = solve_multi(L2, R2, tau=1.0, g=10, seed=0)
+        single = solve(L2, R2, "name", tau=1.0, seed=0)
+        for res in (multi, single):
+            assert any("no candidate pairs" in w for w in res.warnings)
+            assert not any("precision target" in w for w in res.warnings)
+
     def test_disambiguating_second_column_selected(self):
         L, R, gt = two_column_tables(seed=1)
         name_only = solve_multi(L, R, tau=0.9, seed=0, columns=["name"])

@@ -9,7 +9,6 @@ from fuzzyjoin import (
     discretize_thresholds,
     generate_disjoint_tables,
     make_table,
-    profit,
     solve,
 )
 from conftest import make_random_instance, oracle_profit, oracle_union
@@ -36,21 +35,6 @@ class TestDiscretize:
             discretize_thresholds([], 5)
         with pytest.raises(ValueError):
             discretize_thresholds([0.5], 0)
-
-
-class TestProfit:
-    def test_ratio(self):
-        assert profit(3.0, 1.0) == 3.0
-
-    def test_no_false_positives_is_infinite(self):
-        assert profit(2.0, 0.0) == math.inf
-
-    def test_empty_is_zero(self):
-        assert profit(0.0, 0.0) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            profit(-1.0, 0.0)
 
 
 # --- greedy vs exhaustive oracle ----------------------------------------------
