@@ -45,7 +45,6 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, default=50, help="threshold grid size per function")
     p.add_argument("--space-preset", choices=["full", "reduced24"], default="full")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--no-negative-rules", action="store_true")
     p.add_argument("--out", default="joins.csv")
     p.add_argument("--solution", default="solution.txt")
@@ -68,7 +67,6 @@ def _config_from_args(args: argparse.Namespace, multi: bool) -> RunConfig:
         g=getattr(args, "weight_steps", 10),
         space_preset=args.space_preset,
         seed=args.seed,
-        threads=args.threads,
         use_negative_rules=not args.no_negative_rules,
         out_path=args.out,
         solution_path=args.solution,

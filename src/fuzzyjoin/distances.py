@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -278,32 +277,35 @@ def _char_unit(pre_pairs: list[tuple[str, str]]) -> tuple[np.ndarray, np.ndarray
 
 
 def _set_unit(
-    bag_pairs: list[tuple[Counter, Counter]],
+    pre_pairs: list[tuple[str, str]],
+    tokenizer: str,
     idf: IdfIndex | None,
 ) -> dict[str, np.ndarray]:
     """Per-pair intersection/size statistics for one (preprocess, tokenizer)
     combination, under both weight schemes at once."""
-    n = len(bag_pairs)
+    n = len(pre_pairs)
     out = {
         name: np.zeros(n)
         for name in ("cnt_i", "cnt_a", "cnt_b", "idf_i", "idf_a", "idf_b")
     }
     contained = np.zeros(n, dtype=bool)
-    size_cache: dict[int, tuple[float, float]] = {}
+    bags: dict[str, tuple[Counter, float, float]] = {}
 
-    def sizes(bag: Counter) -> tuple[float, float]:
-        key = id(bag)
-        hit = size_cache.get(key)
+    def bag(s: str) -> tuple[Counter, float, float]:
+        # (tokens, count, IDF weight), once per distinct string
+        hit = bags.get(s)
         if hit is None:
-            cnt = float(sum(bag.values()))
+            tokens = tokenize(s, tokenizer).tokens
             idf_w = (
-                sum(m * idf.weight(t) for t, m in bag.items()) if idf else 0.0
+                sum(m * idf.weight(t) for t, m in tokens.items()) if idf else 0.0
             )
-            hit = (cnt, idf_w)
-            size_cache[key] = hit
+            hit = (tokens, float(sum(tokens.values())), idf_w)
+            bags[s] = hit
         return hit
 
-    for i, (A, B) in enumerate(bag_pairs):
+    for i, (a, b) in enumerate(pre_pairs):
+        A, out["cnt_a"][i], out["idf_a"][i] = bag(a)
+        B, out["cnt_b"][i], out["idf_b"][i] = bag(b)
         cnt_i = 0
         idf_i = 0.0
         is_contained = True
@@ -318,8 +320,6 @@ def _set_unit(
                     idf_i += m * idf.weight(t)
         out["cnt_i"][i] = cnt_i
         out["idf_i"][i] = idf_i
-        out["cnt_a"][i], out["idf_a"][i] = sizes(A)
-        out["cnt_b"][i], out["idf_b"][i] = sizes(B)
         contained[i] = is_contained
     out["contained"] = contained
     return out
@@ -348,7 +348,7 @@ def distance_matrix(
     functions: Sequence[JoinFunction],
     pairs: Sequence[tuple[str, str]],
     idf_by_pt: Mapping[tuple[str, str], IdfIndex] | None = None,
-    threads: int = 1,
+    threads: int = 1,  # ignored; kept only for perfbench's tracer, which passes it
 ) -> np.ndarray:
     """Distances for every join function over a list of (left, right) raw
     value pairs; returns an array of shape (len(functions), len(pairs)).
@@ -383,73 +383,48 @@ def distance_matrix(
     unique_pairs = list(unique_index)
     missing = np.array([a == "" and b == "" for a, b in unique_pairs])
 
-    needed_char = sorted({f.preprocess for f in functions if f.distance in CHAR_DISTANCES})
-    needed_pt = sorted(
-        {(f.preprocess, f.tokenizer) for f in functions if f.is_set_based}
-    )
-
-    pre_cache: dict[str, list[tuple[str, str]]] = {}
-
-    def pre_pairs(option: str) -> list[tuple[str, str]]:
-        if option not in pre_cache:
-            pre_cache[option] = [
-                (apply_preprocess(a, option), apply_preprocess(b, option))
-                for a, b in unique_pairs
-            ]
-        return pre_cache[option]
-
-    def bag_pairs(option: str, tokenizer: str) -> list[tuple[Counter, Counter]]:
-        bag_cache: dict[str, Counter] = {}
-
-        def bag(s: str) -> Counter:
-            hit = bag_cache.get(s)
-            if hit is None:
-                hit = tokenize(s, tokenizer).tokens
-                bag_cache[s] = hit
-            return hit
-
-        return [(bag(a), bag(b)) for a, b in pre_pairs(option)]
-
-    char_units: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    set_units: dict[tuple[str, str], dict[str, np.ndarray]] = {}
-
-    def run_char(option: str) -> None:
-        char_units[option] = _char_unit(pre_pairs(option))
-
-    def run_set(key: tuple[str, str]) -> None:
-        option, tokenizer = key
-        set_units[key] = _set_unit(bag_pairs(option, tokenizer), idf_by_pt.get(key))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            jobs = [pool.submit(run_char, p) for p in needed_char]
-            jobs += [pool.submit(run_set, k) for k in needed_pt]
-            for job in jobs:
-                job.result()
-    else:
-        for p in needed_char:
-            run_char(p)
-        for k in needed_pt:
-            run_set(k)
-
-    set_rows_cache: dict[tuple[str, str, str], dict[str, np.ndarray]] = {}
+    # memos by preprocess option, (option, tokenizer) and
+    # (option, tokenizer, weights), filled on first use
+    pre_pairs: dict[str, list[tuple[str, str]]] = {}
+    char_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    set_stats: dict[tuple[str, str], dict[str, np.ndarray]] = {}
+    set_rows: dict[tuple[str, str, str], dict[str, np.ndarray]] = {}
     for fi, f in enumerate(functions):
         if f.distance == PLUGIN:
             fn = get_plugin(f.plugin)
-            row = np.array([fn(a, b) for a, b in unique_pairs])
-        elif f.distance in CHAR_DISTANCES:
-            ed, jw = char_units[f.preprocess]
-            row = ed if f.distance == "ED" else jw
+            row = np.array([fn(a, b) for a, b in unique_pairs], dtype=float)
+            if not np.all((row >= 0.0) & (row <= 1.0)):
+                raise ValueError(
+                    f"distance plugin {f.plugin!r} returned a value that is NaN "
+                    "or outside [0, 1]"
+                )
         else:
-            key = (f.preprocess, f.tokenizer, f.weights)
-            if key not in set_rows_cache:
-                stats = set_units[(f.preprocess, f.tokenizer)]
-                if f.weights == "EW":
-                    inter, w_a, w_b = stats["cnt_i"], stats["cnt_a"], stats["cnt_b"]
-                else:
-                    inter, w_a, w_b = stats["idf_i"], stats["idf_a"], stats["idf_b"]
-                set_rows_cache[key] = _set_rows(inter, w_a, w_b, stats["contained"])
-            row = set_rows_cache[key][f.distance]
+            option = f.preprocess
+            if option not in pre_pairs:
+                pre_pairs[option] = [
+                    (apply_preprocess(a, option), apply_preprocess(b, option))
+                    for a, b in unique_pairs
+                ]
+            if f.distance in CHAR_DISTANCES:
+                if option not in char_rows:
+                    char_rows[option] = _char_unit(pre_pairs[option])
+                ed, jw = char_rows[option]
+                row = ed if f.distance == "ED" else jw
+            else:
+                pt = (option, f.tokenizer)
+                if pt not in set_stats:
+                    set_stats[pt] = _set_unit(
+                        pre_pairs[option], f.tokenizer, idf_by_pt.get(pt)
+                    )
+                key = (option, f.tokenizer, f.weights)
+                if key not in set_rows:
+                    stats = set_stats[pt]
+                    if f.weights == "EW":
+                        inter, w_a, w_b = stats["cnt_i"], stats["cnt_a"], stats["cnt_b"]
+                    else:
+                        inter, w_a, w_b = stats["idf_i"], stats["idf_a"], stats["idf_b"]
+                    set_rows[key] = _set_rows(inter, w_a, w_b, stats["contained"])
+                row = set_rows[key][f.distance]
         row = np.where(missing, 1.0, row)
         result[fi] = row[inverse]
     return result

@@ -146,7 +146,6 @@ def recall_upper_bound(
     gt: GroundTruth,
     functions: Sequence[JoinFunction],
     beta: float = 1.0,
-    threads: int = 1,
 ) -> float:
     """Fraction of true matches whose left record is nearest to its right
     record under at least one join function, over blocked candidates.
@@ -167,7 +166,7 @@ def recall_upper_bound(
         (left_values[l], right_values[r])
         for r, l in zip(pairs.lr_right, pairs.lr_left)
     ]
-    d_lr = distance_matrix(functions, value_pairs, idf_by_pt, threads)
+    d_lr = distance_matrix(functions, value_pairs, idf_by_pt)
 
     uniq, starts, counts = np.unique(
         pairs.lr_right, return_index=True, return_counts=True

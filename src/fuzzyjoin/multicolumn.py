@@ -20,7 +20,6 @@ import numpy as np
 
 from .distances import evaluate
 from .functions import (
-    FunctionSpaceOptions,
     JoinFunction,
     JoinResult,
     Solution,
@@ -118,11 +117,9 @@ def solve_multi(
     g: int = 10,
     seed: int = 0,
     columns: Sequence[str] | None = None,
-    space_options: FunctionSpaceOptions | None = None,
     functions: Sequence[JoinFunction] | None = None,
     s: int = 50,
     beta: float = 1.0,
-    threads: int = 1,
     use_negative_rules: bool = True,
 ) -> MultiSolveResult:
     """Forward column selection over shared columns (matched by name)."""
@@ -131,40 +128,32 @@ def solve_multi(
     if g < 2:
         raise ValueError(f"weight step count must be >= 2, got {g}")
     cols = shared_columns(L, R, columns)
-    fns = list(functions) if functions is not None else enumerate_function_space(space_options)
+    fns = list(functions) if functions is not None else enumerate_function_space()
     m = len(cols)
     preps: dict[frozenset, PreparedColumns] = {}
     alphas = [i / g for i in range(1, g)]
 
     t_start = time.perf_counter()
-    invocations = 0
-    evaluated: dict[tuple[float, ...], SolveResult] = {}
 
     def project(w: tuple[float, ...]) -> tuple[float, ...]:
         active = [x for x in w if x > 0.0]
         return tuple(active) if active else (1.0,)
 
     def run_inner(w: tuple[float, ...]) -> SolveResult:
-        nonlocal invocations
-        if w in evaluated:
-            return evaluated[w]
-        invocations += 1
+        # no two trial weight vectors are equal, so each trial is one solve
         active = tuple(c for c, x in zip(cols, w) if x > 0.0)
         key = frozenset(active)
         if key not in preps:
-            preps[key] = prepare_columns(L, R, active, fns, beta, threads, use_negative_rules)
+            preps[key] = prepare_columns(L, R, active, fns, beta, use_negative_rules)
         prep = preps[key]
         if len(prep.pairs.lr_right) == 0:
-            res = _empty_result(active, project(w), [NO_PAIRS])
-        else:
-            d_lr = sum(w[cols.index(c)] * prep.d_lr[c] for c in active)
-            d_ll = sum(w[cols.index(c)] * prep.d_ll[c] for c in active)
-            res = solve_from_distances(
-                fns, prep.pairs, d_lr, d_ll, tau, s,
-                np.random.default_rng(seed), project(w), active,
-            )
-        evaluated[w] = res
-        return res
+            return _empty_result(active, project(w), [NO_PAIRS])
+        d_lr = sum(w[cols.index(c)] * prep.d_lr[c] for c in active)
+        d_ll = sum(w[cols.index(c)] * prep.d_ll[c] for c in active)
+        return solve_from_distances(
+            fns, prep.pairs, d_lr, d_ll, tau, s,
+            np.random.default_rng(seed), project(w), active,
+        )
 
     w = tuple(0.0 for _ in cols)
     remaining = list(range(m))
@@ -234,7 +223,7 @@ def solve_multi(
         fp=current.fp,
         estimated_precision=current.estimated_precision,
         estimated_recall=current.estimated_recall,
-        invocations=invocations,
+        invocations=len(trials),
         history=history,
         trials=trials,
         rules_by_column=prep.rules,

@@ -2,9 +2,9 @@
 
 The stages run in a fixed order (ingest, blocking, negative rules,
 distances, precompute, greedy) and the outputs are deterministic for a
-fixed RunConfig: identical config, seed, and thread count produce
-byte-identical joins.csv and solution.txt.  The manifest carries timings
-and is exempt from that guarantee.
+fixed RunConfig: identical config and seed produce byte-identical
+joins.csv and solution.txt, across runs and processes.  The manifest
+carries timings and is exempt from that guarantee.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .functions import JoinResult, SPACE_PRESETS, save_solution
+from .functions import JoinResult, SPACE_PRESETS, enumerate_function_space, save_solution
 from .multicolumn import MultiSolveResult, solve_multi
 from .negative_rules import dump_rules
 from .solver import SolveResult, solve
@@ -50,7 +50,7 @@ class RunConfig:
     g: int = 10
     space_preset: str = "full"
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # ignored; kept only because perfbench's job sets it
     use_negative_rules: bool = True
     out_path: str = "joins.csv"
     solution_path: str = "solution.txt"
@@ -66,8 +66,6 @@ class RunConfig:
             raise ConfigError(f"threshold steps must be >= 1, got {self.s}")
         if self.g < 2:
             raise ConfigError(f"weight steps must be >= 2, got {self.g}")
-        if self.threads < 1:
-            raise ConfigError(f"thread count must be >= 1, got {self.threads}")
         if self.space_preset not in SPACE_PRESETS:
             raise ConfigError(
                 f"unknown space preset {self.space_preset!r}; "
@@ -108,7 +106,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineOutcome:
         raise StageError("ingest", exc) from exc
     timings["ingest"] = time.perf_counter() - t0
 
-    options = SPACE_PRESETS[cfg.space_preset]
+    functions = enumerate_function_space(SPACE_PRESETS[cfg.space_preset])
     try:
         if cfg.multi:
             res: SolveResult | MultiSolveResult = solve_multi(
@@ -118,10 +116,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineOutcome:
                 g=cfg.g,
                 seed=cfg.seed,
                 columns=cfg.columns,
-                space_options=options,
+                functions=functions,
                 s=cfg.s,
                 beta=cfg.beta,
-                threads=cfg.threads,
                 use_negative_rules=cfg.use_negative_rules,
             )
         else:
@@ -132,11 +129,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineOutcome:
                 R,
                 cfg.column,
                 tau=cfg.tau,
-                space_options=options,
+                functions=functions,
                 s=cfg.s,
                 beta=cfg.beta,
                 seed=cfg.seed,
-                threads=cfg.threads,
                 use_negative_rules=cfg.use_negative_rules,
             )
     except DataError as exc:

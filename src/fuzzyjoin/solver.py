@@ -25,7 +25,6 @@ from .distances import distance_matrix
 from .functions import (
     Assignment,
     Configuration,
-    FunctionSpaceOptions,
     JoinFunction,
     JoinResult,
     Solution,
@@ -447,7 +446,6 @@ def prepare_columns(
     columns: tuple[str, ...],
     functions: Sequence[JoinFunction],
     beta: float = 1.0,
-    threads: int = 1,
     use_negative_rules: bool = True,
 ) -> PreparedColumns:
     """Blocking on the columns' joined values, per-column negative rules
@@ -487,8 +485,8 @@ def prepare_columns(
             ll_value_pairs = [
                 (lvals[a], lvals[b]) for a, b in zip(pairs.ll_a, pairs.ll_b)
             ]
-            d_lr[c] = distance_matrix(functions, lr_value_pairs, idf_by_pt, threads)
-            d_ll[c] = distance_matrix(functions, ll_value_pairs, idf_by_pt, threads)
+            d_lr[c] = distance_matrix(functions, lr_value_pairs, idf_by_pt)
+            d_ll[c] = distance_matrix(functions, ll_value_pairs, idf_by_pt)
     timings["distances"] = time.perf_counter() - t0
 
     pair_counts = {
@@ -504,12 +502,10 @@ def solve(
     R: Table,
     column: str,
     tau: float = 0.9,
-    space_options: FunctionSpaceOptions | None = None,
     functions: Sequence[JoinFunction] | None = None,
     s: int = 50,
     beta: float = 1.0,
     seed: int = 0,
-    threads: int = 1,
     use_negative_rules: bool = True,
 ) -> SolveResult:
     """Single-column end-to-end solve: column preparation (blocking,
@@ -517,9 +513,9 @@ def solve(
     selection."""
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"precision target must be in (0, 1], got {tau}")
-    fns = list(functions) if functions is not None else enumerate_function_space(space_options)
+    fns = list(functions) if functions is not None else enumerate_function_space()
     columns = (column,)
-    prep = prepare_columns(L, R, columns, fns, beta, threads, use_negative_rules)
+    prep = prepare_columns(L, R, columns, fns, beta, use_negative_rules)
     if len(prep.pairs.lr_right) == 0:
         out = _empty_result(columns, (1.0,), [NO_PAIRS])
     else:

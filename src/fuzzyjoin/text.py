@@ -1,14 +1,12 @@
 """String preprocessing, tokenization, and token weighting.
 
 These are the P, T, and W axes of a join function.  All operations are pure
-and an IdfIndex is read-only after construction, so everything here is safe
-to share across workers.
+and an IdfIndex is read-only after construction.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -17,28 +15,13 @@ from typing import Iterable
 
 from .stem import stem
 
-_punct_table: dict[int, None] | None = None
-
-
-def _punctuation_table() -> dict[int, None]:
-    # Deletion table for every code point in a Unicode punctuation
-    # category (P*).  The full sweep costs a few hundred ms, so it is
-    # built once on first use rather than at import.
-    global _punct_table
-    if _punct_table is None:
-        _punct_table = {
-            cp: None
-            for cp in range(sys.maxunicode + 1)
-            if unicodedata.category(chr(cp)).startswith("P")
-        }
-    return _punct_table
-
 
 @lru_cache(maxsize=65536)
 def _preprocess_cached(s: str, option: str) -> str:
     out = s.lower()
     if "RP" in option.split("+"):
-        out = out.translate(_punctuation_table())
+        # drop every character in a Unicode punctuation category (P*)
+        out = "".join(c for c in out if not unicodedata.category(c).startswith("P"))
     if "S" in option.split("+"):
         out = " ".join(stem(w) for w in out.split())
     return out

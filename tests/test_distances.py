@@ -263,17 +263,18 @@ class TestDistanceMatrix:
             for pi, (a, b) in enumerate(pairs):
                 assert mat[fi, pi] == pytest.approx(evaluate(f, a, b, idf), abs=1e-12)
 
-    def test_threads_do_not_change_result(self):
-        values = [("alpha beta", "alpha bexa"), ("x", "y"), ("", "")]
-        fns = enumerate_function_space()
-        idf_by_pt = {
-            (p, t): build_idf_from_values([a for a, _ in values] + [b for _, b in values], p, t)
-            for p in ("L", "L+S", "L+RP", "L+S+RP")
-            for t in ("3G", "SP")
-        }
-        m1 = distance_matrix(fns, values, idf_by_pt, threads=1)
-        m8 = distance_matrix(fns, values, idf_by_pt, threads=8)
-        assert np.array_equal(m1, m8)
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25])
+    def test_plugin_out_of_range_raises(self, bad):
+        register_plugin("bad-range", lambda a, b: bad if a == "x" else 0.5)
+        f = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="bad-range")
+        with pytest.raises(ValueError, match="'bad-range'"):
+            distance_matrix([f], [("y", "z"), ("x", "z")])
+
+    def test_plugin_bounds_accepted(self):
+        register_plugin("zero-one", lambda a, b: float(a != b))
+        f = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="zero-one")
+        mat = distance_matrix([f], [("a", "a"), ("a", "b")])
+        assert mat.tolist() == [[0.0, 1.0]]
 
     def test_missing_pair_is_one_for_all_functions(self):
         fns = enumerate_function_space(FunctionSpaceOptions(weights=("EW",)))

@@ -208,3 +208,4 @@ class TestSolveMulti:
         res = solve_multi(L, R, tau=0.9, g=5, seed=0)
         m = 2
         assert res.invocations <= m * m * 5
+        assert res.invocations == len(res.trials)

@@ -5,10 +5,13 @@ import pytest
 
 import fuzzyjoin.distances as dist_mod
 from fuzzyjoin import (
+    JoinFunction,
     greedy_select,
     discretize_thresholds,
     generate_disjoint_tables,
+    generate_synthetic,
     make_table,
+    register_plugin,
     solve,
 )
 from conftest import make_random_instance, oracle_profit, oracle_union
@@ -171,18 +174,23 @@ def test_empty_candidate_space_warns():
     assert any("no candidate pairs" in w for w in res.warnings)
 
 
-def test_solve_deterministic_across_threads():
-    L, R = exact_copy_tables()
-    a = solve(L, R, "name", tau=0.9, seed=3, threads=1)
-    b = solve(L, R, "name", tau=0.9, seed=3, threads=4)
-    assert a.solution == b.solution
-    assert a.result.assignments == b.result.assignments
+@pytest.mark.parametrize("bad", [float("nan"), 1.5])
+def test_invalid_plugin_distance_is_named(bad):
+    # a bad plugin value must fail at the distance stage, naming the plugin:
+    # NaN otherwise breaks the per-right minima in precompute, and a value
+    # above 1 stretches the threshold grid past 1
+    register_plugin("bad-solve", lambda a, b: bad)
+    fns = [
+        JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="bad-solve"),
+        JoinFunction("L", "NONE", "NONE", "ED"),
+    ]
+    L, R, _ = generate_synthetic(n_left=30, seed=0, unmatched_rate=0.2)
+    with pytest.raises(ValueError, match="'bad-solve'"):
+        solve(L, R, "name", functions=fns)
 
 
 def test_nonempty_solution_beats_target():
     rng_seeds = [0, 1]
-    from fuzzyjoin import generate_synthetic
-
     for seed in rng_seeds:
         L, R, _ = generate_synthetic(n_left=30, seed=seed, unmatched_rate=0.2)
         res = solve(L, R, "name", tau=0.85, seed=seed)

@@ -30,6 +30,10 @@ class TestPreprocess:
     def test_unicode_punctuation(self):
         assert apply_preprocess("a—b¿c", "L+RP") == "abc"
 
+    def test_only_punctuation_categories_removed(self):
+        # symbols (S*) stay; quotation marks and the ellipsis are P*
+        assert apply_preprocess("$5 + «x»…©", "L+RP") == "$5 + x©"
+
     def test_unknown_option(self):
         with pytest.raises(ValueError):
             apply_preprocess("x", "L+X")
