@@ -9,7 +9,13 @@ PLUGIN kind.
 
 `distance_matrix` is the batch path used by the solver: every
 (preprocess, tokenizer, weights) combination is computed once per record
-pair and shared across all distance kinds that use it.
+pair and shared across all distance kinds that use it.  The character kinds
+share one cache across preprocess options, so a preprocessed pair that
+several options produce is computed once, and run as batch kernels over all
+pairs at once: Myers's bit-parallel edit distance (Hyyrö's Levenshtein
+formulation) and a bit-parallel Jaro-Winkler, one 64-bit word per string.
+Pairs with a string longer than 64 characters fall back to the scalar
+`char_distance`, which also serves as the kernels' test oracle.
 """
 
 from __future__ import annotations
@@ -263,17 +269,151 @@ def matrix_call_count() -> int:
     return _matrix_calls
 
 
-def _char_unit(pre_pairs: list[tuple[str, str]]) -> tuple[np.ndarray, np.ndarray]:
-    cache: dict[tuple[str, str], tuple[float, float]] = {}
-    ed = np.empty(len(pre_pairs))
-    jw = np.empty(len(pre_pairs))
-    for i, key in enumerate(pre_pairs):
-        hit = cache.get(key)
-        if hit is None:
-            hit = (char_distance(*key, "ED"), char_distance(*key, "JW"))
-            cache[key] = hit
-        ed[i], jw[i] = hit
+# Strings up to one machine word long run through the bit-parallel kernels;
+# bit k of a mask stands for character k of a string.
+_WORD = 64
+# pairs per kernel call, which bounds the (pairs x 64) temporaries
+_CHUNK = 4096
+# _LOW[k] has bits 0..k-1 set
+_LOW = np.array([(1 << k) - 1 for k in range(_WORD + 1)], dtype=np.uint64)
+# padding codes for the two sides of a pair: never a code point, never equal
+_PAD_X, _PAD_Y = 0xFFFFFFFF, 0xFFFFFFFE
+
+
+def _codes(strings: Sequence[str], pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n x 64) code-point matrix padded with ``pad``, and the lengths."""
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    flat = np.frombuffer(
+        "".join(strings).encode("utf-32-le", "surrogatepass"), dtype="<u4"
+    )
+    out = np.full((len(strings), _WORD), pad, dtype=np.uint32)
+    rows = np.repeat(np.arange(len(strings)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    out[rows, np.arange(len(flat)) - starts[rows]] = flat
+    return out, lengths
+
+
+def _match_masks(pattern: np.ndarray, chars: np.ndarray) -> np.ndarray:
+    """Per row, the bit mask of the pattern positions equal to that row's
+    character."""
+    hits = pattern == chars[:, None]
+    return np.packbits(hits, axis=1, bitorder="little").view("<u8").ravel()
+
+
+def _steps(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row order by length, longest first, and for each step j the
+    number of rows longer than j: in that order, the rows a loop over
+    character positions still runs at step j are a prefix."""
+    order = np.argsort(-lengths, kind="stable")
+    active = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
+    return order, active
+
+
+def _levenshtein_batch(pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+    """Edit distances of pairs of strings of at most 64 characters: Myers's
+    bit-parallel algorithm in Hyyrö's formulation for Levenshtein distance,
+    one uint64 word per pair, all pairs advancing one text character per
+    step.  The pattern is the longer string, the text the shorter one."""
+    longer = [a if len(a) >= len(b) else b for a, b in pairs]
+    shorter = [b if len(a) >= len(b) else a for a, b in pairs]
+    p, lp = _codes(longer, _PAD_X)
+    t, lt = _codes(shorter, _PAD_Y)
+    order, active = _steps(lt)
+    p, t, lp = p[order], t[order], lp[order]
+    top = _LOW[lp] & ~_LOW[lp - 1]  # bit lp-1, the last pattern character
+    pv = np.full(len(pairs), ~np.uint64(0))
+    mv = np.zeros(len(pairs), dtype=np.uint64)
+    score = lp.copy()
+    for j, k in enumerate(active):
+        eq = _match_masks(p[:k], t[:k, j])
+        vp, vm = pv[:k], mv[:k]
+        xv = eq | vm
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = vm | ~(xh | vp)
+        mh = vp & xh
+        score[:k] += (ph & top[:k]) != 0
+        score[:k] -= (mh & top[:k]) != 0
+        ph = (ph << 1) | 1
+        mh = mh << 1
+        pv[:k] = mh | ~(xv | ph)
+        mv[:k] = ph & xv
+    out = np.empty(len(pairs), dtype=np.int64)
+    out[order] = score
+    return out
+
+
+def _jaro_winkler_batch(pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+    """``jaro_winkler_similarity`` of pairs of strings of at most 64
+    characters, bit for bit.  Each character of the first string takes the
+    lowest unmatched matching position of the second within the window;
+    transpositions compare the matched characters of both in order."""
+    n = len(pairs)
+    a, la = _codes([x for x, _ in pairs], _PAD_X)
+    b, lb = _codes([y for _, y in pairs], _PAD_Y)
+    order, active = _steps(la)
+    a, la, b, lb = a[order], la[order], b[order], lb[order]
+    window = np.maximum(np.maximum(la, lb) // 2 - 1, 0)
+    taken_b = np.zeros(n, dtype=np.uint64)
+    taken_a = np.zeros((n, _WORD), dtype=bool)
+    for i, k in enumerate(active):
+        lo = np.maximum(i - window[:k], 0)
+        hi = np.minimum(i + window[:k] + 1, lb[:k])
+        free = _LOW[hi] & ~_LOW[lo] & ~taken_b[:k]
+        cand = _match_masks(b[:k], a[:k, i]) & free
+        taken_b[:k] |= cand & (~cand + np.uint64(1))
+        taken_a[:k, i] = cand != 0
+    m = taken_a.sum(axis=1)
+    bits_b = np.unpackbits(
+        taken_b.astype("<u8").view(np.uint8).reshape(n, 8), axis=1, bitorder="little"
+    ).astype(bool)
+    differ = a[taken_a] != b[bits_b]
+    t = np.bincount(np.repeat(np.arange(n), m)[differ], minlength=n) // 2
+    prefix = np.cumprod(a[:, :4] == b[:, :4], axis=1).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jaro = (m / la + m / lb + (m - t) / m) / 3.0
+    sim = np.where(jaro > 0.7, jaro + prefix * 0.1 * (1.0 - jaro), jaro)
+    # no match gives 0, except between two empty strings, which are equal;
+    # equal non-empty strings give exactly 1 above
+    sim = np.where(m > 0, sim, np.where(la + lb == 0, 1.0, 0.0))
+    out = np.empty(n)
+    out[order] = sim
+    return out
+
+
+def _char_distances(pairs: Sequence[tuple[str, str]]) -> tuple[np.ndarray, np.ndarray]:
+    """ED and JW distances of preprocessed pairs, equal to ``char_distance``:
+    batch kernels, in chunks, for pairs of strings up to 64 characters, the
+    scalar code for the rest."""
+    ed = np.empty(len(pairs))
+    jw = np.empty(len(pairs))
+    fits = np.array([len(a) <= _WORD and len(b) <= _WORD for a, b in pairs], dtype=bool)
+    short = np.flatnonzero(fits)
+    for start in range(0, len(short), _CHUNK):
+        rows = short[start : start + _CHUNK]
+        chunk = [pairs[i] for i in rows]
+        longest = np.array([max(len(a), len(b)) for a, b in chunk], dtype=np.int64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ed[rows] = np.where(longest == 0, 0.0, _levenshtein_batch(chunk) / longest)
+        jw[rows] = 1.0 - _jaro_winkler_batch(chunk)
+    for i in np.flatnonzero(~fits):
+        ed[i] = char_distance(*pairs[i], "ED")
+        jw[i] = char_distance(*pairs[i], "JW")
     return ed, jw
+
+
+def _char_rows(
+    pre_pairs: Mapping[str, list[tuple[str, str]]],
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """ED and JW rows per preprocess option.  The options share one cache:
+    each distinct preprocessed pair is computed once, whichever options
+    produce it."""
+    index: dict[tuple[str, str], int] = {}
+    gather = {
+        option: np.array([index.setdefault(p, len(index)) for p in pairs], dtype=np.intp)
+        for option, pairs in pre_pairs.items()
+    }
+    ed, jw = _char_distances(list(index))
+    return {option: (ed[g], jw[g]) for option, g in gather.items()}
 
 
 def _set_unit(
@@ -383,10 +523,18 @@ def distance_matrix(
     unique_pairs = list(unique_index)
     missing = np.array([a == "" and b == "" for a, b in unique_pairs])
 
-    # memos by preprocess option, (option, tokenizer) and
-    # (option, tokenizer, weights), filled on first use
-    pre_pairs: dict[str, list[tuple[str, str]]] = {}
-    char_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    pre_pairs = {
+        option: [
+            (apply_preprocess(a, option), apply_preprocess(b, option))
+            for a, b in unique_pairs
+        ]
+        for option in dict.fromkeys(f.preprocess for f in functions if f.distance != PLUGIN)
+    }
+    char_rows = _char_rows(
+        {f.preprocess: pre_pairs[f.preprocess] for f in functions if f.distance in CHAR_DISTANCES}
+    )
+    # memos by (option, tokenizer) and (option, tokenizer, weights), filled
+    # on first use
     set_stats: dict[tuple[str, str], dict[str, np.ndarray]] = {}
     set_rows: dict[tuple[str, str, str], dict[str, np.ndarray]] = {}
     for fi, f in enumerate(functions):
@@ -400,14 +548,7 @@ def distance_matrix(
                 )
         else:
             option = f.preprocess
-            if option not in pre_pairs:
-                pre_pairs[option] = [
-                    (apply_preprocess(a, option), apply_preprocess(b, option))
-                    for a, b in unique_pairs
-                ]
             if f.distance in CHAR_DISTANCES:
-                if option not in char_rows:
-                    char_rows[option] = _char_unit(pre_pairs[option])
                 ed, jw = char_rows[option]
                 row = ed if f.distance == "ED" else jw
             else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -60,12 +61,16 @@ class RunConfig:
     def validate(self) -> None:
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError(f"precision target must be in (0, 1], got {self.tau}")
-        if self.beta <= 0:
-            raise ConfigError(f"blocking factor must be positive, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ConfigError(f"blocking factor must be positive and finite, got {self.beta}")
         if self.s < 1:
             raise ConfigError(f"threshold steps must be >= 1, got {self.s}")
         if self.g < 2:
             raise ConfigError(f"weight steps must be >= 2, got {self.g}")
+        if len(self.delimiter) != 1:
+            raise ConfigError(
+                f"delimiter must be one character, got {self.delimiter!r}"
+            )
         if self.space_preset not in SPACE_PRESETS:
             raise ConfigError(
                 f"unknown space preset {self.space_preset!r}; "

@@ -134,6 +134,23 @@ def test_config_error_exits_2(tmp_path, synthetic_csvs, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_non_finite_blocking_factor_exits_2(tmp_path, synthetic_csvs, capsys, beta):
+    left, right, _ = synthetic_csvs
+    code = main(run_args(tmp_path, left, right, blocking_factor=beta))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "blocking factor" in err
+
+
+def test_multi_character_delimiter_exits_2(tmp_path, synthetic_csvs, capsys):
+    left, right, _ = synthetic_csvs
+    code = main(run_args(tmp_path, left, right, delimiter="ab"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "delimiter" in err
+
+
 def test_dump_negative_rules(tmp_path, synthetic_csvs):
     left, right, _ = synthetic_csvs
     rules_path = tmp_path / "rules.tsv"

@@ -9,6 +9,7 @@ from fuzzyjoin import (
     FunctionSpaceOptions,
     JoinFunction,
     TokenBag,
+    apply_preprocess,
     build_idf_from_values,
     char_distance,
     contain_distance,
@@ -19,6 +20,12 @@ from fuzzyjoin import (
     levenshtein,
     register_plugin,
     set_distance,
+)
+from fuzzyjoin import distances
+from fuzzyjoin.distances import (
+    _char_distances,
+    _jaro_winkler_batch,
+    _levenshtein_batch,
 )
 
 
@@ -124,6 +131,85 @@ class TestCharDistance:
                 else oracle_levenshtein(a, b) / max(len(a), len(b))
             )
             assert char_distance(a, b, "ED") == pytest.approx(expected, abs=1e-12)
+
+
+# --- batch character kernels ----------------------------------------------------
+
+
+@st.composite
+def char_batches(draw):
+    """Batches of pairs that mix empty strings, short strings, and strings
+    of 62 to 66 characters around the 64-character word, over small
+    alphabets (many matches), alphabets with non-BMP characters, and any
+    text."""
+    alphabet = draw(
+        st.sampled_from(["ab", "abcd ", "a\u00e9\U0001F600\U0001D518 ", None])
+    )
+    chars = st.characters(codec="utf-8") if alphabet is None else st.sampled_from(alphabet)
+
+    def sized(lo, hi):
+        return st.lists(chars, min_size=lo, max_size=hi).map("".join)
+
+    text = st.one_of(st.just(""), sized(0, 10), sized(0, 64), sized(62, 66))
+    return draw(st.lists(st.tuples(text, text), min_size=1, max_size=25))
+
+
+def float_bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def fits_word(pairs):
+    return [(a, b) for a, b in pairs if len(a) <= 64 and len(b) <= 64]
+
+
+class TestCharKernels:
+    EDGE = [
+        ("", ""), ("", "abc"), ("abc", ""), ("kitten", "sitting"),
+        ("martha", "marhta"), ("dwayne", "duane"), ("a" * 64, "a" * 64),
+        ("a" * 63 + "b", "b" + "a" * 63), ("\U0001F600x", "x\U0001F600"),
+        ("ab" * 32, "ba" * 32), ("abc", "abc"), ("x" * 64, "y" * 64),
+        ("\ud800ab", "ab\ud800"),
+    ]
+
+    def test_edge_cases(self):
+        assert _levenshtein_batch(self.EDGE).tolist() == [
+            levenshtein(a, b) for a, b in self.EDGE
+        ]
+        assert float_bits(_jaro_winkler_batch(self.EDGE)) == float_bits(
+            [jaro_winkler_similarity(a, b) for a, b in self.EDGE]
+        )
+
+    @given(char_batches())
+    def test_levenshtein_batch_matches_scalar(self, batch):
+        pairs = fits_word(batch)
+        if pairs:
+            assert _levenshtein_batch(pairs).tolist() == [
+                levenshtein(a, b) for a, b in pairs
+            ]
+
+    @given(char_batches())
+    def test_jaro_winkler_batch_matches_scalar(self, batch):
+        pairs = fits_word(batch)
+        if pairs:
+            assert float_bits(_jaro_winkler_batch(pairs)) == float_bits(
+                [jaro_winkler_similarity(a, b) for a, b in pairs]
+            )
+
+    @given(char_batches())
+    def test_char_distances_match_char_distance(self, batch):
+        # pairs with a string over 64 characters take the scalar fallback
+        ed, jw = _char_distances(batch)
+        assert float_bits(ed) == float_bits([char_distance(a, b, "ED") for a, b in batch])
+        assert float_bits(jw) == float_bits([char_distance(a, b, "JW") for a, b in batch])
+
+    def test_chunks_and_fallback(self, monkeypatch):
+        # kernel calls of 5 pairs; the pairs over 64 characters in between
+        # take the scalar fallback
+        monkeypatch.setattr(distances, "_CHUNK", 5)
+        pairs = self.EDGE[:7] + [("a" * 65, "a" * 60 + "b"), ("abc", "x" * 70)] + self.EDGE[7:]
+        ed, jw = _char_distances(pairs)
+        assert float_bits(ed) == float_bits([char_distance(a, b, "ED") for a, b in pairs])
+        assert float_bits(jw) == float_bits([char_distance(a, b, "JW") for a, b in pairs])
 
 
 # --- set distances ------------------------------------------------------------
@@ -261,7 +347,42 @@ class TestDistanceMatrix:
         for fi, f in enumerate(fns):
             idf = idf_by_pt[(f.preprocess, f.tokenizer)] if f.is_set_based else None
             for pi, (a, b) in enumerate(pairs):
-                assert mat[fi, pi] == pytest.approx(evaluate(f, a, b, idf), abs=1e-12)
+                if f.is_set_based:
+                    assert mat[fi, pi] == pytest.approx(evaluate(f, a, b, idf), abs=1e-12)
+                else:
+                    assert mat[fi, pi] == evaluate(f, a, b)
+
+    def test_char_kernels_see_each_preprocessed_pair_once(self, monkeypatch):
+        seen = {"ED": [], "JW": []}
+        for kind, name in (("ED", "_levenshtein_batch"), ("JW", "_jaro_winkler_batch")):
+            kernel = getattr(distances, name)
+
+            def spy(pairs, kernel=kernel, kind=kind):
+                seen[kind].extend(pairs)
+                return kernel(pairs)
+
+            monkeypatch.setattr(distances, name, spy)
+        # "oak tigers" is the same under every preprocess option; "Oak, Tigers!"
+        # and "running dogs" differ between some; the 70-character value
+        # takes the scalar fallback and never reaches the kernels
+        values = ["oak tigers", "Oak, Tigers!", "running dogs", "oak tiger", "x" * 70]
+        pairs = [(a, b) for a in values for b in values] * 2
+        fns = enumerate_function_space(FunctionSpaceOptions(weights=("EW",)))
+        distance_matrix(fns, pairs)
+        by_option = [
+            {
+                (apply_preprocess(a, o), apply_preprocess(b, o))
+                for a, b in pairs
+                if len(a) <= 64 and len(b) <= 64
+            }
+            for o in {f.preprocess for f in fns}
+        ]
+        expected = set().union(*by_option)
+        # one cache per option would compute more pairs
+        assert len(by_option) == 4
+        assert len(expected) < sum(map(len, by_option))
+        for kind in ("ED", "JW"):
+            assert sorted(seen[kind]) == sorted(expected)
 
     @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25])
     def test_plugin_out_of_range_raises(self, bad):

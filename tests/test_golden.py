@@ -1,18 +1,22 @@
 """Golden artifacts: fixed inputs must keep producing byte-identical
-``joins.csv`` and ``solution.txt``.
+``joins.csv`` and ``solution.txt``, and bit-identical distance matrices.
 
-The digests were recorded before the configuration table was built from
-per-left ball counts; a change that moves them changes the program's output
-and must say why.  ``PYTHONPATH=src:tests python3 tests/test_golden.py``
-prints the current digests.
+The artifact digests were recorded before the configuration table was built
+from per-left ball counts, the distance digest before the character
+distances became batch kernels; a change that moves them changes the
+program's output and must say why.  The distance digest catches a last-ulp
+drift in a kernel even when the joins survive it.
+``PYTHONPATH=src:tests python3 tests/test_golden.py`` prints the current
+digests.
 """
 
 import hashlib
 from pathlib import Path
 
 from conftest import write_table_csv
-from fuzzyjoin import add_random_column, generate_synthetic
+from fuzzyjoin import add_random_column, enumerate_function_space, generate_synthetic
 from fuzzyjoin.cli import main
+from fuzzyjoin.solver import prepare_columns
 
 GOLDEN = {
     "run": (
@@ -24,6 +28,8 @@ GOLDEN = {
         "1bf83f5ca2e70b7d229d61d2fe16e07f0a14101ea5b8bff938bdb0f507a189e3",
     ),
 }
+# sha256 of d_lr then d_ll (float64 bytes) of the "run" input's name column
+GOLDEN_DISTANCES = "fdbb9891b146e48b4366a44e64432c9ff6901ceb3534f2a600fd0939a3595cc2"
 
 
 def sha256(path: Path) -> str:
@@ -50,6 +56,21 @@ def artifacts(mode: str, tmp: Path) -> tuple[str, str]:
     return sha256(joins), sha256(solution)
 
 
+def distance_digest() -> str:
+    """Digest of the distances ``prepare_columns`` computes for the "run"
+    mode's input over the full function space."""
+    L, R, _ = generate_synthetic(n_left=60, seed=0, unmatched_rate=0.2)
+    prep = prepare_columns(L, R, ("name",), enumerate_function_space())
+    digest = hashlib.sha256()
+    for matrix in (prep.d_lr["name"], prep.d_ll["name"]):
+        digest.update(matrix.astype("<f8", copy=False).tobytes())
+    return digest.hexdigest()
+
+
+def test_distances_unchanged():
+    assert distance_digest() == GOLDEN_DISTANCES
+
+
 def test_run_artifacts_unchanged(tmp_path):
     assert artifacts("run", tmp_path) == GOLDEN["run"]
 
@@ -64,3 +85,4 @@ if __name__ == "__main__":
     for mode in GOLDEN:
         with tempfile.TemporaryDirectory() as tmp:
             print(mode, *artifacts(mode, Path(tmp)))
+    print("distances", distance_digest())
