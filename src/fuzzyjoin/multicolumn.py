@@ -28,6 +28,7 @@ from .functions import (
 from .negative_rules import NegativeRule
 from .solver import (
     NO_PAIRS,
+    GreedyOutcome,
     PreparedColumns,
     SolveResult,
     _empty_result,
@@ -90,6 +91,7 @@ class MultiSolveResult:
     warnings: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
     pair_counts: dict[str, int] = field(default_factory=dict)
+    greedy: GreedyOutcome | None = None  # the search behind the result
 
 
 def shared_columns(L: Table, R: Table, columns: Sequence[str] | None) -> list[str]:
@@ -205,6 +207,7 @@ def solve_multi(
         # every trial joined nothing; the best (first) one says why
         current = _empty_result((cols[0],), (1.0,), best.warnings)
         current.warnings.append("no column produced any join")
+        current.greedy = best.greedy
         selected: tuple[str, ...] = (cols[0],)
         weights: tuple[float, ...] = (1.0,)
     else:
@@ -230,4 +233,5 @@ def solve_multi(
         warnings=list(current.warnings),
         timings={"total": time.perf_counter() - t_start, **stages, **current.timings},
         pair_counts={**prep.pair_counts, **current.pair_counts},
+        greedy=current.greedy,
     )

@@ -78,6 +78,12 @@ class RunConfig:
             )
         if not self.multi and not self.column:
             raise ConfigError("single-column mode requires --column")
+        if self.columns is not None and len(set(self.columns)) != len(self.columns):
+            raise ConfigError(f"duplicate column names in {self.columns}")
+        # fail before the work, not when the artifacts are written
+        for path in (self.out_path, self.solution_path, self.manifest_path, self.dump_rules_path):
+            if path is not None and not Path(path).parent.is_dir():
+                raise ConfigError(f"no directory {str(Path(path).parent)!r} to write {path} into")
 
 
 def write_joins_csv(result: JoinResult, path: str | Path) -> None:
@@ -89,6 +95,20 @@ def write_joins_csv(result: JoinResult, path: str | Path) -> None:
         for rid in sorted(result.assignments):
             a = result.assignments[rid]
             writer.writerow([rid, a.left_id, repr(a.precision), a.config_index])
+
+
+def greedy_report(res: SolveResult | MultiSolveResult) -> dict:
+    """Why the search stopped, and each pick with the union's tp, fp and
+    estimated precision after it; the stop reason is None when no search
+    ran (no candidate pairs)."""
+    greedy = res.greedy
+    if greedy is None:
+        return {"stop_reason": None, "trace": []}
+    trace = [
+        {**asdict(step), "function": c.function.label(), "threshold": c.threshold}
+        for step, c in zip(greedy.trace, res.solution.configs)
+    ]
+    return {"stop_reason": greedy.stop_reason, "trace": trace}
 
 
 @dataclass
@@ -163,6 +183,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineOutcome:
         "estimated_precision": res.estimated_precision,
         "estimated_recall": res.estimated_recall,
         "warnings": res.warnings,
+        "greedy": greedy_report(res),
     }
     if cfg.multi:
         manifest["selected_columns"] = list(res.selected_columns)

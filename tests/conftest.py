@@ -1,4 +1,5 @@
-"""Shared helpers: CSV writers and random greedy-search instances."""
+"""Shared helpers: CSV writers, random greedy-search instances and the dense
+greedy loop that the incremental engine is held to."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzyjoin import Table
+from fuzzyjoin import Record, Table
+from fuzzyjoin.solver import GreedyOutcome, GreedyStep
 
 
 def write_table_csv(table: Table, path: Path, id_column: str = "id") -> Path:
@@ -28,6 +30,15 @@ def write_gt_csv(matches: dict[str, str], path: Path) -> Path:
         for rid in sorted(matches):
             writer.writerow([rid, matches[rid]])
     return path
+
+
+def repeat_queries(R: Table, k: int) -> Table:
+    """Each query row k times under fresh ids: identical rows give identical
+    configuration columns, so greedy profits tie often."""
+    records = tuple(
+        Record(f"{rec.id}-{i}", rec.values) for rec in R.records for i in range(k)
+    )
+    return Table(R.columns, records, R.role)
 
 
 @pytest.fixture
@@ -88,3 +99,71 @@ def oracle_profit(tp: float, fp: float) -> float:
     if fp > 0:
         return tp / fp
     return math.inf if tp > 0 else 0.0
+
+
+def dense_greedy(
+    cfg_left: np.ndarray,
+    cfg_prec: np.ndarray,
+    tau: float,
+    rng: np.random.Generator,
+) -> GreedyOutcome:
+    """Reference greedy search: every pick recomputes each candidate's union
+    tp and assigned count over the whole table.  Same profit, tie rule,
+    random draws and stop rule as ``solver.greedy_select``."""
+    n_cfg, n_right = cfg_left.shape
+    cfg_assigned = cfg_left != -1
+    available = np.ones(n_cfg, dtype=bool)
+    cur_left = np.full(n_right, -1, dtype=np.int32)
+    cur_prec = np.zeros(n_right, dtype=np.float32)
+    cur_source = np.full(n_right, -1, dtype=np.int32)
+    selected: list[int] = []
+    trace: list[GreedyStep] = []
+    tp_cur = 0.0
+    stop_reason = "exhausted"
+
+    while available.any():
+        tp_new = np.maximum(cfg_prec, cur_prec).sum(axis=1, dtype=np.float64)
+        n_assigned = (cfg_assigned | (cur_left != -1)).sum(axis=1)
+        fp_new = np.maximum(n_assigned - tp_new, 0.0)
+
+        eligible = available & (tp_new > tp_cur)
+        if not eligible.any():
+            stop_reason = "no_gain"
+            break
+        with np.errstate(divide="ignore"):
+            prof = np.where(
+                fp_new > 0,
+                tp_new / np.where(fp_new > 0, fp_new, 1.0),
+                np.where(tp_new > 0, np.inf, 0.0),
+            )
+        prof = np.where(eligible, prof, -np.inf)
+        best_profit = prof.max()
+        ties = prof == best_profit
+        if np.isinf(best_profit):
+            ties &= tp_new == tp_new[ties].max()
+        tie_rows = np.nonzero(ties)[0]
+        pick = int(tie_rows[0]) if len(tie_rows) == 1 else int(rng.choice(tie_rows))
+
+        total = tp_new[pick] + fp_new[pick]
+        union_precision = tp_new[pick] / total if total > 0 else 1.0
+        if union_precision <= tau:
+            stop_reason = "precision_target"
+            break
+
+        slot = len(selected)
+        selected.append(pick)
+        trace.append(
+            GreedyStep(pick, float(tp_new[pick]), float(fp_new[pick]), float(union_precision))
+        )
+        available[pick] = False
+        row_take = cfg_prec[pick] > cur_prec
+        cur_left = np.where(row_take, cfg_left[pick], cur_left)
+        cur_prec = np.where(row_take, cfg_prec[pick], cur_prec)
+        cur_source = np.where(row_take, slot, cur_source)
+        tp_cur = float(cur_prec.sum(dtype=np.float64))
+
+    n_joined = int((cur_left != -1).sum())
+    fp_cur = max(n_joined - tp_cur, 0.0)
+    return GreedyOutcome(
+        selected, cur_left, cur_prec, cur_source, tp_cur, fp_cur, stop_reason, trace
+    )

@@ -151,6 +151,35 @@ def test_multi_character_delimiter_exits_2(tmp_path, synthetic_csvs, capsys):
     assert "config error" in err and "delimiter" in err
 
 
+def test_duplicate_columns_exit_2(tmp_path, synthetic_csvs, capsys):
+    left, right, _ = synthetic_csvs
+    code = main(
+        [
+            "run-multi",
+            "--left", str(left),
+            "--right", str(right),
+            "--columns", "name,name",
+            "--out", str(tmp_path / "joins.csv"),
+            "--solution", str(tmp_path / "sol.txt"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "duplicate column" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["out", "solution", "manifest", "dump_negative_rules"])
+def test_missing_output_directory_exits_2(tmp_path, synthetic_csvs, capsys, flag):
+    left, right, _ = synthetic_csvs
+    missing = tmp_path / "nodir" / "artifact"
+    code = main(run_args(tmp_path, left, right, **{flag: missing}))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(missing.parent) in err
+    assert not (tmp_path / "joins.csv").exists()  # rejected before any work
+
+
 def test_dump_negative_rules(tmp_path, synthetic_csvs):
     left, right, _ = synthetic_csvs
     rules_path = tmp_path / "rules.tsv"
@@ -250,6 +279,15 @@ def test_run_multi_manifest_matches_run(tmp_path, synthetic_csvs):
     assert {"blocking", "negative_rules", "distances"} <= set(multi["timings"])
     assert set(multi["pair_counts"]) == set(single["pair_counts"])
     assert "lr_dropped_by_rules" in multi["pair_counts"]
+    for manifest in (single, multi):
+        greedy = manifest["greedy"]
+        assert greedy["stop_reason"] in ("precision_target", "no_gain", "exhausted")
+        assert len(greedy["trace"]) == manifest["n_configs_selected"] > 0
+        for step in greedy["trace"]:
+            assert set(step) == {"config", "function", "threshold", "tp", "fp", "precision"}
+            assert step["precision"] > manifest["config"]["tau"]
+        last = greedy["trace"][-1]
+        assert last["precision"] == manifest["estimated_precision"]
 
 
 def test_bench_synthetic_smoke(capsys):

@@ -2,10 +2,13 @@
 ``joins.csv`` and ``solution.txt``, and bit-identical distance matrices.
 
 The artifact digests were recorded before the configuration table was built
-from per-left ball counts, the distance digest before the character
-distances became batch kernels; a change that moves them changes the
-program's output and must say why.  The distance digest catches a last-ulp
-drift in a kernel even when the joins survive it.
+from per-left ball counts (the tied-queries case before greedy selection
+became incremental), the distance digest before the character distances
+became batch kernels; a change that moves them changes the program's output
+and must say why.  The tied-queries case repeats every query row, so many
+configurations tie on profit and the seeded tie-break draws decide picks.
+The distance digest catches a last-ulp drift in a kernel even when the joins
+survive it.
 ``PYTHONPATH=src:tests python3 tests/test_golden.py`` prints the current
 digests.
 """
@@ -13,7 +16,7 @@ digests.
 import hashlib
 from pathlib import Path
 
-from conftest import write_table_csv
+from conftest import repeat_queries, write_table_csv
 from fuzzyjoin import add_random_column, enumerate_function_space, generate_synthetic
 from fuzzyjoin.cli import main
 from fuzzyjoin.solver import prepare_columns
@@ -22,6 +25,10 @@ GOLDEN = {
     "run": (
         "5c933c388cc50a2a237b6877088f7373b418a54dec8a9f0f7825a751e28355c7",
         "a0abf29812a3e266530f41c33fbc7919613ac1d74d9bd65fd925e3149a965260",
+    ),
+    "run-ties": (
+        "a886ae0fb26a6a0dce0ce30b4c9bce69fed24c97736f8376cd34ceb6c8b1d31f",
+        "ce09762d5f7609cba93a93bb6c3d536c06034e658209f71aa2ac4f232dfde42f",
     ),
     "run-multi": (
         "1e4596459629dcf31460280debcfeef475dd3dc9b5ce5e603d6a7545b07f4c3a",
@@ -38,8 +45,10 @@ def sha256(path: Path) -> str:
 
 def artifacts(mode: str, tmp: Path) -> tuple[str, str]:
     """Run one CLI mode on its fixed inputs; digests of joins and solution."""
-    if mode == "run":
+    if mode in ("run", "run-ties"):
         L, R, _ = generate_synthetic(n_left=60, seed=0, unmatched_rate=0.2)
+        if mode == "run-ties":
+            R = repeat_queries(R, 4)
         extra = ["--column", "name"]
     else:
         L, R, _ = generate_synthetic(n_left=20, seed=3, unmatched_rate=0.2)
@@ -48,8 +57,9 @@ def artifacts(mode: str, tmp: Path) -> tuple[str, str]:
     left = write_table_csv(L, tmp / "left.csv")
     right = write_table_csv(R, tmp / "right.csv")
     joins, solution = tmp / "joins.csv", tmp / "solution.txt"
+    command = "run-multi" if mode == "run-multi" else "run"
     code = main(
-        [mode, "--left", str(left), "--right", str(right),
+        [command, "--left", str(left), "--right", str(right),
          "--out", str(joins), "--solution", str(solution), *extra]
     )
     assert code == 0
@@ -73,6 +83,10 @@ def test_distances_unchanged():
 
 def test_run_artifacts_unchanged(tmp_path):
     assert artifacts("run", tmp_path) == GOLDEN["run"]
+
+
+def test_run_tied_queries_artifacts_unchanged(tmp_path):
+    assert artifacts("run-ties", tmp_path) == GOLDEN["run-ties"]
 
 
 def test_run_multi_artifacts_unchanged(tmp_path):

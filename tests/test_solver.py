@@ -8,13 +8,21 @@ from fuzzyjoin import (
     JoinFunction,
     greedy_select,
     discretize_thresholds,
+    enumerate_function_space,
     generate_disjoint_tables,
     generate_synthetic,
     make_table,
     register_plugin,
     solve,
 )
-from conftest import make_random_instance, oracle_profit, oracle_union
+from fuzzyjoin.solver import precompute_config_table, prepare_columns
+from conftest import (
+    dense_greedy,
+    make_random_instance,
+    oracle_profit,
+    oracle_union,
+    repeat_queries,
+)
 
 
 class TestDiscretize:
@@ -126,6 +134,96 @@ def test_greedy_does_not_recompute_distances():
     before = dist_mod.matrix_call_count()
     greedy_select(cfg_left, cfg_prec, 0.8, np.random.default_rng(0))
     assert dist_mod.matrix_call_count() == before
+
+
+# --- incremental greedy vs the dense loop ------------------------------------
+
+
+def assert_same_search(cfg_left, cfg_prec, tau, seed):
+    """greedy_select and the dense reference loop agree exactly: picks, union
+    arrays, tp/fp, stop reason, trace and the random draws consumed."""
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = greedy_select(cfg_left, cfg_prec, tau, rng_a)
+    want = dense_greedy(cfg_left, cfg_prec, tau, rng_b)
+    assert got.selected == want.selected
+    for name in ("cur_left", "cur_prec", "cur_source"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (got.tp, got.fp) == (want.tp, want.fp)
+    assert got.stop_reason == want.stop_reason
+    assert got.trace == want.trace
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    return got
+
+
+def tied_instance(rng: np.random.Generator):
+    """Precisions float32(1/k) with k up to 200 (400 in dominated rows),
+    rows repeated so profits tie, empty rows, fp-free rows, and rows another
+    row dominates, which stop adding tp once it is picked."""
+    n_base, n_right = int(rng.integers(5, 30)), int(rng.integers(10, 80))
+    assigned = rng.random((n_base, n_right)) < rng.uniform(0.1, 0.6)
+    left = np.where(assigned, rng.integers(0, 199, size=(n_base, n_right)), -1)
+    k = np.where(rng.random((n_base, n_right)) < 0.3, 1, rng.integers(1, 201, size=(n_base, n_right)))
+    k[rng.random(n_base) < 0.2] = 1  # fp-free rows
+    prec = np.where(assigned, 1.0 / k, 0.0)
+    rows = rng.integers(0, n_base, size=int(rng.integers(n_base, 3 * n_base)))
+    left, prec = left[rows], prec[rows]
+    dominated = rng.integers(0, len(rows), size=len(rows) // 4)
+    keep = rng.random((len(dominated), n_right)) < 0.5
+    left = np.vstack([left, np.where(keep, left[dominated], -1), np.full((2, n_right), -1)])
+    prec = np.vstack([prec, np.where(keep, prec[dominated] / 2, 0.0), np.zeros((2, n_right))])
+    order = rng.permutation(len(left))
+    return left[order].astype(np.int32), prec[order].astype(np.float32)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_greedy_matches_dense_loop_on_tied_instances(seed):
+    rng = np.random.default_rng(1000 + seed)
+    cfg_left, cfg_prec = tied_instance(rng)
+    for tau in (0.3, 0.6, 0.8, 0.95):
+        assert_same_search(cfg_left, cfg_prec, tau, seed)
+
+
+@pytest.fixture(scope="module")
+def golden_tables():
+    """Configuration tables of the golden "run" input, and of the same input
+    with every query row repeated 4 times."""
+    L, R, _ = generate_synthetic(n_left=60, seed=0, unmatched_rate=0.2)
+    fns = enumerate_function_space()
+    tables = []
+    for right in (R, repeat_queries(R, 4)):
+        prep = prepare_columns(L, right, ("name",), fns)
+        d_lr, d_ll, pairs = prep.d_lr["name"], prep.d_ll["name"], prep.pairs
+        table = precompute_config_table(
+            fns,
+            [discretize_thresholds(row, 50) for row in d_lr],
+            len(pairs.right_ids), len(pairs.left_ids),
+            pairs.lr_right, pairs.lr_left, d_lr, pairs.ll_a, d_ll,
+        )
+        tables.append((table.left, table.prec))
+    return tables
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["run", "run-ties"])
+@pytest.mark.parametrize("tau", [0.5, 0.9, 0.99])
+def test_greedy_matches_dense_loop_on_golden_table(golden_tables, which, tau):
+    cfg_left, cfg_prec = golden_tables[which]
+    got = assert_same_search(cfg_left, cfg_prec, tau, seed=0)
+    assert got.selected
+
+
+def test_greedy_matches_dense_loop_without_candidates():
+    cfg_left = np.full((0, 5), -1, dtype=np.int32)
+    got = assert_same_search(cfg_left, np.zeros((0, 5), dtype=np.float32), 0.9, 0)
+    assert got.selected == [] and got.stop_reason == "exhausted"
+
+
+def test_greedy_matches_dense_loop_fp_free():
+    rng = np.random.default_rng(3)
+    cfg_left, _ = make_random_instance(rng, n_cfg=12, n_right=30)
+    cfg_prec = np.where(cfg_left != -1, 1.0, 0.0).astype(np.float32)
+    got = assert_same_search(cfg_left, cfg_prec, 0.9, 0)
+    assert got.fp == 0.0 and got.stop_reason in ("no_gain", "exhausted")
 
 
 # --- end-to-end solve ----------------------------------------------------------
