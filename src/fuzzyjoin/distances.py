@@ -7,15 +7,23 @@ when the right bag is a sub-multiset of the left bag and return 1 otherwise.
 Callers can register extra distance functions on raw strings under the
 PLUGIN kind.
 
-`distance_matrix` is the batch path used by the solver: every
-(preprocess, tokenizer, weights) combination is computed once per record
-pair and shared across all distance kinds that use it.  The character kinds
-share one cache across preprocess options, so a preprocessed pair that
-several options produce is computed once, and run as batch kernels over all
-pairs at once: Myers's bit-parallel edit distance (Hyyrö's Levenshtein
-formulation) and a bit-parallel Jaro-Winkler, one 64-bit word per string.
-Pairs with a string longer than 64 characters fall back to the scalar
-`char_distance`, which also serves as the kernels' test oracle.
+`distance_matrix` is the batch path used by the solver.  It interns each
+distinct raw value, preprocesses it once per option into one table of
+distinct preprocessed strings, and computes every (preprocess, tokenizer,
+weights) combination once per distinct pair, shared across all distance
+kinds that use it.  The character kinds share one cache across preprocess
+options, so a preprocessed pair that several options produce is computed
+once, and run as batch kernels over all pairs at once: Myers's bit-parallel
+edit distance (Hyyrö's Levenshtein formulation) and a bit-parallel
+Jaro-Winkler, one 64-bit word per string.  Pairs with a string longer than
+64 characters fall back to the scalar `char_distance`, which also serves as
+the kernels' test oracle.  The set kinds run batched over per-string
+tokenizations: each distinct preprocessed string is tokenized once per
+tokenizer into token ids and counts, a pair's intersection is found by a
+sorted-key lookup, and numpy sums each pair's terms in the order of a loop
+over its token bags, so the results equal the scalar `set_distance` /
+`contain_distance` bit for bit.  Count statistics are shared across
+preprocess options like the character cache; only the IDF weights differ.
 """
 
 from __future__ import annotations
@@ -401,67 +409,138 @@ def _char_distances(pairs: Sequence[tuple[str, str]]) -> tuple[np.ndarray, np.nd
     return ed, jw
 
 
+def _distinct_pairs(
+    pairs_by_option: Mapping[str, tuple[np.ndarray, np.ndarray]], n_strings: int
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """The distinct (a, b) string-id pairs over all options, and per option
+    the index of each of its pairs among them."""
+    keys = np.concatenate([a * n_strings + b for a, b in pairs_by_option.values()])
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    splits = np.cumsum([len(a) for a, _ in pairs_by_option.values()])[:-1]
+    a, b = np.divmod(distinct, n_strings)
+    return a, b, dict(zip(pairs_by_option, np.split(inverse, splits)))
+
+
 def _char_rows(
-    pre_pairs: Mapping[str, list[tuple[str, str]]],
+    strings: Sequence[str],
+    pairs_by_option: Mapping[str, tuple[np.ndarray, np.ndarray]],
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """ED and JW rows per preprocess option.  The options share one cache:
     each distinct preprocessed pair is computed once, whichever options
     produce it."""
-    index: dict[tuple[str, str], int] = {}
-    gather = {
-        option: np.array([index.setdefault(p, len(index)) for p in pairs], dtype=np.intp)
-        for option, pairs in pre_pairs.items()
-    }
-    ed, jw = _char_distances(list(index))
+    a, b, gather = _distinct_pairs(pairs_by_option, len(strings))
+    ed, jw = _char_distances([(strings[x], strings[y]) for x, y in zip(a.tolist(), b.tolist())])
     return {option: (ed[g], jw[g]) for option, g in gather.items()}
 
 
-def _set_unit(
-    pre_pairs: list[tuple[str, str]],
+# B-side token entries per set-kernel step, which bounds the per-entry
+# temporaries
+_SET_ENTRIES = 1 << 14
+
+
+def _tokenized(
+    strings: Sequence[str], used: np.ndarray, tokenizer: str
+) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+    """Each used string tokenized once: the token vocabulary, and a CSR over
+    all string ids (unused strings have no entries) of token ids and counts
+    in ``Counter`` order."""
+    vocab: dict[str, int] = {}
+    sizes = np.zeros(len(strings), dtype=np.int64)
+    tokens: list[int] = []
+    counts: list[int] = []
+    lengths: list[int] = []
+    for s in used.tolist():
+        bag = tokenize(strings[s], tokenizer).tokens
+        lengths.append(len(bag))
+        tokens.extend([vocab.setdefault(t, len(vocab)) for t in bag])
+        counts.extend(bag.values())
+    sizes[used] = lengths
+    return vocab, sizes, np.array(tokens, dtype=np.int32), np.array(counts, dtype=np.int32)
+
+
+def _set_stats(
+    strings: Sequence[str],
+    pairs_by_option: Mapping[str, tuple[np.ndarray, np.ndarray]],
     tokenizer: str,
-    idf: IdfIndex | None,
-) -> dict[str, np.ndarray]:
-    """Per-pair intersection/size statistics for one (preprocess, tokenizer)
-    combination, under both weight schemes at once."""
-    n = len(pre_pairs)
-    out = {
-        name: np.zeros(n)
-        for name in ("cnt_i", "cnt_a", "cnt_b", "idf_i", "idf_a", "idf_b")
+    idf_by_option: Mapping[str, IdfIndex],
+) -> dict[str, dict[str, np.ndarray]]:
+    """Per preprocess option, the per-pair intersection and size statistics
+    of one tokenizer under both weight schemes (the IDF ones zero for an
+    option without an IdfIndex), and whether the right bag is a
+    sub-multiset of the left one.
+
+    Each distinct string is tokenized once, and the count statistics of a
+    distinct string pair are computed once, whichever options produce it;
+    only the IDF weights differ between options.  A pair's intersection
+    comes from its B-side entries, each looked up among the A string's
+    entries; ``np.bincount`` then adds each pair's terms in B's token order
+    starting from 0.0, the order of a loop over the bags, and a token
+    missing from A adds ``0 * w``, which changes no sum.
+    """
+    a, b, gather = _distinct_pairs(pairs_by_option, len(strings))
+    n_strings = len(strings)
+    used = np.zeros(n_strings, dtype=bool)
+    used[a] = used[b] = True
+    vocab, sizes, tokens, counts = _tokenized(strings, np.flatnonzero(used), tokenizer)
+    n_vocab = len(vocab)
+    # per entry, its string; per string, its first entry, total count and,
+    # per option, total IDF weight (summed in token order)
+    owner = np.repeat(np.arange(n_strings), sizes)
+    starts = np.cumsum(sizes) - sizes
+    size = np.bincount(owner, weights=counts, minlength=n_strings)
+    token_w = {
+        option: np.array([idf.weight(t) for t in vocab], dtype=np.float64)
+        for option, idf in idf_by_option.items()
     }
-    contained = np.zeros(n, dtype=bool)
-    bags: dict[str, tuple[Counter, float, float]] = {}
+    weight = {
+        option: np.bincount(owner, weights=counts * w[tokens], minlength=n_strings)
+        for option, w in token_w.items()
+    }
+    # the A side: (string, token) keys sorted, then a sentinel no query hits
+    keys = owner * n_vocab + tokens
+    order = np.argsort(keys)
+    keys = np.append(keys[order], np.iinfo(np.int64).max)
+    key_counts = np.append(counts[order], 0)
+    del owner, order
 
-    def bag(s: str) -> tuple[Counter, float, float]:
-        # (tokens, count, IDF weight), once per distinct string
-        hit = bags.get(s)
-        if hit is None:
-            tokens = tokenize(s, tokenizer).tokens
-            idf_w = (
-                sum(m * idf.weight(t) for t, m in tokens.items()) if idf else 0.0
-            )
-            hit = (tokens, float(sum(tokens.values())), idf_w)
-            bags[s] = hit
-        return hit
+    n = len(a)
+    cnt_i = np.empty(n)
+    contained = np.empty(n, dtype=bool)
+    idf_i = {option: np.empty(n) for option in token_w}
+    ends = np.cumsum(sizes[b])
+    # steps of whole pairs; step k ends with the last pair that ends within
+    # the first (k + 1) * _SET_ENTRIES entries, so it holds at most
+    # _SET_ENTRIES entries plus those of its first pair (a repeated cut makes
+    # an empty step)
+    cuts = np.searchsorted(ends, np.arange(_SET_ENTRIES, ends[-1], _SET_ENTRIES), side="right")
+    bounds = np.concatenate([[0], cuts, [n]])
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        lengths = sizes[b[lo:hi]]
+        pair = np.repeat(np.arange(hi - lo, dtype=np.int32), lengths)
+        first = np.cumsum(lengths) - lengths
+        entry = np.arange(len(pair)) + np.repeat(starts[b[lo:hi]] - first, lengths)
+        tok = tokens[entry]
+        mb = counts[entry]
+        query = a[lo:hi][pair] * n_vocab + tok
+        pos = np.searchsorted(keys, query)
+        ma = np.where(keys[pos] == query, key_counts[pos], 0)
+        m = np.minimum(ma, mb)
+        cnt_i[lo:hi] = np.bincount(pair, weights=m, minlength=hi - lo)
+        contained[lo:hi] = np.bincount(pair[mb > ma], minlength=hi - lo) == 0
+        for option, w in token_w.items():
+            idf_i[option][lo:hi] = np.bincount(pair, weights=m * w[tok], minlength=hi - lo)
 
-    for i, (a, b) in enumerate(pre_pairs):
-        A, out["cnt_a"][i], out["idf_a"][i] = bag(a)
-        B, out["cnt_b"][i], out["idf_b"][i] = bag(b)
-        cnt_i = 0
-        idf_i = 0.0
-        is_contained = True
-        for t, mb in B.items():
-            ma = A.get(t, 0)
-            if mb > ma:
-                is_contained = False
-            m = ma if ma < mb else mb
-            if m:
-                cnt_i += m
-                if idf:
-                    idf_i += m * idf.weight(t)
-        out["cnt_i"][i] = cnt_i
-        out["idf_i"][i] = idf_i
-        contained[i] = is_contained
-    out["contained"] = contained
+    out = {}
+    for option, (pa, pb) in pairs_by_option.items():
+        g = gather[option]
+        out[option] = {"cnt_i": cnt_i[g], "cnt_a": size[pa], "cnt_b": size[pb]}
+        if option in token_w:
+            out[option] |= {
+                "idf_i": idf_i[option][g], "idf_a": weight[option][pa], "idf_b": weight[option][pb]
+            }
+        else:
+            out[option] |= {name: np.zeros(len(g)) for name in ("idf_i", "idf_a", "idf_b")}
+        out[option]["contained"] = contained[g]
     return out
 
 
@@ -514,33 +593,57 @@ def distance_matrix(
     if n == 0:
         return result
 
-    # compute once per distinct raw pair, then scatter
-    unique_index: dict[tuple[str, str], int] = {}
-    inverse = np.empty(n, dtype=np.intp)
-    for i, pair in enumerate(pairs):
-        idx = unique_index.setdefault(pair, len(unique_index))
-        inverse[i] = idx
-    unique_pairs = list(unique_index)
-    missing = np.array([a == "" and b == "" for a, b in unique_pairs])
-
-    pre_pairs = {
-        option: [
-            (apply_preprocess(a, option), apply_preprocess(b, option))
-            for a, b in unique_pairs
-        ]
-        for option in dict.fromkeys(f.preprocess for f in functions if f.distance != PLUGIN)
-    }
-    char_rows = _char_rows(
-        {f.preprocess: pre_pairs[f.preprocess] for f in functions if f.distance in CHAR_DISTANCES}
+    # intern each distinct raw value; compute once per distinct raw pair,
+    # then scatter
+    value_ids: dict[str, int] = {}
+    ids = np.fromiter(
+        (value_ids.setdefault(v, len(value_ids)) for pair in pairs for v in pair),
+        dtype=np.int64,
+        count=2 * n,
     )
-    # memos by (option, tokenizer) and (option, tokenizer, weights), filled
-    # on first use
-    set_stats: dict[tuple[str, str], dict[str, np.ndarray]] = {}
+    n_values = len(value_ids)
+    distinct, inverse = np.unique(ids[0::2] * n_values + ids[1::2], return_inverse=True)
+    left, right = np.divmod(distinct, n_values)
+    values = list(value_ids)
+    empty = value_ids.get("", -1)
+    missing = (left == empty) & (right == empty)
+
+    # each distinct value preprocessed once per option, into one table of
+    # the distinct preprocessed strings of all options
+    string_ids: dict[str, int] = {}
+    pre_pairs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for option in dict.fromkeys(f.preprocess for f in functions if f.distance != PLUGIN):
+        of_value = np.array(
+            [string_ids.setdefault(apply_preprocess(v, option), len(string_ids)) for v in values],
+            dtype=np.int64,
+        )
+        pre_pairs[option] = (of_value[left], of_value[right])
+    strings = list(string_ids)
+
+    char_pairs = {
+        f.preprocess: pre_pairs[f.preprocess] for f in functions if f.distance in CHAR_DISTANCES
+    }
+    char_rows = _char_rows(strings, char_pairs) if char_pairs else {}
+    set_fns = [f for f in functions if f.is_set_based]
+    set_stats: dict[str, dict[str, dict[str, np.ndarray]]] = {}
+    for tokenizer in dict.fromkeys(f.tokenizer for f in set_fns):
+        fns = [f for f in set_fns if f.tokenizer == tokenizer]
+        set_stats[tokenizer] = _set_stats(
+            strings,
+            {f.preprocess: pre_pairs[f.preprocess] for f in fns},
+            tokenizer,
+            {
+                f.preprocess: idf_by_pt[(f.preprocess, tokenizer)]
+                for f in fns
+                if f.weights == "IDFW"
+            },
+        )
+    # rows memo by (option, tokenizer, weights), filled on first use
     set_rows: dict[tuple[str, str, str], dict[str, np.ndarray]] = {}
     for fi, f in enumerate(functions):
         if f.distance == PLUGIN:
             fn = get_plugin(f.plugin)
-            row = np.array([fn(a, b) for a, b in unique_pairs], dtype=float)
+            row = np.array([fn(values[a], values[b]) for a, b in zip(left, right)], dtype=float)
             if not np.all((row >= 0.0) & (row <= 1.0)):
                 raise ValueError(
                     f"distance plugin {f.plugin!r} returned a value that is NaN "
@@ -552,14 +655,9 @@ def distance_matrix(
                 ed, jw = char_rows[option]
                 row = ed if f.distance == "ED" else jw
             else:
-                pt = (option, f.tokenizer)
-                if pt not in set_stats:
-                    set_stats[pt] = _set_unit(
-                        pre_pairs[option], f.tokenizer, idf_by_pt.get(pt)
-                    )
                 key = (option, f.tokenizer, f.weights)
                 if key not in set_rows:
-                    stats = set_stats[pt]
+                    stats = set_stats[f.tokenizer][option]
                     if f.weights == "EW":
                         inter, w_a, w_b = stats["cnt_i"], stats["cnt_a"], stats["cnt_b"]
                     else:

@@ -93,11 +93,11 @@ class IdfIndex:
 def build_idf_from_values(
     values: Iterable[str], preprocess: str, tokenizer: str
 ) -> IdfIndex:
-    """IDF statistics from raw cell values, one document per value."""
+    """IDF statistics from raw cell values, one document per value.  Each
+    distinct value is tokenized once and counts as often as it occurs."""
+    copies = Counter(values)
     doc_freq: Counter = Counter()
-    n = 0
-    for v in values:
-        n += 1
-        bag = tokenize(apply_preprocess(v, preprocess), tokenizer)
-        doc_freq.update(bag.tokens.keys())
-    return IdfIndex(dict(doc_freq), n)
+    for v, k in copies.items():
+        for t in tokenize(apply_preprocess(v, preprocess), tokenizer).tokens:
+            doc_freq[t] += k
+    return IdfIndex(dict(doc_freq), copies.total())

@@ -1,10 +1,12 @@
-"""Shared helpers: CSV writers, random greedy-search instances and the dense
-greedy loop that the incremental engine is held to."""
+"""Shared helpers: CSV writers, random greedy-search instances, and the
+loops that the vectorized engines are held to: the dense greedy loop and the
+per-pair set-statistics loop."""
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 from fuzzyjoin import Record, Table
 from fuzzyjoin.solver import GreedyOutcome, GreedyStep
+from fuzzyjoin.text import IdfIndex, tokenize
 
 
 def write_table_csv(table: Table, path: Path, id_column: str = "id") -> Path:
@@ -167,3 +170,54 @@ def dense_greedy(
     return GreedyOutcome(
         selected, cur_left, cur_prec, cur_source, tp_cur, fp_cur, stop_reason, trace
     )
+
+
+def loop_set_stats(
+    pre_pairs: list[tuple[str, str]],
+    tokenizer: str,
+    idf: IdfIndex | None,
+) -> dict[str, np.ndarray]:
+    """Per-pair intersection/size statistics for one (preprocess, tokenizer)
+    combination, under both weight schemes at once: the per-pair loop over
+    token ``Counter``s that the batch set kernel replaced, kept as its
+    oracle."""
+    n = len(pre_pairs)
+    out = {
+        name: np.zeros(n)
+        for name in ("cnt_i", "cnt_a", "cnt_b", "idf_i", "idf_a", "idf_b")
+    }
+    contained = np.zeros(n, dtype=bool)
+    bags: dict[str, tuple[Counter, float, float]] = {}
+
+    def bag(s: str) -> tuple[Counter, float, float]:
+        # (tokens, count, IDF weight), once per distinct string
+        hit = bags.get(s)
+        if hit is None:
+            tokens = tokenize(s, tokenizer).tokens
+            idf_w = (
+                sum(m * idf.weight(t) for t, m in tokens.items()) if idf else 0.0
+            )
+            hit = (tokens, float(sum(tokens.values())), idf_w)
+            bags[s] = hit
+        return hit
+
+    for i, (a, b) in enumerate(pre_pairs):
+        A, out["cnt_a"][i], out["idf_a"][i] = bag(a)
+        B, out["cnt_b"][i], out["idf_b"][i] = bag(b)
+        cnt_i = 0
+        idf_i = 0.0
+        is_contained = True
+        for t, mb in B.items():
+            ma = A.get(t, 0)
+            if mb > ma:
+                is_contained = False
+            m = ma if ma < mb else mb
+            if m:
+                cnt_i += m
+                if idf:
+                    idf_i += m * idf.weight(t)
+        out["cnt_i"][i] = cnt_i
+        out["idf_i"][i] = idf_i
+        contained[i] = is_contained
+    out["contained"] = contained
+    return out

@@ -1,12 +1,15 @@
 import itertools
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import loop_set_stats
 from hypothesis import given, strategies as st
 
 from fuzzyjoin import (
     FunctionSpaceOptions,
+    IdfIndex,
     JoinFunction,
     TokenBag,
     apply_preprocess,
@@ -20,12 +23,14 @@ from fuzzyjoin import (
     levenshtein,
     register_plugin,
     set_distance,
+    tokenize,
 )
 from fuzzyjoin import distances
 from fuzzyjoin.distances import (
     _char_distances,
     _jaro_winkler_batch,
     _levenshtein_batch,
+    _set_stats,
 )
 
 
@@ -303,6 +308,91 @@ class TestContainDistance:
                     assert got == 1.0
 
 
+# --- batch set kernel -----------------------------------------------------------
+
+STAT_NAMES = ("cnt_i", "cnt_a", "cnt_b", "idf_i", "idf_a", "idf_b")
+
+
+def kernel_set_stats(pairs_by_option, tokenizer, idf_by_option):
+    """``_set_stats`` on preprocessed string pairs, one list per option."""
+    string_ids: dict[str, int] = {}
+    id_pairs = {
+        option: tuple(
+            np.array([string_ids.setdefault(s, len(string_ids)) for s in side], dtype=np.int64)
+            for side in zip(*pairs)
+        )
+        for option, pairs in pairs_by_option.items()
+    }
+    return _set_stats(list(string_ids), id_pairs, tokenizer, idf_by_option)
+
+
+def assert_matches_loop(pairs_by_option, tokenizer, idf_by_option):
+    got = kernel_set_stats(pairs_by_option, tokenizer, idf_by_option)
+    for option, pairs in pairs_by_option.items():
+        want = loop_set_stats(pairs, tokenizer, idf_by_option.get(option))
+        for name in STAT_NAMES:
+            assert float_bits(got[option][name]) == float_bits(want[name]), (option, name)
+        assert got[option]["contained"].tolist() == want["contained"].tolist(), option
+
+
+@st.composite
+def set_cases(draw):
+    """One or two options' pair lists over shared small alphabets (repeated
+    tokens, tokens on one side only, empty and 1-2 character strings), each
+    with no IdfIndex or one whose document frequencies range from 1 to the
+    corpus size (weight 0) and that leaves some tokens unseen."""
+    tokenizer = draw(st.sampled_from(["3G", "SP"]))
+    chars = st.sampled_from(draw(st.sampled_from(["ab ", "abc  ", "a\u00e9\U0001F600 "])))
+    text = st.one_of(
+        st.just(""),
+        st.lists(chars, max_size=2).map("".join),
+        st.lists(chars, max_size=14).map("".join),
+        st.lists(chars, min_size=20, max_size=40).map("".join),
+    )
+    pairs_by_option, idf_by_option = {}, {}
+    for option in draw(st.sampled_from([["x"], ["x", "y"]])):
+        pairs = draw(st.lists(st.tuples(text, text), min_size=1, max_size=20))
+        pairs_by_option[option] = pairs
+        tokens = sorted({t for pair in pairs for s in pair for t in tokenize(s, tokenizer).tokens})
+        if tokens and draw(st.booleans()):
+            n = draw(st.integers(1, 12))
+            kept = draw(st.lists(st.sampled_from(tokens), unique=True))
+            idf_by_option[option] = IdfIndex({t: draw(st.integers(1, n)) for t in kept}, n)
+    return pairs_by_option, tokenizer, idf_by_option
+
+
+class TestSetKernel:
+    EDGE = [
+        ("", ""), ("", "ab c"), ("ab c", ""),  # empty bags, one side or both
+        ("ab", "ab"), ("a", "ab"), ("ab", "a"),  # 3G strings shorter than 3
+        ("aaaa", "aaaaa"), ("a a a b", "a a b b"),  # repeated tokens
+        ("abc", "abd xyz"), ("q", "r s t"),  # tokens only on the B side
+        ("common x", "common y"),  # "common" weighs 0
+        ("rare zzz", "zzz unseen"),  # tokens the IdfIndex never saw
+        # long overlaps: many terms of different weights in one sum
+        ("the quick brown fox jumps over", "quick brown fox jumps over the lazy dog"),
+    ]
+
+    @pytest.mark.parametrize("tokenizer", ["3G", "SP"])
+    @pytest.mark.parametrize("entries", [1, 2, 5, distances._SET_ENTRIES])
+    def test_edge_cases(self, monkeypatch, tokenizer, entries):
+        # small steps put chunk boundaries between and inside the pairs
+        monkeypatch.setattr(distances, "_SET_ENTRIES", entries)
+        docs = [tokenize(s, tokenizer).tokens for pair in self.EDGE for s in pair]
+        common = tokenize("common", tokenizer).tokens
+        doc_freq = {t: len(docs) for t in common}
+        rest = sorted({t for d in docs for t in d if t not in common and "un" not in t})
+        doc_freq |= {t: 1 + i % len(docs) for i, t in enumerate(rest)}
+        idf = IdfIndex(doc_freq, len(docs))
+        assert idf.weight(next(iter(common))) == 0.0
+        assert_matches_loop({"x": self.EDGE, "y": self.EDGE[::-1]}, tokenizer, {"x": idf})
+
+    @given(set_cases(), st.sampled_from([1, 3, 7, distances._SET_ENTRIES]))
+    def test_matches_loop(self, case, entries):
+        with mock.patch.object(distances, "_SET_ENTRIES", entries):
+            assert_matches_loop(*case)
+
+
 # --- full evaluation ----------------------------------------------------------
 
 
@@ -334,8 +424,13 @@ class TestEvaluate:
 
 class TestDistanceMatrix:
     def test_matches_scalar_evaluate(self):
-        values_l = ["2008 oak tigers football team", "riverton Hornets", "a,b!"]
-        values_r = ["2008 oak tigers baseball team", "riverton hornet", ""]
+        # repeated values, an empty value on both sides (the ("", "") pair is
+        # missing) and 1-2 character values, which 3G keeps whole
+        values_l = [
+            "2008 oak tigers football team", "riverton Hornets", "a,b!", "ab",
+            "riverton Hornets", "",
+        ]
+        values_r = ["2008 oak tigers baseball team", "riverton hornet", "", "ab", "a", "aaaa aaaa"]
         pairs = [(a, b) for a in values_l for b in values_r]
         fns = enumerate_function_space()
         idf_by_pt = {
@@ -347,10 +442,7 @@ class TestDistanceMatrix:
         for fi, f in enumerate(fns):
             idf = idf_by_pt[(f.preprocess, f.tokenizer)] if f.is_set_based else None
             for pi, (a, b) in enumerate(pairs):
-                if f.is_set_based:
-                    assert mat[fi, pi] == pytest.approx(evaluate(f, a, b, idf), abs=1e-12)
-                else:
-                    assert mat[fi, pi] == evaluate(f, a, b)
+                assert mat[fi, pi] == evaluate(f, a, b, idf)
 
     def test_char_kernels_see_each_preprocessed_pair_once(self, monkeypatch):
         seen = {"ED": [], "JW": []}
@@ -383,6 +475,30 @@ class TestDistanceMatrix:
         assert len(expected) < sum(map(len, by_option))
         for kind in ("ED", "JW"):
             assert sorted(seen[kind]) == sorted(expected)
+
+    def test_each_preprocessed_string_tokenized_once(self, monkeypatch):
+        values = ["oak tigers", "Oak, Tigers!", "running dogs", "oak tiger", "x" * 70, "", "ab"]
+        pairs = [(a, b) for a in values for b in values] * 2
+        fns = enumerate_function_space()
+        idf_by_pt = {
+            (f.preprocess, f.tokenizer): build_idf_from_values(values, f.preprocess, f.tokenizer)
+            for f in fns
+            if f.is_set_based
+        }
+        seen = []
+
+        def spy(s, scheme):
+            seen.append((s, scheme))
+            return tokenize(s, scheme)
+
+        monkeypatch.setattr(distances, "tokenize", spy)
+        distance_matrix(fns, pairs, idf_by_pt)
+        by_option = [{apply_preprocess(v, o) for v in values} for o in {f.preprocess for f in fns}]
+        expected = [(s, t) for s in set().union(*by_option) for t in ("3G", "SP")]
+        # one tokenization per option would tokenize more strings
+        assert len(by_option) == 4
+        assert len(expected) < 2 * sum(map(len, by_option))
+        assert sorted(seen) == sorted(expected)
 
     @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25])
     def test_plugin_out_of_range_raises(self, bad):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fuzzyjoin import (
+    IdfIndex,
     TokenBag,
     apply_preprocess,
     build_idf_from_values,
     set_distance,
+    text,
     tokenize,
 )
 
@@ -105,6 +107,34 @@ class TestIdf:
     def test_doc_freq_counts_records_not_occurrences(self):
         idf = build_idf_from_values(["cat cat cat", "dog"], "L", "SP")
         assert idf.doc_freq["cat"] == 1
+
+    @given(
+        st.lists(
+            st.sampled_from(["Cat hat", "cat, mat", "dog", "", "a b a", "Running dogs", "x"]),
+            max_size=30,
+        ),
+        st.sampled_from(["L", "L+S+RP"]),
+        st.sampled_from(["SP", "3G"]),
+    )
+    def test_repeated_values_match_per_value_loop(self, values, preprocess, tokenizer):
+        doc_freq: Counter = Counter()
+        for v in values:
+            doc_freq.update(tokenize(apply_preprocess(v, preprocess), tokenizer).tokens.keys())
+        idf = build_idf_from_values(iter(values), preprocess, tokenizer)
+        assert idf == IdfIndex(dict(doc_freq), len(values))
+        assert list(idf.doc_freq) == list(doc_freq)
+
+    def test_each_distinct_value_tokenized_once(self, monkeypatch):
+        seen = []
+
+        def spy(s, scheme):
+            seen.append(s)
+            return tokenize(s, scheme)
+
+        monkeypatch.setattr(text, "tokenize", spy)
+        idf = build_idf_from_values(["a b", "c", "a b", "a b", "c"], "L", "SP")
+        assert sorted(seen) == ["a b", "c"]
+        assert idf == IdfIndex({"a": 3, "b": 3, "c": 2}, 5)
 
     def test_equal_weights(self):
         # every token weighs 1: one shared token of two is half the max weight
