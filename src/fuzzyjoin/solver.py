@@ -94,19 +94,20 @@ class ConfigTable:
 
 
 def _per_right_minima(
-    lr_right: np.ndarray, d_row: np.ndarray, n_right: int
+    segments: tuple[np.ndarray, np.ndarray, np.ndarray], d_row: np.ndarray, n_right: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per right record: minimum candidate distance, position of the left
     record achieving it (first on ties), and an exact-tie flag.
 
-    ``lr_right`` must be sorted ascending.
+    ``segments`` is ``np.unique(lr_right, return_index=True,
+    return_counts=True)`` of the ascending right positions of the pairs.
     """
     dmin = np.full(n_right, np.inf)
     argmin_pair = np.full(n_right, -1, dtype=np.int64)
     tie = np.zeros(n_right, dtype=bool)
-    if len(lr_right) == 0:
+    if len(d_row) == 0:
         return dmin, argmin_pair, tie
-    uniq, starts, counts = np.unique(lr_right, return_index=True, return_counts=True)
+    uniq, starts, counts = segments
     seg_min = np.minimum.reduceat(d_row, starts)
     expanded = np.repeat(seg_min, counts)
     is_min = d_row == expanded
@@ -143,9 +144,10 @@ def precompute_config_table(
     left = np.full((sum(sizes), n_right), -1, dtype=np.int32)
     prec = np.zeros((sum(sizes), n_right), dtype=np.float32)
     ll_owner, ll_starts = np.unique(ll_a, return_index=True)
+    lr_segments = np.unique(lr_right, return_index=True, return_counts=True)
     row = 0
     for fi, thetas in enumerate(thresholds):
-        dmin, argmin_pair, tie = _per_right_minima(lr_right, d_lr[fi], n_right)
+        dmin, argmin_pair, tie = _per_right_minima(lr_segments, d_lr[fi], n_right)
         joinable = np.nonzero((argmin_pair >= 0) & ~tie)[0]
         joined_left = lr_left[argmin_pair[joinable]]
         balls = np.ones((len(thetas), n_left), dtype=np.int64)
@@ -355,25 +357,16 @@ class BlockedPairs:
 
 
 def flatten_index(idx: CandidateIndex) -> BlockedPairs:
-    left_pos = {lid: i for i, lid in enumerate(idx.left_ids)}
-    right_pos = {rid: i for i, rid in enumerate(idx.right_ids)}
-    lr = sorted(
-        (right_pos[rid], left_pos[lid])
-        for rid, cands in idx.lr.items()
-        for lid, _ in cands
-    )
-    ll = sorted(
-        (left_pos[a], left_pos[b])
-        for a, cands in idx.ll.items()
-        for b, _ in cands
-    )
+    lr, ll = idx.lr_pairs, idx.ll_pairs
+    lr_order = np.lexsort((lr.left, lr.query))
+    ll_order = np.lexsort((ll.left, ll.query))
     return BlockedPairs(
-        left_ids=list(idx.left_ids),
-        right_ids=list(idx.right_ids),
-        lr_right=np.array([p[0] for p in lr], dtype=np.int64),
-        lr_left=np.array([p[1] for p in lr], dtype=np.int64),
-        ll_a=np.array([p[0] for p in ll], dtype=np.int64),
-        ll_b=np.array([p[1] for p in ll], dtype=np.int64),
+        left_ids=idx.left_ids,
+        right_ids=idx.right_ids,
+        lr_right=lr.query[lr_order],
+        lr_left=lr.left[lr_order],
+        ll_a=ll.query[ll_order],
+        ll_b=ll.left[ll_order],
     )
 
 
@@ -389,15 +382,22 @@ def filter_lr_by_rules(
     column_rules = [c for c in column_rules if c[2]]
     if not column_rules or len(pairs.lr_right) == 0:
         return pairs, 0
-    keep = np.array(
-        [
-            not any(pair_blocked(lv[l], rv[r], rules) for lv, rv, rules in column_rules)
-            for r, l in zip(pairs.lr_right, pairs.lr_left)
-        ]
-    )
-    dropped = int((~keep).sum())
+    blocked = np.zeros(len(pairs.lr_right), dtype=bool)
+    for lv, rv, rules in column_rules:
+        # pair_blocked once per distinct (left value, right value) pair
+        codes: dict[str, int] = {}
+        lc = np.array([codes.setdefault(v, len(codes)) for v in lv], dtype=np.int64)
+        rc = np.array([codes.setdefault(v, len(codes)) for v in rv], dtype=np.int64)
+        n = len(codes)
+        distinct, inverse = np.unique(lc[pairs.lr_left] * n + rc[pairs.lr_right], return_inverse=True)
+        strings = list(codes)
+        a, b = np.divmod(distinct, n)
+        hit = [pair_blocked(strings[x], strings[y], rules) for x, y in zip(a.tolist(), b.tolist())]
+        blocked |= np.array(hit)[inverse]
+    dropped = int(blocked.sum())
     if dropped == 0:
         return pairs, 0
+    keep = ~blocked
     return (
         BlockedPairs(
             pairs.left_ids,

@@ -1,6 +1,6 @@
 """Shared helpers: CSV writers, random greedy-search instances, and the
-loops that the vectorized engines are held to: the dense greedy loop and the
-per-pair set-statistics loop."""
+loops that the vectorized engines are held to: the dense greedy loop, the
+per-pair set-statistics loop and the per-row blocking loop."""
 
 from __future__ import annotations
 
@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzyjoin import Record, Table
+from fuzzyjoin import Record, Table, blocking_cutoff
 from fuzzyjoin.solver import GreedyOutcome, GreedyStep
-from fuzzyjoin.text import IdfIndex, tokenize
+from fuzzyjoin.text import IdfIndex, apply_preprocess, build_idf_from_values, tokenize
 
 
 def write_table_csv(table: Table, path: Path, id_column: str = "id") -> Path:
@@ -221,3 +221,57 @@ def loop_set_stats(
         contained[i] = is_contained
     out["contained"] = contained
     return out
+
+
+def _blocking_tokens(value: str) -> list[str]:
+    # distinct trigrams of the lowercased value, sorted so that score
+    # accumulation order (and hence float sums) is reproducible
+    return sorted(tokenize(apply_preprocess(value, "L"), "3G").tokens.keys())
+
+
+def loop_build_index(L: Table, R: Table, column: str, beta: float = 1.0):
+    """Blocked candidate lists, one query row at a time: each row fills a
+    dense score vector token by token, in sorted-token order, and sorts its
+    hits by (-score, id).  The loop the batched ``blocking.build_index``
+    replaced, kept as its oracle.  Returns the L-R and L-L lists by id."""
+    left_values = L.column_values(column)
+    right_values = R.column_values(column)
+    left_ids = L.ids()
+    right_ids = R.ids()
+
+    idf = build_idf_from_values(left_values + right_values, "L", "3G")
+    k = blocking_cutoff(len(left_ids), beta)
+
+    left_tokens = [_blocking_tokens(v) for v in left_values]
+    postings: dict[str, list[int]] = {}
+    for pos, tokens in enumerate(left_tokens):
+        for t in tokens:
+            postings.setdefault(t, []).append(pos)
+    posting_arrays = {t: np.array(lids, dtype=np.intp) for t, lids in postings.items()}
+
+    n_left = len(left_ids)
+
+    def top_candidates(tokens: list[str], skip: int = -1) -> list[tuple[str, float]]:
+        scores = np.zeros(n_left)
+        for t in tokens:
+            arr = posting_arrays.get(t)
+            if arr is not None:
+                scores[arr] += idf.weight(t)
+        if skip >= 0:
+            scores[skip] = 0.0
+        hits = np.nonzero(scores > 0.0)[0]
+        ranked = sorted(
+            ((float(scores[p]), left_ids[p]) for p in hits),
+            key=lambda sc: (-sc[0], sc[1]),
+        )
+        return [(lid, score) for score, lid in ranked[:k]]
+
+    lr = {
+        rid: top_candidates(_blocking_tokens(value))
+        for rid, value in zip(right_ids, right_values)
+    }
+    ll = {
+        lid: top_candidates(tokens, skip=pos)
+        for pos, (lid, tokens) in enumerate(zip(left_ids, left_tokens))
+    }
+    return lr, ll

@@ -9,7 +9,9 @@ distances did; a change that moves them changes the program's output and
 must say why.  The tied-queries case repeats every query row, so many
 configurations tie on profit and the seeded tie-break draws decide picks.
 The distance digest catches a last-ulp drift in a kernel even when the joins
-survive it.
+survive it.  The blocking digests, recorded before blocking was batched over
+distinct query values, pin the flattened blocked pairs and their blocking
+scores, so a reordered summation shows even where no candidate list moves.
 ``PYTHONPATH=src:tests python3 tests/test_golden.py`` prints the current
 digests.
 """
@@ -17,10 +19,18 @@ digests.
 import hashlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from conftest import repeat_queries, write_table_csv
-from fuzzyjoin import add_random_column, enumerate_function_space, generate_synthetic
+from fuzzyjoin import (
+    add_random_column,
+    build_index,
+    enumerate_function_space,
+    generate_synthetic,
+)
 from fuzzyjoin.cli import main
-from fuzzyjoin.solver import prepare_columns
+from fuzzyjoin.solver import flatten_index, prepare_columns
 
 GOLDEN = {
     "run": (
@@ -42,6 +52,24 @@ GOLDEN = {
 GOLDEN_DISTANCES = {
     "run": "fdbb9891b146e48b4366a44e64432c9ff6901ceb3534f2a600fd0939a3595cc2",
     "run-multi": "7f30cddd8ecbd1cfdff35e8fe9603983ef72922eba09d88506ac99e9dd61c8ae",
+}
+
+# per mode, the sha256 of the blocked pairs (lr_right, lr_left, ll_a, ll_b as
+# int64 bytes) and of their blocking scores in the same order (float64
+# bytes), blocking with beta 1 on the columns distance_digest uses
+GOLDEN_BLOCKING = {
+    "run": (
+        "8ed56bf851ee2f52f94849ea608c5d0f539c2fff153fafccc4509a130f73a888",
+        "e9bb021cc4274eb3ee5a557e3e8329a5cf72837bc216f061ec155b3a15a82b9b",
+    ),
+    "run-ties": (
+        "6fe381f98db7dd5a4d53528b25ec6be9d95f3150a943dc0f86dccfeb401ce313",
+        "d999a5b98ec3c9e2213453de492bc14a4fc1052ea0623ea98cfd52e5c4b7cf72",
+    ),
+    "run-multi": (
+        "b495aded0d552a804dd213f507706e1b680a4b173f7e3a8cc37cc0d176c073fa",
+        "5cffd2b795765155ada79bc37949a25796ee34d5d69495f42312ac7dc524fcad",
+    ),
 }
 
 
@@ -90,6 +118,30 @@ def distance_digest(mode: str) -> str:
     return digest.hexdigest()
 
 
+def blocking_digests(mode: str) -> tuple[str, str]:
+    """Digests of the flattened blocked pairs of a mode's input and of their
+    blocking scores."""
+    L, R = golden_inputs(mode)
+    columns = ("name",) if mode != "run-multi" else L.columns
+    idx = build_index(L, R, columns, 1.0)
+    pairs = flatten_index(idx)
+    lr = {(rid, lid): s for rid, cands in idx.lr.items() for lid, s in cands}
+    ll = {(a, b): s for a, cands in idx.ll.items() for b, s in cands}
+    lids, rids = pairs.left_ids, pairs.right_ids
+    scores = [lr[rids[r], lids[l]] for r, l in zip(pairs.lr_right, pairs.lr_left)]
+    scores += [ll[lids[a], lids[b]] for a, b in zip(pairs.ll_a, pairs.ll_b)]
+    pair_digest = hashlib.sha256()
+    for arr in (pairs.lr_right, pairs.lr_left, pairs.ll_a, pairs.ll_b):
+        pair_digest.update(arr.astype("<i8").tobytes())
+    score_bytes = np.array(scores, dtype="<f8").tobytes()
+    return pair_digest.hexdigest(), hashlib.sha256(score_bytes).hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["run", "run-ties", "run-multi"])
+def test_blocking_unchanged(mode):
+    assert blocking_digests(mode) == GOLDEN_BLOCKING[mode]
+
+
 def test_distances_unchanged():
     assert distance_digest("run") == GOLDEN_DISTANCES["run"]
 
@@ -118,3 +170,5 @@ if __name__ == "__main__":
             print(mode, *artifacts(mode, Path(tmp)))
     for mode in GOLDEN_DISTANCES:
         print("distances", mode, distance_digest(mode))
+    for mode in GOLDEN:
+        print("blocking", mode, *blocking_digests(mode))
