@@ -189,6 +189,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineOutcome:
         manifest["selected_columns"] = list(res.selected_columns)
         manifest["column_weights"] = list(res.weights)
         manifest["inner_invocations"] = res.invocations
+        manifest["trials"] = res.trials
+        manifest["history"] = res.history
     if cfg.manifest_path is not None:
         Path(cfg.manifest_path).write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -8,13 +8,17 @@ precision of the union would fall to the target or no candidate adds any
 true-positive mass.
 
 All pair distances and per-configuration assignments are precomputed into
-dense arrays; each greedy iteration is pure array arithmetic and touches no
-string data.  The search is incremental: it keeps each configuration's tp
-gain over the current union and its count of newly assigned rights, and a
-pick updates them only on the rights whose union precision it raises.  Those
-sums are exact (precisions are float32(1/k), k <= n_left + 1, summed in
+arrays; each greedy iteration is pure array arithmetic and touches no string
+data.  The configuration table has one column per distinct right record:
+rights whose minimum candidate distance and joined left record agree under
+every function are assigned alike by every configuration, so they share a
+column weighted by their count.  The search is incremental: it keeps each
+configuration's weighted tp gain over the current union and its weighted
+count of newly assigned rights, and a pick updates them only on the columns
+whose union precision it raises.  Those sums are exact (precisions are
+float32(1/k), k <= n_left + 1, times integer weights summing to n_right, in
 float64 while n_right * (n_left + 1) < 2**29), so the search picks what a
-full recomputation per pick would.
+full recomputation per pick over all rights would.
 """
 
 from __future__ import annotations
@@ -64,24 +68,38 @@ def discretize_thresholds(distances: Sequence[float] | np.ndarray, s: int) -> np
     return grid
 
 
-# --- dense precomputation ---------------------------------------------------
+# --- configuration table ----------------------------------------------------
+
+
+# cells (functions x pairs, or configurations x columns) in one vectorised
+# block of the table build: it bounds the block's temporaries, so peak memory
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass
 class ConfigTable:
-    """Per-configuration assignment arrays over all right records.
+    """Per-configuration assignment arrays over distinct right columns.
 
-    Row c holds configuration c's join: ``left[c, r]`` is the left-record
-    position joined to right r (-1 for none) and ``prec[c, r]`` its
-    estimated precision under the ball of radius twice the threshold.
-    ``prec`` is 0 exactly where ``left`` is -1 and > 0 elsewhere.
+    A configuration joins a right record to the left record of its unique
+    nearest candidate when that distance is within the threshold, so two
+    rights whose (minimum distance, joined left) agree under every function
+    get the same assignment in every configuration.  The table keeps one
+    column per distinct such right: ``column[r]`` is right r's column
+    (numbered in order of first appearance) and ``weight[k]`` the number of
+    rights in column k.  Row c holds configuration c's join: ``left[c, k]``
+    is the left-record position joined to column k's rights (-1 for none)
+    and ``prec[c, k]`` its estimated precision under the ball of radius
+    twice the threshold.  ``prec`` is 0 exactly where ``left`` is -1 and > 0
+    elsewhere, and ``left[:, column]`` is the table over all right records.
     """
 
     functions: list[JoinFunction]
     cfg_function: np.ndarray  # (n_cfg,) index into functions
     cfg_threshold: np.ndarray  # (n_cfg,)
-    left: np.ndarray  # (n_cfg, n_right) int32
-    prec: np.ndarray  # (n_cfg, n_right) float32
+    left: np.ndarray  # (n_cfg, n_col) int32
+    prec: np.ndarray  # (n_cfg, n_col) float32
+    weight: np.ndarray  # (n_col,) int64, rights per column
+    column: np.ndarray  # (n_right,) int64, each right's column
 
     @property
     def n_configs(self) -> int:
@@ -91,34 +109,6 @@ class ConfigTable:
         return Configuration(
             self.functions[self.cfg_function[c]], float(self.cfg_threshold[c])
         )
-
-
-def _per_right_minima(
-    segments: tuple[np.ndarray, np.ndarray, np.ndarray], d_row: np.ndarray, n_right: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per right record: minimum candidate distance, position of the left
-    record achieving it (first on ties), and an exact-tie flag.
-
-    ``segments`` is ``np.unique(lr_right, return_index=True,
-    return_counts=True)`` of the ascending right positions of the pairs.
-    """
-    dmin = np.full(n_right, np.inf)
-    argmin_pair = np.full(n_right, -1, dtype=np.int64)
-    tie = np.zeros(n_right, dtype=bool)
-    if len(d_row) == 0:
-        return dmin, argmin_pair, tie
-    uniq, starts, counts = segments
-    seg_min = np.minimum.reduceat(d_row, starts)
-    expanded = np.repeat(seg_min, counts)
-    is_min = d_row == expanded
-    n_min = np.add.reduceat(is_min.astype(np.int64), starts)
-    first = np.minimum.reduceat(
-        np.where(is_min, np.arange(len(d_row)), len(d_row)), starts
-    )
-    dmin[uniq] = seg_min
-    argmin_pair[uniq] = first
-    tie[uniq] = n_min > 1
-    return dmin, argmin_pair, tie
 
 
 def precompute_config_table(
@@ -132,40 +122,78 @@ def precompute_config_table(
     ll_a: np.ndarray,
     d_ll: np.ndarray,
 ) -> ConfigTable:
-    """Expand every (function, threshold) pair into dense per-right
-    assignment and precision rows, filled in place.
+    """Expand every (function, threshold) pair into assignment and
+    precision rows over the distinct right columns.
 
-    ``thresholds[fi]`` is function fi's ascending grid and ``ll_a`` must be
-    sorted ascending.  A precision depends only on the joined left record
-    and the threshold, so each left record's ball is counted once per
-    threshold and gathered at the right records joined to it.
+    ``thresholds[fi]`` is function fi's ascending grid and ``lr_right`` must
+    be sorted ascending.  First, per function and right, the minimum
+    candidate distance and the left record achieving it, for blocks of
+    functions at once; a right with no candidate, or whose minimum is tied,
+    joins nothing.  Rights that agree bit for bit on both under every
+    function share a column.  A precision depends only on the joined left
+    record and the threshold: each self-join pair falls in the ball of every
+    threshold from the first whose doubled value reaches its distance on, so
+    one ``bincount`` and a cumulative sum per function count every ball.
     """
+    n_fn = len(thresholds)
+    dmin = np.full((n_fn, n_right), np.inf)  # inf where the right joins nothing
+    joined = np.full((n_fn, n_right), -1, dtype=np.int32)
+    n_lr = len(lr_right)
+    if n_lr:
+        rights, starts, counts = np.unique(lr_right, return_index=True, return_counts=True)
+        pos = np.arange(n_lr)
+        step = max(1, _BLOCK_CELLS // n_lr)
+        for f0 in range(0, n_fn, step):
+            fs = slice(f0, f0 + step)
+            seg_min = np.minimum.reduceat(d_lr[fs], starts, axis=1)
+            is_min = d_lr[fs] == np.repeat(seg_min, counts, axis=1)
+            first = np.minimum.reduceat(np.where(is_min, pos, n_lr), starts, axis=1)
+            unique = np.add.reduceat(is_min, starts, axis=1, dtype=np.int64) == 1
+            dmin[fs, rights] = np.where(unique, seg_min, np.inf)
+            joined[fs, rights] = np.where(unique, lr_left[first], -1)
+
+    keys = np.ascontiguousarray(np.vstack([dmin.view(np.int64), joined]).T)
+    index: dict[bytes, int] = {}
+    column = np.array(
+        [index.setdefault(row.tobytes(), len(index)) for row in keys], dtype=np.int64
+    )
+    reps = np.unique(column, return_index=True)[1]  # each column's first right
+    weight = np.bincount(column)
+    dmin, joined = dmin[:, reps], joined[:, reps]
+    n_col = len(reps)
+
     sizes = [len(t) for t in thresholds]
-    left = np.full((sum(sizes), n_right), -1, dtype=np.int32)
-    prec = np.zeros((sum(sizes), n_right), dtype=np.float32)
-    ll_owner, ll_starts = np.unique(ll_a, return_index=True)
-    lr_segments = np.unique(lr_right, return_index=True, return_counts=True)
+    cfg_function = np.repeat(np.arange(n_fn, dtype=np.int32), sizes)
+    cfg_threshold = np.concatenate([np.empty(0), *thresholds])
+    n_cfg = len(cfg_function)
+    prec = np.empty((n_cfg, n_col), dtype=np.float32)
     row = 0
     for fi, thetas in enumerate(thresholds):
-        dmin, argmin_pair, tie = _per_right_minima(lr_segments, d_lr[fi], n_right)
-        joinable = np.nonzero((argmin_pair >= 0) & ~tie)[0]
-        joined_left = lr_left[argmin_pair[joinable]]
-        balls = np.ones((len(thetas), n_left), dtype=np.int64)
-        if len(ll_starts):  # reduceat needs at least one segment
-            within = d_ll[fi][None, :] <= (2.0 * thetas)[:, None]
-            balls[:, ll_owner] += np.add.reduceat(within, ll_starts, axis=1, dtype=np.int64)
-        inv_balls = (1.0 / balls).astype(np.float32)
-        assigned = dmin[joinable][None, :] <= thetas[:, None]
-        block = slice(row, row + len(thetas))
-        left[block, joinable] = np.where(assigned, joined_left, -1)
-        prec[block, joinable] = np.where(assigned, inv_balls[:, joined_left], 0)
-        row += len(thetas)
+        s = len(thetas)
+        # slot s holds pairs beyond every radius; row n_left is read by
+        # columns that join nothing, whose precisions the fill zeroes
+        slot = np.searchsorted(2.0 * thetas, d_ll[fi], side="left")
+        hits = np.bincount(ll_a * (s + 1) + slot, minlength=(n_left + 1) * (s + 1))
+        balls = 1 + np.cumsum(hits.reshape(n_left + 1, s + 1)[joined[fi], :s], axis=1)
+        prec[row : row + s] = (1.0 / balls).T
+        row += s
+
+    left = np.empty((n_cfg, n_col), dtype=np.int32)
+    step = max(1, _BLOCK_CELLS // max(n_col, 1))
+    for c0 in range(0, n_cfg, step):
+        cs = slice(c0, c0 + step)
+        fi = cfg_function[cs]
+        assigned = dmin[fi] <= cfg_threshold[cs, None]
+        left[cs] = np.where(assigned, joined[fi], -1)
+        prec[cs] *= assigned
     return ConfigTable(
         functions=list(functions),
-        cfg_function=np.repeat(np.arange(len(sizes), dtype=np.int32), sizes),
-        cfg_threshold=np.concatenate([np.empty(0), *thresholds]),
+        cfg_function=cfg_function,
+        cfg_threshold=cfg_threshold,
         left=left,
         prec=prec,
+        weight=weight,
+        column=column,
     )
 
 
@@ -186,9 +214,9 @@ class GreedyStep:
 @dataclass
 class GreedyOutcome:
     selected: list[int]  # config row indices, in insertion order
-    cur_left: np.ndarray  # (n_right,) left position or -1
-    cur_prec: np.ndarray  # (n_right,) float
-    cur_source: np.ndarray  # (n_right,) index into selected, or -1
+    cur_left: np.ndarray  # (n_col,) left position or -1, per table column
+    cur_prec: np.ndarray  # (n_col,) float
+    cur_source: np.ndarray  # (n_col,) index into selected, or -1
     tp: float
     fp: float
     # why the search stopped: "precision_target" (the best addition would
@@ -212,6 +240,7 @@ _UPDATE_COLUMNS = 8
 def greedy_select(
     cfg_left: np.ndarray,
     cfg_prec: np.ndarray,
+    weight: np.ndarray,
     tau: float,
     rng: np.random.Generator,
 ) -> GreedyOutcome:
@@ -223,34 +252,40 @@ def greedy_select(
     ties are broken by larger tp among false-positive-free candidates, then
     by seeded randomness.
 
-    ``cfg_prec`` must be 0 exactly where ``cfg_left`` is -1 and > 0
-    elsewhere (the ConfigTable invariant): a union's per-right precision is
-    then the elementwise maximum of its members' rows.
+    Column k of the table stands for ``weight[k]`` right records with equal
+    assignments (the ConfigTable columns); the search equals the one over
+    the table with each column repeated that many times.  ``cfg_prec`` must
+    be 0 exactly where ``cfg_left`` is -1 and > 0 elsewhere: a union's
+    per-column precision is then the elementwise maximum of its members'
+    rows.  The returned ``cur_*`` arrays are per column.
 
     The search is incremental.  Per configuration c it keeps
-    ``gain[c] = sum_r max(0, prec[c, r] - cur_prec[r])`` in float64 and
-    ``cover[c]``, the rights c assigns that the union leaves unassigned, so
-    adding c gives tp ``tp_cur + gain[c]`` and ``n_cur + cover[c]`` assigned
-    rights.  A pick changes ``cur_prec`` only on the rights it takes, and
-    only those columns of the table are read to update ``gain`` and
-    ``cover``.  The sums are exact, so they equal the dense per-pick
-    recomputation bit for bit, and picks, ties and random draws do not
-    depend on the update order: every precision is ``float32(1/k)`` with k
-    at most n_left + 1, so each sum is a multiple of the smallest value's
-    float32 ulp below n_right, exact in float64 while
-    n_right * (n_left + 1) < 2**29.
+    ``gain[c] = sum_k weight[k] * max(0, prec[c, k] - cur_prec[k])`` in
+    float64 and ``cover[c]``, the rights c assigns that the union leaves
+    unassigned, so adding c gives tp ``tp_cur + gain[c]`` and
+    ``n_cur + cover[c]`` assigned rights.  A pick changes ``cur_prec`` only
+    on the columns it takes, and only those columns of the table are read to
+    update ``gain`` and ``cover``.  The sums are exact, so they equal the
+    dense per-pick recomputation over all rights bit for bit, and picks,
+    ties and random draws do not depend on the update order or on the
+    weighting: every precision is ``float32(1/k)`` with k at most
+    n_left + 1, so each weighted sum is a multiple of the smallest value's
+    float32 ulp below ``sum(weight)`` = n_right, exact in float64 while
+    n_right * (n_left + 1) < 2**29.  The products and sums use ``np.einsum``,
+    which runs on one thread.
     """
-    n_cfg, n_right = cfg_left.shape
+    n_cfg, n_col = cfg_left.shape
+    weight_f = np.asarray(weight, dtype=np.float64)
     available = np.ones(n_cfg, dtype=bool)
-    cur_left = np.full(n_right, -1, dtype=np.int32)
-    cur_prec = np.zeros(n_right, dtype=np.float32)
-    cur_source = np.full(n_right, -1, dtype=np.int32)
+    cur_left = np.full(n_col, -1, dtype=np.int32)
+    cur_prec = np.zeros(n_col, dtype=np.float32)
+    cur_source = np.full(n_col, -1, dtype=np.int32)
     selected: list[int] = []
     trace: list[GreedyStep] = []
     tp_cur = 0.0
     n_cur = 0
-    gain = cfg_prec.sum(axis=1, dtype=np.float64)
-    cover = np.count_nonzero(cfg_left != -1, axis=1)
+    gain = np.einsum("ck,k->c", cfg_prec, weight_f)
+    cover = np.einsum("ck,k->c", cfg_left != -1, weight)
     stop_reason = "exhausted"
 
     while available.any():
@@ -291,13 +326,14 @@ def greedy_select(
         for start in range(0, len(taken), _UPDATE_COLUMNS):
             cols = taken[start : start + _UPDATE_COLUMNS]
             block = cfg_prec[:, cols]
-            opened = cur_left[cols] == -1  # rights the pick newly assigns
-            cover -= np.count_nonzero(block[:, opened], axis=1)  # prec > 0 iff assigned
+            opened = cur_left[cols] == -1  # columns the pick newly assigns
+            # prec > 0 iff assigned
+            cover -= np.einsum("ck,k->c", block[:, opened] > 0, weight[cols[opened]])
             # max(0, p - old) - max(0, p - new) = max(0, min(p, new) - old)
             lost = np.minimum(block, cfg_prec[pick, cols], dtype=np.float64)
             lost -= cur_prec[cols]
             np.maximum(lost, 0.0, out=lost)
-            gain -= lost.sum(axis=1)
+            gain -= np.einsum("ck,k->c", lost, weight_f[cols])
         cur_left[taken] = cfg_left[pick, taken]
         cur_prec[taken] = cfg_prec[pick, taken]
         cur_source[taken] = slot
@@ -438,19 +474,20 @@ def solve_from_distances(
         d_ll=d_ll,
     )
     t1 = time.perf_counter()
-    outcome = greedy_select(table.left, table.prec, tau, rng)
+    outcome = greedy_select(table.left, table.prec, table.weight, tau, rng)
     t2 = time.perf_counter()
 
     configs = tuple(table.configuration(c) for c in outcome.selected)
     solution = Solution(configs, column_weights, columns)
     assignments: dict[str, Assignment] = {}
+    cur_left = outcome.cur_left[table.column]
+    cur_prec = outcome.cur_prec[table.column]
+    cur_source = outcome.cur_source[table.column]
     for r, rid in enumerate(pairs.right_ids):
-        lpos = int(outcome.cur_left[r])
+        lpos = int(cur_left[r])
         if lpos >= 0:
             assignments[rid] = Assignment(
-                pairs.left_ids[lpos],
-                float(outcome.cur_prec[r]),
-                int(outcome.cur_source[r]),
+                pairs.left_ids[lpos], float(cur_prec[r]), int(cur_source[r])
             )
     total = outcome.tp + outcome.fp
     warnings = [] if configs else ["no configuration met the precision target"]
@@ -466,6 +503,7 @@ def solve_from_distances(
         pair_counts={
             "lr_pairs": int(len(pairs.lr_right)),
             "ll_pairs": int(len(pairs.ll_a)),
+            "right_columns": len(table.weight),
         },
         greedy=outcome,
     )

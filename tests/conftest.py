@@ -1,6 +1,7 @@
 """Shared helpers: CSV writers, random greedy-search instances, and the
-loops that the vectorized engines are held to: the dense greedy loop, the
-per-pair set-statistics loop and the per-row blocking loop."""
+loops that the vectorized engines are held to: the dense configuration
+table, the dense greedy loop, the per-pair set-statistics loop and the
+per-row blocking loop."""
 
 from __future__ import annotations
 
@@ -8,12 +9,14 @@ import csv
 import math
 from collections import Counter
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from fuzzyjoin import Record, Table, blocking_cutoff
-from fuzzyjoin.solver import GreedyOutcome, GreedyStep
+from fuzzyjoin.functions import JoinFunction
+from fuzzyjoin.solver import ConfigTable, GreedyOutcome, GreedyStep
 from fuzzyjoin.text import IdfIndex, apply_preprocess, build_idf_from_values, tokenize
 
 
@@ -102,6 +105,86 @@ def oracle_profit(tp: float, fp: float) -> float:
     if fp > 0:
         return tp / fp
     return math.inf if tp > 0 else 0.0
+
+
+def _per_right_minima(
+    segments: tuple[np.ndarray, np.ndarray, np.ndarray], d_row: np.ndarray, n_right: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per right record: minimum candidate distance, position of the left
+    record achieving it (first on ties), and an exact-tie flag.
+
+    ``segments`` is ``np.unique(lr_right, return_index=True,
+    return_counts=True)`` of the ascending right positions of the pairs.
+    """
+    dmin = np.full(n_right, np.inf)
+    argmin_pair = np.full(n_right, -1, dtype=np.int64)
+    tie = np.zeros(n_right, dtype=bool)
+    if len(d_row) == 0:
+        return dmin, argmin_pair, tie
+    uniq, starts, counts = segments
+    seg_min = np.minimum.reduceat(d_row, starts)
+    expanded = np.repeat(seg_min, counts)
+    is_min = d_row == expanded
+    n_min = np.add.reduceat(is_min.astype(np.int64), starts)
+    first = np.minimum.reduceat(
+        np.where(is_min, np.arange(len(d_row)), len(d_row)), starts
+    )
+    dmin[uniq] = seg_min
+    argmin_pair[uniq] = first
+    tie[uniq] = n_min > 1
+    return dmin, argmin_pair, tie
+
+
+def dense_config_table(
+    functions: Sequence[JoinFunction],
+    thresholds: Sequence[np.ndarray],
+    n_right: int,
+    n_left: int,
+    lr_right: np.ndarray,
+    lr_left: np.ndarray,
+    d_lr: np.ndarray,
+    ll_a: np.ndarray,
+    d_ll: np.ndarray,
+) -> ConfigTable:
+    """Expand every (function, threshold) pair into dense per-right
+    assignment and precision rows, filled in place: one column per right
+    record, one function at a time.  The table build that
+    ``solver.precompute_config_table`` replaced, kept as its oracle.
+
+    ``thresholds[fi]`` is function fi's ascending grid and ``ll_a`` must be
+    sorted ascending.  A precision depends only on the joined left record
+    and the threshold, so each left record's ball is counted once per
+    threshold and gathered at the right records joined to it.
+    """
+    sizes = [len(t) for t in thresholds]
+    left = np.full((sum(sizes), n_right), -1, dtype=np.int32)
+    prec = np.zeros((sum(sizes), n_right), dtype=np.float32)
+    ll_owner, ll_starts = np.unique(ll_a, return_index=True)
+    lr_segments = np.unique(lr_right, return_index=True, return_counts=True)
+    row = 0
+    for fi, thetas in enumerate(thresholds):
+        dmin, argmin_pair, tie = _per_right_minima(lr_segments, d_lr[fi], n_right)
+        joinable = np.nonzero((argmin_pair >= 0) & ~tie)[0]
+        joined_left = lr_left[argmin_pair[joinable]]
+        balls = np.ones((len(thetas), n_left), dtype=np.int64)
+        if len(ll_starts):  # reduceat needs at least one segment
+            within = d_ll[fi][None, :] <= (2.0 * thetas)[:, None]
+            balls[:, ll_owner] += np.add.reduceat(within, ll_starts, axis=1, dtype=np.int64)
+        inv_balls = (1.0 / balls).astype(np.float32)
+        assigned = dmin[joinable][None, :] <= thetas[:, None]
+        block = slice(row, row + len(thetas))
+        left[block, joinable] = np.where(assigned, joined_left, -1)
+        prec[block, joinable] = np.where(assigned, inv_balls[:, joined_left], 0)
+        row += len(thetas)
+    return ConfigTable(
+        functions=list(functions),
+        cfg_function=np.repeat(np.arange(len(sizes), dtype=np.int32), sizes),
+        cfg_threshold=np.concatenate([np.empty(0), *thresholds]),
+        left=left,
+        prec=prec,
+        weight=np.ones(n_right, dtype=np.int64),
+        column=np.arange(n_right, dtype=np.int64),
+    )
 
 
 def dense_greedy(

@@ -280,6 +280,15 @@ def test_run_multi_manifest_matches_run(tmp_path, synthetic_csvs):
     assert set(multi["pair_counts"]) == set(single["pair_counts"])
     assert "lr_dropped_by_rules" in multi["pair_counts"]
     for manifest in (single, multi):
+        assert 0 < manifest["pair_counts"]["right_columns"] <= manifest["n_right"]
+    # every inner solve is a trial; each committed column is a history step
+    assert len(multi["trials"]) == multi["inner_invocations"] > 0
+    for trial in multi["trials"]:
+        assert set(trial) == {"iteration", "column", "weights", "estimated_recall"}
+        assert len(trial["weights"]) == len(multi["history"][0]["weights"])
+    assert [step["column"] for step in multi["history"]] == multi["selected_columns"]
+    assert multi["history"][-1]["estimated_recall"] == multi["estimated_recall"]
+    for manifest in (single, multi):
         greedy = manifest["greedy"]
         assert greedy["stop_reason"] in ("precision_target", "no_gain", "exhausted")
         assert len(greedy["trace"]) == manifest["n_configs_selected"] > 0

@@ -239,18 +239,24 @@ class TestGridScenario:
 
 
 def check_engine_against_config_stats(
-    seed: int, n_left: int = 6, n_right: int = 10, ll_per_left: int = 3, lonely: int = -1
+    seed: int,
+    n_left: int = 6,
+    n_right: int = 10,
+    ll_per_left: int = 3,
+    lonely: int = -1,
+    copies: int = 1,
 ):
     """Build a random blocked instance and check every configuration row of
     the vectorized table against the readable ``config_stats`` path.
 
     ``ll_per_left`` self-join draws per left record (0 for none); left
-    record ``lonely`` gets no self-join neighbour at all.
+    record ``lonely`` gets no self-join neighbour at all.  With ``copies``
+    each drawn right record appears that many times in a row, with the same
+    candidates and distances, so rights share table columns.
     """
     rng = np.random.default_rng(seed)
     n_fn = 3
     left_ids = [f"l{i}" for i in range(n_left)]
-    right_ids = [f"r{i}" for i in range(n_right)]
 
     lr = sorted(
         {(r, int(rng.integers(0, n_left))) for r in range(n_right) for _ in range(3)}
@@ -259,11 +265,23 @@ def check_engine_against_config_stats(
         {(a, int(rng.integers(0, n_left))) for a in range(n_left) for _ in range(ll_per_left)}
     )
     ll = [(a, b) for a, b in ll if a != b and lonely not in (a, b)]
+    d_lr = rng.integers(1, 9, size=(n_fn, len(lr))) / 10.0
+    d_ll = rng.integers(1, 9, size=(n_fn, len(ll))) / 10.0
+    # right r becomes rights r * copies .. r * copies + copies - 1
+    picks = [
+        (r * copies + i, k)
+        for r in range(n_right)
+        for i in range(copies)
+        for k, (r2, _) in enumerate(lr)
+        if r2 == r
+    ]
+    lr = [(r, lr[k][1]) for r, k in picks]
+    d_lr = d_lr[:, [k for _, k in picks]]
+    n_right *= copies
+    right_ids = [f"r{i}" for i in range(n_right)]
     lr_right = np.array([p[0] for p in lr])
     lr_left = np.array([p[1] for p in lr])
     ll_a = np.array([p[0] for p in ll], dtype=np.int64)
-    d_lr = rng.integers(1, 9, size=(n_fn, len(lr))) / 10.0
-    d_ll = rng.integers(1, 9, size=(n_fn, len(ll))) / 10.0
 
     functions = [JoinFunction("L", "NONE", "NONE", "ED")] * n_fn
     thetas = [np.array([0.2, 0.45, 0.7, 0.9])] * n_fn
@@ -292,10 +310,11 @@ def check_engine_against_config_stats(
             row = fi * 4 + ti
             cfg = Configuration(functions[fi], float(theta))
             expected = config_stats(cfg, candidates, balls)
+            left_row, prec_row = table.left[row, table.column], table.prec[row, table.column]
             got = {
-                right_ids[r]: (left_ids[table.left[row, r]], float(table.prec[row, r]))
+                right_ids[r]: (left_ids[left_row[r]], float(prec_row[r]))
                 for r in range(n_right)
-                if table.left[row, r] >= 0
+                if left_row[r] >= 0
             }
             assert got.keys() == expected.assignments.keys()
             for r, (l, p) in got.items():
@@ -312,6 +331,13 @@ def test_engine_matches_config_stats():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_engine_matches_config_stats_over_seeds(seed):
     check_engine_against_config_stats(seed, n_left=9, n_right=16)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_engine_with_duplicated_rights(seed):
+    # rights share columns, so the table is narrower than the right table
+    table = check_engine_against_config_stats(seed, n_left=8, n_right=12, copies=3)
+    assert len(table.weight) < len(table.column) == 36
 
 
 def test_engine_without_self_join_pairs():

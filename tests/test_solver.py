@@ -1,9 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fuzzyjoin.distances as dist_mod
+import fuzzyjoin.solver as solver
 from fuzzyjoin import (
     JoinFunction,
     greedy_select,
@@ -17,6 +21,7 @@ from fuzzyjoin import (
 )
 from fuzzyjoin.solver import precompute_config_table, prepare_columns
 from conftest import (
+    dense_config_table,
     dense_greedy,
     make_random_instance,
     oracle_profit,
@@ -46,6 +51,163 @@ class TestDiscretize:
             discretize_thresholds([], 5)
         with pytest.raises(ValueError):
             discretize_thresholds([0.5], 0)
+
+
+# --- configuration table vs the dense oracle ----------------------------------
+
+
+BLOCKS = [1, solver._BLOCK_CELLS]
+
+
+def table_args(n_left, n_right, lr, ll, thresholds):
+    """precompute_config_table's arguments from pair lists: ``lr`` holds
+    (right, left, distance per function) sorted by right, ``ll`` holds
+    (left, neighbour, distance per function) sorted by left."""
+    n_fn = len(thresholds)
+    fns = [JoinFunction("L", "NONE", "NONE", "ED")] * n_fn
+
+    def dists(pairs):
+        return np.array([p[2] for p in pairs], dtype=float).reshape(len(pairs), n_fn).T
+
+    return (
+        fns,
+        [np.array(t, dtype=float) for t in thresholds],
+        n_right,
+        n_left,
+        np.array([p[0] for p in lr], dtype=np.int64),
+        np.array([p[1] for p in lr], dtype=np.int64),
+        dists(lr),
+        np.array([p[0] for p in ll], dtype=np.int64),
+        dists(ll),
+    )
+
+
+def right_keys(args):
+    """Per right, per function: (minimum distance, its left record) when one
+    candidate attains the minimum, else None."""
+    _, _, n_right, _, lr_right, lr_left, d_lr, _, _ = args
+    keys = []
+    for r in range(n_right):
+        key = []
+        for row in d_lr:
+            cands = [(float(row[k]), int(lr_left[k])) for k in np.flatnonzero(lr_right == r)]
+            best = min((d for d, _ in cands), default=None)
+            winners = [l for d, l in cands if d == best]
+            key.append((best, winners[0]) if len(winners) == 1 else None)
+        keys.append(tuple(key))
+    return keys
+
+
+def assert_table_matches_dense(args, block):
+    """The distinct-column table, expanded to one column per right, equals
+    the dense oracle bit for bit; each column holds exactly the rights of
+    one (minimum, joined left) key, numbered by first appearance."""
+    with mock.patch.object(solver, "_BLOCK_CELLS", block):
+        table = precompute_config_table(*args)
+    want = dense_config_table(*args)
+    for name in ("left", "prec"):
+        got, ref = getattr(table, name)[:, table.column], getattr(want, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+    assert table.cfg_function.tobytes() == want.cfg_function.tobytes()
+    assert table.cfg_threshold.tobytes() == want.cfg_threshold.tobytes()
+    assert table.weight.dtype == np.int64
+    assert np.array_equal(table.weight, np.bincount(table.column))
+    assert table.left.shape[1] == len(table.weight)
+    keys = right_keys(args)
+    first_seen = list(dict.fromkeys(table.column.tolist()))
+    assert first_seen == list(range(len(table.weight)))
+    for r1 in range(len(keys)):
+        for r2 in range(r1):
+            assert (table.column[r1] == table.column[r2]) == (keys[r1] == keys[r2])
+    return table
+
+
+@st.composite
+def table_cases(draw):
+    """Small blocked instances over a few distance values: rights repeating
+    another right's candidates and distances, tied minima, rights without
+    candidates, 1-threshold grids, self-join distances exactly twice a
+    threshold, no self-join pairs and lefts without neighbours."""
+    n_left = draw(st.integers(1, 5))
+    n_fn = draw(st.integers(1, 3))
+    dist = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 1.0])
+    cand_list = st.lists(
+        st.tuples(st.integers(0, n_left - 1), st.lists(dist, min_size=n_fn, max_size=n_fn)),
+        max_size=4,
+        unique_by=lambda c: c[0],
+    )
+    pool = draw(st.lists(cand_list, min_size=1, max_size=3))
+    rights = draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
+    lr = [(r, l, d) for r, i in enumerate(rights) for l, d in pool[i]]
+    ll = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_left - 1),
+                st.integers(0, n_left - 1),
+                st.lists(dist, min_size=n_fn, max_size=n_fn),
+            ),
+            max_size=10,
+        )
+    )
+    ll = sorted((a, b, d) for a, b, d in ll if a != b)
+    thetas = st.lists(st.sampled_from([0.05, 0.1, 0.15, 0.25, 0.5, 1.0]), min_size=1, max_size=4)
+    thresholds = [sorted(draw(thetas)) for _ in range(n_fn)]
+    return table_args(n_left, len(rights), lr, ll, thresholds)
+
+
+@given(table_cases(), st.sampled_from(BLOCKS))
+def test_table_matches_dense_oracle(args, block):
+    assert_table_matches_dense(args, block)
+
+
+D2 = [0.1, 0.3]  # one distance per function
+TABLE_CASES = {
+    # rights 0, 1 and 3 have the same candidates and distances
+    "repeated-rights": (
+        3, 4,
+        [(0, 0, D2), (0, 1, [0.2, 0.2]), (1, 0, D2), (1, 1, [0.2, 0.2]),
+         (2, 2, D2), (3, 0, D2), (3, 1, [0.2, 0.2])],
+        [(0, 1, [0.2, 0.4]), (1, 2, [0.1, 0.1])],
+        [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]],
+    ),
+    # right 0 ties under the first function only
+    "tied-minima": (
+        3, 2,
+        [(0, 0, [0.2, 0.1]), (0, 1, [0.2, 0.3]), (1, 2, [0.2, 0.2])],
+        [(0, 1, [0.3, 0.3])],
+        [[0.2, 0.4], [0.2, 0.4]],
+    ),
+    "rights-without-candidates": (
+        2, 5, [(1, 0, D2), (3, 1, D2)], [(0, 1, [0.2, 0.6])], [[0.1, 0.5], [0.3, 0.5]],
+    ),
+    "one-threshold-grid": (
+        2, 3, [(0, 0, D2), (1, 1, [0.3, 0.1]), (2, 0, [0.3, 0.3])],
+        [(0, 1, [0.6, 0.2])], [[0.3], [0.3]],
+    ),
+    "no-self-join-pairs": (
+        3, 3, [(0, 0, D2), (1, 2, [0.2, 0.2]), (2, 1, D2)], [], [[0.1, 0.3], [0.3]],
+    ),
+    # left 2 is joined but has no self-join neighbour
+    "left-without-neighbours": (
+        3, 3, [(0, 2, D2), (1, 0, D2), (2, 2, [0.0, 0.0])],
+        [(0, 1, [0.2, 0.2]), (1, 0, [0.1, 0.6])], [[0.1, 0.3], [0.3, 0.5]],
+    ),
+    "no-rights": (2, 0, [], [(0, 1, D2)], [[0.1, 0.5], [0.3]]),
+}
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("case", list(TABLE_CASES))
+def test_table_edge_cases(case, block):
+    table = assert_table_matches_dense(table_args(*TABLE_CASES[case]), block)
+    if case == "repeated-rights":
+        assert table.column.tolist() == [0, 0, 1, 0] and table.weight.tolist() == [3, 1]
+    if case == "rights-without-candidates":
+        assert table.column.tolist() == [0, 1, 0, 2, 0]
+        assert (table.left[:, 0] == -1).all()
+    if case == "no-rights":
+        assert table.left.shape == (3, 0) and table.weight.size == 0
 
 
 # --- greedy vs exhaustive oracle ----------------------------------------------
@@ -86,7 +248,8 @@ def test_greedy_matches_exhaustive_argmax(seed):
     cfg_left, cfg_prec = make_random_instance(rng, dyadic=True)
     tau = float(rng.choice([0.5, 0.7, 0.9]))
 
-    outcome = greedy_select(cfg_left, cfg_prec, tau, np.random.default_rng(seed))
+    ones = np.ones(cfg_left.shape[1], np.int64)
+    outcome = greedy_select(cfg_left, cfg_prec, ones, tau, np.random.default_rng(seed))
     # verify each pick along the engine's own path, then the stop itself
     for i, pick in enumerate(outcome.selected):
         argmax = oracle_step(cfg_left, cfg_prec, outcome.selected[:i], tau)
@@ -109,7 +272,8 @@ def test_greedy_matches_exhaustive_argmax(seed):
 def test_greedy_tp_strictly_increases(seed):
     rng = np.random.default_rng(100 + seed)
     cfg_left, cfg_prec = make_random_instance(rng, dyadic=True)
-    outcome = greedy_select(cfg_left, cfg_prec, 0.5, np.random.default_rng(0))
+    ones = np.ones(cfg_left.shape[1], np.int64)
+    outcome = greedy_select(cfg_left, cfg_prec, ones, 0.5, np.random.default_rng(0))
     tps = []
     for i in range(len(outcome.selected)):
         tp, _, _, _ = oracle_union(
@@ -123,8 +287,9 @@ def test_greedy_tp_strictly_increases(seed):
 def test_greedy_reproducible_with_seed():
     rng = np.random.default_rng(42)
     cfg_left, cfg_prec = make_random_instance(rng, n_cfg=32, n_right=20)
-    a = greedy_select(cfg_left, cfg_prec, 0.6, np.random.default_rng(5))
-    b = greedy_select(cfg_left, cfg_prec, 0.6, np.random.default_rng(5))
+    ones = np.ones(cfg_left.shape[1], np.int64)
+    a = greedy_select(cfg_left, cfg_prec, ones, 0.6, np.random.default_rng(5))
+    b = greedy_select(cfg_left, cfg_prec, ones, 0.6, np.random.default_rng(5))
     assert a.selected == b.selected
 
 
@@ -132,22 +297,31 @@ def test_greedy_does_not_recompute_distances():
     rng = np.random.default_rng(7)
     cfg_left, cfg_prec = make_random_instance(rng)
     before = dist_mod.matrix_call_count()
-    greedy_select(cfg_left, cfg_prec, 0.8, np.random.default_rng(0))
+    ones = np.ones(cfg_left.shape[1], np.int64)
+    greedy_select(cfg_left, cfg_prec, ones, 0.8, np.random.default_rng(0))
     assert dist_mod.matrix_call_count() == before
 
 
 # --- incremental greedy vs the dense loop ------------------------------------
 
 
-def assert_same_search(cfg_left, cfg_prec, tau, seed):
+def assert_same_search(cfg_left, cfg_prec, tau, seed, column=None):
     """greedy_select and the dense reference loop agree exactly: picks, union
-    arrays, tp/fp, stop reason, trace and the random draws consumed."""
+    arrays, tp/fp, stop reason, trace and the random draws consumed.
+
+    With ``column``, table column k stands for the rights r with
+    ``column[r] == k``: greedy_select weighs each column by its count of
+    rights, and the dense loop runs over the table expanded to one column
+    per right."""
+    if column is None:
+        column = np.arange(cfg_left.shape[1])
+    weight = np.bincount(column, minlength=cfg_left.shape[1])
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = greedy_select(cfg_left, cfg_prec, tau, rng_a)
-    want = dense_greedy(cfg_left, cfg_prec, tau, rng_b)
+    got = greedy_select(cfg_left, cfg_prec, weight, tau, rng_a)
+    want = dense_greedy(cfg_left[:, column], cfg_prec[:, column], tau, rng_b)
     assert got.selected == want.selected
     for name in ("cur_left", "cur_prec", "cur_source"):
-        a, b = getattr(got, name), getattr(want, name)
+        a, b = getattr(got, name)[column], getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert (got.tp, got.fp) == (want.tp, want.fp)
     assert got.stop_reason == want.stop_reason
@@ -184,6 +358,17 @@ def test_greedy_matches_dense_loop_on_tied_instances(seed):
         assert_same_search(cfg_left, cfg_prec, tau, seed)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_weighted_greedy_matches_dense_loop_on_repeated_columns(seed):
+    rng = np.random.default_rng(2000 + seed)
+    cfg_left, cfg_prec = tied_instance(rng)
+    # each column stands for 1 to 5 rights, in shuffled order
+    n_col = cfg_left.shape[1]
+    column = rng.permutation(np.repeat(np.arange(n_col), rng.integers(1, 6, size=n_col)))
+    for tau in (0.3, 0.6, 0.8, 0.95):
+        assert_same_search(cfg_left, cfg_prec, tau, seed, column)
+
+
 @pytest.fixture(scope="module")
 def golden_tables():
     """Configuration tables of the golden "run" input, and of the same input
@@ -200,15 +385,26 @@ def golden_tables():
             len(pairs.right_ids), len(pairs.left_ids),
             pairs.lr_right, pairs.lr_left, d_lr, pairs.ll_a, d_ll,
         )
-        tables.append((table.left, table.prec))
+        tables.append(table)
     return tables
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["run", "run-ties"])
 @pytest.mark.parametrize("tau", [0.5, 0.9, 0.99])
 def test_greedy_matches_dense_loop_on_golden_table(golden_tables, which, tau):
-    cfg_left, cfg_prec = golden_tables[which]
+    table = golden_tables[which]
+    cfg_left, cfg_prec = table.left[:, table.column], table.prec[:, table.column]
     got = assert_same_search(cfg_left, cfg_prec, tau, seed=0)
+    assert got.selected
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["run", "run-ties"])
+@pytest.mark.parametrize("tau", [0.5, 0.9, 0.99])
+def test_weighted_greedy_matches_dense_loop_on_golden_table(golden_tables, which, tau):
+    table = golden_tables[which]
+    if which == 1:  # every query row 4 times: no column holds a single right
+        assert table.weight.min() >= 4
+    got = assert_same_search(table.left, table.prec, tau, seed=0, column=table.column)
     assert got.selected
 
 
