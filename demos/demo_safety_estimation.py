@@ -14,7 +14,10 @@ grid, using a plugin distance so the geometry is exact.
 
 import math
 
-from fuzzyjoin import BallCounter, JoinFunction, pair_precision, register_plugin
+import numpy as np
+
+from fuzzyjoin import JoinFunction, distance_matrix, register_plugin
+from fuzzyjoin.solver import precompute_config_table
 
 SCALE = 20.0
 
@@ -29,26 +32,33 @@ register_plugin("grid", grid_distance)
 fn = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="grid")
 
 
-def build(deleted):
+def precision_at_origin(deleted, d):
+    """The precision the configuration table estimates for a right record
+    whose only candidate is the origin at distance d, under the one-threshold
+    grid [d].  Every ordered pair of grid points is a self-join pair."""
     points = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) not in deleted]
-    values = {f"{x} {y}": f"{x} {y}" for x, y in points}
-    neighbors = {i: [j for j in values if j != i] for i in values}
-    return BallCounter.from_pairs(neighbors, values, fn)
+    values = [f"{x} {y}" for x, y in points]
+    ll_a, ll_b = np.nonzero(~np.eye(len(points), dtype=bool))
+    d_ll = distance_matrix([fn], [(values[a], values[b]) for a, b in zip(ll_a, ll_b)])
+    origin = points.index((0, 0))
+    table = precompute_config_table(
+        [fn], [np.array([d])], 1, len(points),
+        np.array([0]), np.array([origin]), np.array([[d]]), ll_a, d_ll,
+    )
+    return table.prec[0, 0]
 
 
 # Case 1: complete grid, r sits 0.3 units from its true record.
-balls = build(deleted=set())
-p = pair_precision(balls, "0 0", 0.3 / SCALE)
+p = precision_at_origin(set(), 0.3 / SCALE)
 print("complete grid, r at 0.3 units from (0,0):")
-print(f"  ball of radius 0.6 holds only (0,0) itself -> precision {p}")
+print(f"  ball of radius 0.6 holds only (0,0) itself -> precision {p:.3g}")
 print()
 
 # Case 2: r's true record (1,0) is missing; the closest survivor (0,0) is
 # 0.75 units away, and the 1.5-unit ball is crowded.
-balls = build(deleted={(1, 0), (1, 1), (1, -1), (0, 1)})
-p = pair_precision(balls, "0 0", 0.75 / SCALE)
+p = precision_at_origin({(1, 0), (1, 1), (1, -1), (0, 1)}, 0.75 / SCALE)
 print("incomplete grid (4 records deleted), r at 0.75 units from (0,0):")
-print(f"  the 1.5-unit ball holds 5 surviving records -> precision {p}")
+print(f"  the 1.5-unit ball holds 5 surviving records -> precision {p:.3g}")
 print()
 print("the estimate only needs to separate safe joins (clean balls) from")
 print("risky ones; whether a crowded ball scores 1/5 or 1/8 barely matters")

@@ -20,14 +20,6 @@ from .distances import (
     register_plugin,
     set_distance,
 )
-from .estimation import (
-    BallCounter,
-    ConfigStats,
-    UnionStats,
-    config_stats,
-    pair_precision,
-    union_stats,
-)
 from .evaluation import (
     DROP_ONLY_PROFILE,
     GroundTruth,
@@ -62,7 +54,7 @@ from .functions import (
     parse_solution,
     save_solution,
 )
-from .multicolumn import MultiSolveResult, combined_distance, interpolate, solve_multi
+from .multicolumn import MultiSolveResult, interpolate, solve_multi
 from .negative_rules import (
     NegativeRule,
     dump_rules,

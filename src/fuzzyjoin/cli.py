@@ -1,33 +1,30 @@
 """Command-line front end.
 
 Subcommands: run (single-column join), run-multi (multi-column join),
-eval (score a produced join against ground truth), bench (synthetic and
-robustness suites).  Exit codes: 0 ok, 2 configuration error, 3 data
-error, 4 internal error.
+eval (score a produced join against ground truth).  Exit codes: 0 ok,
+2 configuration error, 3 data error, 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import traceback
 
-from .evaluation import (
-    GroundTruth,
-    generate_synthetic,
-    pr_auc,
-    robustness_beta_sweep,
-    robustness_irrelevant_r,
-    robustness_sparse_l,
-    robustness_zero_join,
-    score,
-)
+from .evaluation import GroundTruth, pr_auc, score
 from .functions import JoinResult, Assignment
-from .pipeline import ConfigError, PipelineOutcome, RunConfig, StageError, run_pipeline
-from .solver import solve
-from .tables import DataError
+from .pipeline import (
+    ConfigError,
+    PipelineOutcome,
+    RunConfig,
+    StageError,
+    check_output_dir,
+    run_pipeline,
+)
+from .tables import DataError, read_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,49 +100,58 @@ def _cmd_run_multi(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_csv(path: str, columns: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
+    """(row number, row) pairs of a UTF-8 CSV file that has the given
+    columns; the header is row 1."""
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    try:
+        if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+            raise DataError(f"{path}: expected columns {','.join(columns)}")
+        return list(enumerate(reader, start=2))
+    except csv.Error as exc:
+        raise DataError(f"{path}: CSV parse failure: {exc}") from exc
+
+
+def _parse(path: str, row_no: int, key: str, value, cast):
+    """``cast(value)``; a value it rejects raises DataError naming the file,
+    the row and the column."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: row {row_no}: bad {key} {value!r}") from None
+
+
 def _read_gt_csv(path: str) -> GroundTruth:
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"right_id", "left_id"} <= set(reader.fieldnames):
-            raise DataError(f"{path}: expected columns right_id,left_id")
-        return GroundTruth(
-            {row["right_id"]: row["left_id"] for row in reader if row["left_id"]}
-        )
+    rows = _read_csv(path, ("right_id", "left_id"))
+    return GroundTruth({row["right_id"]: row["left_id"] for _, row in rows if row["left_id"]})
 
 
 def _read_joins_csv(path: str) -> JoinResult:
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"right_id", "left_id"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise DataError(f"{path}: expected columns right_id,left_id")
-        assignments = {}
-        for row in reader:
-            assignments[row["right_id"]] = Assignment(
-                row["left_id"],
-                float(row.get("estimated_precision") or 1.0),
-                int(row.get("config_index") or 0),
-            )
-        return JoinResult(assignments)
+    assignments = {}
+    for row_no, row in _read_csv(path, ("right_id", "left_id")):
+        precision = row.get("estimated_precision") or 1.0
+        config_index = row.get("config_index") or 0
+        assignments[row["right_id"]] = Assignment(
+            row["left_id"],
+            _parse(path, row_no, "estimated_precision", precision, float),
+            _parse(path, row_no, "config_index", config_index, int),
+        )
+    return JoinResult(assignments)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    check_output_dir(args.json)
     gt = _read_gt_csv(args.gt)
     pred = _read_joins_csv(args.pred)
     report = score(pred, gt)
     if args.scores:
-        with open(args.scores, encoding="utf-8-sig", newline="") as fh:
-            reader = csv.DictReader(fh)
-            need = {"right_id", "left_id", "score"}
-            if reader.fieldnames is None or not need <= set(reader.fieldnames):
-                raise DataError(f"{args.scores}: expected columns right_id,left_id,score")
-            scored = [
-                (
-                    float(row["score"]),
-                    gt.matches.get(row["right_id"]) == row["left_id"],
-                )
-                for row in reader
-            ]
+        scored = [
+            (
+                _parse(args.scores, row_no, "score", row["score"], float),
+                gt.matches.get(row["right_id"]) == row["left_id"],
+            )
+            for row_no, row in _read_csv(args.scores, ("right_id", "left_id", "score"))
+        ]
         report.pr_auc = pr_auc(scored, max(gt.total_true(), 1))
     payload = report.as_dict()
     for key, value in payload.items():
@@ -154,44 +160,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return EXIT_OK
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.suite == "synthetic":
-        L, R, gt = generate_synthetic(
-            n_left=args.n_left, seed=args.seed, unmatched_rate=0.2
-        )
-        res = solve(L, R, "name", tau=args.precision, seed=args.seed)
-        report = score(res.result, gt)
-        print(f"synthetic n_left={args.n_left} seed={args.seed}")
-        print(f"  estimated precision: {res.estimated_precision:.3f}")
-        for key, value in report.as_dict().items():
-            print(f"  {key}: {value}")
-        return EXIT_OK
-    # robustness
-    L, R, gt = generate_synthetic(n_left=args.n_left, seed=args.seed, unmatched_rate=0.2)
-    print(f"robustness base: n_left={args.n_left} seed={args.seed}")
-    for point in robustness_irrelevant_r(L, R, gt, rates=(0.2, 0.8), seed=args.seed):
-        r = point.report
-        print(
-            f"  irrelevant-R rate={point.params['rate']}: "
-            f"precision={r.precision:.3f} recall_abs={r.recall_absolute}"
-        )
-    zj = robustness_zero_join(n_left=200, n_right=200, seed=args.seed)
-    print(f"  zero-join: fp_rate={zj.fp_rate:.4f}")
-    for point in robustness_sparse_l(L, R, gt, fractions=(0.1, 0.3), seed=args.seed):
-        r = point.report
-        print(
-            f"  sparse-L fraction={point.params['fraction']}: "
-            f"precision={r.precision:.3f} recall_abs={r.recall_absolute}"
-        )
-    for point in robustness_beta_sweep(L, R, gt, betas=(0.5, 1.0, 2.0), seed=args.seed):
-        r = point.report
-        print(
-            f"  beta={point.params['beta']}: "
-            f"precision={r.precision:.3f} recall_abs={r.recall_absolute}"
-        )
     return EXIT_OK
 
 
@@ -222,12 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--json", default=None, help="also write the report as JSON")
     p_eval.set_defaults(fn=_cmd_eval)
 
-    p_bench = sub.add_parser("bench", help="synthetic benchmark / robustness suites")
-    p_bench.add_argument("--suite", choices=["synthetic", "robustness"], required=True)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--n-left", type=int, default=200)
-    p_bench.add_argument("--precision", type=float, default=0.9)
-    p_bench.set_defaults(fn=_cmd_bench)
     return parser
 
 

@@ -268,15 +268,6 @@ def evaluate(
 
 # --- batch evaluation over pair lists ---------------------------------------
 
-# Incremented once per distance_matrix call; lets tests assert that the
-# greedy search phase triggers no pair-distance recomputation.
-_matrix_calls = 0
-
-
-def matrix_call_count() -> int:
-    return _matrix_calls
-
-
 # Strings up to one machine word long run through the bit-parallel kernels;
 # bit k of a mask stands for character k of a string.
 _WORD = 64
@@ -575,8 +566,6 @@ def distance_matrix(
     ``idf_by_pt`` maps (preprocess, tokenizer) to the IdfIndex for that
     combination; required whenever an IDFW function is present.
     """
-    global _matrix_calls
-    _matrix_calls += 1
     idf_by_pt = idf_by_pt or {}
     for f in functions:
         if (

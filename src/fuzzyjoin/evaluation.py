@@ -14,10 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .blocking import build_index
-from .distances import distance_matrix
 from .functions import JoinFunction, JoinResult
-from .solver import SolveResult, flatten_index, needed_idf_indexes, solve
+from .solver import SolveResult, prepare_columns, solve
 from .tables import Record, Table, make_table
 
 
@@ -155,38 +153,29 @@ def recall_upper_bound(
     """
     if gt.total_true() == 0:
         return 0.0
-    idx = build_index(L, R, column, beta)
-    pairs = flatten_index(idx)
+    prep = prepare_columns(L, R, (column,), functions, beta, use_negative_rules=False)
+    pairs = prep.pairs
     if len(pairs.lr_right) == 0:
         return 0.0
-    left_values = L.column_values(column)
-    right_values = R.column_values(column)
-    idf_by_pt = needed_idf_indexes(functions, left_values + right_values)
-    value_pairs = [
-        (left_values[l], right_values[r])
-        for r, l in zip(pairs.lr_right, pairs.lr_left)
-    ]
-    d_lr = distance_matrix(functions, value_pairs, idf_by_pt)
+    d_lr = prep.d_lr[column]
+    _, starts, counts = np.unique(pairs.lr_right, return_index=True, return_counts=True)
+    seg_min = np.minimum.reduceat(d_lr, starts, axis=1)
+    # pairs whose left is nearest to their right under some function
+    feasible = (d_lr == np.repeat(seg_min, counts, axis=1)).any(axis=0)
+    n_left = len(pairs.left_ids)
+    keys = pairs.lr_right[feasible] * n_left + pairs.lr_left[feasible]
 
-    uniq, starts, counts = np.unique(
-        pairs.lr_right, return_index=True, return_counts=True
+    right_pos = {rid: i for i, rid in enumerate(pairs.right_ids)}
+    left_pos = {lid: i for i, lid in enumerate(pairs.left_ids)}
+    truth = np.array(
+        [
+            right_pos[rid] * n_left + left_pos[lid]
+            for rid, lid in gt.matches.items()
+            if rid in right_pos and lid in left_pos
+        ],
+        dtype=np.int64,
     )
-    feasible: set[tuple[int, int]] = set()
-    for fi in range(len(functions)):
-        row = d_lr[fi]
-        seg_min = np.minimum.reduceat(row, starts)
-        is_min = row == np.repeat(seg_min, counts)
-        for p in np.nonzero(is_min)[0]:
-            feasible.add((int(pairs.lr_right[p]), int(pairs.lr_left[p])))
-
-    right_pos = {rid: i for i, rid in enumerate(R.ids())}
-    left_pos = {lid: i for i, lid in enumerate(L.ids())}
-    hits = sum(
-        1
-        for rid, lid in gt.matches.items()
-        if (right_pos.get(rid), left_pos.get(lid)) in feasible
-    )
-    return hits / gt.total_true()
+    return int(np.isin(truth, keys).sum()) / gt.total_true()
 
 
 # --- synthetic data ----------------------------------------------------------

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .distances import evaluate
 from .functions import (
     JoinFunction,
     JoinResult,
@@ -36,7 +35,6 @@ from .solver import (
     solve_from_distances,
 )
 from .tables import DataError, Table
-from .text import IdfIndex
 
 
 def interpolate(
@@ -53,24 +51,6 @@ def interpolate(
         return tuple(1.0 if i == j else 0.0 for i in range(len(w)))
     return tuple(
         (1.0 - alpha) * x + (alpha if i == j else 0.0) for i, x in enumerate(w)
-    )
-
-
-def combined_distance(
-    functions: Sequence[JoinFunction],
-    weights: Sequence[float],
-    l_values: Sequence[str],
-    r_values: Sequence[str],
-    idfs: Sequence[IdfIndex | None] | None = None,
-) -> float:
-    """Weighted sum of per-column distances; stays in [0, 1] because the
-    weights sum to 1 and each column distance is in [0, 1]."""
-    if not len(functions) == len(weights) == len(l_values) == len(r_values):
-        raise ValueError("functions, weights, and value vectors must align")
-    idfs = idfs or [None] * len(functions)
-    return sum(
-        w * evaluate(f, lv, rv, idf)
-        for f, w, lv, rv, idf in zip(functions, weights, l_values, r_values, idfs)
     )
 
 

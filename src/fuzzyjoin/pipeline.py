@@ -82,8 +82,14 @@ class RunConfig:
             raise ConfigError(f"duplicate column names in {self.columns}")
         # fail before the work, not when the artifacts are written
         for path in (self.out_path, self.solution_path, self.manifest_path, self.dump_rules_path):
-            if path is not None and not Path(path).parent.is_dir():
-                raise ConfigError(f"no directory {str(Path(path).parent)!r} to write {path} into")
+            check_output_dir(path)
+
+
+def check_output_dir(path: str | None) -> None:
+    """Raise ConfigError unless the directory to write ``path`` into
+    exists; None means no output."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise ConfigError(f"no directory {str(Path(path).parent)!r} to write {path} into")
 
 
 def write_joins_csv(result: JoinResult, path: str | Path) -> None:

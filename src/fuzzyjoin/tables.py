@@ -90,6 +90,22 @@ def make_table(
     return Table(tuple(columns), records, role)
 
 
+def read_text(path: str | Path) -> str:
+    """Text of a UTF-8 file, without a byte-order mark; a file that cannot
+    be read or decoded raises DataError naming it."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    try:
+        # decoded whole, so a bad byte's offset is its offset in the file
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}"
+        ) from exc
+
+
 def load_table(
     path: str | Path,
     id_column: str,
@@ -105,18 +121,7 @@ def load_table(
     """
     path = Path(path)
     try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    try:
-        # decoded whole, so a bad byte's offset is its offset in the file
-        text = data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise DataError(
-            f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}"
-        ) from exc
-    try:
-        reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+        reader = csv.reader(io.StringIO(read_text(path), newline=""), delimiter=delimiter)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file, expected a header row")

@@ -1,21 +1,22 @@
 """Shared helpers: CSV writers, random greedy-search instances, and the
-loops that the vectorized engines are held to: the dense configuration
-table, the dense greedy loop, the per-pair set-statistics loop and the
-per-row blocking loop."""
+loops that the vectorized engines are held to: the per-configuration ball
+counts, the dense configuration table, the dense greedy loop, the per-pair
+set-statistics loop and the per-row blocking loop."""
 
 from __future__ import annotations
 
 import csv
 import math
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import pytest
 
 from fuzzyjoin import Record, Table, blocking_cutoff
-from fuzzyjoin.functions import JoinFunction
+from fuzzyjoin.functions import Configuration, JoinFunction
 from fuzzyjoin.solver import ConfigTable, GreedyOutcome, GreedyStep
 from fuzzyjoin.text import IdfIndex, apply_preprocess, build_idf_from_values, tokenize
 
@@ -105,6 +106,77 @@ def oracle_profit(tp: float, fp: float) -> float:
     if fp > 0:
         return tp / fp
     return math.inf if tp > 0 else 0.0
+
+
+@dataclass
+class BallCounter:
+    """Sorted self-join neighbor distances per left record, for one join
+    function.  The count for radius rho includes the record itself."""
+
+    neighbor_dists: dict[str, np.ndarray]
+
+    @classmethod
+    def from_distances(cls, dists: Mapping[str, Iterable[float]]) -> "BallCounter":
+        return cls(
+            {lid: np.sort(np.asarray(list(ds), dtype=float)) for lid, ds in dists.items()}
+        )
+
+    def count(self, left_id: str, radius: float) -> int:
+        dists = self.neighbor_dists.get(left_id)
+        if dists is None:
+            return 1
+        return 1 + int(np.searchsorted(dists, radius, side="right"))
+
+
+@dataclass
+class ConfigStats:
+    """Join outcome of a single configuration over the blocked pairs.
+
+    ``tp`` is the sum of per-right estimated precisions, ``fp`` the sum of
+    their complements, so tp + fp equals the number of joined rights.
+    """
+
+    assignments: dict[str, tuple[str, float]]
+    tp: float
+    fp: float
+
+
+def config_stats(
+    config: Configuration,
+    candidates: Mapping[str, Sequence[tuple[str, float]]],
+    balls: BallCounter,
+) -> ConfigStats:
+    """Apply one configuration to precomputed candidate distances: the
+    per-right loop that ``solver.precompute_config_table`` is held to.
+
+    ``candidates`` maps each right id to (left id, distance) pairs under
+    the configuration's join function.  A right record joins the candidate
+    with minimum distance at or below the threshold; an exact tie for the
+    minimum joins nothing.  Per-right precision uses the ball of radius
+    twice the threshold.
+    """
+    theta = config.threshold
+    assignments: dict[str, tuple[str, float]] = {}
+    tp = 0.0
+    fp = 0.0
+    for rid, cands in candidates.items():
+        best_d = None
+        best_l = None
+        tied = False
+        for lid, d in cands:
+            if d > theta:
+                continue
+            if best_d is None or d < best_d:
+                best_d, best_l, tied = d, lid, False
+            elif d == best_d:
+                tied = True
+        if best_d is None or tied:
+            continue
+        prec = 1.0 / balls.count(best_l, 2.0 * theta)
+        assignments[rid] = (best_l, prec)
+        tp += prec
+        fp += 1.0 - prec
+    return ConfigStats(assignments, tp, max(fp, 0.0))
 
 
 def _per_right_minima(

@@ -26,7 +26,6 @@ from fuzzyjoin import (
     enumerate_function_space,
     generate_synthetic,
     inject_irrelevant_rows,
-    pair_precision,
     pr_auc,
     preprocess_for_rules,
     robustness_zero_join,
@@ -95,9 +94,9 @@ def test_criterion_1_function_space():
 def test_criterion_2_grid_estimator():
     t0 = time.perf_counter()
     # safe joins: empty ball around the matched point
-    points, balls = build_grid(deleted=set())
+    points, precision = build_grid(deleted=set())
     for offset in (0.2, 0.3, 0.45):
-        assert pair_precision(balls, "0 0", offset / GRID_SCALE) == 1.0
+        assert precision(offset / GRID_SCALE) == 1.0
 
     # crowded balls: exactly 1/k with k survivors, for several deletions
     cases = [
@@ -106,11 +105,10 @@ def test_criterion_2_grid_estimator():
         (set(), 0.55, 5),
     ]
     for deleted, d_units, expected_k in cases:
-        points, balls = build_grid(deleted)
+        points, precision = build_grid(deleted)
         k = oracle_ball_count(points, (0, 0), 2 * d_units)
         assert k == expected_k
-        got = pair_precision(balls, "0 0", d_units / GRID_SCALE)
-        assert got == 1.0 / expected_k
+        assert precision(d_units / GRID_SCALE) == np.float32(1 / expected_k)
     assert time.perf_counter() - t0 < 5.0
 
 

@@ -239,6 +239,52 @@ def test_eval_with_scores_reports_pr_auc(tmp_path, synthetic_csvs):
     assert 0.0 <= payload["pr_auc"] <= 1.0
 
 
+PRED_HEADER = "right_id,left_id,estimated_precision,config_index\n"
+LATIN1 = "right_id,left_id\nr1,caf\u00e9\n".encode("latin-1")
+
+
+@pytest.mark.parametrize(
+    "broken, content, code, message",
+    [
+        ("pred.csv", None, 3, "cannot open"),
+        ("gt.csv", None, 3, "cannot open"),
+        ("pred.csv", LATIN1, 3, "not UTF-8 at byte 23"),
+        ("gt.csv", LATIN1, 3, "not UTF-8 at byte 23"),
+        ("pred.csv", PRED_HEADER + "r1,l1,high,0\n", 3, "row 2: bad estimated_precision 'high'"),
+        ("pred.csv", PRED_HEADER + "r1,l1,0.9,first\n", 3, "row 2: bad config_index 'first'"),
+        ("scores.csv", "right_id,left_id,score\nr1,l1,x\n", 3, "row 2: bad score 'x'"),
+        ("report.json", None, 2, "config error"),
+    ],
+    ids=[
+        "missing-pred", "missing-gt", "latin1-pred", "latin1-gt",
+        "bad-precision", "bad-config-index", "bad-score", "json-missing-dir",
+    ],
+)
+def test_eval_bad_input_exit_code(tmp_path, capsys, broken, content, code, message):
+    files = {
+        "pred.csv": PRED_HEADER + "r1,l1,0.9,0\n",
+        "gt.csv": "right_id,left_id\nr1,l1\n",
+        "scores.csv": "right_id,left_id,score\nr1,l1,0.9\n",
+    }
+    for name, text in files.items():
+        if name != broken:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+    if isinstance(content, bytes):
+        (tmp_path / broken).write_bytes(content)
+    elif content is not None:
+        (tmp_path / broken).write_text(content, encoding="utf-8")
+    report = tmp_path / ("nodir" if broken == "report.json" else "") / "report.json"
+    args = ["eval", "--json", str(report)]
+    for flag, name in (("pred", "pred.csv"), ("gt", "gt.csv"), ("scores", "scores.csv")):
+        args += [f"--{flag}", str(tmp_path / name)]
+    assert main(args) == code
+    out, err = capsys.readouterr()
+    assert message in err and "Traceback" not in err
+    if code == 3:
+        assert err.startswith("data error:") and broken in err
+    assert out == "" and not report.exists()  # rejected before scoring
+
+
 def test_run_multi_smoke(tmp_path, capsys):
     L, R, _ = generate_synthetic(n_left=25, seed=5, unmatched_rate=0.1)
     left = write_table_csv(L, tmp_path / "l.csv")
@@ -297,9 +343,3 @@ def test_run_multi_manifest_matches_run(tmp_path, synthetic_csvs):
             assert step["precision"] > manifest["config"]["tau"]
         last = greedy["trace"][-1]
         assert last["precision"] == manifest["estimated_precision"]
-
-
-def test_bench_synthetic_smoke(capsys):
-    code = main(["bench", "--suite", "synthetic", "--n-left", "30", "--seed", "1"])
-    assert code == 0
-    assert "precision" in capsys.readouterr().out

@@ -1,53 +1,79 @@
+"""The paper's precision estimate as the configuration table computes it: a
+join (l, r) at distance d is trusted as 1 / |reference records within 2d of
+l|, counted over l's blocked self-join neighbours; and the union rule that
+greedy selection applies to the chosen configurations."""
+
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import BallCounter, config_stats, oracle_union
 from fuzzyjoin import (
-    BallCounter,
-    ConfigStats,
     Configuration,
     JoinFunction,
-    config_stats,
-    pair_precision,
+    distance_matrix,
+    greedy_select,
     register_plugin,
-    union_stats,
 )
 from fuzzyjoin.solver import precompute_config_table
+
+ED_FN = JoinFunction("L", "NONE", "NONE", "ED")
 
 
 def ball_from(dists: dict[str, list[float]]) -> BallCounter:
     return BallCounter.from_distances(dists)
 
 
+def engine_precision(n_left, ll_a, d_ll, left, d, fn=ED_FN) -> np.float32:
+    """The configuration table's estimated precision for one right record
+    whose only candidate is left record ``left`` at distance d, under the
+    one-threshold grid [d].  ``ll_a`` (ascending) and ``d_ll`` are the
+    self-join pairs' first records and distances."""
+    table = precompute_config_table(
+        [fn],
+        [np.array([d])],
+        1,
+        n_left,
+        np.array([0]),
+        np.array([left]),
+        np.array([[d]]),
+        np.asarray(ll_a, dtype=np.int64),
+        np.asarray(d_ll, dtype=float).reshape(1, -1),
+    )
+    return table.prec[0, 0]
+
+
+def neighbour_precision(dists: list[float], d: float) -> np.float32:
+    """``engine_precision`` of a join to left record 0, whose self-join
+    neighbours sit at the given distances."""
+    return engine_precision(len(dists) + 1, [0] * len(dists), dists, 0, d)
+
+
 class TestPairPrecision:
     def test_empty_ball_is_one(self):
-        balls = ball_from({"l1": [0.9, 0.95]})
-        assert pair_precision(balls, "l1", 0.1) == 1.0
+        assert neighbour_precision([0.9, 0.95], 0.1) == 1.0
 
     def test_five_records_in_ball(self):
-        balls = ball_from({"l1": [0.1, 0.15, 0.2, 0.3, 0.9]})
         # radius 2*0.2 = 0.4 captures 4 neighbors plus the record itself
-        assert pair_precision(balls, "l1", 0.2) == pytest.approx(1 / 5)
+        assert neighbour_precision([0.1, 0.15, 0.2, 0.3, 0.9], 0.2) == np.float32(1 / 5)
 
     def test_zero_distance_duplicate_free(self):
-        balls = ball_from({"l1": [0.2, 0.4]})
-        assert pair_precision(balls, "l1", 0.0) == 1.0
+        assert neighbour_precision([0.2, 0.4], 0.0) == 1.0
 
     def test_unknown_left_defaults_to_lone_record(self):
-        balls = ball_from({})
-        assert pair_precision(balls, "anything", 0.5) == 1.0
+        # the self-join pairs all belong to record 1, the join goes to record 0
+        assert engine_precision(3, [1, 1], [0.1, 0.2], 0, 0.5) == 1.0
 
     @given(st.lists(st.floats(0, 1), max_size=12), st.floats(0, 1), st.floats(0, 1))
     def test_nonincreasing_in_distance_and_bounded(self, dists, d1, d2):
-        balls = ball_from({"l": dists})
         lo, hi = sorted((d1, d2))
-        p_lo = pair_precision(balls, "l", lo)
-        p_hi = pair_precision(balls, "l", hi)
+        p_lo = neighbour_precision(dists, lo)
+        p_hi = neighbour_precision(dists, hi)
         assert p_lo >= p_hi
         assert 0.0 < p_hi <= 1.0
+        assert p_hi == np.float32(1 / (1 + sum(x <= 2 * hi for x in dists)))
 
 
 class TestConfigStats:
@@ -93,70 +119,95 @@ class TestConfigStats:
         assert st_.assignments["r1"][1] == pytest.approx(0.5)
 
 
+def as_table(rows: list[dict[int, tuple[int, float]]], n_right: int):
+    """Assignment and precision arrays of a table given as one
+    {right: (left, precision)} dict per configuration."""
+    left = np.full((len(rows), n_right), -1, dtype=np.int32)
+    prec = np.zeros((len(rows), n_right), dtype=np.float32)
+    for c, row in enumerate(rows):
+        for r, (l, p) in row.items():
+            left[c, r], prec[c, r] = l, p
+    return left, prec
+
+
+def union_of(rows: list[dict[int, tuple[int, float]]], n_right: int, tau: float = 0.0):
+    """greedy_select over ``as_table(rows)``, each right its own unit-weight
+    column."""
+    left, prec = as_table(rows, n_right)
+    ones = np.ones(n_right, dtype=np.int64)
+    return greedy_select(left, prec, ones, tau, np.random.default_rng(0))
+
+
+# picked first (profit 3.5 / 0.5 = 7), right 0 at precision 1/2
+FIRST = {0: (0, 0.5), 1: (0, 1.0), 2: (0, 1.0), 3: (0, 1.0)}
+
+
 class TestUnionStats:
+    """The union rule on greedy_select's union arrays: strictly higher
+    precision wins, the earlier pick keeps ties, and a right counts once at
+    its maximum."""
+
     def test_single_config_is_identity(self):
-        st_ = ConfigStats({"r1": ("l1", 0.5), "r2": ("l2", 1.0)}, 1.5, 0.5)
-        u = union_stats([st_])
-        assert u.tp == st_.tp
-        assert u.fp == st_.fp
-        assert {r: (a.left_id, a.precision) for r, a in u.assignments.items()} == st_.assignments
-        assert all(a.config_index == 0 for a in u.assignments.values())
+        u = union_of([{0: (0, 0.5), 1: (1, 1.0)}], 2)
+        assert u.selected == [0]
+        assert u.tp == 1.5 and u.fp == 0.5
+        assert u.cur_left.tolist() == [0, 1]
+        assert u.cur_prec.tolist() == [0.5, 1.0]
+        assert u.cur_source.tolist() == [0, 0]
 
     def test_conflict_keeps_more_confident(self):
-        c1 = ConfigStats({"r": ("l1", 0.9)}, 0.9, 0.1)
-        c2 = ConfigStats({"r": ("l2", 0.3)}, 0.3, 0.7)
-        u = union_stats([c1, c2])
-        assert u.assignments["r"].left_id == "l1"
-        assert u.tp == pytest.approx(0.9)
-        assert u.fp == pytest.approx(0.1)
+        # the later pick joins right 0 elsewhere, less confidently
+        u = union_of([{0: (0, 1.0)}, {0: (1, 0.5), 1: (1, 1.0)}], 2)
+        assert u.selected == [0, 1]
+        assert u.cur_left.tolist() == [0, 1]
+        assert u.cur_source.tolist() == [0, 1]
+        assert u.tp == 2.0 and u.fp == 0.0
+        # the later pick joins right 0 elsewhere, more confidently
+        u = union_of([FIRST, {0: (1, 1.0), 4: (1, 0.5)}], 5)
+        assert u.selected == [0, 1]
+        assert (u.cur_left[0], u.cur_prec[0], u.cur_source[0]) == (1, 1.0, 1)
+        assert u.tp == 4.5 and u.fp == 0.5
 
     def test_conflict_tie_earlier_wins(self):
-        c1 = ConfigStats({"r": ("l1", 0.5)}, 0.5, 0.5)
-        c2 = ConfigStats({"r": ("l2", 0.5)}, 0.5, 0.5)
-        u = union_stats([c1, c2])
-        assert u.assignments["r"].left_id == "l1"
-        assert u.assignments["r"].config_index == 0
+        u = union_of([FIRST, {0: (1, 0.5), 4: (1, 1.0)}], 5)
+        assert u.selected == [0, 1]
+        assert (u.cur_left[0], u.cur_prec[0], u.cur_source[0]) == (0, 0.5, 0)
+        assert u.tp == 4.5 and u.fp == 0.5
 
     def test_same_left_counted_once_at_max(self):
-        c1 = ConfigStats({"r": ("l1", 0.4)}, 0.4, 0.6)
-        c2 = ConfigStats({"r": ("l1", 0.8)}, 0.8, 0.2)
-        u = union_stats([c1, c2])
-        assert len(u.assignments) == 1
-        assert u.assignments["r"].precision == pytest.approx(0.8)
-        assert u.assignments["r"].config_index == 1
+        u = union_of([FIRST, {0: (0, 1.0), 4: (1, 0.5)}], 5)
+        assert u.selected == [0, 1]
+        assert (u.cur_left[0], u.cur_prec[0], u.cur_source[0]) == (0, 1.0, 1)
+        assert (u.cur_left != -1).sum() == 5
+        assert u.tp == 4.5 and u.fp == 0.5
 
     def test_disjoint_coverage_sums(self):
-        c1 = ConfigStats({"r1": ("l1", 1.0)}, 1.0, 0.0)
-        c2 = ConfigStats({"r2": ("l2", 0.5)}, 0.5, 0.5)
-        u = union_stats([c1, c2])
-        assert u.tp == pytest.approx(1.5)
-        assert u.fp == pytest.approx(0.5)
+        u = union_of([{0: (0, 1.0)}, {1: (1, 0.5)}], 2, tau=0.5)
+        assert u.selected == [0, 1]
+        assert u.tp == 1.5 and u.fp == 0.5
 
     def test_empty_union_precision_one(self):
-        u = union_stats([])
+        u = union_of([], 3)
+        assert u.selected == [] and u.stop_reason == "exhausted"
         assert u.precision == 1.0
 
     @given(
         st.lists(
             st.dictionaries(
-                st.sampled_from(["r1", "r2", "r3", "r4"]),
-                st.tuples(
-                    st.sampled_from(["l1", "l2"]),
-                    st.sampled_from([1.0, 0.5, 1 / 3, 0.25]),
-                ),
+                st.sampled_from(range(4)),
+                st.tuples(st.sampled_from([0, 1]), st.sampled_from([1.0, 0.5, 1 / 3, 0.25])),
                 max_size=4,
             ),
             max_size=5,
         )
     )
-    def test_tp_plus_fp_equals_assigned(self, assignment_dicts):
-        stats = [
-            ConfigStats(d, sum(p for _, p in d.values()),
-                        sum(1 - p for _, p in d.values()))
-            for d in assignment_dicts
-        ]
-        u = union_stats(stats)
-        assert u.tp + u.fp == pytest.approx(len(u.assignments), abs=1e-9)
+    def test_tp_plus_fp_equals_assigned(self, rows):
+        u = union_of(rows, 4)
+        assert u.tp + u.fp == pytest.approx((u.cur_left != -1).sum(), abs=1e-9)
+        left, prec = as_table(rows, 4)
+        _, _, best_left, best_prec = oracle_union([(left[c], prec[c]) for c in u.selected], 4)
+        assert u.cur_left.tolist() == best_left
+        assert u.cur_prec.tolist() == best_prec
 
 
 # --- 2-D grid reconstruction --------------------------------------------------
@@ -175,19 +226,25 @@ GRID_FN = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="grid-euclid")
 
 
 def build_grid(deleted: set[tuple[int, int]]):
-    """Integer grid [-3, 3]^2 minus deleted points, as a value map plus an
-    all-pairs ball counter under the plugin distance."""
+    """Integer grid [-3, 3]^2 minus deleted points, as the point list and the
+    engine's precision for a join to the origin at a given distance.  The
+    self-join pairs are all ordered pairs of distinct points, under the
+    plugin distance."""
     points = [
         (x, y)
         for x in range(-3, 4)
         for y in range(-3, 4)
         if (x, y) not in deleted
     ]
-    values = {f"{x} {y}": f"{x} {y}" for x, y in points}
-    ids = list(values)
-    neighbors = {i: [j for j in ids if j != i] for i in ids}
-    balls = BallCounter.from_pairs(neighbors, values, GRID_FN)
-    return points, balls
+    values = [f"{x} {y}" for x, y in points]
+    ll_a, ll_b = np.nonzero(~np.eye(len(points), dtype=bool))
+    d_ll = distance_matrix([GRID_FN], [(values[a], values[b]) for a, b in zip(ll_a, ll_b)])
+    origin = points.index((0, 0))
+
+    def precision(d: float) -> np.float32:
+        return engine_precision(len(points), ll_a, d_ll, origin, d, GRID_FN)
+
+    return points, precision
 
 
 def oracle_ball_count(points, center, radius_units) -> int:
@@ -201,38 +258,32 @@ def oracle_ball_count(points, center, radius_units) -> int:
 
 class TestGridScenario:
     def test_safe_join_has_precision_one(self):
-        points, balls = build_grid(deleted=set())
+        points, precision = build_grid(deleted=set())
         # r sits 0.3 units from its true grid point: the 0.6 ball is empty
-        d = 0.3 / GRID_SCALE
-        assert pair_precision(balls, "0 0", d) == 1.0
+        assert precision(0.3 / GRID_SCALE) == 1.0
 
     def test_crowded_ball_counts_survivors(self):
         deleted = {(1, 0)}
-        points, balls = build_grid(deleted)
+        points, precision = build_grid(deleted)
         # true neighbor deleted; closest survivor is the origin at 0.75 units,
         # whose 1.5-unit ball holds origin + 3 axis survivors + 4 diagonals
-        d = 0.75 / GRID_SCALE
         expected = oracle_ball_count(points, (0, 0), 1.5)
         assert expected == 8
-        assert pair_precision(balls, "0 0", d) == pytest.approx(1 / expected)
+        assert precision(0.75 / GRID_SCALE) == np.float32(1 / expected)
 
     def test_paper_style_one_fifth(self):
         deleted = {(1, 0), (1, 1), (1, -1), (0, 1)}
-        points, balls = build_grid(deleted)
-        d = 0.75 / GRID_SCALE
+        points, precision = build_grid(deleted)
         expected = oracle_ball_count(points, (0, 0), 1.5)
         assert expected == 5
-        assert pair_precision(balls, "0 0", d) == pytest.approx(1 / 5)
+        assert precision(0.75 / GRID_SCALE) == np.float32(1 / 5)
 
     def test_every_radius_matches_geometry_oracle(self):
         deleted = {(2, 1), (-1, -1), (0, 2)}
-        points, balls = build_grid(deleted)
+        points, precision = build_grid(deleted)
         for radius_units in (0.4, 0.9, 1.1, 1.45, 2.05, 2.9):
-            d = radius_units / 2 / GRID_SCALE
-            got = pair_precision(balls, "0 0", d)
-            assert got == pytest.approx(
-                1 / oracle_ball_count(points, (0, 0), radius_units)
-            )
+            got = precision(radius_units / 2 / GRID_SCALE)
+            assert got == np.float32(1 / oracle_ball_count(points, (0, 0), radius_units))
 
 
 # --- vectorized engine vs readable path ----------------------------------------

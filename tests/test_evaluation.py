@@ -8,8 +8,10 @@ from fuzzyjoin import (
     JoinResult,
     TYPO_ONLY_PROFILE,
     adjusted_recall,
+    build_index,
     char_distance,
     enumerate_function_space,
+    evaluate,
     generate_disjoint_tables,
     generate_synthetic,
     pr_auc,
@@ -20,6 +22,7 @@ from fuzzyjoin import (
     solve,
     tokenize,
 )
+from fuzzyjoin.solver import needed_idf_indexes
 
 
 def jr(pairs: dict[str, str], precision: float = 1.0) -> JoinResult:
@@ -144,6 +147,26 @@ class TestPrAuc:
             pr_auc([(0.5, True)], 0)
 
 
+def loop_recall_upper_bound(L, R, column, gt, functions, beta):
+    """The recall bound one true match at a time: its left must be among its
+    right's blocked candidates at the minimum scalar distance under some
+    function."""
+    lr = build_index(L, R, column, beta).lr
+    lv = dict(zip(L.ids(), L.column_values(column)))
+    rv = dict(zip(R.ids(), R.column_values(column)))
+    idf = needed_idf_indexes(functions, list(lv.values()) + list(rv.values()))
+    hits = 0
+    for rid, lid in gt.matches.items():
+        cands = [l for l, _ in lr.get(rid, [])]
+        for f in functions:
+            f_idf = idf.get((f.preprocess, f.tokenizer))
+            d = {l: evaluate(f, lv[l], rv[rid], f_idf) for l in cands}
+            if lid in d and d[lid] == min(d.values()):
+                hits += 1
+                break
+    return hits / gt.total_true()
+
+
 class TestRecallUpperBound:
     def test_feasible_when_nearest_under_some_function(self):
         L, R, gt = generate_synthetic(n_left=30, seed=1, unmatched_rate=0.0)
@@ -158,6 +181,18 @@ class TestRecallUpperBound:
         gt = GroundTruth({"r1": "l2"})  # semantically related, lexically unrelated
         ubr = recall_upper_bound(L, R, "name", gt, enumerate_function_space())
         assert ubr == 0.0
+
+    # indices into the full function space; in the second case some true
+    # match is nearest under one function only
+    @pytest.mark.parametrize(
+        "seed, picks, beta", [(2, (0, 16, 96), 0.1), (3, (0, 16, 96), 0.1), (3, (20, 70), 0.5)]
+    )
+    def test_matches_loop_oracle(self, seed, picks, beta):
+        L, R, gt = generate_synthetic(n_left=80, seed=seed, unmatched_rate=0.3)
+        fns = [enumerate_function_space()[i] for i in picks]
+        ubr = recall_upper_bound(L, R, "name", gt, fns, beta)
+        assert ubr < 1.0
+        assert ubr == loop_recall_upper_bound(L, R, "name", gt, fns, beta)
 
     def test_bounds_any_solution(self):
         L, R, gt = generate_synthetic(n_left=40, seed=8, unmatched_rate=0.1)

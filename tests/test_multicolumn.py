@@ -3,16 +3,15 @@ import pytest
 
 from fuzzyjoin import (
     DataError,
-    JoinFunction,
     add_random_column,
-    combined_distance,
-    evaluate,
+    enumerate_function_space,
     generate_synthetic,
     interpolate,
     make_table,
     solve,
     solve_multi,
 )
+from fuzzyjoin.solver import prepare_columns
 
 
 class TestInterpolate:
@@ -36,35 +35,19 @@ class TestInterpolate:
             interpolate((1.0,), 0, 0.0)
 
 
-class TestCombinedDistance:
-    def setup_method(self):
-        self.f = JoinFunction("L", "SP", "EW", "JD")
-
-    def test_degenerate_weight_equals_single_column(self):
-        d = combined_distance(
-            [self.f, self.f], (1.0, 0.0), ["a b", "x"], ["a c", "y"]
-        )
-        assert d == pytest.approx(evaluate(self.f, "a b", "a c"))
-
-    def test_weighted_sum(self):
-        # column distances 0.2 and 0.6 -> 0.4 at equal weights
-        f = JoinFunction("L", "SP", "EW", "DD")
-        l_vals = ["a b c d e", "a b c d e"]
-        r_vals = ["a b c d", "a b"]
-        d1 = evaluate(f, l_vals[0], r_vals[0])
-        d2 = evaluate(f, l_vals[1], r_vals[1])
-        got = combined_distance([f, f], (0.5, 0.5), l_vals, r_vals)
-        assert got == pytest.approx(0.5 * d1 + 0.5 * d2)
-
-    def test_missing_column_contributes_full_weight(self):
-        d = combined_distance(
-            [self.f, self.f], (0.5, 0.5), ["same", ""], ["same", ""]
-        )
-        assert d == pytest.approx(0.5 * 0.0 + 0.5 * 1.0)
-
-    def test_alignment_validated(self):
-        with pytest.raises(ValueError):
-            combined_distance([self.f], (0.5, 0.5), ["a"], ["b"])
+def test_missing_column_contributes_full_weight():
+    # a column empty on both sides is at distance 1 on every pair, so its
+    # weight adds in full to every weighted distance
+    names = ["oakdale tigers 1998", "riverton badgers 2007", "maplewood falcons 1998"]
+    L = make_table(("name", "note"), [(f"L{i}", (v, "")) for i, v in enumerate(names)])
+    R = make_table(
+        ("name", "note"), [(f"R{i}", (v + "s", "")) for i, v in enumerate(names)], role="query"
+    )
+    prep = prepare_columns(L, R, ("name", "note"), enumerate_function_space())
+    assert len(prep.pairs.lr_right) > 0 and len(prep.pairs.ll_a) > 0
+    assert (prep.d_lr["note"] == 1.0).all()
+    assert (prep.d_ll["note"] == 1.0).all()
+    assert (prep.d_lr["name"] < 1.0).any()
 
 
 def two_column_tables(seed=0, n_pairs=16, ambiguous_rate=0.4):

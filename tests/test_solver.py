@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import fuzzyjoin.distances as dist_mod
 import fuzzyjoin.solver as solver
 from fuzzyjoin import (
     JoinFunction,
@@ -294,12 +293,20 @@ def test_greedy_reproducible_with_seed():
 
 
 def test_greedy_does_not_recompute_distances():
-    rng = np.random.default_rng(7)
-    cfg_left, cfg_prec = make_random_instance(rng)
-    before = dist_mod.matrix_call_count()
-    ones = np.ones(cfg_left.shape[1], np.int64)
-    greedy_select(cfg_left, cfg_prec, ones, 0.8, np.random.default_rng(0))
-    assert dist_mod.matrix_call_count() == before
+    # precompute and greedy work from the prepared distance matrices alone
+    L, R, _ = generate_synthetic(n_left=30, seed=7, unmatched_rate=0.2)
+    fns = enumerate_function_space()[:12]
+    prep = prepare_columns(L, R, ("name",), fns)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("distance_matrix called after preparation")
+
+    with mock.patch.object(solver, "distance_matrix", forbidden):
+        res = solver.solve_from_distances(
+            fns, prep.pairs, prep.d_lr["name"], prep.d_ll["name"], 0.8, 10,
+            np.random.default_rng(0),
+        )
+    assert res.solution.configs
 
 
 # --- incremental greedy vs the dense loop ------------------------------------
