@@ -10,26 +10,40 @@ PLUGIN kind.
 `distance_matrix` is the batch path used by the solver.  It interns each
 distinct raw value, preprocesses it once per option into one table of
 distinct preprocessed strings, and computes every (preprocess, tokenizer,
-weights) combination once per distinct pair, shared across all distance
-kinds that use it.  The character kinds share one cache across preprocess
-options, so a preprocessed pair that several options produce is computed
-once, and run as batch kernels over all pairs at once: Myers's bit-parallel
-edit distance (Hyyrö's Levenshtein formulation) and a bit-parallel
-Jaro-Winkler, one 64-bit word per string.  Pairs with a string longer than
-64 characters fall back to the scalar `char_distance`, which also serves as
-the kernels' test oracle.  The set kinds run batched over per-string
-tokenizations: each distinct preprocessed string is tokenized once per
-tokenizer into token ids and counts, a pair's intersection is found by a
-sorted-key lookup, and numpy sums each pair's terms in the order of a loop
-over its token bags, so the results equal the scalar `set_distance` /
-`contain_distance` bit for bit.  Count statistics are shared across
-preprocess options like the character cache; only the IDF weights differ.
+weights) combination once per distinct pair of string ids, shared across
+all distance kinds that use it.
+
+The character kinds share one cache across preprocess options, so a
+preprocessed pair that several options produce is computed once.  Pairs of
+strings up to 64 characters run as batch kernels over string ids: Myers's
+bit-parallel edit distance (Hyyrö's Levenshtein formulation) and a
+bit-parallel Jaro-Winkler, one 64-bit word per pair.  Both read one
+match-mask ("Peq") table built once per call: the strings' code points
+interned into one alphabet, and per string and symbol the mask of the
+positions that hold it.  Each kernel step gathers one mask per pair, the
+pattern string's mask of the text's next symbol.  The table is a dense
+(strings x alphabet) uint64 array while a row of it fits a fixed byte cap,
+`_PEQ_ROW_BYTES` (2 KB: 255 symbols and the pad), so its size grows with
+the number of strings only; a larger alphabet, e.g. of CJK text, has the
+same masks looked up among sorted (string, symbol) keys, which takes
+several times longer per step.  Pairs with a string longer than 64
+characters fall back to the scalar `char_distance`, which also serves as
+the kernels' test oracle.
+
+The set kinds run batched over per-string tokenizations: each distinct
+preprocessed string is tokenized once per tokenizer into token ids and
+counts, a pair's intersection is found by a sorted-key lookup, and numpy
+sums each pair's terms in the order of a loop over its token bags, so the
+results equal the scalar `set_distance` / `contain_distance` bit for bit.
+Count statistics are shared across preprocess options like the character
+cache; only the IDF weights differ.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -266,138 +280,158 @@ def evaluate(
     return set_distance(bag_a, bag_b, f.distance, f.weights, idf)
 
 
-# --- batch evaluation over pair lists ---------------------------------------
+# --- batch evaluation over distinct string pairs ----------------------------
 
 # Strings up to one machine word long run through the bit-parallel kernels;
 # bit k of a mask stands for character k of a string.
 _WORD = 64
-# pairs per kernel call, which bounds the (pairs x 64) temporaries
+# pairs per kernel step, which bounds the (pairs x 64) temporaries
 _CHUNK = 4096
+# largest row of a dense match-mask table in bytes, 255 symbols and the pad:
+# the table costs at most 2 KB per string, whatever the number of strings;
+# a larger alphabet is kept as sorted (string, symbol) keys instead
+_PEQ_ROW_BYTES = 2048
 # _LOW[k] has bits 0..k-1 set
 _LOW = np.array([(1 << k) - 1 for k in range(_WORD + 1)], dtype=np.uint64)
-# padding codes for the two sides of a pair: never a code point, never equal
-_PAD_X, _PAD_Y = 0xFFFFFFFF, 0xFFFFFFFE
 
 
-def _codes(strings: Sequence[str], pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n x 64) code-point matrix padded with ``pad``, and the lengths."""
+@dataclass(frozen=True)
+class _PeqTable:
+    """The match masks of a table of strings of at most 64 characters.
+
+    ``symbols[s, k]`` is the symbol id of character k of string s, padded
+    with the id ``width - 1``, which no character has.  ``eq(s * width + c)``
+    is the mask whose bit k is set when character k of string s is symbol
+    c: a gather from the dense (strings x width) table when ``keys`` is
+    None, otherwise a lookup among the sorted keys of the non-zero masks,
+    which end with a sentinel no query hits.
+    """
+
+    symbols: np.ndarray
+    lengths: np.ndarray
+    width: int
+    keys: np.ndarray | None
+    masks: np.ndarray
+
+    def eq(self, query: np.ndarray) -> np.ndarray:
+        if self.keys is None:
+            return self.masks[query]
+        pos = np.searchsorted(self.keys, query)
+        return np.where(self.keys[pos] == query, self.masks[pos], np.uint64(0))
+
+
+def _peq_table(strings: Sequence[str]) -> _PeqTable:
+    """The Peq table of Myers (1999) over strings of at most 64 characters:
+    their code points interned into one alphabet, and one mask per string
+    and symbol it holds, built once for all the pairs among them."""
     lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
-    flat = np.frombuffer(
-        "".join(strings).encode("utf-32-le", "surrogatepass"), dtype="<u4"
-    )
-    out = np.full((len(strings), _WORD), pad, dtype=np.uint32)
-    rows = np.repeat(np.arange(len(strings)), lengths)
-    starts = np.cumsum(lengths) - lengths
-    out[rows, np.arange(len(flat)) - starts[rows]] = flat
-    return out, lengths
+    flat = np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    alphabet, symbol = np.unique(flat, return_inverse=True)
+    width = len(alphabet) + 1
+    owner = np.repeat(np.arange(len(strings)), lengths)
+    position = np.arange(len(flat)) - (np.cumsum(lengths) - lengths)[owner]
+    symbols = np.full((len(strings), _WORD), width - 1, dtype=np.int32)
+    symbols[owner, position] = symbol
+    keys = owner * width + symbol
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    bits = np.left_shift(np.uint64(1), position[order].astype(np.uint64))
+    masks = np.bitwise_or.reduceat(bits, first)
+    keys = keys[first]
+    if width * 8 <= _PEQ_ROW_BYTES:
+        dense = np.zeros(len(strings) * width, dtype=np.uint64)
+        dense[keys] = masks
+        return _PeqTable(symbols, lengths, width, None, dense)
+    keys = np.append(keys, np.iinfo(np.int64).max)
+    return _PeqTable(symbols, lengths, width, keys, np.append(masks, np.uint64(0)))
 
 
-def _match_masks(pattern: np.ndarray, chars: np.ndarray) -> np.ndarray:
-    """Per row, the bit mask of the pattern positions equal to that row's
-    character."""
-    hits = pattern == chars[:, None]
-    return np.packbits(hits, axis=1, bitorder="little").view("<u8").ravel()
-
-
-def _steps(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row order by length, longest first, and for each step j the
-    number of rows longer than j: in that order, the rows a loop over
-    character positions still runs at step j are a prefix."""
+def _blocks(lengths: np.ndarray):
+    """Blocks of at most _CHUNK rows, longest first, each with, per step j,
+    the number of its rows longer than j: in that order, the rows a loop
+    over character positions still runs at step j are a prefix."""
     order = np.argsort(-lengths, kind="stable")
-    active = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
-    return order, active
+    for start in range(0, len(order), _CHUNK):
+        rows = order[start : start + _CHUNK]
+        yield rows, np.searchsorted(-lengths[rows], -np.arange(lengths[rows[0]]))
 
 
-def _levenshtein_batch(pairs: Sequence[tuple[str, str]]) -> np.ndarray:
-    """Edit distances of pairs of strings of at most 64 characters: Myers's
-    bit-parallel algorithm in Hyyrö's formulation for Levenshtein distance,
-    one uint64 word per pair, all pairs advancing one text character per
-    step.  The pattern is the longer string, the text the shorter one."""
-    longer = [a if len(a) >= len(b) else b for a, b in pairs]
-    shorter = [b if len(a) >= len(b) else a for a, b in pairs]
-    p, lp = _codes(longer, _PAD_X)
-    t, lt = _codes(shorter, _PAD_Y)
-    order, active = _steps(lt)
-    p, t, lp = p[order], t[order], lp[order]
-    top = _LOW[lp] & ~_LOW[lp - 1]  # bit lp-1, the last pattern character
-    pv = np.full(len(pairs), ~np.uint64(0))
-    mv = np.zeros(len(pairs), dtype=np.uint64)
-    score = lp.copy()
-    for j, k in enumerate(active):
-        eq = _match_masks(p[:k], t[:k, j])
-        vp, vm = pv[:k], mv[:k]
-        xv = eq | vm
-        xh = (((eq & vp) + vp) ^ vp) | eq
-        ph = vm | ~(xh | vp)
-        mh = vp & xh
-        score[:k] += (ph & top[:k]) != 0
-        score[:k] -= (mh & top[:k]) != 0
-        ph = (ph << 1) | 1
-        mh = mh << 1
-        pv[:k] = mh | ~(xv | ph)
-        mv[:k] = ph & xv
-    out = np.empty(len(pairs), dtype=np.int64)
-    out[order] = score
+def _levenshtein_batch(table: _PeqTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Edit distances of the string pairs (a[i], b[i]) of a Peq table:
+    Myers's bit-parallel algorithm in Hyyrö's formulation for Levenshtein
+    distance, one uint64 word per pair, all pairs advancing one text
+    character per step.  The pattern is the longer string, the text the
+    shorter one, and each step gathers the pattern's mask of one text
+    symbol."""
+    la, lb = table.lengths[a], table.lengths[b]
+    longer = la >= lb
+    pattern, text = np.where(longer, a, b), np.where(longer, b, a)
+    out = np.empty(len(a), dtype=np.int64)
+    for rows, active in _blocks(np.minimum(la, lb)):
+        base = pattern[rows] * table.width
+        chars = table.symbols[text[rows]]
+        lp = np.maximum(la[rows], lb[rows])
+        top = _LOW[lp] & ~_LOW[lp - 1]  # bit lp-1, the last pattern character
+        pv = np.full(len(rows), ~np.uint64(0))
+        mv = np.zeros(len(rows), dtype=np.uint64)
+        score = lp.copy()
+        for j, k in enumerate(active):
+            eq = table.eq(base[:k] + chars[:k, j])
+            vp, vm = pv[:k], mv[:k]
+            xv = eq | vm
+            xh = (((eq & vp) + vp) ^ vp) | eq
+            ph = vm | ~(xh | vp)
+            mh = vp & xh
+            score[:k] += (ph & top[:k]) != 0
+            score[:k] -= (mh & top[:k]) != 0
+            ph = (ph << 1) | 1
+            mh = mh << 1
+            pv[:k] = mh | ~(xv | ph)
+            mv[:k] = ph & xv
+        out[rows] = score
     return out
 
 
-def _jaro_winkler_batch(pairs: Sequence[tuple[str, str]]) -> np.ndarray:
-    """``jaro_winkler_similarity`` of pairs of strings of at most 64
-    characters, bit for bit.  Each character of the first string takes the
-    lowest unmatched matching position of the second within the window;
-    transpositions compare the matched characters of both in order."""
-    n = len(pairs)
-    a, la = _codes([x for x, _ in pairs], _PAD_X)
-    b, lb = _codes([y for _, y in pairs], _PAD_Y)
-    order, active = _steps(la)
-    a, la, b, lb = a[order], la[order], b[order], lb[order]
-    window = np.maximum(np.maximum(la, lb) // 2 - 1, 0)
-    taken_b = np.zeros(n, dtype=np.uint64)
-    taken_a = np.zeros((n, _WORD), dtype=bool)
-    for i, k in enumerate(active):
-        lo = np.maximum(i - window[:k], 0)
-        hi = np.minimum(i + window[:k] + 1, lb[:k])
-        free = _LOW[hi] & ~_LOW[lo] & ~taken_b[:k]
-        cand = _match_masks(b[:k], a[:k, i]) & free
-        taken_b[:k] |= cand & (~cand + np.uint64(1))
-        taken_a[:k, i] = cand != 0
-    m = taken_a.sum(axis=1)
-    bits_b = np.unpackbits(
-        taken_b.astype("<u8").view(np.uint8).reshape(n, 8), axis=1, bitorder="little"
-    ).astype(bool)
-    differ = a[taken_a] != b[bits_b]
-    t = np.bincount(np.repeat(np.arange(n), m)[differ], minlength=n) // 2
-    prefix = np.cumprod(a[:, :4] == b[:, :4], axis=1).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        jaro = (m / la + m / lb + (m - t) / m) / 3.0
-    sim = np.where(jaro > 0.7, jaro + prefix * 0.1 * (1.0 - jaro), jaro)
-    # no match gives 0, except between two empty strings, which are equal;
-    # equal non-empty strings give exactly 1 above
-    sim = np.where(m > 0, sim, np.where(la + lb == 0, 1.0, 0.0))
-    out = np.empty(n)
-    out[order] = sim
-    return out
-
-
-def _char_distances(pairs: Sequence[tuple[str, str]]) -> tuple[np.ndarray, np.ndarray]:
-    """ED and JW distances of preprocessed pairs, equal to ``char_distance``:
-    batch kernels, in chunks, for pairs of strings up to 64 characters, the
-    scalar code for the rest."""
-    ed = np.empty(len(pairs))
-    jw = np.empty(len(pairs))
-    fits = np.array([len(a) <= _WORD and len(b) <= _WORD for a, b in pairs], dtype=bool)
-    short = np.flatnonzero(fits)
-    for start in range(0, len(short), _CHUNK):
-        rows = short[start : start + _CHUNK]
-        chunk = [pairs[i] for i in rows]
-        longest = np.array([max(len(a), len(b)) for a, b in chunk], dtype=np.int64)
+def _jaro_winkler_batch(table: _PeqTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``jaro_winkler_similarity`` of the string pairs (a[i], b[i]) of a Peq
+    table, bit for bit.  Each character of a takes the lowest unmatched
+    matching position of b within the window, from b's mask of its symbol;
+    transpositions compare the matched symbols of both in order."""
+    la, lb = table.lengths[a], table.lengths[b]
+    out = np.empty(len(a))
+    for rows, active in _blocks(la):
+        n = len(rows)
+        ln, rn = la[rows], lb[rows]
+        left, right = table.symbols[a[rows]], table.symbols[b[rows]]
+        base = b[rows] * table.width
+        window = np.maximum(np.maximum(ln, rn) // 2 - 1, 0)
+        taken_b = np.zeros(n, dtype=np.uint64)
+        taken_a = np.zeros((n, _WORD), dtype=bool)
+        for i, k in enumerate(active):
+            lo = np.maximum(i - window[:k], 0)
+            hi = np.minimum(i + window[:k] + 1, rn[:k])
+            free = _LOW[hi] & ~_LOW[lo] & ~taken_b[:k]
+            cand = table.eq(base[:k] + left[:k, i]) & free
+            taken_b[:k] |= cand & (~cand + np.uint64(1))
+            taken_a[:k, i] = cand != 0
+        m = taken_a.sum(axis=1)
+        bits_b = np.unpackbits(
+            taken_b.astype("<u8").view(np.uint8).reshape(n, 8), axis=1, bitorder="little"
+        ).astype(bool)
+        differ = left[taken_a] != right[bits_b]
+        t = np.bincount(np.repeat(np.arange(n), m)[differ], minlength=n) // 2
+        # both sides pad with one symbol, but pads line up within the first 4
+        # positions only for equal strings, where jaro is exactly 1 and the
+        # bonus below adds prefix * 0.1 * 0
+        prefix = np.cumprod(left[:, :4] == right[:, :4], axis=1).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ed[rows] = np.where(longest == 0, 0.0, _levenshtein_batch(chunk) / longest)
-        jw[rows] = 1.0 - _jaro_winkler_batch(chunk)
-    for i in np.flatnonzero(~fits):
-        ed[i] = char_distance(*pairs[i], "ED")
-        jw[i] = char_distance(*pairs[i], "JW")
-    return ed, jw
+            jaro = (m / ln + m / rn + (m - t) / m) / 3.0
+        sim = np.where(jaro > 0.7, jaro + prefix * 0.1 * (1.0 - jaro), jaro)
+        # no match gives 0, except between two empty strings, which are equal;
+        # equal non-empty strings give exactly 1 above
+        out[rows] = np.where(m > 0, sim, np.where(ln + rn == 0, 1.0, 0.0))
+    return out
 
 
 def _distinct_pairs(
@@ -416,11 +450,26 @@ def _char_rows(
     strings: Sequence[str],
     pairs_by_option: Mapping[str, tuple[np.ndarray, np.ndarray]],
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """ED and JW rows per preprocess option.  The options share one cache:
-    each distinct preprocessed pair is computed once, whichever options
-    produce it."""
+    """ED and JW rows per preprocess option, equal to ``char_distance``.
+    The options share one cache: each distinct preprocessed pair is computed
+    once, whichever options produce it.  Pairs of strings up to 64
+    characters run through the kernels over one Peq table of the strings
+    they hold; the scalar code takes the rest."""
     a, b, gather = _distinct_pairs(pairs_by_option, len(strings))
-    ed, jw = _char_distances([(strings[x], strings[y]) for x, y in zip(a.tolist(), b.tolist())])
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    ed = np.empty(len(a))
+    jw = np.empty(len(a))
+    fits = (lengths[a] <= _WORD) & (lengths[b] <= _WORD)
+    held, rows = np.unique(np.concatenate([a[fits], b[fits]]), return_inverse=True)
+    table = _peq_table([strings[s] for s in held.tolist()])
+    x, y = np.split(rows, 2)
+    longest = np.maximum(lengths[a[fits]], lengths[b[fits]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ed[fits] = np.where(longest == 0, 0.0, _levenshtein_batch(table, x, y) / longest)
+    jw[fits] = 1.0 - _jaro_winkler_batch(table, x, y)
+    for i in np.flatnonzero(~fits).tolist():
+        ed[i] = char_distance(strings[a[i]], strings[b[i]], "ED")
+        jw[i] = char_distance(strings[a[i]], strings[b[i]], "JW")
     return {option: (ed[g], jw[g]) for option, g in gather.items()}
 
 
@@ -429,12 +478,13 @@ def _char_rows(
 _SET_ENTRIES = 1 << 14
 
 
-def _tokenized(
+def tokenize_strings(
     strings: Sequence[str], used: np.ndarray, tokenizer: str
 ) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
     """Each used string tokenized once: the token vocabulary, and a CSR over
     all string ids (unused strings have no entries) of token ids and counts
-    in ``Counter`` order."""
+    in ``Counter`` order.  The set kernel reads it, and so does
+    ``solver.needed_idf_indexes`` for document frequencies."""
     vocab: dict[str, int] = {}
     sizes = np.zeros(len(strings), dtype=np.int64)
     tokens: list[int] = []
@@ -472,7 +522,7 @@ def _set_stats(
     n_strings = len(strings)
     used = np.zeros(n_strings, dtype=bool)
     used[a] = used[b] = True
-    vocab, sizes, tokens, counts = _tokenized(strings, np.flatnonzero(used), tokenizer)
+    vocab, sizes, tokens, counts = tokenize_strings(strings, np.flatnonzero(used), tokenizer)
     n_vocab = len(vocab)
     # per entry, its string; per string, its first entry, total count and,
     # per option, total IDF weight (summed in token order)

@@ -24,13 +24,14 @@ full recomputation per pick over all rights would.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .blocking import CandidateIndex, build_index
-from .distances import distance_matrix
+from .distances import distance_matrix, tokenize_strings
 from .functions import (
     Assignment,
     Configuration,
@@ -46,7 +47,7 @@ from .negative_rules import (
     preprocess_for_rules,
 )
 from .tables import Table
-from .text import IdfIndex, build_idf_from_values
+from .text import IdfIndex, apply_preprocess
 
 
 def discretize_thresholds(distances: Sequence[float] | np.ndarray, s: int) -> np.ndarray:
@@ -513,7 +514,14 @@ def needed_idf_indexes(
     functions: Sequence[JoinFunction], values: Sequence[str]
 ) -> dict[tuple[str, str], IdfIndex]:
     """One IdfIndex per (preprocess, tokenizer) combination used by an IDFW
-    function, built over the given corpus of raw cell values."""
+    function, built over the given corpus of raw cell values; each equals
+    ``build_idf_from_values`` for its combination.
+
+    Each distinct value is preprocessed once per option into one table of
+    distinct strings, and each string is tokenized once per tokenizer.  An
+    option's document frequencies are then one ``np.bincount`` of the token
+    ids of its strings, each weighted by the number of values it stands for.
+    """
     combos = sorted(
         {
             (f.preprocess, f.tokenizer)
@@ -521,9 +529,31 @@ def needed_idf_indexes(
             if f.is_set_based and f.weights == "IDFW"
         }
     )
-    return {
-        (p, t): build_idf_from_values(values, p, t) for p, t in combos
+    copies = Counter(values)
+    counts = np.fromiter(copies.values(), dtype=np.float64, count=len(copies))
+    string_ids: dict[str, int] = {}
+    of_value = {
+        p: np.array(
+            [string_ids.setdefault(apply_preprocess(v, p), len(string_ids)) for v in copies],
+            dtype=np.int64,
+        )
+        for p in dict.fromkeys(p for p, _ in combos)
     }
+    strings = list(string_ids)
+    out = {}
+    for tokenizer in dict.fromkeys(t for _, t in combos):
+        options = [p for p, t in combos if t == tokenizer]
+        used = np.unique(np.concatenate([of_value[p] for p in options]))
+        vocab, sizes, tokens, _ = tokenize_strings(strings, used, tokenizer)
+        for p in options:
+            per_string = np.bincount(of_value[p], weights=counts, minlength=len(strings))
+            doc_freq = np.bincount(
+                tokens, weights=np.repeat(per_string, sizes), minlength=len(vocab)
+            )
+            out[(p, tokenizer)] = IdfIndex(
+                {t: int(df) for t, df in zip(vocab, doc_freq.tolist()) if df}, copies.total()
+            )
+    return {c: out[c] for c in combos}
 
 
 @dataclass

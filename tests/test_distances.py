@@ -27,9 +27,10 @@ from fuzzyjoin import (
 )
 from fuzzyjoin import distances
 from fuzzyjoin.distances import (
-    _char_distances,
+    _char_rows,
     _jaro_winkler_batch,
     _levenshtein_batch,
+    _peq_table,
     _set_stats,
 )
 
@@ -167,54 +168,114 @@ def fits_word(pairs):
     return [(a, b) for a, b in pairs if len(a) <= 64 and len(b) <= 64]
 
 
+def interned(pairs):
+    """The distinct strings of the pairs and each pair as two id arrays."""
+    ids: dict[str, int] = {}
+    a = np.array([ids.setdefault(x, len(ids)) for x, _ in pairs], dtype=np.int64)
+    b = np.array([ids.setdefault(y, len(ids)) for _, y in pairs], dtype=np.int64)
+    return list(ids), a, b
+
+
+def with_swapped(pairs):
+    """The pairs and then each pair reversed: interned, the ids repeat
+    across pairs and each string is on both sides."""
+    return pairs + [(b, a) for a, b in pairs]
+
+
+# the default row byte cap, which keeps a dense match-mask table for these
+# tests' small alphabets, and 0, which makes every mask come from the
+# sorted-key lookup
+PEQ_CAPS = (distances._PEQ_ROW_BYTES, 0)
+
+
 class TestCharKernels:
+    """The Peq-table kernels and ``_char_rows`` against the scalar code, each
+    check under both table kinds."""
+
     EDGE = [
         ("", ""), ("", "abc"), ("abc", ""), ("kitten", "sitting"),
         ("martha", "marhta"), ("dwayne", "duane"), ("a" * 64, "a" * 64),
         ("a" * 63 + "b", "b" + "a" * 63), ("\U0001F600x", "x\U0001F600"),
         ("ab" * 32, "ba" * 32), ("abc", "abc"), ("x" * 64, "y" * 64),
-        ("\ud800ab", "ab\ud800"),
+        ("\ud800ab", "ab\ud800"), ("\ud800ab", "\ud800ba"),
     ]
 
+    @staticmethod
+    def kernels(pairs, cap):
+        """Edit distances and Jaro-Winkler similarities of pairs of strings
+        up to 64 characters, through one Peq table of their strings."""
+        strings, a, b = interned(pairs)
+        with mock.patch.object(distances, "_PEQ_ROW_BYTES", cap):
+            table = _peq_table(strings)
+        return _levenshtein_batch(table, a, b), _jaro_winkler_batch(table, a, b)
+
+    def check_kernels(self, pairs):
+        for cap in PEQ_CAPS:
+            ed, jw = self.kernels(pairs, cap)
+            assert ed.tolist() == [levenshtein(a, b) for a, b in pairs]
+            assert float_bits(jw) == float_bits([jaro_winkler_similarity(a, b) for a, b in pairs])
+
+    @staticmethod
+    def check_char_rows(pairs):
+        strings, a, b = interned(pairs)
+        for cap in PEQ_CAPS:
+            with mock.patch.object(distances, "_PEQ_ROW_BYTES", cap):
+                ed, jw = _char_rows(strings, {"L": (a, b)})["L"]
+            assert float_bits(ed) == float_bits([char_distance(x, y, "ED") for x, y in pairs])
+            assert float_bits(jw) == float_bits([char_distance(x, y, "JW") for x, y in pairs])
+
     def test_edge_cases(self):
-        assert _levenshtein_batch(self.EDGE).tolist() == [
-            levenshtein(a, b) for a, b in self.EDGE
-        ]
-        assert float_bits(_jaro_winkler_batch(self.EDGE)) == float_bits(
-            [jaro_winkler_similarity(a, b) for a, b in self.EDGE]
-        )
+        self.check_kernels(with_swapped(self.EDGE))
+
+    def test_table_kind(self):
+        strings = interned(self.EDGE)[0]
+        for cap in PEQ_CAPS:
+            with mock.patch.object(distances, "_PEQ_ROW_BYTES", cap):
+                assert (_peq_table(strings).keys is None) == (cap > 0)
+        # the cap bounds a row, not the table: 70000 strings over 31 symbols
+        # (18 MB) stay dense
+        many = [f"{i:05d}" + "abcdefghijklmnopqrstu"[i % 21 :] for i in range(70_000)]
+        table = _peq_table(many)
+        assert table.keys is None and table.width == 32
 
     @given(char_batches())
     def test_levenshtein_batch_matches_scalar(self, batch):
-        pairs = fits_word(batch)
-        if pairs:
-            assert _levenshtein_batch(pairs).tolist() == [
-                levenshtein(a, b) for a, b in pairs
-            ]
+        pairs = with_swapped(fits_word(batch))
+        for cap in PEQ_CAPS:
+            ed, _ = self.kernels(pairs, cap)
+            assert ed.tolist() == [levenshtein(a, b) for a, b in pairs]
 
     @given(char_batches())
     def test_jaro_winkler_batch_matches_scalar(self, batch):
-        pairs = fits_word(batch)
-        if pairs:
-            assert float_bits(_jaro_winkler_batch(pairs)) == float_bits(
-                [jaro_winkler_similarity(a, b) for a, b in pairs]
-            )
+        pairs = with_swapped(fits_word(batch))
+        for cap in PEQ_CAPS:
+            _, jw = self.kernels(pairs, cap)
+            assert float_bits(jw) == float_bits([jaro_winkler_similarity(a, b) for a, b in pairs])
 
     @given(char_batches())
     def test_char_distances_match_char_distance(self, batch):
         # pairs with a string over 64 characters take the scalar fallback
-        ed, jw = _char_distances(batch)
-        assert float_bits(ed) == float_bits([char_distance(a, b, "ED") for a, b in batch])
-        assert float_bits(jw) == float_bits([char_distance(a, b, "JW") for a, b in batch])
+        self.check_char_rows(with_swapped(batch))
 
     def test_chunks_and_fallback(self, monkeypatch):
-        # kernel calls of 5 pairs; the pairs over 64 characters in between
+        # kernel steps of 5 pairs; the pairs over 64 characters in between
         # take the scalar fallback
         monkeypatch.setattr(distances, "_CHUNK", 5)
         pairs = self.EDGE[:7] + [("a" * 65, "a" * 60 + "b"), ("abc", "x" * 70)] + self.EDGE[7:]
-        ed, jw = _char_distances(pairs)
-        assert float_bits(ed) == float_bits([char_distance(a, b, "ED") for a, b in pairs])
-        assert float_bits(jw) == float_bits([char_distance(a, b, "JW") for a, b in pairs])
+        self.check_char_rows(with_swapped(pairs))
+
+    def test_large_alphabet(self):
+        # 2000 strings over 2000 CJK code points: a row is past the default
+        # byte cap, so the table keeps sorted keys without any patching
+        rng = np.random.default_rng(0)
+        alphabet = [chr(0x4E00 + i) for i in range(2000)]
+        strings = [
+            c + "".join(rng.choice(alphabet[:40], size=rng.integers(0, 20))) for c in alphabet
+        ]
+        pairs = [(strings[i], strings[(i * 7 + 1) % len(strings)]) for i in range(len(strings))]
+        assert _peq_table(interned(pairs)[0]).keys is not None
+        self.check_kernels(with_swapped(pairs))
+        self.check_char_rows(with_swapped(pairs))
 
 
 # --- set distances ------------------------------------------------------------
@@ -446,12 +507,21 @@ class TestDistanceMatrix:
 
     def test_char_kernels_see_each_preprocessed_pair_once(self, monkeypatch):
         seen = {"ED": [], "JW": []}
+        table_strings = {}
+
+        def table_spy(strings, build=distances._peq_table):
+            table = build(strings)
+            table_strings[id(table)] = list(strings)
+            return table
+
+        monkeypatch.setattr(distances, "_peq_table", table_spy)
         for kind, name in (("ED", "_levenshtein_batch"), ("JW", "_jaro_winkler_batch")):
             kernel = getattr(distances, name)
 
-            def spy(pairs, kernel=kernel, kind=kind):
-                seen[kind].extend(pairs)
-                return kernel(pairs)
+            def spy(table, a, b, kernel=kernel, kind=kind):
+                strings = table_strings[id(table)]
+                seen[kind].extend((strings[x], strings[y]) for x, y in zip(a, b))
+                return kernel(table, a, b)
 
             monkeypatch.setattr(distances, name, spy)
         # "oak tigers" is the same under every preprocess option; "Oak, Tigers!"

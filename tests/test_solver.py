@@ -13,12 +13,13 @@ from fuzzyjoin import (
     discretize_thresholds,
     enumerate_function_space,
     generate_disjoint_tables,
+    build_idf_from_values,
     generate_synthetic,
     make_table,
     register_plugin,
     solve,
 )
-from fuzzyjoin.solver import precompute_config_table, prepare_columns
+from fuzzyjoin.solver import needed_idf_indexes, precompute_config_table, prepare_columns
 from conftest import (
     dense_config_table,
     dense_greedy,
@@ -497,3 +498,23 @@ def test_nonempty_solution_beats_target():
         res = solve(L, R, "name", tau=0.85, seed=seed)
         if res.solution.configs:
             assert res.estimated_precision > 0.85
+
+
+# words that the options change differently: case, punctuation, stems, and
+# whitespace runs that 3G collapses
+IDF_WORDS = ["Running", "runs", "run", "teams", "team", "Oak,", "oak", "a,b!", "ab", "x", "  ", ""]
+
+
+@given(
+    st.lists(
+        st.lists(st.sampled_from(IDF_WORDS), max_size=4).map(" ".join), min_size=1, max_size=12
+    ).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=30))
+)
+def test_needed_idf_indexes_match_build_idf_from_values(values):
+    # values drawn from a small pool, so most repeat
+    fns = enumerate_function_space()
+    combos = sorted({(f.preprocess, f.tokenizer) for f in fns if f.weights == "IDFW"})
+    assert len(combos) == 8
+    got = needed_idf_indexes(fns, values)
+    assert list(got) == combos
+    assert got == {(p, t): build_idf_from_values(values, p, t) for p, t in combos}
