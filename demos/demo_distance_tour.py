@@ -27,8 +27,8 @@ print()
 
 pre = apply_preprocess(l_value, "L+RP")
 print("tokenizations of the lowercased string:")
-print("  SP:", sorted(tokenize(pre, "SP").tokens))
-print("  3G:", sorted(tokenize(pre, "3G").tokens)[:8], "...")
+print("  SP:", sorted(tokenize(pre, "SP")))
+print("  3G:", sorted(tokenize(pre, "3G"))[:8], "...")
 print()
 
 # distances need corpus statistics only for IDF weighting

@@ -11,14 +11,12 @@ from the geometry of the reference table itself.
 from .blocking import CandidateIndex, blocking_cutoff, build_index
 from .distances import (
     char_distance,
-    contain_distance,
     distance_matrix,
     evaluate,
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein,
     register_plugin,
-    set_distance,
 )
 from .evaluation import (
     DROP_ONLY_PROFILE,
@@ -74,7 +72,6 @@ from .stem import stem
 from .tables import DataError, Record, Table, load_table, make_table
 from .text import (
     IdfIndex,
-    TokenBag,
     apply_preprocess,
     build_idf_from_values,
     tokenize,

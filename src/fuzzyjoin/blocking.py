@@ -9,8 +9,9 @@ links each reference record to its nearest other reference records (the
 self-join side).
 
 Scoring is batched over distinct values.  The lowercased values of both
-tables are interned, and each distinct value is tokenized once into a CSR of
-trigram ids in sorted-token order.  Each distinct value is scored once,
+tables are interned, and each distinct value is tokenized once (by
+``text.tokenize_strings``, as for the set kernel) into a CSR of trigram ids,
+then reordered to sorted-token order.  Each distinct value is scored once,
 whichever table and however many rows it occurs in, and keeps its top k + 1
 reference records; a query row takes its value's first k, and a reference
 row the first k after dropping itself.  Values are scored in chunks: the
@@ -28,14 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .tables import Table
-from .text import apply_preprocess, tokenize
+from .text import apply_preprocess, tokenize_strings
 
 # score cells plus posting entries per scoring chunk, which bounds the
 # chunk's temporaries
@@ -57,10 +56,9 @@ class CandidateIndex:
 
     ``lr_pairs`` ranks reference records for each right record;
     ``ll_pairs`` ranks, for each left record, the other left records (self
-    excluded).  Pairs with zero score (no shared token, or only
-    universally-shared tokens) are never stored.  ``lr`` and ``ll`` are
-    read-only views by id: each query id maps to its (id, score) list,
-    empty when it has no candidate.
+    excluded).  Both hold record positions, which ``left_ids`` and
+    ``right_ids`` map to ids.  Pairs with zero score (no shared token, or
+    only universally-shared tokens) are never stored.
     """
 
     left_ids: list[str]
@@ -69,23 +67,6 @@ class CandidateIndex:
     ll_pairs: RankedPairs
     beta: float
     k: int
-
-    @cached_property
-    def lr(self) -> Mapping[str, list[tuple[str, float]]]:
-        return _view(self.right_ids, self.left_ids, self.lr_pairs)
-
-    @cached_property
-    def ll(self) -> Mapping[str, list[tuple[str, float]]]:
-        return _view(self.left_ids, self.left_ids, self.ll_pairs)
-
-
-def _view(
-    query_ids: list[str], left_ids: list[str], pairs: RankedPairs
-) -> Mapping[str, list[tuple[str, float]]]:
-    out: dict[str, list[tuple[str, float]]] = {qid: [] for qid in query_ids}
-    for q, l, s in zip(pairs.query.tolist(), pairs.left.tolist(), pairs.score.tolist()):
-        out[query_ids[q]].append((left_ids[l], s))
-    return MappingProxyType(out)
 
 
 def blocking_cutoff(n_left: int, beta: float) -> int:
@@ -198,19 +179,17 @@ def build_index(
     k = blocking_cutoff(n_left, beta)
 
     # the distinct lowercased values of both tables, each tokenized once
-    # into distinct trigram ids in sorted-token order
+    # into distinct trigram ids, reordered in sorted-token order
     distinct: dict[str, int] = {}
     codes = np.array(
         [distinct.setdefault(apply_preprocess(v, "L"), len(distinct)) for v in left_values + right_values],
         dtype=np.int64,
     )
-    vocab: dict[str, int] = {}
-    token_lists = [
-        [vocab.setdefault(t, len(vocab)) for t in sorted(tokenize(s, "3G").tokens)] for s in distinct
-    ]
-    sizes = np.array([len(ts) for ts in token_lists], dtype=np.int64)
+    vocab, sizes, tokens, _ = tokenize_strings(list(distinct), np.arange(len(distinct)), "3G")
+    rank = np.empty(len(vocab), dtype=np.int64)
+    rank[sorted(range(len(vocab)), key=list(vocab).__getitem__)] = np.arange(len(vocab))
+    tokens = tokens[np.lexsort((rank[tokens], np.repeat(np.arange(len(distinct)), sizes)))]
     bounds = np.concatenate([[0], np.cumsum(sizes)])
-    tokens = np.array([t for ts in token_lists for t in ts], dtype=np.int64)
 
     # IDF over the rows of both tables, as build_idf_from_values(values,
     # "L", "3G") weighs a token: log(rows / rows holding it)

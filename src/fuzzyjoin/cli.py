@@ -121,14 +121,28 @@ def _parse(path: str, row_no: int, key: str, value, cast):
         raise DataError(f"{path}: row {row_no}: bad {key} {value!r}") from None
 
 
-def _read_gt_csv(path: str) -> GroundTruth:
+def _read_join_rows(path: str) -> list[tuple[int, dict[str, str]]]:
+    """``_read_csv`` of a file with one row per right record: a repeated
+    right_id raises DataError naming the file, the row and the id."""
     rows = _read_csv(path, ("right_id", "left_id"))
+    first: dict[str, int] = {}
+    for row_no, row in rows:
+        if first.setdefault(row["right_id"], row_no) != row_no:
+            raise DataError(
+                f"{path}: row {row_no}: repeated right_id {row['right_id']!r} "
+                f"(first on row {first[row['right_id']]})"
+            )
+    return rows
+
+
+def _read_gt_csv(path: str) -> GroundTruth:
+    rows = _read_join_rows(path)
     return GroundTruth({row["right_id"]: row["left_id"] for _, row in rows if row["left_id"]})
 
 
 def _read_joins_csv(path: str) -> JoinResult:
     assignments = {}
-    for row_no, row in _read_csv(path, ("right_id", "left_id")):
+    for row_no, row in _read_join_rows(path):
         precision = row.get("estimated_precision") or 1.0
         config_index = row.get("config_index") or 0
         assignments[row["right_id"]] = Assignment(

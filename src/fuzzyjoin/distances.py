@@ -7,7 +7,8 @@ when the right bag is a sub-multiset of the left bag and return 1 otherwise.
 Callers can register extra distance functions on raw strings under the
 PLUGIN kind.
 
-`distance_matrix` is the batch path used by the solver.  It interns each
+`distance_matrix` is the library's one set-distance path: the solver calls
+it, and the single-pair `evaluate` is one call to it.  It interns each
 distinct raw value, preprocesses it once per option into one table of
 distinct preprocessed strings, and computes every (preprocess, tokenizer,
 weights) combination once per distinct pair of string ids, shared across
@@ -30,26 +31,26 @@ several times longer per step.  Pairs with a string longer than 64
 characters fall back to the scalar `char_distance`, which also serves as
 the kernels' test oracle.
 
-The set kinds run batched over per-string tokenizations: each distinct
-preprocessed string is tokenized once per tokenizer into token ids and
-counts, a pair's intersection is found by a sorted-key lookup, and numpy
-sums each pair's terms in the order of a loop over its token bags, so the
-results equal the scalar `set_distance` / `contain_distance` bit for bit.
-Count statistics are shared across preprocess options like the character
-cache; only the IDF weights differ.
+The set kinds have no scalar path.  They run batched over per-string
+tokenizations (`text.tokenize_strings`): each distinct preprocessed string
+is tokenized once per tokenizer into token ids and counts, a pair's
+intersection is found by a sorted-key lookup, and numpy sums each pair's
+terms in the order of a loop over its token `Counter`s, so the results
+equal, bit for bit, the per-pair loop kept as the test oracle in
+`tests/conftest.py` (`loop_set_stats`, `scalar_evaluate`).  Count
+statistics are shared across preprocess options like the character cache;
+only the IDF weights differ.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .functions import CHAR_DISTANCES, JoinFunction, PLUGIN
-from .text import IdfIndex, TokenBag, apply_preprocess, tokenize
+from .text import IdfIndex, apply_preprocess, tokenize_strings
 
 # --- character-based -------------------------------------------------------
 
@@ -147,91 +148,9 @@ def char_distance(a: str, b: str, kind: str) -> float:
 
 # --- set-based --------------------------------------------------------------
 
-
-def _weight_fn(scheme: str, idf: IdfIndex | None) -> Callable[[str], float]:
-    if scheme == "EW":
-        return lambda t: 1.0
-    if scheme == "IDFW":
-        if idf is None:
-            raise ValueError("IDFW weighting requires a built IdfIndex")
-        return idf.weight
-    raise ValueError(f"unknown weight scheme {scheme!r}")
-
-
-def _pair_weights(
-    A: Counter, B: Counter, weight: Callable[[str], float]
-) -> tuple[float, float, float]:
-    """(intersection, weight of A, weight of B); intersection takes min
-    multiplicities."""
-    inter = 0.0
-    for t, mb in B.items():
-        ma = A.get(t, 0)
-        if ma:
-            inter += (ma if ma < mb else mb) * weight(t)
-    w_a = sum(m * weight(t) for t, m in A.items())
-    w_b = sum(m * weight(t) for t, m in B.items())
-    return inter, w_a, w_b
-
-
-def _set_distance_from_weights(inter: float, w_a: float, w_b: float, kind: str) -> float:
-    if w_a <= 0.0 or w_b <= 0.0:
-        return 0.0 if (w_a <= 0.0 and w_b <= 0.0) else 1.0
-    if kind == "JD":
-        d = 1.0 - inter / (w_a + w_b - inter)
-    elif kind == "CD":
-        d = 1.0 - inter / math.sqrt(w_a * w_b)
-    elif kind == "DD":
-        d = 1.0 - 2.0 * inter / (w_a + w_b)
-    elif kind == "ID":
-        d = 1.0 - inter / min(w_a, w_b)
-    elif kind == "MD":
-        d = 1.0 - inter / max(w_a, w_b)
-    else:
-        raise ValueError(f"unknown set distance {kind!r}")
-    return min(1.0, max(0.0, d))
-
-
-def set_distance(
-    A: TokenBag,
-    B: TokenBag,
-    kind: str,
-    weights: str = "EW",
-    idf: IdfIndex | None = None,
-) -> float:
-    """Weighted multiset distance between two token bags.
-
-    Both bags empty (zero total weight) gives 0; exactly one empty gives 1.
-    """
-    inter, w_a, w_b = _pair_weights(A.tokens, B.tokens, _weight_fn(weights, idf))
-    return _set_distance_from_weights(inter, w_a, w_b, kind)
-
-
+# a containment hybrid's standard kind, taken when the right bag is a
+# sub-multiset of the left one
 _CONTAIN_BASE = {"CJD": "JD", "CCD": "CD", "CDD": "DD"}
-
-
-def multiset_contains(A: Counter, B: Counter) -> bool:
-    """True when B is a sub-multiset of A."""
-    return all(A.get(t, 0) >= m for t, m in B.items())
-
-
-def contain_distance(
-    A: TokenBag,
-    B: TokenBag,
-    kind: str,
-    weights: str = "EW",
-    idf: IdfIndex | None = None,
-) -> float:
-    """Containment hybrid: the standard distance when B is contained in A
-    (unweighted multiset inclusion), otherwise exactly 1.
-
-    A is the reference-side bag, B the query-side bag.
-    """
-    base = _CONTAIN_BASE.get(kind)
-    if base is None:
-        raise ValueError(f"unknown containment distance {kind!r}")
-    if not multiset_contains(A.tokens, B.tokens):
-        return 1.0
-    return set_distance(A, B, base, weights, idf)
 
 
 # --- plugin registry --------------------------------------------------------
@@ -260,24 +179,15 @@ def evaluate(
     r_value: str,
     idf: IdfIndex | None = None,
 ) -> float:
-    """Distance between two raw cell values under one join function.
+    """Distance between two raw cell values under one join function: one
+    ``distance_matrix`` call, so it equals what the solver computes.
 
     Composes preprocess, tokenize, weight, and distance.  Two missing
     values (both raw cells empty) are maximally distant by definition.
+    ``idf`` is the IdfIndex of the function's (preprocess, tokenizer).
     """
-    if l_value == "" and r_value == "":
-        return 1.0
-    if f.distance == PLUGIN:
-        return get_plugin(f.plugin)(l_value, r_value)
-    a = apply_preprocess(l_value, f.preprocess)
-    b = apply_preprocess(r_value, f.preprocess)
-    if f.distance in CHAR_DISTANCES:
-        return char_distance(a, b, f.distance)
-    bag_a = tokenize(a, f.tokenizer)
-    bag_b = tokenize(b, f.tokenizer)
-    if f.distance in _CONTAIN_BASE:
-        return contain_distance(bag_a, bag_b, f.distance, f.weights, idf)
-    return set_distance(bag_a, bag_b, f.distance, f.weights, idf)
+    idf_by_pt = {(f.preprocess, f.tokenizer): idf} if idf is not None else None
+    return float(distance_matrix([f], [(l_value, r_value)], idf_by_pt)[0, 0])
 
 
 # --- batch evaluation over distinct string pairs ----------------------------
@@ -476,27 +386,6 @@ def _char_rows(
 # B-side token entries per set-kernel step, which bounds the per-entry
 # temporaries
 _SET_ENTRIES = 1 << 14
-
-
-def tokenize_strings(
-    strings: Sequence[str], used: np.ndarray, tokenizer: str
-) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
-    """Each used string tokenized once: the token vocabulary, and a CSR over
-    all string ids (unused strings have no entries) of token ids and counts
-    in ``Counter`` order.  The set kernel reads it, and so does
-    ``solver.needed_idf_indexes`` for document frequencies."""
-    vocab: dict[str, int] = {}
-    sizes = np.zeros(len(strings), dtype=np.int64)
-    tokens: list[int] = []
-    counts: list[int] = []
-    lengths: list[int] = []
-    for s in used.tolist():
-        bag = tokenize(strings[s], tokenizer).tokens
-        lengths.append(len(bag))
-        tokens.extend([vocab.setdefault(t, len(vocab)) for t in bag])
-        counts.extend(bag.values())
-    sizes[used] = lengths
-    return vocab, sizes, np.array(tokens, dtype=np.int32), np.array(counts, dtype=np.int32)
 
 
 def _set_stats(

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .blocking import CandidateIndex, build_index
-from .distances import distance_matrix, tokenize_strings
+from .distances import distance_matrix
 from .functions import (
     Assignment,
     Configuration,
@@ -47,7 +47,7 @@ from .negative_rules import (
     preprocess_for_rules,
 )
 from .tables import Table
-from .text import IdfIndex, apply_preprocess
+from .text import IdfIndex, apply_preprocess, tokenize_strings
 
 
 def discretize_thresholds(distances: Sequence[float] | np.ndarray, s: int) -> np.ndarray:

@@ -11,7 +11,9 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .stem import stem
 
@@ -38,21 +40,8 @@ def apply_preprocess(s: str, option: str) -> str:
     return _preprocess_cached(s, option)
 
 
-@dataclass(frozen=True)
-class TokenBag:
-    """A multiset of tokens."""
-
-    tokens: Counter
-
-    def __len__(self) -> int:
-        return sum(self.tokens.values())
-
-    def is_empty(self) -> bool:
-        return not self.tokens
-
-
-def tokenize(s: str, scheme: str) -> TokenBag:
-    """Tokenize a preprocessed string.
+def tokenize(s: str, scheme: str) -> Counter:
+    """Tokenize a preprocessed string into a multiset of tokens.
 
     SP splits on whitespace runs; 3G emits all character trigrams after
     collapsing whitespace runs to single spaces (a collapsed string shorter
@@ -60,17 +49,36 @@ def tokenize(s: str, scheme: str) -> TokenBag:
     empty bag under both schemes.
     """
     if scheme == "SP":
-        return TokenBag(Counter(s.split()))
+        return Counter(s.split())
     if scheme == "3G":
         collapsed = " ".join(s.split())
         if not collapsed:
-            return TokenBag(Counter())
+            return Counter()
         if len(collapsed) < 3:
-            return TokenBag(Counter([collapsed]))
-        return TokenBag(
-            Counter(collapsed[i : i + 3] for i in range(len(collapsed) - 2))
-        )
+            return Counter([collapsed])
+        return Counter(collapsed[i : i + 3] for i in range(len(collapsed) - 2))
     raise ValueError(f"unknown tokenizer {scheme!r}")
+
+
+def tokenize_strings(
+    strings: Sequence[str], used: np.ndarray, tokenizer: str
+) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+    """Each used string tokenized once: the token vocabulary, and a CSR over
+    all string ids (unused strings have no entries) of token ids and counts
+    in ``Counter`` order.  The set kernel, ``solver.needed_idf_indexes`` and
+    ``blocking.build_index`` all read their tokens from it."""
+    vocab: dict[str, int] = {}
+    sizes = np.zeros(len(strings), dtype=np.int64)
+    tokens: list[int] = []
+    counts: list[int] = []
+    lengths: list[int] = []
+    for s in used.tolist():
+        bag = tokenize(strings[s], tokenizer)
+        lengths.append(len(bag))
+        tokens.extend([vocab.setdefault(t, len(vocab)) for t in bag])
+        counts.extend(bag.values())
+    sizes[used] = lengths
+    return vocab, sizes, np.array(tokens, dtype=np.int32), np.array(counts, dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -98,6 +106,6 @@ def build_idf_from_values(
     copies = Counter(values)
     doc_freq: Counter = Counter()
     for v, k in copies.items():
-        for t in tokenize(apply_preprocess(v, preprocess), tokenizer).tokens:
+        for t in tokenize(apply_preprocess(v, preprocess), tokenizer):
             doc_freq[t] += k
     return IdfIndex(dict(doc_freq), copies.total())

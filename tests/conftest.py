@@ -1,7 +1,8 @@
-"""Shared helpers: CSV writers, random greedy-search instances, and the
-loops that the vectorized engines are held to: the per-configuration ball
-counts, the dense configuration table, the dense greedy loop, the per-pair
-set-statistics loop and the per-row blocking loop."""
+"""Shared helpers: CSV writers, random greedy-search instances, the
+blocked candidates by id, and the loops that the vectorized engines are
+held to: the per-configuration ball counts, the dense configuration table,
+the dense greedy loop, the per-pair set-statistics loop with the scalar
+single-pair distance on top of it, and the per-row blocking loop."""
 
 from __future__ import annotations
 
@@ -16,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fuzzyjoin import Record, Table, blocking_cutoff
-from fuzzyjoin.functions import Configuration, JoinFunction
+from fuzzyjoin import CandidateIndex, Record, Table, blocking_cutoff
+from fuzzyjoin.distances import char_distance, get_plugin
+from fuzzyjoin.functions import CHAR_DISTANCES, PLUGIN, Configuration, JoinFunction
 from fuzzyjoin.solver import ConfigTable, GreedyOutcome, GreedyStep
 from fuzzyjoin.text import IdfIndex, apply_preprocess, build_idf_from_values, tokenize
 
@@ -355,7 +357,7 @@ def loop_set_stats(
         # (tokens, count, IDF weight), once per distinct string
         hit = bags.get(s)
         if hit is None:
-            tokens = tokenize(s, tokenizer).tokens
+            tokens = tokenize(s, tokenizer)
             idf_w = (
                 sum(m * idf.weight(t) for t, m in tokens.items()) if idf else 0.0
             )
@@ -385,10 +387,73 @@ def loop_set_stats(
     return out
 
 
+_CONTAIN_BASE = {"CJD": "JD", "CCD": "CD", "CDD": "DD"}
+
+
+def scalar_evaluate(
+    f: JoinFunction, l_value: str, r_value: str, idf: IdfIndex | None = None
+) -> float:
+    """One pair's distance under one join function, computed alone: the
+    scalar path that ``distances.evaluate`` and ``distance_matrix`` replaced,
+    kept as their oracle.  Set kinds take the pair's statistics from
+    ``loop_set_stats``."""
+    if l_value == "" and r_value == "":
+        return 1.0
+    if f.distance == PLUGIN:
+        return get_plugin(f.plugin)(l_value, r_value)
+    a = apply_preprocess(l_value, f.preprocess)
+    b = apply_preprocess(r_value, f.preprocess)
+    if f.distance in CHAR_DISTANCES:
+        return char_distance(a, b, f.distance)
+    if f.weights == "IDFW" and idf is None:
+        raise ValueError("IDFW weighting requires a built IdfIndex")
+    stats = loop_set_stats([(a, b)], f.tokenizer, idf if f.weights == "IDFW" else None)
+    prefix = "cnt" if f.weights == "EW" else "idf"
+    inter, w_a, w_b = (float(stats[f"{prefix}_{side}"][0]) for side in "iab")
+    kind = f.distance
+    if kind in _CONTAIN_BASE:
+        # the standard distance when B is contained in A (unweighted
+        # multiset inclusion), otherwise exactly 1
+        if not stats["contained"][0]:
+            return 1.0
+        kind = _CONTAIN_BASE[kind]
+    if w_a <= 0.0 or w_b <= 0.0:
+        return 0.0 if (w_a <= 0.0 and w_b <= 0.0) else 1.0
+    if kind == "JD":
+        d = 1.0 - inter / (w_a + w_b - inter)
+    elif kind == "CD":
+        d = 1.0 - inter / math.sqrt(w_a * w_b)
+    elif kind == "DD":
+        d = 1.0 - 2.0 * inter / (w_a + w_b)
+    elif kind == "ID":
+        d = 1.0 - inter / min(w_a, w_b)
+    elif kind == "MD":
+        d = 1.0 - inter / max(w_a, w_b)
+    else:
+        raise ValueError(f"unknown set distance {kind!r}")
+    return min(1.0, max(0.0, d))
+
+
+def index_by_id(
+    idx: CandidateIndex,
+) -> tuple[dict[str, list[tuple[str, float]]], dict[str, list[tuple[str, float]]]]:
+    """The L-R and L-L candidates of an index by id: each query id, in table
+    order, maps to its ranked (left id, score) list, empty when it has no
+    candidate."""
+
+    def by_id(query_ids: list[str], pairs) -> dict[str, list[tuple[str, float]]]:
+        out: dict[str, list[tuple[str, float]]] = {qid: [] for qid in query_ids}
+        for q, l, s in zip(pairs.query.tolist(), pairs.left.tolist(), pairs.score.tolist()):
+            out[query_ids[q]].append((idx.left_ids[l], s))
+        return out
+
+    return by_id(idx.right_ids, idx.lr_pairs), by_id(idx.left_ids, idx.ll_pairs)
+
+
 def _blocking_tokens(value: str) -> list[str]:
     # distinct trigrams of the lowercased value, sorted so that score
     # accumulation order (and hence float sums) is reproducible
-    return sorted(tokenize(apply_preprocess(value, "L"), "3G").tokens.keys())
+    return sorted(tokenize(apply_preprocess(value, "L"), "3G").keys())
 
 
 def loop_build_index(L: Table, R: Table, column: str, beta: float = 1.0):

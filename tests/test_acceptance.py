@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_random_instance, write_table_csv
+from conftest import index_by_id, make_random_instance, write_table_csv
 from fuzzyjoin import (
     FunctionSpaceOptions,
     MIXED_PROFILE,
@@ -167,6 +167,7 @@ def test_criterion_6_irrelevant_rows(synthetic200, clean_run):
 def test_criterion_7_blocking(synthetic200):
     L, R, gt = synthetic200  # |L| = 200
     idx = build_index(L, R, "name", beta=1.0)
+    lr = index_by_id(idx)[0]
     from fuzzyjoin import build_idf_from_values
 
     idf = build_idf_from_values(
@@ -175,19 +176,19 @@ def test_criterion_7_blocking(synthetic200):
     left_rows = list(zip(L.ids(), L.column_values("name")))
     for rid, rvalue in list(zip(R.ids(), R.column_values("name")))[:120]:
         expected = oracle_top_k(left_rows, rvalue, idx.k, idf)
-        assert [lid for lid, _ in idx.lr[rid]] == [lid for lid, _ in expected]
+        assert [lid for lid, _ in lr[rid]] == [lid for lid, _ in expected]
 
     kept = sum(
-        1 for rid, lid in gt.matches.items() if lid in [x for x, _ in idx.lr[rid]]
+        1 for rid, lid in gt.matches.items() if lid in [x for x, _ in lr[rid]]
     )
     assert kept / gt.total_true() >= 0.95
 
-    idx_half = build_index(L, R, "name", beta=0.5)
-    idx_double = build_index(L, R, "name", beta=2.0)
+    lr_half = index_by_id(build_index(L, R, "name", beta=0.5))[0]
+    lr_double = index_by_id(build_index(L, R, "name", beta=2.0))[0]
     for rid in R.ids():
-        small = [lid for lid, _ in idx_half.lr[rid]]
-        mid = [lid for lid, _ in idx.lr[rid]]
-        big = [lid for lid, _ in idx_double.lr[rid]]
+        small = [lid for lid, _ in lr_half[rid]]
+        mid = [lid for lid, _ in lr[rid]]
+        big = [lid for lid, _ in lr_double[rid]]
         assert set(small) <= set(mid) <= set(big)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import loop_build_index
+from conftest import index_by_id, loop_build_index
 import fuzzyjoin.solver as solver
 from fuzzyjoin import (
     NegativeRule,
@@ -17,6 +17,7 @@ from fuzzyjoin import (
     build_index,
     generate_synthetic,
     make_table,
+    text,
 )
 from fuzzyjoin.negative_rules import pair_blocked
 from fuzzyjoin.solver import BlockedPairs, filter_lr_by_rules, flatten_index
@@ -44,8 +45,8 @@ def assert_matches_loop(L, R, beta):
         assert got.query.tolist() == [q for q, _, _ in want]
         assert got.left.tolist() == [l for _, l, _ in want]
         assert got.score.tobytes() == np.array([s for *_, s in want], dtype=np.float64).tobytes()
-    assert dict(idx.lr) == lr and list(idx.lr) == list(lr)
-    assert dict(idx.ll) == ll and list(idx.ll) == list(ll)
+    by_id = index_by_id(idx)
+    assert by_id == (lr, ll) and [list(d) for d in by_id] == [list(lr), list(ll)]
 
 
 WORDS = ["ab", "abc", "bca", "oak", "OAK", "oaks", "x", "", "abc abc", "tigers"]
@@ -98,14 +99,14 @@ class TestMatchesLoop:
         )
         idx = build_index(L, R, L.columns, 1.0)
         lr, ll = loop_build_index(joined, query, "name", 1.0)
-        assert dict(idx.lr) == lr and dict(idx.ll) == ll
+        assert index_by_id(idx) == (lr, ll)
 
 
 def test_each_distinct_value_tokenized_and_scored_once(monkeypatch):
     left = ["Oak Tigers", "oak tigers", "pine bears", "pine bears", ""]
     right = ["oak tigers", "OAK TIGERS", "pine bears", "elm", "elm", "elm", ""]
     seen, scored = [], []
-    tokenize, rank = blocking.tokenize, blocking._rank_values
+    tokenize, rank = text.tokenize, blocking._rank_values
 
     def spy_tokenize(s, scheme):
         seen.append(s)
@@ -115,7 +116,7 @@ def test_each_distinct_value_tokenized_and_scored_once(monkeypatch):
         scored.append(len(bounds) - 1)
         return rank(bounds, *args)
 
-    monkeypatch.setattr(blocking, "tokenize", spy_tokenize)
+    monkeypatch.setattr(text, "tokenize", spy_tokenize)
     monkeypatch.setattr(blocking, "_rank_values", spy_rank)
     build_index(*tables(left, right), "name", 1.0)
     distinct = {v.lower() for v in left + right}
@@ -124,14 +125,12 @@ def test_each_distinct_value_tokenized_and_scored_once(monkeypatch):
 
 
 class TestViews:
-    def test_every_query_id_present_and_read_only(self):
+    def test_every_query_id_present(self):
         L, R = tables(["oak", "pine"], ["oak", "zzzz", "pine"])
-        idx = build_index(L, R, "name", 1.0)
-        assert list(idx.lr) == ["R0", "R1", "R2"]
-        assert idx.lr["R1"] == []
-        assert list(idx.ll) == ["L0", "L1"] and idx.ll["L0"] == []
-        with pytest.raises(TypeError):
-            idx.lr["R1"] = [("L0", 1.0)]
+        lr, ll = index_by_id(build_index(L, R, "name", 1.0))
+        assert list(lr) == ["R0", "R1", "R2"]
+        assert lr["R1"] == []
+        assert list(ll) == ["L0", "L1"] and ll["L0"] == []
 
     def test_flattened_pairs_sorted(self):
         L, R = tables(["oak b", "oak a", "oak c"], ["oak", "oak a"], ["L2", "L0", "L1"])

@@ -254,10 +254,14 @@ LATIN1 = "right_id,left_id\nr1,caf\u00e9\n".encode("latin-1")
         ("pred.csv", PRED_HEADER + "r1,l1,0.9,first\n", 3, "row 2: bad config_index 'first'"),
         ("scores.csv", "right_id,left_id,score\nr1,l1,x\n", 3, "row 2: bad score 'x'"),
         ("report.json", None, 2, "config error"),
+        # each right record joins at most one left record
+        ("pred.csv", PRED_HEADER + "r1,l1,0.9,0\nr1,l2,0.9,0\n", 3, "row 3: repeated right_id 'r1'"),
+        ("gt.csv", "right_id,left_id\nr1,l1\nr1,l2\n", 3, "row 3: repeated right_id 'r1'"),
     ],
     ids=[
         "missing-pred", "missing-gt", "latin1-pred", "latin1-gt",
         "bad-precision", "bad-config-index", "bad-score", "json-missing-dir",
+        "repeated-pred-right-id", "repeated-gt-right-id",
     ],
 )
 def test_eval_bad_input_exit_code(tmp_path, capsys, broken, content, code, message):

@@ -1,5 +1,5 @@
 """Every narrative script under demos/ runs to completion against the
-package in src/."""
+package in src/, and the distance tour prints the values it always has."""
 
 import os
 import subprocess
@@ -11,15 +11,52 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# demo_distance_tour.py's stdout, pinned so that a moved distance shows
+TOUR_STDOUT = """\
+preprocessing options on: '2008 Mississippi State Bulldogs football team'
+  L       -> '2008 mississippi state bulldogs football team'
+  L+RP    -> '2008 mississippi state bulldogs football team'
+  L+S     -> '2008 mississippi state bulldog footbal team'
+  L+S+RP  -> '2008 mississippi state bulldog footbal team'
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
+tokenizations of the lowercased string:
+  SP: ['2008', 'bulldogs', 'football', 'mississippi', 'state', 'team']
+  3G: [' bu', ' fo', ' mi', ' st', ' te', '008', '08 ', '200'] ...
+
+distances between
+  l = '2008 Mississippi State Bulldogs football team'
+  r = '2008 Missisippi State Bulldog football'
+  preprocess=L tokenizer=NONE weights=NONE distance=ED         -> 0.1556
+  preprocess=L tokenizer=NONE weights=NONE distance=JW         -> 0.0416
+  preprocess=L tokenizer=SP weights=EW distance=JD             -> 0.6250
+  preprocess=L tokenizer=SP weights=EW distance=CJD            -> 1.0000
+  preprocess=L tokenizer=SP weights=IDFW distance=CD           -> 0.8551
+  preprocess=L tokenizer=3G weights=EW distance=DD             -> 0.1646
+
+the full space holds 136 join functions; each also gets a
+grid of candidate thresholds, so the solver weighs thousands of
+configurations per dataset.
+"""
+
+
+def run_demo(demo: Path, cwd: Path) -> subprocess.CompletedProcess:
     src = str(ROOT / "src")
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     }
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
+    return subprocess.run(
+        [sys.executable, str(demo)], cwd=cwd, env=env, capture_output=True, text=True
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    proc = run_demo(demo, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_distance_tour_stdout(tmp_path):
+    proc = run_demo(ROOT / "demos" / "demo_distance_tour.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == TOUR_STDOUT

@@ -4,28 +4,25 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import loop_set_stats
+from conftest import loop_set_stats, scalar_evaluate
 from hypothesis import given, strategies as st
 
 from fuzzyjoin import (
     FunctionSpaceOptions,
     IdfIndex,
     JoinFunction,
-    TokenBag,
     apply_preprocess,
     build_idf_from_values,
     char_distance,
-    contain_distance,
     distance_matrix,
     enumerate_function_space,
     evaluate,
     jaro_winkler_similarity,
     levenshtein,
     register_plugin,
-    set_distance,
     tokenize,
 )
-from fuzzyjoin import distances
+from fuzzyjoin import distances, text
 from fuzzyjoin.distances import (
     _char_rows,
     _jaro_winkler_batch,
@@ -281,8 +278,16 @@ class TestCharKernels:
 # --- set distances ------------------------------------------------------------
 
 
-def bag(*tokens: str) -> TokenBag:
-    return TokenBag(Counter(tokens))
+def bag(*tokens: str) -> str:
+    """A raw value whose SP tokens under "L" are the given tokens: the
+    tokens space-joined, and a lone space for no token, since the pair
+    ("", "") is the missing pair, at distance 1."""
+    return " ".join(tokens) or " "
+
+
+def set_distance(a: str, b: str, kind: str, weights: str = "EW", idf=None) -> float:
+    """The shipped engine's distance between two SP token strings."""
+    return evaluate(JoinFunction("L", "SP", weights, kind), a, b, idf)
 
 
 class TestSetDistance:
@@ -329,7 +334,7 @@ class TestSetDistance:
         st.sampled_from(["JD", "CD", "DD", "ID", "MD"]),
     )
     def test_symmetry_and_range(self, ta, tb, kind):
-        a, b = TokenBag(Counter(ta)), TokenBag(Counter(tb))
+        a, b = bag(*ta), bag(*tb)
         d_ab = set_distance(a, b, kind)
         d_ba = set_distance(b, a, kind)
         assert d_ab == pytest.approx(d_ba, abs=1e-12)
@@ -341,32 +346,36 @@ class TestSetDistance:
 class TestContainDistance:
     def test_contained_equals_standard(self):
         l, r = bag("a", "b", "c"), bag("a", "b")
-        assert contain_distance(l, r, "CJD") == pytest.approx(1 - 2 / 3)
-        assert contain_distance(l, r, "CCD") == set_distance(l, r, "CD")
-        assert contain_distance(l, r, "CDD") == set_distance(l, r, "DD")
+        assert set_distance(l, r, "CJD") == pytest.approx(1 - 2 / 3)
+        assert set_distance(l, r, "CCD") == set_distance(l, r, "CD")
+        assert set_distance(l, r, "CDD") == set_distance(l, r, "DD")
 
     def test_not_contained_is_one(self):
-        assert contain_distance(bag("a", "b", "c"), bag("a", "d"), "CJD") == 1.0
+        assert set_distance(bag("a", "b", "c"), bag("a", "d"), "CJD") == 1.0
 
     def test_identity(self):
         x = bag("p", "q")
-        assert contain_distance(x, x, "CDD") == 0.0
+        assert set_distance(x, x, "CDD") == 0.0
 
     def test_exhaustive_small_bags(self):
-        # every multiset over {a, b} up to size 4, both sides
+        # every multiset over {a, b} up to size 4, both sides: 15 x 15 pairs,
+        # each under the three hybrids and their standard kinds in one call
         universe = [
             Counter(dict(zip("ab", counts)))
             for counts in itertools.product(range(5), repeat=2)
             if sum(counts) <= 4
         ]
-        for A, B in itertools.product(universe, repeat=2):
+        bags = list(itertools.product(universe, repeat=2))
+        kinds = (("CJD", "JD"), ("CCD", "CD"), ("CDD", "DD"))
+        fns = [JoinFunction("L", "SP", "EW", kind) for pair in kinds for kind in pair]
+        values = [(bag(*sorted(A.elements())), bag(*sorted(B.elements()))) for A, B in bags]
+        mat = distance_matrix(fns, values)
+        assert mat.shape == (6, 225)
+        for pi, (A, B) in enumerate(bags):
             contained = all(A.get(t, 0) >= m for t, m in B.items())
-            for ckind, skind in (("CJD", "JD"), ("CCD", "CD"), ("CDD", "DD")):
-                got = contain_distance(TokenBag(A), TokenBag(B), ckind)
-                if contained:
-                    assert got == set_distance(TokenBag(A), TokenBag(B), skind)
-                else:
-                    assert got == 1.0
+            for ki in range(len(kinds)):
+                got, standard = mat[2 * ki, pi], mat[2 * ki + 1, pi]
+                assert got == (standard if contained else 1.0)
 
 
 # --- batch set kernel -----------------------------------------------------------
@@ -414,7 +423,7 @@ def set_cases(draw):
     for option in draw(st.sampled_from([["x"], ["x", "y"]])):
         pairs = draw(st.lists(st.tuples(text, text), min_size=1, max_size=20))
         pairs_by_option[option] = pairs
-        tokens = sorted({t for pair in pairs for s in pair for t in tokenize(s, tokenizer).tokens})
+        tokens = sorted({t for pair in pairs for s in pair for t in tokenize(s, tokenizer)})
         if tokens and draw(st.booleans()):
             n = draw(st.integers(1, 12))
             kept = draw(st.lists(st.sampled_from(tokens), unique=True))
@@ -439,8 +448,8 @@ class TestSetKernel:
     def test_edge_cases(self, monkeypatch, tokenizer, entries):
         # small steps put chunk boundaries between and inside the pairs
         monkeypatch.setattr(distances, "_SET_ENTRIES", entries)
-        docs = [tokenize(s, tokenizer).tokens for pair in self.EDGE for s in pair]
-        common = tokenize("common", tokenizer).tokens
+        docs = [tokenize(s, tokenizer) for pair in self.EDGE for s in pair]
+        common = tokenize("common", tokenizer)
         doc_freq = {t: len(docs) for t in common}
         rest = sorted({t for d in docs for t in d if t not in common and "un" not in t})
         doc_freq |= {t: 1 + i % len(docs) for i, t in enumerate(rest)}
@@ -482,6 +491,16 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(f, "x", "y")
 
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25])
+    def test_plugin_out_of_range_raises(self, bad):
+        # as in the pipeline; the missing pair, whose distance is 1 whatever
+        # the plugin says, still has its plugin value checked
+        register_plugin("bad-single", lambda a, b: bad)
+        f = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="bad-single")
+        for l_value, r_value in (("x", "y"), ("", "")):
+            with pytest.raises(ValueError, match="'bad-single'"):
+                evaluate(f, l_value, r_value)
+
 
 class TestDistanceMatrix:
     def test_matches_scalar_evaluate(self):
@@ -503,7 +522,8 @@ class TestDistanceMatrix:
         for fi, f in enumerate(fns):
             idf = idf_by_pt[(f.preprocess, f.tokenizer)] if f.is_set_based else None
             for pi, (a, b) in enumerate(pairs):
-                assert mat[fi, pi] == evaluate(f, a, b, idf)
+                assert mat[fi, pi] == scalar_evaluate(f, a, b, idf)
+                assert evaluate(f, a, b, idf) == mat[fi, pi]
 
     def test_char_kernels_see_each_preprocessed_pair_once(self, monkeypatch):
         seen = {"ED": [], "JW": []}
@@ -561,7 +581,7 @@ class TestDistanceMatrix:
             seen.append((s, scheme))
             return tokenize(s, scheme)
 
-        monkeypatch.setattr(distances, "tokenize", spy)
+        monkeypatch.setattr(text, "tokenize", spy)
         distance_matrix(fns, pairs, idf_by_pt)
         by_option = [{apply_preprocess(v, o) for v in values} for o in {f.preprocess for f in fns}]
         expected = [(s, t) for s in set().union(*by_option) for t in ("3G", "SP")]

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import index_by_id, scalar_evaluate
 
 from fuzzyjoin import (
     Assignment,
@@ -11,7 +12,6 @@ from fuzzyjoin import (
     build_index,
     char_distance,
     enumerate_function_space,
-    evaluate,
     generate_disjoint_tables,
     generate_synthetic,
     pr_auc,
@@ -151,7 +151,7 @@ def loop_recall_upper_bound(L, R, column, gt, functions, beta):
     """The recall bound one true match at a time: its left must be among its
     right's blocked candidates at the minimum scalar distance under some
     function."""
-    lr = build_index(L, R, column, beta).lr
+    lr = index_by_id(build_index(L, R, column, beta))[0]
     lv = dict(zip(L.ids(), L.column_values(column)))
     rv = dict(zip(R.ids(), R.column_values(column)))
     idf = needed_idf_indexes(functions, list(lv.values()) + list(rv.values()))
@@ -160,7 +160,7 @@ def loop_recall_upper_bound(L, R, column, gt, functions, beta):
         cands = [l for l, _ in lr.get(rid, [])]
         for f in functions:
             f_idf = idf.get((f.preprocess, f.tokenizer))
-            d = {l: evaluate(f, lv[l], rv[rid], f_idf) for l in cands}
+            d = {l: scalar_evaluate(f, lv[l], rv[rid], f_idf) for l in cands}
             if lid in d and d[lid] == min(d.values()):
                 hits += 1
                 break
@@ -220,8 +220,8 @@ class TestGenerator:
         left_by_id = {rec.id: rec.values[0] for rec in L.records}
         for rec in R.records:
             true_left = left_by_id[gt.matches[rec.id]]
-            r_tokens = set(tokenize(rec.values[0], "SP").tokens)
-            l_tokens = set(tokenize(true_left, "SP").tokens)
+            r_tokens = set(tokenize(rec.values[0], "SP"))
+            l_tokens = set(tokenize(true_left, "SP"))
             assert r_tokens <= l_tokens
 
     def test_unmatched_rate(self):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import repeat_queries, write_table_csv
+from conftest import index_by_id, repeat_queries, write_table_csv
 from fuzzyjoin import (
     add_random_column,
     build_index,
@@ -125,8 +125,9 @@ def blocking_digests(mode: str) -> tuple[str, str]:
     columns = ("name",) if mode != "run-multi" else L.columns
     idx = build_index(L, R, columns, 1.0)
     pairs = flatten_index(idx)
-    lr = {(rid, lid): s for rid, cands in idx.lr.items() for lid, s in cands}
-    ll = {(a, b): s for a, cands in idx.ll.items() for b, s in cands}
+    lr_by_id, ll_by_id = index_by_id(idx)
+    lr = {(rid, lid): s for rid, cands in lr_by_id.items() for lid, s in cands}
+    ll = {(a, b): s for a, cands in ll_by_id.items() for b, s in cands}
     lids, rids = pairs.left_ids, pairs.right_ids
     scores = [lr[rids[r], lids[l]] for r, l in zip(pairs.lr_right, pairs.lr_left)]
     scores += [ll[lids[a], lids[b]] for a, b in zip(pairs.ll_a, pairs.ll_b)]
