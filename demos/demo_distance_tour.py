@@ -11,7 +11,6 @@ options x two tokenizers x two weight schemes x ten distance kinds give the
 from fuzzyjoin import (
     JoinFunction,
     apply_preprocess,
-    build_idf_from_values,
     enumerate_function_space,
     evaluate,
     tokenize,
@@ -31,9 +30,9 @@ print("  SP:", sorted(tokenize(pre, "SP")))
 print("  3G:", sorted(tokenize(pre, "3G"))[:8], "...")
 print()
 
-# distances need corpus statistics only for IDF weighting
+# distances need corpus statistics only for IDF weighting: the raw cell
+# values, one document each, that a token's document frequency counts
 corpus = [l_value, r_value, "2008 Alabama Crimson Tide football team"]
-idf_sp = {("L", "SP"): build_idf_from_values(corpus, "L", "SP")}
 
 print(f"distances between\n  l = {l_value!r}\n  r = {r_value!r}")
 for fn in (
@@ -44,10 +43,7 @@ for fn in (
     JoinFunction("L", "SP", "IDFW", "CD"),
     JoinFunction("L", "3G", "EW", "DD"),
 ):
-    idf = None
-    if fn.weights == "IDFW":
-        idf = build_idf_from_values(corpus, fn.preprocess, fn.tokenizer)
-    d = evaluate(fn, l_value, r_value, idf)
+    d = evaluate(fn, l_value, r_value, corpus)
     print(f"  {fn.label():60s} -> {d:.4f}")
 print()
 

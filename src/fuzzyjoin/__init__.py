@@ -70,11 +70,6 @@ from .solver import (
 )
 from .stem import stem
 from .tables import DataError, Record, Table, load_table, make_table
-from .text import (
-    IdfIndex,
-    apply_preprocess,
-    build_idf_from_values,
-    tokenize,
-)
+from .text import apply_preprocess, tokenize
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .tables import Table
-from .text import apply_preprocess, tokenize_strings
+from .text import apply_preprocess, idf_weights, tokenize_strings
 
 # score cells plus posting entries per scoring chunk, which bounds the
 # chunk's temporaries
@@ -191,11 +191,9 @@ def build_index(
     tokens = tokens[np.lexsort((rank[tokens], np.repeat(np.arange(len(distinct)), sizes)))]
     bounds = np.concatenate([[0], np.cumsum(sizes)])
 
-    # IDF over the rows of both tables, as build_idf_from_values(values,
-    # "L", "3G") weighs a token: log(rows / rows holding it)
+    # IDF over the rows of both tables: log(rows / rows holding the token)
     copies = np.bincount(codes, minlength=len(distinct))
-    doc_freq = np.bincount(tokens, weights=np.repeat(copies, sizes), minlength=len(vocab))
-    weight = np.array([math.log(len(codes) / df) for df in doc_freq.tolist()])
+    weight = idf_weights(sizes, tokens, len(vocab), copies, len(codes))
 
     # posting lists: per token, the ascending left rows holding it
     left_codes = codes[:n_left]

@@ -15,7 +15,7 @@ import sys
 import traceback
 
 from .evaluation import GroundTruth, pr_auc, score
-from .functions import JoinResult, Assignment
+from .functions import SPACE_PRESETS, Assignment, JoinResult
 from .pipeline import (
     ConfigError,
     PipelineOutcome,
@@ -40,7 +40,7 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", type=float, default=0.9, metavar="TAU")
     p.add_argument("--blocking-factor", type=float, default=1.0, metavar="BETA")
     p.add_argument("--steps", type=int, default=50, help="threshold grid size per function")
-    p.add_argument("--space-preset", choices=["full", "reduced24"], default="full")
+    p.add_argument("--space-preset", choices=list(SPACE_PRESETS), default="full")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-negative-rules", action="store_true")
     p.add_argument("--out", default="joins.csv")
@@ -141,8 +141,12 @@ def _read_gt_csv(path: str) -> GroundTruth:
 
 
 def _read_joins_csv(path: str) -> JoinResult:
+    """The joins of a produced joins CSV; a row with an empty left_id is no
+    join, as in the ground truth."""
     assignments = {}
     for row_no, row in _read_join_rows(path):
+        if not row["left_id"]:
+            continue
         precision = row.get("estimated_precision") or 1.0
         config_index = row.get("config_index") or 0
         assignments[row["right_id"]] = Assignment(

@@ -40,17 +40,25 @@ equal, bit for bit, the per-pair loop kept as the test oracle in
 `tests/conftest.py` (`loop_set_stats`, `scalar_evaluate`).  Count
 statistics are shared across preprocess options like the character cache;
 only the IDF weights differ.
+
+IDF weights come from the corpus passed with the call: raw cell values, one
+document per value.  They are interned into the same value table as the
+pair values and preprocessed with them, and each tokenizer's one
+`tokenize_strings` pass covers the corpus strings of its IDFW options as
+well as the strings of the pairs.  Per option, `text.idf_weights` turns the
+number of documents each string stands for into one weight per token.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .functions import CHAR_DISTANCES, JoinFunction, PLUGIN
-from .text import IdfIndex, apply_preprocess, tokenize_strings
+from .text import apply_preprocess, idf_weights, tokenize_strings
 
 # --- character-based -------------------------------------------------------
 
@@ -177,17 +185,16 @@ def evaluate(
     f: JoinFunction,
     l_value: str,
     r_value: str,
-    idf: IdfIndex | None = None,
+    corpus: Iterable[str] | None = None,
 ) -> float:
     """Distance between two raw cell values under one join function: one
     ``distance_matrix`` call, so it equals what the solver computes.
 
     Composes preprocess, tokenize, weight, and distance.  Two missing
     values (both raw cells empty) are maximally distant by definition.
-    ``idf`` is the IdfIndex of the function's (preprocess, tokenizer).
+    ``corpus`` holds the raw cell values an IDFW function's weights count.
     """
-    idf_by_pt = {(f.preprocess, f.tokenizer): idf} if idf is not None else None
-    return float(distance_matrix([f], [(l_value, r_value)], idf_by_pt)[0, 0])
+    return float(distance_matrix([f], [(l_value, r_value)], corpus)[0, 0])
 
 
 # --- batch evaluation over distinct string pairs ----------------------------
@@ -392,25 +399,30 @@ def _set_stats(
     strings: Sequence[str],
     pairs_by_option: Mapping[str, tuple[np.ndarray, np.ndarray]],
     tokenizer: str,
-    idf_by_option: Mapping[str, IdfIndex],
+    docs_by_option: Mapping[str, np.ndarray],
+    n_docs: int,
 ) -> dict[str, dict[str, np.ndarray]]:
     """Per preprocess option, the per-pair intersection and size statistics
-    of one tokenizer under both weight schemes (the IDF ones zero for an
-    option without an IdfIndex), and whether the right bag is a
-    sub-multiset of the left one.
+    of one tokenizer under both weight schemes, and whether the right bag is
+    a sub-multiset of the left one.  ``docs_by_option[option][s]`` is the
+    number of the ``n_docs`` corpus documents that string s stands for under
+    the option; the IDF statistics of an option without it are zero.
 
-    Each distinct string is tokenized once, and the count statistics of a
-    distinct string pair are computed once, whichever options produce it;
-    only the IDF weights differ between options.  A pair's intersection
-    comes from its B-side entries, each looked up among the A string's
-    entries; ``np.bincount`` then adds each pair's terms in B's token order
-    starting from 0.0, the order of a loop over the bags, and a token
-    missing from A adds ``0 * w``, which changes no sum.
+    Each distinct string of the pairs and of the corpus is tokenized once,
+    and the count statistics of a distinct string pair are computed once,
+    whichever options produce it; only the IDF weights differ between
+    options.  A pair's intersection comes from its B-side entries, each
+    looked up among the A string's entries; ``np.bincount`` then adds each
+    pair's terms in B's token order starting from 0.0, the order of a loop
+    over the bags, and a token missing from A adds ``0 * w``, which changes
+    no sum.
     """
     a, b, gather = _distinct_pairs(pairs_by_option, len(strings))
     n_strings = len(strings)
     used = np.zeros(n_strings, dtype=bool)
     used[a] = used[b] = True
+    for docs in docs_by_option.values():
+        used |= docs > 0
     vocab, sizes, tokens, counts = tokenize_strings(strings, np.flatnonzero(used), tokenizer)
     n_vocab = len(vocab)
     # per entry, its string; per string, its first entry, total count and,
@@ -419,8 +431,8 @@ def _set_stats(
     starts = np.cumsum(sizes) - sizes
     size = np.bincount(owner, weights=counts, minlength=n_strings)
     token_w = {
-        option: np.array([idf.weight(t) for t in vocab], dtype=np.float64)
-        for option, idf in idf_by_option.items()
+        option: idf_weights(sizes, tokens, n_vocab, docs, n_docs)
+        for option, docs in docs_by_option.items()
     }
     weight = {
         option: np.bincount(owner, weights=counts * w[tokens], minlength=n_strings)
@@ -496,25 +508,25 @@ def _set_rows(inter, w_a, w_b, contained) -> dict[str, np.ndarray]:
 def distance_matrix(
     functions: Sequence[JoinFunction],
     pairs: Sequence[tuple[str, str]],
-    idf_by_pt: Mapping[tuple[str, str], IdfIndex] | None = None,
+    corpus: Iterable[str] | None = None,
     threads: int = 1,  # ignored; kept only for perfbench's tracer, which passes it
 ) -> np.ndarray:
     """Distances for every join function over a list of (left, right) raw
     value pairs; returns an array of shape (len(functions), len(pairs)).
 
-    ``idf_by_pt`` maps (preprocess, tokenizer) to the IdfIndex for that
-    combination; required whenever an IDFW function is present.
+    ``corpus`` holds the raw cell values that IDF weights are counted over,
+    one document per value; it must be given, and non-empty, whenever an
+    IDFW function is present, and is ignored otherwise.
     """
-    idf_by_pt = idf_by_pt or {}
-    for f in functions:
-        if (
-            f.is_set_based
-            and f.weights == "IDFW"
-            and (f.preprocess, f.tokenizer) not in idf_by_pt
-        ):
-            raise ValueError(
-                f"no IdfIndex supplied for {(f.preprocess, f.tokenizer)}"
-            )
+    idfw = [f for f in functions if f.is_set_based and f.weights == "IDFW"]
+    if idfw and corpus is None:
+        raise ValueError(f"IDFW function {idfw[0]} needs a corpus for its IDF weights")
+    copies = Counter(corpus) if idfw else Counter()
+    if idfw and not copies:
+        raise ValueError(
+            f"IDFW function {idfw[0]} was given an empty corpus: IDF weights need "
+            "at least one document"
+        )
 
     n = len(pairs)
     result = np.empty((len(functions), n))
@@ -532,6 +544,9 @@ def distance_matrix(
     n_values = len(value_ids)
     distinct, inverse = np.unique(ids[0::2] * n_values + ids[1::2], return_inverse=True)
     left, right = np.divmod(distinct, n_values)
+    # the corpus documents join the same table, each distinct value once
+    doc_ids = np.array([value_ids.setdefault(v, len(value_ids)) for v in copies], dtype=np.int64)
+    doc_copies = np.fromiter(copies.values(), dtype=np.float64, count=len(copies))
     values = list(value_ids)
     empty = value_ids.get("", -1)
     missing = (left == empty) & (right == empty)
@@ -539,14 +554,19 @@ def distance_matrix(
     # each distinct value preprocessed once per option, into one table of
     # the distinct preprocessed strings of all options
     string_ids: dict[str, int] = {}
-    pre_pairs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    of_value: dict[str, np.ndarray] = {}
     for option in dict.fromkeys(f.preprocess for f in functions if f.distance != PLUGIN):
-        of_value = np.array(
+        of_value[option] = np.array(
             [string_ids.setdefault(apply_preprocess(v, option), len(string_ids)) for v in values],
             dtype=np.int64,
         )
-        pre_pairs[option] = (of_value[left], of_value[right])
     strings = list(string_ids)
+    pre_pairs = {option: (of[left], of[right]) for option, of in of_value.items()}
+    # per IDFW option, the number of documents each string stands for
+    docs = {
+        option: np.bincount(of_value[option][doc_ids], weights=doc_copies, minlength=len(strings))
+        for option in dict.fromkeys(f.preprocess for f in idfw)
+    }
 
     char_pairs = {
         f.preprocess: pre_pairs[f.preprocess] for f in functions if f.distance in CHAR_DISTANCES
@@ -560,11 +580,8 @@ def distance_matrix(
             strings,
             {f.preprocess: pre_pairs[f.preprocess] for f in fns},
             tokenizer,
-            {
-                f.preprocess: idf_by_pt[(f.preprocess, tokenizer)]
-                for f in fns
-                if f.weights == "IDFW"
-            },
+            {f.preprocess: docs[f.preprocess] for f in fns if f.weights == "IDFW"},
+            copies.total(),
         )
     # rows memo by (option, tokenizer, weights), filled on first use
     set_rows: dict[tuple[str, str, str], dict[str, np.ndarray]] = {}

@@ -24,7 +24,6 @@ full recomputation per pick over all rights would.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -47,7 +46,6 @@ from .negative_rules import (
     preprocess_for_rules,
 )
 from .tables import Table
-from .text import IdfIndex, apply_preprocess, tokenize_strings
 
 
 def discretize_thresholds(distances: Sequence[float] | np.ndarray, s: int) -> np.ndarray:
@@ -510,52 +508,6 @@ def solve_from_distances(
     )
 
 
-def needed_idf_indexes(
-    functions: Sequence[JoinFunction], values: Sequence[str]
-) -> dict[tuple[str, str], IdfIndex]:
-    """One IdfIndex per (preprocess, tokenizer) combination used by an IDFW
-    function, built over the given corpus of raw cell values; each equals
-    ``build_idf_from_values`` for its combination.
-
-    Each distinct value is preprocessed once per option into one table of
-    distinct strings, and each string is tokenized once per tokenizer.  An
-    option's document frequencies are then one ``np.bincount`` of the token
-    ids of its strings, each weighted by the number of values it stands for.
-    """
-    combos = sorted(
-        {
-            (f.preprocess, f.tokenizer)
-            for f in functions
-            if f.is_set_based and f.weights == "IDFW"
-        }
-    )
-    copies = Counter(values)
-    counts = np.fromiter(copies.values(), dtype=np.float64, count=len(copies))
-    string_ids: dict[str, int] = {}
-    of_value = {
-        p: np.array(
-            [string_ids.setdefault(apply_preprocess(v, p), len(string_ids)) for v in copies],
-            dtype=np.int64,
-        )
-        for p in dict.fromkeys(p for p, _ in combos)
-    }
-    strings = list(string_ids)
-    out = {}
-    for tokenizer in dict.fromkeys(t for _, t in combos):
-        options = [p for p, t in combos if t == tokenizer]
-        used = np.unique(np.concatenate([of_value[p] for p in options]))
-        vocab, sizes, tokens, _ = tokenize_strings(strings, used, tokenizer)
-        for p in options:
-            per_string = np.bincount(of_value[p], weights=counts, minlength=len(strings))
-            doc_freq = np.bincount(
-                tokens, weights=np.repeat(per_string, sizes), minlength=len(vocab)
-            )
-            out[(p, tokenizer)] = IdfIndex(
-                {t: int(df) for t, df in zip(vocab, doc_freq.tolist()) if df}, copies.total()
-            )
-    return {c: out[c] for c in combos}
-
-
 @dataclass
 class PreparedColumns:
     """Blocked pairs of one column set, after negative rules, with each
@@ -607,15 +559,16 @@ def prepare_columns(
     if len(pairs.lr_right) > 0:
         for c in columns:
             lvals, rvals = values[c]
-            idf_by_pt = needed_idf_indexes(functions, lvals + rvals)
             lr_value_pairs = [
                 (lvals[l], rvals[r]) for r, l in zip(pairs.lr_right, pairs.lr_left)
             ]
             ll_value_pairs = [
                 (lvals[a], lvals[b]) for a, b in zip(pairs.ll_a, pairs.ll_b)
             ]
-            d_lr[c] = distance_matrix(functions, lr_value_pairs, idf_by_pt)
-            d_ll[c] = distance_matrix(functions, ll_value_pairs, idf_by_pt)
+            # the column's values in both tables are the IDF corpus
+            corpus = lvals + rvals
+            d_lr[c] = distance_matrix(functions, lr_value_pairs, corpus)
+            d_ll[c] = distance_matrix(functions, ll_value_pairs, corpus)
     timings["distances"] = time.perf_counter() - t0
 
     pair_counts = {

@@ -1,7 +1,6 @@
 """String preprocessing, tokenization, and token weighting.
 
-These are the P, T, and W axes of a join function.  All operations are pure
-and an IdfIndex is read-only after construction.
+These are the P, T, and W axes of a join function.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -9,9 +8,8 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,8 +63,10 @@ def tokenize_strings(
 ) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
     """Each used string tokenized once: the token vocabulary, and a CSR over
     all string ids (unused strings have no entries) of token ids and counts
-    in ``Counter`` order.  The set kernel, ``solver.needed_idf_indexes`` and
-    ``blocking.build_index`` all read their tokens from it."""
+    in ``Counter`` order.  The set kernel reads its tokens and, with
+    ``idf_weights``, its IDF weights from one such pass over the strings of
+    its pairs and of the corpus; ``blocking.build_index`` reads its trigrams
+    from another."""
     vocab: dict[str, int] = {}
     sizes = np.zeros(len(strings), dtype=np.int64)
     tokens: list[int] = []
@@ -81,31 +81,12 @@ def tokenize_strings(
     return vocab, sizes, np.array(tokens, dtype=np.int32), np.array(counts, dtype=np.int32)
 
 
-@dataclass(frozen=True)
-class IdfIndex:
-    """Document frequencies over a record corpus.
-
-    ``doc_freq[t]`` is the number of records (rows, over both input tables)
-    containing token t at least once; ``corpus_size`` is the total row
-    count.  Unseen tokens are smoothed to document frequency 1.
-    """
-
-    doc_freq: dict[str, int]
-    corpus_size: int
-
-    def weight(self, token: str) -> float:
-        df = self.doc_freq.get(token, 1)
-        return math.log(self.corpus_size / df)
-
-
-def build_idf_from_values(
-    values: Iterable[str], preprocess: str, tokenizer: str
-) -> IdfIndex:
-    """IDF statistics from raw cell values, one document per value.  Each
-    distinct value is tokenized once and counts as often as it occurs."""
-    copies = Counter(values)
-    doc_freq: Counter = Counter()
-    for v, k in copies.items():
-        for t in tokenize(apply_preprocess(v, preprocess), tokenizer):
-            doc_freq[t] += k
-    return IdfIndex(dict(doc_freq), copies.total())
+def idf_weights(
+    sizes: np.ndarray, tokens: np.ndarray, n_vocab: int, copies: np.ndarray, n_docs: int
+) -> np.ndarray:
+    """The IDF weight ``log(n_docs / df)`` of each vocab id of a
+    ``tokenize_strings`` CSR, where string s stands for ``copies[s]``
+    documents and a token's df is the number of documents holding it.  A
+    token no document holds weighs as if one did."""
+    doc_freq = np.bincount(tokens, weights=np.repeat(copies, sizes), minlength=n_vocab)
+    return np.array([math.log(n_docs / (df or 1)) for df in doc_freq.tolist()])

@@ -2,7 +2,8 @@
 blocked candidates by id, and the loops that the vectorized engines are
 held to: the per-configuration ball counts, the dense configuration table,
 the dense greedy loop, the per-pair set-statistics loop with the scalar
-single-pair distance on top of it, and the per-row blocking loop."""
+single-pair distance on top of it, the per-token IDF index, and the per-row
+blocking loop."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from fuzzyjoin import CandidateIndex, Record, Table, blocking_cutoff
 from fuzzyjoin.distances import char_distance, get_plugin
 from fuzzyjoin.functions import CHAR_DISTANCES, PLUGIN, Configuration, JoinFunction
 from fuzzyjoin.solver import ConfigTable, GreedyOutcome, GreedyStep
-from fuzzyjoin.text import IdfIndex, apply_preprocess, build_idf_from_values, tokenize
+from fuzzyjoin.text import apply_preprocess, tokenize
 
 # No per-example deadline: the kernels' first calls and a busy shared host
 # can each take longer than hypothesis's default 200 ms, which fails a
@@ -334,6 +335,36 @@ def dense_greedy(
     return GreedyOutcome(
         selected, cur_left, cur_prec, cur_source, tp_cur, fp_cur, stop_reason, trace
     )
+
+
+@dataclass(frozen=True)
+class IdfIndex:
+    """Document frequencies over a record corpus.
+
+    ``doc_freq[t]`` is the number of records (rows, over both input tables)
+    containing token t at least once; ``corpus_size`` is the total row
+    count.  Unseen tokens are smoothed to document frequency 1.
+    """
+
+    doc_freq: dict[str, int]
+    corpus_size: int
+
+    def weight(self, token: str) -> float:
+        df = self.doc_freq.get(token, 1)
+        return math.log(self.corpus_size / df)
+
+
+def build_idf_from_values(
+    values: Iterable[str], preprocess: str, tokenizer: str
+) -> IdfIndex:
+    """IDF statistics from raw cell values, one document per value.  Each
+    distinct value is tokenized once and counts as often as it occurs."""
+    copies = Counter(values)
+    doc_freq: Counter = Counter()
+    for v, k in copies.items():
+        for t in tokenize(apply_preprocess(v, preprocess), tokenizer):
+            doc_freq[t] += k
+    return IdfIndex(dict(doc_freq), copies.total())
 
 
 def loop_set_stats(

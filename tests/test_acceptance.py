@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import index_by_id, make_random_instance, write_table_csv
+from conftest import build_idf_from_values, index_by_id, make_random_instance, write_table_csv
 from fuzzyjoin import (
     FunctionSpaceOptions,
     MIXED_PROFILE,
@@ -168,8 +168,6 @@ def test_criterion_7_blocking(synthetic200):
     L, R, gt = synthetic200  # |L| = 200
     idx = build_index(L, R, "name", beta=1.0)
     lr = index_by_id(idx)[0]
-    from fuzzyjoin import build_idf_from_values
-
     idf = build_idf_from_values(
         L.column_values("name") + R.column_values("name"), "L", "3G"
     )

@@ -1,10 +1,9 @@
 import pytest
 
-from conftest import index_by_id
+from conftest import build_idf_from_values, index_by_id
 from fuzzyjoin import (
     apply_preprocess,
     blocking_cutoff,
-    build_idf_from_values,
     build_index,
     generate_synthetic,
     make_table,

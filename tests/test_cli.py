@@ -239,6 +239,20 @@ def test_eval_with_scores_reports_pr_auc(tmp_path, synthetic_csvs):
     assert 0.0 <= payload["pr_auc"] <= 1.0
 
 
+def test_eval_pred_row_without_left_id_is_no_join(tmp_path, capsys):
+    # as in the ground truth, an empty left_id joins nothing
+    pred, gt = tmp_path / "pred.csv", tmp_path / "gt.csv"
+    pred.write_text("right_id,left_id\nr1,l1\nr2,\n", encoding="utf-8")
+    gt.write_text("right_id,left_id\nr1,l1\nr2,\n", encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    code = main(["eval", "--pred", str(pred), "--gt", str(gt), "--json", str(report_path)])
+    assert code == 0
+    payload = json.loads(report_path.read_text())
+    assert payload["n_assigned"] == 1
+    assert payload["precision"] == 1.0
+    assert "n_assigned: 1" in capsys.readouterr().out
+
+
 PRED_HEADER = "right_id,left_id,estimated_precision,config_index\n"
 LATIN1 = "right_id,left_id\nr1,caf\u00e9\n".encode("latin-1")
 

@@ -4,15 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import loop_set_stats, scalar_evaluate
+from conftest import IdfIndex, build_idf_from_values, loop_set_stats, scalar_evaluate
 from hypothesis import given, strategies as st
 
 from fuzzyjoin import (
     FunctionSpaceOptions,
-    IdfIndex,
     JoinFunction,
     apply_preprocess,
-    build_idf_from_values,
     char_distance,
     distance_matrix,
     enumerate_function_space,
@@ -285,9 +283,9 @@ def bag(*tokens: str) -> str:
     return " ".join(tokens) or " "
 
 
-def set_distance(a: str, b: str, kind: str, weights: str = "EW", idf=None) -> float:
+def set_distance(a: str, b: str, kind: str, weights: str = "EW", corpus=None) -> float:
     """The shipped engine's distance between two SP token strings."""
-    return evaluate(JoinFunction("L", "SP", weights, kind), a, b, idf)
+    return evaluate(JoinFunction("L", "SP", weights, kind), a, b, corpus)
 
 
 class TestSetDistance:
@@ -323,9 +321,8 @@ class TestSetDistance:
         assert set_distance(bag("a", "a", "b"), bag("a", "b", "b"), "JD") == pytest.approx(0.5)
 
     def test_idfw_weighted(self):
-        idf = build_idf_from_values(["a b", "a c", "a d", "a e"], "L", "SP")
         # "a" has zero weight (in every record); overlap on it carries nothing
-        d = set_distance(bag("a", "b"), bag("a", "c"), "JD", "IDFW", idf)
+        d = set_distance(bag("a", "b"), bag("a", "c"), "JD", "IDFW", ["a b", "a c", "a d", "a e"])
         assert d == 1.0
 
     @given(
@@ -383,8 +380,10 @@ class TestContainDistance:
 STAT_NAMES = ("cnt_i", "cnt_a", "cnt_b", "idf_i", "idf_a", "idf_b")
 
 
-def kernel_set_stats(pairs_by_option, tokenizer, idf_by_option):
-    """``_set_stats`` on preprocessed string pairs, one list per option."""
+def kernel_set_stats(pairs_by_option, tokenizer, docs_by_option, n_docs):
+    """``_set_stats`` on preprocessed string pairs, one list per option,
+    with per option the number of documents each string stands for (strings
+    outside the pairs too)."""
     string_ids: dict[str, int] = {}
     id_pairs = {
         option: tuple(
@@ -393,13 +392,33 @@ def kernel_set_stats(pairs_by_option, tokenizer, idf_by_option):
         )
         for option, pairs in pairs_by_option.items()
     }
-    return _set_stats(list(string_ids), id_pairs, tokenizer, idf_by_option)
+    for docs in docs_by_option.values():
+        for s in docs:
+            string_ids.setdefault(s, len(string_ids))
+    doc_counts = {
+        option: np.array([docs.get(s, 0) for s in string_ids], dtype=np.float64)
+        for option, docs in docs_by_option.items()
+    }
+    return _set_stats(list(string_ids), id_pairs, tokenizer, doc_counts, n_docs)
 
 
-def assert_matches_loop(pairs_by_option, tokenizer, idf_by_option):
-    got = kernel_set_stats(pairs_by_option, tokenizer, idf_by_option)
+def idf_of_docs(docs: dict[str, int], tokenizer: str, n_docs: int) -> IdfIndex:
+    """The oracle index of a corpus of ``n_docs`` documents, of which
+    ``docs[s]`` are the string s."""
+    doc_freq: Counter = Counter()
+    for s, k in docs.items():
+        for t in tokenize(s, tokenizer):
+            doc_freq[t] += k
+    return IdfIndex(dict(doc_freq), n_docs)
+
+
+def assert_matches_loop(pairs_by_option, tokenizer, docs_by_option):
+    n_docs = max((sum(docs.values()) for docs in docs_by_option.values()), default=1)
+    got = kernel_set_stats(pairs_by_option, tokenizer, docs_by_option, n_docs)
     for option, pairs in pairs_by_option.items():
-        want = loop_set_stats(pairs, tokenizer, idf_by_option.get(option))
+        docs = docs_by_option.get(option)
+        idf = idf_of_docs(docs, tokenizer, n_docs) if docs else None
+        want = loop_set_stats(pairs, tokenizer, idf)
         for name in STAT_NAMES:
             assert float_bits(got[option][name]) == float_bits(want[name]), (option, name)
         assert got[option]["contained"].tolist() == want["contained"].tolist(), option
@@ -409,8 +428,10 @@ def assert_matches_loop(pairs_by_option, tokenizer, idf_by_option):
 def set_cases(draw):
     """One or two options' pair lists over shared small alphabets (repeated
     tokens, tokens on one side only, empty and 1-2 character strings), each
-    with no IdfIndex or one whose document frequencies range from 1 to the
-    corpus size (weight 0) and that leaves some tokens unseen."""
+    with no documents or 1-3 documents for each of some strings, of the
+    pairs or not.  The corpus size is the largest option's document count,
+    so a token that all of its documents hold weighs 0, and the tokens of
+    pair strings that no document holds take document frequency 1."""
     tokenizer = draw(st.sampled_from(["3G", "SP"]))
     chars = st.sampled_from(draw(st.sampled_from(["ab ", "abc  ", "a\u00e9\U0001F600 "])))
     text = st.one_of(
@@ -419,16 +440,16 @@ def set_cases(draw):
         st.lists(chars, max_size=14).map("".join),
         st.lists(chars, min_size=20, max_size=40).map("".join),
     )
-    pairs_by_option, idf_by_option = {}, {}
+    pairs_by_option, docs_by_option = {}, {}
     for option in draw(st.sampled_from([["x"], ["x", "y"]])):
         pairs = draw(st.lists(st.tuples(text, text), min_size=1, max_size=20))
         pairs_by_option[option] = pairs
-        tokens = sorted({t for pair in pairs for s in pair for t in tokenize(s, tokenizer)})
-        if tokens and draw(st.booleans()):
-            n = draw(st.integers(1, 12))
-            kept = draw(st.lists(st.sampled_from(tokens), unique=True))
-            idf_by_option[option] = IdfIndex({t: draw(st.integers(1, n)) for t in kept}, n)
-    return pairs_by_option, tokenizer, idf_by_option
+        if draw(st.booleans()):
+            strings = st.sampled_from(sorted({s for pair in pairs for s in pair}))
+            docs_by_option[option] = draw(
+                st.dictionaries(st.one_of(strings, text), st.integers(1, 3), min_size=1, max_size=6)
+            )
+    return pairs_by_option, tokenizer, docs_by_option
 
 
 class TestSetKernel:
@@ -438,7 +459,7 @@ class TestSetKernel:
         ("aaaa", "aaaaa"), ("a a a b", "a a b b"),  # repeated tokens
         ("abc", "abd xyz"), ("q", "r s t"),  # tokens only on the B side
         ("common x", "common y"),  # "common" weighs 0
-        ("rare zzz", "zzz unseen"),  # tokens the IdfIndex never saw
+        ("rare zzz", "zzz unseen"),  # "unseen" is in no document
         # long overlaps: many terms of different weights in one sum
         ("the quick brown fox jumps over", "quick brown fox jumps over the lazy dog"),
     ]
@@ -448,14 +469,15 @@ class TestSetKernel:
     def test_edge_cases(self, monkeypatch, tokenizer, entries):
         # small steps put chunk boundaries between and inside the pairs
         monkeypatch.setattr(distances, "_SET_ENTRIES", entries)
-        docs = [tokenize(s, tokenizer) for pair in self.EDGE for s in pair]
-        common = tokenize("common", tokenizer)
-        doc_freq = {t: len(docs) for t in common}
-        rest = sorted({t for d in docs for t in d if t not in common and "un" not in t})
-        doc_freq |= {t: 1 + i % len(docs) for i, t in enumerate(rest)}
-        idf = IdfIndex(doc_freq, len(docs))
-        assert idf.weight(next(iter(common))) == 0.0
-        assert_matches_loop({"x": self.EDGE, "y": self.EDGE[::-1]}, tokenizer, {"x": idf})
+        # 1-3 documents per string outside the pairs: each EDGE string but
+        # "zzz unseen" with "common" in front, so the weights vary and every
+        # document holds "common"
+        held = dict.fromkeys(s for pair in self.EDGE for s in pair if "unseen" not in s)
+        docs = {f"common {s}": 1 + i % 3 for i, s in enumerate(held)}
+        idf = idf_of_docs(docs, tokenizer, sum(docs.values()))
+        assert idf.weight(next(iter(tokenize("common", tokenizer)))) == 0.0
+        assert not set(tokenize("unseen", tokenizer)) & set(idf.doc_freq)
+        assert_matches_loop({"x": self.EDGE, "y": self.EDGE[::-1]}, tokenizer, {"x": docs})
 
     @given(set_cases(), st.sampled_from([1, 3, 7, distances._SET_ENTRIES]))
     def test_matches_loop(self, case, entries):
@@ -468,14 +490,13 @@ class TestSetKernel:
 
 class TestEvaluate:
     def test_identical_nonempty_zero_everywhere(self):
-        idf = build_idf_from_values(["madison falcons", "oak hornets"], "L", "SP")
+        corpus = ["madison falcons", "oak hornets"]
         for f in enumerate_function_space():
-            assert evaluate(f, "Madison Falcons", "Madison Falcons", idf) == 0.0
+            assert evaluate(f, "Madison Falcons", "Madison Falcons", corpus) == 0.0
 
     def test_both_missing_is_max_distance(self):
-        idf = build_idf_from_values(["a"], "L", "SP")
         for f in enumerate_function_space():
-            assert evaluate(f, "", "", idf) == 1.0
+            assert evaluate(f, "", "", ["a"]) == 1.0
 
     def test_sp_ew_jd_example(self):
         f = JoinFunction("L", "SP", "EW", "JD")
@@ -513,17 +534,33 @@ class TestDistanceMatrix:
         values_r = ["2008 oak tigers baseball team", "riverton hornet", "", "ab", "a", "aaaa aaaa"]
         pairs = [(a, b) for a in values_l for b in values_r]
         fns = enumerate_function_space()
-        idf_by_pt = {
-            (p, t): build_idf_from_values(values_l + values_r, p, t)
-            for p in ("L", "L+S", "L+RP", "L+S+RP")
-            for t in ("3G", "SP")
-        }
-        mat = distance_matrix(fns, pairs, idf_by_pt)
+        corpus = values_l + values_r
+        mat = distance_matrix(fns, pairs, corpus)
         for fi, f in enumerate(fns):
-            idf = idf_by_pt[(f.preprocess, f.tokenizer)] if f.is_set_based else None
+            idf = None
+            if f.is_set_based:
+                idf = build_idf_from_values(corpus, f.preprocess, f.tokenizer)
             for pi, (a, b) in enumerate(pairs):
                 assert mat[fi, pi] == scalar_evaluate(f, a, b, idf)
-                assert evaluate(f, a, b, idf) == mat[fi, pi]
+                assert evaluate(f, a, b, corpus) == mat[fi, pi]
+
+    def test_idfw_matches_scalar_evaluate_over_other_corpus(self):
+        # the corpus lacks some pair values, whose tokens no document may
+        # hold (document frequency 0, weighed as 1), and holds values outside
+        # the pairs, one of them repeated
+        values_l = ["2008 Oak Tigers football team", "riverton hornets", "a,b!", "ab", ""]
+        values_r = ["oak tigers baseball", "Riverton Hornet", "zz", "ab c", "quasar"]
+        pairs = [(a, b) for a in values_l for b in values_r]
+        corpus = values_l[:2] + values_r[:1] + ["oak tigers hockey club", "Team", "Team", "ab"]
+        fns = [f for f in enumerate_function_space() if f.weights == "IDFW"]
+        mat = distance_matrix(fns, pairs, corpus)
+        for p, t in {(f.preprocess, f.tokenizer) for f in fns}:
+            unheld = tokenize(apply_preprocess("quasar", p), t)
+            assert not set(unheld) & set(build_idf_from_values(corpus, p, t).doc_freq)
+        for fi, f in enumerate(fns):
+            idf = build_idf_from_values(corpus, f.preprocess, f.tokenizer)
+            want = [scalar_evaluate(f, a, b, idf) for a, b in pairs]
+            assert float_bits(mat[fi]) == float_bits(want), f
 
     def test_char_kernels_see_each_preprocessed_pair_once(self, monkeypatch):
         seen = {"ED": [], "JW": []}
@@ -570,11 +607,6 @@ class TestDistanceMatrix:
         values = ["oak tigers", "Oak, Tigers!", "running dogs", "oak tiger", "x" * 70, "", "ab"]
         pairs = [(a, b) for a in values for b in values] * 2
         fns = enumerate_function_space()
-        idf_by_pt = {
-            (f.preprocess, f.tokenizer): build_idf_from_values(values, f.preprocess, f.tokenizer)
-            for f in fns
-            if f.is_set_based
-        }
         seen = []
 
         def spy(s, scheme):
@@ -582,7 +614,7 @@ class TestDistanceMatrix:
             return tokenize(s, scheme)
 
         monkeypatch.setattr(text, "tokenize", spy)
-        distance_matrix(fns, pairs, idf_by_pt)
+        distance_matrix(fns, pairs, values)
         by_option = [{apply_preprocess(v, o) for v in values} for o in {f.preprocess for f in fns}]
         expected = [(s, t) for s in set().union(*by_option) for t in ("3G", "SP")]
         # one tokenization per option would tokenize more strings
@@ -610,5 +642,19 @@ class TestDistanceMatrix:
 
     def test_idfw_without_index_raises(self):
         f = JoinFunction("L", "SP", "IDFW", "JD")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a corpus"):
             distance_matrix([f], [("a", "b")])
+        with pytest.raises(ValueError, match="needs a corpus"):
+            distance_matrix([f], [], None)
+
+    def test_idfw_empty_corpus_raises(self):
+        # IDF over no document is undefined; without an IDFW function the
+        # corpus is not read
+        f = JoinFunction("L", "SP", "IDFW", "JD")
+        for corpus in ([], iter(())):
+            with pytest.raises(ValueError, match="empty corpus"):
+                distance_matrix([f], [("a", "b")], corpus)
+        with pytest.raises(ValueError, match="empty corpus"):
+            evaluate(f, "a", "b", [])
+        ew = JoinFunction("L", "SP", "EW", "JD")
+        assert distance_matrix([ew], [("a", "b")], []).tolist() == [[1.0]]

@@ -1,6 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
-from conftest import index_by_id, scalar_evaluate
+from conftest import build_idf_from_values, index_by_id, scalar_evaluate
 
 from fuzzyjoin import (
     Assignment,
@@ -22,7 +22,6 @@ from fuzzyjoin import (
     solve,
     tokenize,
 )
-from fuzzyjoin.solver import needed_idf_indexes
 
 
 def jr(pairs: dict[str, str], precision: float = 1.0) -> JoinResult:
@@ -154,7 +153,12 @@ def loop_recall_upper_bound(L, R, column, gt, functions, beta):
     lr = index_by_id(build_index(L, R, column, beta))[0]
     lv = dict(zip(L.ids(), L.column_values(column)))
     rv = dict(zip(R.ids(), R.column_values(column)))
-    idf = needed_idf_indexes(functions, list(lv.values()) + list(rv.values()))
+    corpus = list(lv.values()) + list(rv.values())
+    idf = {
+        (f.preprocess, f.tokenizer): build_idf_from_values(corpus, f.preprocess, f.tokenizer)
+        for f in functions
+        if f.weights == "IDFW"
+    }
     hits = 0
     for rid, lid in gt.matches.items():
         cands = [l for l, _ in lr.get(rid, [])]

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -13,13 +14,15 @@ from fuzzyjoin import (
     discretize_thresholds,
     enumerate_function_space,
     generate_disjoint_tables,
-    build_idf_from_values,
     generate_synthetic,
     make_table,
     register_plugin,
     solve,
 )
-from fuzzyjoin.solver import needed_idf_indexes, precompute_config_table, prepare_columns
+from fuzzyjoin import text
+from fuzzyjoin.blocking import build_index
+from fuzzyjoin.solver import precompute_config_table, prepare_columns
+from fuzzyjoin.text import apply_preprocess, tokenize
 from conftest import (
     dense_config_table,
     dense_greedy,
@@ -500,21 +503,33 @@ def test_nonempty_solution_beats_target():
             assert res.estimated_precision > 0.85
 
 
-# words that the options change differently: case, punctuation, stems, and
-# whitespace runs that 3G collapses
-IDF_WORDS = ["Running", "runs", "run", "teams", "team", "Oak,", "oak", "a,b!", "ab", "x", "  ", ""]
-
-
-@given(
-    st.lists(
-        st.lists(st.sampled_from(IDF_WORDS), max_size=4).map(" ".join), min_size=1, max_size=12
-    ).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=30))
-)
-def test_needed_idf_indexes_match_build_idf_from_values(values):
-    # values drawn from a small pool, so most repeat
+def test_each_left_string_tokenized_at_most_twice_per_tokenizer(monkeypatch):
+    # outside blocking, which tokenizes lowercased values for its own index,
+    # preparing one column tokenizes each distinct preprocessed left string
+    # once per distance call, L-R and L-L, under each tokenizer: the IDF
+    # weights come from those same passes
+    L, R, _ = generate_synthetic(n_left=30, seed=3, unmatched_rate=0.2)
     fns = enumerate_function_space()
-    combos = sorted({(f.preprocess, f.tokenizer) for f in fns if f.weights == "IDFW"})
-    assert len(combos) == 8
-    got = needed_idf_indexes(fns, values)
-    assert list(got) == combos
-    assert got == {(p, t): build_idf_from_values(values, p, t) for p, t in combos}
+    seen = Counter()
+    blocking = [False]
+
+    def spy(s, scheme):
+        if not blocking[0]:
+            seen[(s, scheme)] += 1
+        return tokenize(s, scheme)
+
+    def build_index_unseen(*args, **kwargs):
+        blocking[0] = True
+        try:
+            return build_index(*args, **kwargs)
+        finally:
+            blocking[0] = False
+
+    monkeypatch.setattr(text, "tokenize", spy)
+    monkeypatch.setattr(solver, "build_index", build_index_unseen)
+    prep = prepare_columns(L, R, ("name",), fns)
+    assert len(prep.pairs.ll_a) > 0 and len(prep.pairs.lr_right) > 0
+    options = {f.preprocess for f in fns if f.is_set_based}
+    lefts = {apply_preprocess(v, p) for v in L.column_values("name") for p in options}
+    for tokenizer in ("3G", "SP"):
+        assert max(seen[(s, tokenizer)] for s in lefts) <= 2, tokenizer

@@ -1,23 +1,41 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from conftest import IdfIndex, build_idf_from_values, scalar_evaluate
 from hypothesis import given, strategies as st
 
 from fuzzyjoin import (
-    IdfIndex,
     JoinFunction,
     apply_preprocess,
-    build_idf_from_values,
+    enumerate_function_space,
     evaluate,
     text,
     tokenize,
 )
+from fuzzyjoin.text import idf_weights, tokenize_strings
 
 
-def md(a: str, b: str, weights: str, idf: IdfIndex | None = None) -> float:
+def md(a: str, b: str, weights: str, corpus: list[str] | None = None) -> float:
     """MD between two SP token strings, through the shipped engine."""
-    return evaluate(JoinFunction("L", "SP", weights, "MD"), a, b, idf)
+    return evaluate(JoinFunction("L", "SP", weights, "MD"), a, b, corpus)
+
+
+def shipped_weights(
+    values: list[str], preprocess: str, tokenizer: str, unheld: tuple[str, ...] = ()
+) -> dict[str, float]:
+    """Token -> ``idf_weights`` over a corpus of raw values, as the set
+    kernel computes them: one ``tokenize_strings`` pass over the distinct
+    preprocessed values, each counted as often as it occurs, plus the
+    ``unheld`` strings, which no document stands for."""
+    copies = Counter(apply_preprocess(v, preprocess) for v in values)
+    copies.update(dict.fromkeys(unheld, 0))
+    strings = list(copies)
+    vocab, sizes, tokens, _ = tokenize_strings(strings, np.arange(len(strings)), tokenizer)
+    counts = np.array(list(copies.values()), dtype=np.float64)
+    weights = idf_weights(sizes, tokens, len(vocab), counts, len(values))
+    return dict(zip(vocab, weights.tolist()))
 
 
 class TestPreprocess:
@@ -94,24 +112,34 @@ class TestTokenize:
             assert bag == Counter()
 
 
+# words that the options change differently: case, punctuation, stems, and
+# whitespace runs that 3G collapses
+IDF_WORDS = ["Running", "runs", "run", "teams", "team", "Oak,", "oak", "a,b!", "ab", "x", "  ", ""]
+
+
 class TestIdf:
     def test_token_in_every_record(self):
         idf = build_idf_from_values(["cat hat", "cat mat"], "L", "SP")
         assert idf.doc_freq["cat"] == idf.corpus_size == 2
         assert idf.weight("cat") == 0.0
+        assert shipped_weights(["cat hat", "cat mat"], "L", "SP")["cat"] == 0.0
 
     def test_token_in_one_of_ten(self):
         values = ["common rare0"] + ["common"] * 9
         idf = build_idf_from_values(values, "L", "SP")
         assert idf.weight("rare0") == pytest.approx(math.log(10))
+        assert shipped_weights(values, "L", "SP")["rare0"] == idf.weight("rare0")
 
     def test_unseen_token_smoothing(self):
+        # a token no document holds weighs as if one did
         idf = build_idf_from_values(["a"] * 10, "L", "SP")
         assert idf.weight("zzz") == pytest.approx(math.log(10))
+        assert shipped_weights(["a"] * 10, "L", "SP", unheld=("zzz",))["zzz"] == idf.weight("zzz")
 
     def test_doc_freq_counts_records_not_occurrences(self):
         idf = build_idf_from_values(["cat cat cat", "dog"], "L", "SP")
         assert idf.doc_freq["cat"] == 1
+        assert shipped_weights(["cat cat cat", "dog"], "L", "SP")["cat"] == math.log(2)
 
     @given(
         st.lists(
@@ -128,18 +156,27 @@ class TestIdf:
         idf = build_idf_from_values(iter(values), preprocess, tokenizer)
         assert idf == IdfIndex(dict(doc_freq), len(values))
         assert list(idf.doc_freq) == list(doc_freq)
+        if values:
+            want = {t: math.log(len(values) / df) for t, df in doc_freq.items()}
+            assert shipped_weights(values, preprocess, tokenizer) == want
 
     def test_each_distinct_value_tokenized_once(self, monkeypatch):
+        # a corpus value repeated, or equal to a pair value, is still
+        # tokenized once per tokenizer, and counts as often as it occurs
         seen = []
 
         def spy(s, scheme):
             seen.append(s)
             return tokenize(s, scheme)
 
+        corpus = ["a b", "c", "a b", "a b", "c"]
+        f = JoinFunction("L", "SP", "IDFW", "JD")
         monkeypatch.setattr(text, "tokenize", spy)
-        idf = build_idf_from_values(["a b", "c", "a b", "a b", "c"], "L", "SP")
-        assert sorted(seen) == ["a b", "c"]
+        d = evaluate(f, "a b", "a d", corpus)
+        assert sorted(seen) == ["a b", "a d", "c"]
+        idf = build_idf_from_values(corpus, "L", "SP")
         assert idf == IdfIndex({"a": 3, "b": 3, "c": 2}, 5)
+        assert d == scalar_evaluate(f, "a b", "a d", idf)
 
     def test_equal_weights(self):
         # every token weighs 1: one shared token of two is half the max weight
@@ -152,10 +189,28 @@ class TestIdf:
         ]
         idf = build_idf_from_values(values, "L", "SP")
         assert idf.weight("tok") == pytest.approx(2.302585, abs=1e-6)
+        assert shipped_weights(values, "L", "SP")["tok"] == pytest.approx(2.302585, abs=1e-6)
 
     def test_idfw_requires_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a corpus"):
             evaluate(JoinFunction("L", "SP", "IDFW", "JD"), "x", "x", None)
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(IDF_WORDS), max_size=4).map(" ".join), min_size=1, max_size=12
+        ).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    )
+    def test_idf_weights_match_build_idf_from_values(self, values):
+        # values drawn from a small pool, so most repeat; under every IDFW
+        # (preprocess, tokenizer) combination, each token weighs what the
+        # oracle index gives it, bit for bit
+        fns = enumerate_function_space()
+        combos = {(f.preprocess, f.tokenizer) for f in fns if f.weights == "IDFW"}
+        assert len(combos) == 8
+        for p, t in combos:
+            idf = build_idf_from_values(values, p, t)
+            got = shipped_weights(values, p, t)
+            assert got == {token: idf.weight(token) for token in got}
 
 
 class TestBagWeight:
@@ -167,7 +222,8 @@ class TestBagWeight:
         assert md(" ".join(tokens), tokens[0], "EW") == pytest.approx(1 - 1 / len(tokens))
 
     def test_idfw_weight_sums_tokens(self):
-        idf = build_idf_from_values(["a b", "a", "c"], "L", "SP")
+        corpus = ["a b", "a", "c"]
+        idf = build_idf_from_values(corpus, "L", "SP")
         total = idf.weight("a") + 2 * idf.weight("b")
         expected = 1 - idf.weight("a") / total
-        assert md("a b b", "a", "IDFW", idf) == pytest.approx(expected)
+        assert md("a b b", "a", "IDFW", corpus) == pytest.approx(expected)
