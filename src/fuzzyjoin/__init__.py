@@ -10,6 +10,7 @@ from the geometry of the reference table itself.
 
 from .blocking import CandidateIndex, blocking_cutoff, build_index
 from .distances import (
+    ColumnStrings,
     char_distance,
     distance_matrix,
     evaluate,

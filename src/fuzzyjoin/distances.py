@@ -8,11 +8,17 @@ Callers can register extra distance functions on raw strings under the
 PLUGIN kind.
 
 `distance_matrix` is the library's one set-distance path: the solver calls
-it, and the single-pair `evaluate` is one call to it.  It interns each
-distinct raw value, preprocesses it once per option into one table of
-distinct preprocessed strings, and computes every (preprocess, tokenizer,
-weights) combination once per distinct pair of string ids, shared across
-all distance kinds that use it.
+it, and the single-pair `evaluate` is one call to it.  Every call runs on a
+`ColumnStrings`, the string table of one column: its raw values in both
+tables (the IDF corpus), each distinct value interned once and
+preprocessed once per option into one table of distinct preprocessed
+strings.  The solver builds one per column and shares it between the L-R
+and L-L calls and across the column sets of a multi-column search; a raw or
+missing corpus becomes one at the start of the call.  A call computes every
+(preprocess, tokenizer, weights) combination once per distinct pair of
+string ids, shared across all distance kinds that use it.  A pair's row
+depends only on its two values and the table, so rows computed in
+different calls over one table are equal bit for bit.
 
 The character kinds share one cache across preprocess options, so a
 preprocessed pair that several options produce is computed once.  Pairs of
@@ -31,22 +37,22 @@ several times longer per step.  Pairs with a string longer than 64
 characters fall back to the scalar `char_distance`, which also serves as
 the kernels' test oracle.
 
-The set kinds have no scalar path.  They run batched over per-string
-tokenizations (`text.tokenize_strings`): each distinct preprocessed string
-is tokenized once per tokenizer into token ids and counts, a pair's
-intersection is found by a sorted-key lookup, and numpy sums each pair's
-terms in the order of a loop over its token `Counter`s, so the results
-equal, bit for bit, the per-pair loop kept as the test oracle in
-`tests/conftest.py` (`loop_set_stats`, `scalar_evaluate`).  Count
-statistics are shared across preprocess options like the character cache;
-only the IDF weights differ.
+The set kinds have no scalar path.  They run batched over one tokenization
+per table and tokenizer (`text.tokenize_strings`): each distinct
+preprocessed string of the column is tokenized once into token ids and
+counts, on the first call that needs that tokenizer, with the (string,
+token) keys sorted for lookup.  A pair's intersection is found by a
+sorted-key lookup, and numpy sums each pair's terms in the order of a loop
+over its token `Counter`s, so the results equal, bit for bit, the per-pair
+loop kept as the test oracle in `tests/conftest.py` (`loop_set_stats`,
+`scalar_evaluate`).  Count statistics are shared across preprocess options
+like the character cache; only the IDF weights differ.
 
-IDF weights come from the corpus passed with the call: raw cell values, one
-document per value.  They are interned into the same value table as the
-pair values and preprocessed with them, and each tokenizer's one
-`tokenize_strings` pass covers the corpus strings of its IDFW options as
-well as the strings of the pairs.  Per option, `text.idf_weights` turns the
-number of documents each string stands for into one weight per token.
+IDF weights count the table's documents: each raw corpus value stands for
+as many documents as it has copies, and a value of a pair that is not in
+the corpus for none.  Per IDFW option, `text.idf_weights` turns the number
+of documents each string stands for into one weight per token, once per
+table.
 """
 
 from __future__ import annotations
@@ -395,21 +401,63 @@ def _char_rows(
 _SET_ENTRIES = 1 << 14
 
 
+@dataclass(frozen=True)
+class _Tokens:
+    """One ``tokenize_strings`` pass over every string of a table: per
+    string its entries (token ids and counts, in ``Counter`` order) and its
+    total count, and the A side of the set kernel's lookup, the (string,
+    token) keys sorted, then a sentinel no query hits."""
+
+    n_vocab: int
+    sizes: np.ndarray
+    starts: np.ndarray
+    tokens: np.ndarray
+    counts: np.ndarray
+    size: np.ndarray
+    keys: np.ndarray
+    key_counts: np.ndarray
+
+    def idf(self, docs: np.ndarray, n_docs: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per token its IDF weight over ``n_docs`` documents, of which string
+        s stands for ``docs[s]``, and per string its total weight, summed in
+        token order."""
+        n_strings = len(self.sizes)
+        w = idf_weights(self.sizes, self.tokens, self.n_vocab, docs, n_docs)
+        owner = np.repeat(np.arange(n_strings), self.sizes)
+        return w, np.bincount(owner, weights=self.counts * w[self.tokens], minlength=n_strings)
+
+
+def _tokenize(strings: Sequence[str], tokenizer: str) -> _Tokens:
+    n_strings = len(strings)
+    vocab, sizes, tokens, counts = tokenize_strings(strings, np.arange(n_strings), tokenizer)
+    n_vocab = len(vocab)
+    owner = np.repeat(np.arange(n_strings), sizes)
+    keys = owner * n_vocab + tokens
+    order = np.argsort(keys)
+    return _Tokens(
+        n_vocab,
+        sizes,
+        np.cumsum(sizes) - sizes,
+        tokens,
+        counts,
+        np.bincount(owner, weights=counts, minlength=n_strings),
+        np.append(keys[order], np.iinfo(np.int64).max),
+        np.append(counts[order], 0),
+    )
+
+
 def _set_stats(
-    strings: Sequence[str],
+    tok: _Tokens,
     pairs_by_option: Mapping[str, tuple[np.ndarray, np.ndarray]],
-    tokenizer: str,
-    docs_by_option: Mapping[str, np.ndarray],
-    n_docs: int,
+    idf_by_option: Mapping[str, tuple[np.ndarray, np.ndarray]],
 ) -> dict[str, dict[str, np.ndarray]]:
     """Per preprocess option, the per-pair intersection and size statistics
     of one tokenizer under both weight schemes, and whether the right bag is
-    a sub-multiset of the left one.  ``docs_by_option[option][s]`` is the
-    number of the ``n_docs`` corpus documents that string s stands for under
-    the option; the IDF statistics of an option without it are zero.
+    a sub-multiset of the left one.  ``idf_by_option[option]`` holds the
+    option's IDF weights (``_Tokens.idf``); the IDF statistics of an option
+    without them are zero.
 
-    Each distinct string of the pairs and of the corpus is tokenized once,
-    and the count statistics of a distinct string pair are computed once,
+    The count statistics of a distinct string pair are computed once,
     whichever options produce it; only the IDF weights differ between
     options.  A pair's intersection comes from its B-side entries, each
     looked up among the A string's entries; ``np.bincount`` then adds each
@@ -417,39 +465,12 @@ def _set_stats(
     over the bags, and a token missing from A adds ``0 * w``, which changes
     no sum.
     """
-    a, b, gather = _distinct_pairs(pairs_by_option, len(strings))
-    n_strings = len(strings)
-    used = np.zeros(n_strings, dtype=bool)
-    used[a] = used[b] = True
-    for docs in docs_by_option.values():
-        used |= docs > 0
-    vocab, sizes, tokens, counts = tokenize_strings(strings, np.flatnonzero(used), tokenizer)
-    n_vocab = len(vocab)
-    # per entry, its string; per string, its first entry, total count and,
-    # per option, total IDF weight (summed in token order)
-    owner = np.repeat(np.arange(n_strings), sizes)
-    starts = np.cumsum(sizes) - sizes
-    size = np.bincount(owner, weights=counts, minlength=n_strings)
-    token_w = {
-        option: idf_weights(sizes, tokens, n_vocab, docs, n_docs)
-        for option, docs in docs_by_option.items()
-    }
-    weight = {
-        option: np.bincount(owner, weights=counts * w[tokens], minlength=n_strings)
-        for option, w in token_w.items()
-    }
-    # the A side: (string, token) keys sorted, then a sentinel no query hits
-    keys = owner * n_vocab + tokens
-    order = np.argsort(keys)
-    keys = np.append(keys[order], np.iinfo(np.int64).max)
-    key_counts = np.append(counts[order], 0)
-    del owner, order
-
+    a, b, gather = _distinct_pairs(pairs_by_option, len(tok.sizes))
     n = len(a)
     cnt_i = np.empty(n)
     contained = np.empty(n, dtype=bool)
-    idf_i = {option: np.empty(n) for option in token_w}
-    ends = np.cumsum(sizes[b])
+    idf_i = {option: np.empty(n) for option in idf_by_option}
+    ends = np.cumsum(tok.sizes[b])
     # steps of whole pairs; step k ends with the last pair that ends within
     # the first (k + 1) * _SET_ENTRIES entries, so it holds at most
     # _SET_ENTRIES entries plus those of its first pair (a repeated cut makes
@@ -457,29 +478,28 @@ def _set_stats(
     cuts = np.searchsorted(ends, np.arange(_SET_ENTRIES, ends[-1], _SET_ENTRIES), side="right")
     bounds = np.concatenate([[0], cuts, [n]])
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        lengths = sizes[b[lo:hi]]
+        lengths = tok.sizes[b[lo:hi]]
         pair = np.repeat(np.arange(hi - lo, dtype=np.int32), lengths)
         first = np.cumsum(lengths) - lengths
-        entry = np.arange(len(pair)) + np.repeat(starts[b[lo:hi]] - first, lengths)
-        tok = tokens[entry]
-        mb = counts[entry]
-        query = a[lo:hi][pair] * n_vocab + tok
-        pos = np.searchsorted(keys, query)
-        ma = np.where(keys[pos] == query, key_counts[pos], 0)
+        entry = np.arange(len(pair)) + np.repeat(tok.starts[b[lo:hi]] - first, lengths)
+        t = tok.tokens[entry]
+        mb = tok.counts[entry]
+        query = a[lo:hi][pair] * tok.n_vocab + t
+        pos = np.searchsorted(tok.keys, query)
+        ma = np.where(tok.keys[pos] == query, tok.key_counts[pos], 0)
         m = np.minimum(ma, mb)
         cnt_i[lo:hi] = np.bincount(pair, weights=m, minlength=hi - lo)
         contained[lo:hi] = np.bincount(pair[mb > ma], minlength=hi - lo) == 0
-        for option, w in token_w.items():
-            idf_i[option][lo:hi] = np.bincount(pair, weights=m * w[tok], minlength=hi - lo)
+        for option, (w, _) in idf_by_option.items():
+            idf_i[option][lo:hi] = np.bincount(pair, weights=m * w[t], minlength=hi - lo)
 
     out = {}
     for option, (pa, pb) in pairs_by_option.items():
         g = gather[option]
-        out[option] = {"cnt_i": cnt_i[g], "cnt_a": size[pa], "cnt_b": size[pb]}
-        if option in token_w:
-            out[option] |= {
-                "idf_i": idf_i[option][g], "idf_a": weight[option][pa], "idf_b": weight[option][pb]
-            }
+        out[option] = {"cnt_i": cnt_i[g], "cnt_a": tok.size[pa], "cnt_b": tok.size[pb]}
+        if option in idf_by_option:
+            weight = idf_by_option[option][1]
+            out[option] |= {"idf_i": idf_i[option][g], "idf_a": weight[pa], "idf_b": weight[pb]}
         else:
             out[option] |= {name: np.zeros(len(g)) for name in ("idf_i", "idf_a", "idf_b")}
         out[option]["contained"] = contained[g]
@@ -505,89 +525,139 @@ def _set_rows(inter, w_a, w_b, contained) -> dict[str, np.ndarray]:
     return rows
 
 
+class ColumnStrings:
+    """The strings of one column that every distance call over its pairs
+    shares.
+
+    Built from the column's raw values in both tables, the IDF corpus (one
+    document per value, so a value stands for as many documents as it has
+    copies), plus ``extra`` values of no document.  It interns each distinct
+    value once and preprocesses it once per preprocess option of
+    ``functions`` into one table of distinct preprocessed strings.  On first
+    use it tokenizes all of those strings once per tokenizer and counts each
+    IDFW option's weights once; later calls, and later column sets that
+    keep the table, read them again.
+    """
+
+    def __init__(
+        self,
+        functions: Sequence[JoinFunction],
+        corpus: Iterable[str],
+        extra: Iterable[str] = (),
+    ):
+        copies = Counter(corpus)
+        self.n_docs = copies.total()
+        self.value_ids = {v: i for i, v in enumerate(copies)}
+        for v in extra:
+            self.value_ids.setdefault(v, len(self.value_ids))
+        self.values = list(self.value_ids)
+        self.copies = np.zeros(len(self.values))
+        self.copies[: len(copies)] = list(copies.values())
+        ids: dict[str, int] = {}
+        # per option, each value's preprocessed string id
+        self.of_value = {
+            option: np.array(
+                [ids.setdefault(apply_preprocess(v, option), len(ids)) for v in self.values],
+                dtype=np.int64,
+            )
+            for option in dict.fromkeys(f.preprocess for f in functions if f.distance != PLUGIN)
+        }
+        self.strings = list(ids)
+        self._tokens: dict[str, _Tokens] = {}
+        self._idf: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+
+    def tokens(self, tokenizer: str) -> _Tokens:
+        if tokenizer not in self._tokens:
+            self._tokens[tokenizer] = _tokenize(self.strings, tokenizer)
+        return self._tokens[tokenizer]
+
+    def idf(self, tokenizer: str, option: str) -> tuple[np.ndarray, np.ndarray]:
+        """An IDFW option's token weights and per-string totals."""
+        key = (tokenizer, option)
+        if key not in self._idf:
+            docs = np.bincount(
+                self.of_value[option], weights=self.copies, minlength=len(self.strings)
+            )
+            self._idf[key] = self.tokens(tokenizer).idf(docs, self.n_docs)
+        return self._idf[key]
+
+
 def distance_matrix(
     functions: Sequence[JoinFunction],
     pairs: Sequence[tuple[str, str]],
-    corpus: Iterable[str] | None = None,
+    corpus: ColumnStrings | Iterable[str] | None = None,
     threads: int = 1,  # ignored; kept only for perfbench's tracer, which passes it
 ) -> np.ndarray:
     """Distances for every join function over a list of (left, right) raw
     value pairs; returns an array of shape (len(functions), len(pairs)).
 
-    ``corpus`` holds the raw cell values that IDF weights are counted over,
-    one document per value; it must be given, and non-empty, whenever an
-    IDFW function is present, and is ignored otherwise.
+    ``corpus`` is the column's ``ColumnStrings``, which must hold every pair
+    value and every preprocess option of ``functions``, or the raw cell
+    values that IDF weights are counted over, one document per value.  A raw
+    or missing corpus becomes a ``ColumnStrings`` here, with the pair values
+    as strings of no document.  An IDFW function needs a corpus of at least
+    one document; without one the corpus is not read.
     """
     idfw = [f for f in functions if f.is_set_based and f.weights == "IDFW"]
-    if idfw and corpus is None:
+    if isinstance(corpus, ColumnStrings):
+        table = corpus
+    elif idfw and corpus is None:
         raise ValueError(f"IDFW function {idfw[0]} needs a corpus for its IDF weights")
-    copies = Counter(corpus) if idfw else Counter()
-    if idfw and not copies:
+    else:
+        values = (v for pair in pairs for v in pair)
+        table = ColumnStrings(functions, corpus if idfw else (), values)
+    if idfw and table.n_docs == 0:
         raise ValueError(
             f"IDFW function {idfw[0]} was given an empty corpus: IDF weights need "
             "at least one document"
         )
+    options = dict.fromkeys(f.preprocess for f in functions if f.distance != PLUGIN)
+    unknown = [option for option in options if option not in table.of_value]
+    if unknown:
+        raise ValueError(f"the column's string table has no preprocess option {unknown[0]!r}")
 
     n = len(pairs)
     result = np.empty((len(functions), n))
     if n == 0:
         return result
 
-    # intern each distinct raw value; compute once per distinct raw pair,
-    # then scatter
-    value_ids: dict[str, int] = {}
-    ids = np.fromiter(
-        (value_ids.setdefault(v, len(value_ids)) for pair in pairs for v in pair),
-        dtype=np.int64,
-        count=2 * n,
-    )
+    # each distinct raw value's table id; compute once per distinct raw
+    # pair, then scatter
+    value_ids = table.value_ids
+    try:
+        ids = np.fromiter(
+            (value_ids[v] for pair in pairs for v in pair), dtype=np.int64, count=2 * n
+        )
+    except KeyError as exc:
+        raise ValueError(
+            f"pair value {exc.args[0]!r} is not in the column's string table"
+        ) from None
     n_values = len(value_ids)
     distinct, inverse = np.unique(ids[0::2] * n_values + ids[1::2], return_inverse=True)
     left, right = np.divmod(distinct, n_values)
-    # the corpus documents join the same table, each distinct value once
-    doc_ids = np.array([value_ids.setdefault(v, len(value_ids)) for v in copies], dtype=np.int64)
-    doc_copies = np.fromiter(copies.values(), dtype=np.float64, count=len(copies))
-    values = list(value_ids)
     empty = value_ids.get("", -1)
     missing = (left == empty) & (right == empty)
-
-    # each distinct value preprocessed once per option, into one table of
-    # the distinct preprocessed strings of all options
-    string_ids: dict[str, int] = {}
-    of_value: dict[str, np.ndarray] = {}
-    for option in dict.fromkeys(f.preprocess for f in functions if f.distance != PLUGIN):
-        of_value[option] = np.array(
-            [string_ids.setdefault(apply_preprocess(v, option), len(string_ids)) for v in values],
-            dtype=np.int64,
-        )
-    strings = list(string_ids)
-    pre_pairs = {option: (of[left], of[right]) for option, of in of_value.items()}
-    # per IDFW option, the number of documents each string stands for
-    docs = {
-        option: np.bincount(of_value[option][doc_ids], weights=doc_copies, minlength=len(strings))
-        for option in dict.fromkeys(f.preprocess for f in idfw)
-    }
+    pre_pairs = {o: (table.of_value[o][left], table.of_value[o][right]) for o in options}
 
     char_pairs = {
         f.preprocess: pre_pairs[f.preprocess] for f in functions if f.distance in CHAR_DISTANCES
     }
-    char_rows = _char_rows(strings, char_pairs) if char_pairs else {}
+    char_rows = _char_rows(table.strings, char_pairs) if char_pairs else {}
     set_fns = [f for f in functions if f.is_set_based]
     set_stats: dict[str, dict[str, dict[str, np.ndarray]]] = {}
     for tokenizer in dict.fromkeys(f.tokenizer for f in set_fns):
         fns = [f for f in set_fns if f.tokenizer == tokenizer]
         set_stats[tokenizer] = _set_stats(
-            strings,
+            table.tokens(tokenizer),
             {f.preprocess: pre_pairs[f.preprocess] for f in fns},
-            tokenizer,
-            {f.preprocess: docs[f.preprocess] for f in fns if f.weights == "IDFW"},
-            copies.total(),
+            {f.preprocess: table.idf(tokenizer, f.preprocess) for f in fns if f.weights == "IDFW"},
         )
     # rows memo by (option, tokenizer, weights), filled on first use
     set_rows: dict[tuple[str, str, str], dict[str, np.ndarray]] = {}
     for fi, f in enumerate(functions):
         if f.distance == PLUGIN:
             fn = get_plugin(f.plugin)
+            values = table.values
             row = np.array([fn(values[a], values[b]) for a, b in zip(left, right)], dtype=float)
             if not np.all((row >= 0.0) & (row <= 1.0)):
                 raise ValueError(

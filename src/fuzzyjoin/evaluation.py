@@ -14,8 +14,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .blocking import build_index
+from .distances import distance_matrix
 from .functions import JoinFunction, JoinResult
-from .solver import SolveResult, prepare_columns, solve
+from .solver import SolveResult, flatten_index, solve, value_pairs
 from .tables import Record, Table, make_table
 
 
@@ -153,11 +155,13 @@ def recall_upper_bound(
     """
     if gt.total_true() == 0:
         return 0.0
-    prep = prepare_columns(L, R, (column,), functions, beta, use_negative_rules=False)
-    pairs = prep.pairs
+    pairs = flatten_index(build_index(L, R, (column,), beta))
     if len(pairs.lr_right) == 0:
         return 0.0
-    d_lr = prep.d_lr[column]
+    lvals, rvals = L.column_values(column), R.column_values(column)
+    lr_values = value_pairs((lvals, rvals), (pairs.lr_left, pairs.lr_right))
+    # the column's values in both tables are the IDF corpus, as in the solver
+    d_lr = distance_matrix(functions, lr_values, lvals + rvals)
     _, starts, counts = np.unique(pairs.lr_right, return_index=True, return_counts=True)
     seg_min = np.minimum.reduceat(d_lr, starts, axis=1)
     # pairs whose left is nearest to their right under some function

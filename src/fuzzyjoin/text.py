@@ -64,9 +64,9 @@ def tokenize_strings(
     """Each used string tokenized once: the token vocabulary, and a CSR over
     all string ids (unused strings have no entries) of token ids and counts
     in ``Counter`` order.  The set kernel reads its tokens and, with
-    ``idf_weights``, its IDF weights from one such pass over the strings of
-    its pairs and of the corpus; ``blocking.build_index`` reads its trigrams
-    from another."""
+    ``idf_weights``, its IDF weights from one such pass per tokenizer over
+    the strings of a column's ``distances.ColumnStrings``;
+    ``blocking.build_index`` reads its trigrams from another."""
     vocab: dict[str, int] = {}
     sizes = np.zeros(len(strings), dtype=np.int64)
     tokens: list[int] = []

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import IdfIndex, build_idf_from_values, loop_set_stats, scalar_evaluate
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fuzzyjoin import (
     FunctionSpaceOptions,
@@ -22,11 +22,13 @@ from fuzzyjoin import (
 )
 from fuzzyjoin import distances, text
 from fuzzyjoin.distances import (
+    ColumnStrings,
     _char_rows,
     _jaro_winkler_batch,
     _levenshtein_batch,
     _peq_table,
     _set_stats,
+    _tokenize,
 )
 
 
@@ -399,7 +401,9 @@ def kernel_set_stats(pairs_by_option, tokenizer, docs_by_option, n_docs):
         option: np.array([docs.get(s, 0) for s in string_ids], dtype=np.float64)
         for option, docs in docs_by_option.items()
     }
-    return _set_stats(list(string_ids), id_pairs, tokenizer, doc_counts, n_docs)
+    tok = _tokenize(list(string_ids), tokenizer)
+    idf = {option: tok.idf(docs, n_docs) for option, docs in doc_counts.items()}
+    return _set_stats(tok, id_pairs, idf)
 
 
 def idf_of_docs(docs: dict[str, int], tokenizer: str, n_docs: int) -> IdfIndex:
@@ -523,7 +527,46 @@ class TestEvaluate:
                 evaluate(f, l_value, r_value)
 
 
+@st.composite
+def column_cases(draw):
+    """A column's values in two tables, the IDF corpus, and two lists of
+    pairs among them: case and punctuation that some preprocess options
+    drop, repeated and empty values, and values over 64 characters."""
+    chars = st.sampled_from("aAb, c.")
+    text = st.one_of(
+        st.just(""),
+        st.lists(chars, max_size=12).map("".join),
+        st.lists(chars, min_size=63, max_size=66).map("".join),
+    )
+    lvals = draw(st.lists(text, min_size=1, max_size=8))
+    rvals = draw(st.lists(text, min_size=1, max_size=8))
+    pair = st.tuples(st.sampled_from(lvals), st.sampled_from(lvals + rvals))
+    pairs = st.lists(pair, max_size=15)
+    return lvals + rvals, draw(pairs), draw(pairs)
+
+
 class TestDistanceMatrix:
+    @settings(max_examples=30)
+    @given(column_cases())
+    def test_shared_table_matches_raw_corpus(self, case):
+        # one table serves call after call, and a pair's row does not depend
+        # on the other pairs of its call, so rows can be gathered across calls
+        corpus, first, second = case
+        fns = enumerate_function_space()
+        table = ColumnStrings(fns, corpus)
+        for pairs in (first, second, first + second):
+            got = distance_matrix(fns, pairs, table)
+            assert float_bits(got) == float_bits(distance_matrix(fns, pairs, corpus))
+
+    def test_pair_value_missing_from_table_raises(self):
+        fns = enumerate_function_space()
+        table = ColumnStrings(fns, ["oak tigers", "riverton hornets"])
+        with pytest.raises(ValueError, match="'oak tiger'"):
+            distance_matrix(fns, [("oak tigers", "oak tiger")], table)
+        with pytest.raises(ValueError, match="'L\\+S'"):
+            table = ColumnStrings(fns[:1], ["oak tigers"])
+            distance_matrix(fns, [("oak tigers", "oak tigers")], table)
+
     def test_matches_scalar_evaluate(self):
         # repeated values, an empty value on both sides (the ("", "") pair is
         # missing) and 1-2 character values, which 3G keeps whole

@@ -22,6 +22,8 @@ from fuzzyjoin import (
     solve,
     tokenize,
 )
+from fuzzyjoin import evaluation
+from fuzzyjoin.distances import distance_matrix
 
 
 def jr(pairs: dict[str, str], precision: float = 1.0) -> JoinResult:
@@ -191,10 +193,20 @@ class TestRecallUpperBound:
     @pytest.mark.parametrize(
         "seed, picks, beta", [(2, (0, 16, 96), 0.1), (3, (0, 16, 96), 0.1), (3, (20, 70), 0.5)]
     )
-    def test_matches_loop_oracle(self, seed, picks, beta):
+    def test_matches_loop_oracle(self, monkeypatch, seed, picks, beta):
         L, R, gt = generate_synthetic(n_left=80, seed=seed, unmatched_rate=0.3)
         fns = [enumerate_function_space()[i] for i in picks]
+        calls = []
+
+        def spy(functions, pairs, corpus=None, threads=1):
+            calls.append(len(pairs))
+            return distance_matrix(functions, pairs, corpus, threads)
+
+        monkeypatch.setattr(evaluation, "distance_matrix", spy)
         ubr = recall_upper_bound(L, R, "name", gt, fns, beta)
+        # one call, over the cross-table pairs only
+        lr_pairs = sum(map(len, index_by_id(build_index(L, R, "name", beta))[0].values()))
+        assert calls == [lr_pairs]
         assert ubr < 1.0
         assert ubr == loop_recall_upper_bound(L, R, "name", gt, fns, beta)
 

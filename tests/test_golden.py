@@ -30,6 +30,8 @@ from fuzzyjoin import (
     generate_synthetic,
 )
 from fuzzyjoin.cli import main
+from fuzzyjoin import solver
+from fuzzyjoin.distances import distance_matrix
 from fuzzyjoin.solver import flatten_index, prepare_columns
 
 GOLDEN = {
@@ -105,12 +107,15 @@ def artifacts(mode: str, tmp: Path) -> tuple[str, str]:
     return sha256(joins), sha256(solution)
 
 
-def distance_digest(mode: str) -> str:
+def distance_digest(mode: str, earlier=None) -> str:
     """Digest of the distances ``prepare_columns`` computes for a mode's
-    input over the full function space, column by column."""
+    input over the full function space, column by column.  ``earlier``
+    maps the tables and functions to preparations passed in as earlier
+    column sets."""
     L, R = golden_inputs(mode)
     columns = ("name",) if mode == "run" else L.columns
-    prep = prepare_columns(L, R, columns, enumerate_function_space())
+    fns = enumerate_function_space()
+    prep = prepare_columns(L, R, columns, fns, earlier=earlier(L, R, fns) if earlier else ())
     digest = hashlib.sha256()
     for c in columns:
         for matrix in (prep.d_lr[c], prep.d_ll[c]):
@@ -147,8 +152,29 @@ def test_distances_unchanged():
     assert distance_digest("run") == GOLDEN_DISTANCES["run"]
 
 
-def test_multi_column_distances_unchanged():
+def test_multi_column_distances_unchanged(monkeypatch):
     assert distance_digest("run-multi") == GOLDEN_DISTANCES["run-multi"]
+
+    # the same digest when each column's rows come from its singleton
+    # preparation where it holds the pair, as solve_multi prepares them; the
+    # spy goes in after the singletons, so it counts the full set's pairs
+    def singletons(L, R, fns):
+        preps = [prepare_columns(L, R, (c,), fns) for c in L.columns]
+        monkeypatch.setattr(solver, "distance_matrix", spy)
+        return preps
+
+    computed = []
+
+    def spy(functions, pairs, corpus=None, threads=1):
+        computed.append(len(pairs))
+        return distance_matrix(functions, pairs, corpus, threads)
+
+    assert distance_digest("run-multi", singletons) == GOLDEN_DISTANCES["run-multi"]
+    # some pairs were gathered, and some computed
+    L, R = golden_inputs("run-multi")
+    pairs = flatten_index(build_index(L, R, L.columns, 1.0))
+    total = len(L.columns) * (len(pairs.lr_right) + len(pairs.ll_a))
+    assert 0 < sum(computed) < total
 
 
 def test_run_artifacts_unchanged(tmp_path):

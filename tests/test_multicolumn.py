@@ -11,7 +11,8 @@ from fuzzyjoin import (
     solve,
     solve_multi,
 )
-from fuzzyjoin.solver import prepare_columns
+from fuzzyjoin import multicolumn
+from fuzzyjoin.solver import prepare_columns, solve_from_distances
 
 
 class TestInterpolate:
@@ -192,3 +193,19 @@ class TestSolveMulti:
         m = 2
         assert res.invocations <= m * m * 5
         assert res.invocations == len(res.trials)
+
+    def test_solve_timings_summed_over_trials(self, monkeypatch):
+        # precompute and greedy run once per trial, and the manifest reports
+        # their total, as it does the preparation stages' over column sets
+        L, R, _ = two_column_tables(seed=3, n_pairs=8)
+
+        def fixed_timings(*args):
+            res = solve_from_distances(*args)
+            res.timings = {"precompute": 0.25, "greedy": 0.125}
+            return res
+
+        monkeypatch.setattr(multicolumn, "solve_from_distances", fixed_timings)
+        res = solve_multi(L, R, tau=0.9, g=5, seed=0)
+        assert res.invocations > 1
+        assert res.timings["precompute"] == 0.25 * res.invocations
+        assert res.timings["greedy"] == 0.125 * res.invocations

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fuzzyjoin.multicolumn as multicolumn
 import fuzzyjoin.solver as solver
 from fuzzyjoin import (
     JoinFunction,
+    add_random_column,
     greedy_select,
     discretize_thresholds,
     enumerate_function_space,
@@ -18,11 +20,13 @@ from fuzzyjoin import (
     make_table,
     register_plugin,
     solve,
+    solve_multi,
 )
-from fuzzyjoin import text
+from fuzzyjoin import distances, text
 from fuzzyjoin.blocking import build_index
+from fuzzyjoin.functions import SPACE_PRESETS
 from fuzzyjoin.solver import precompute_config_table, prepare_columns
-from fuzzyjoin.text import apply_preprocess, tokenize
+from fuzzyjoin.text import apply_preprocess, tokenize, tokenize_strings
 from conftest import (
     dense_config_table,
     dense_greedy,
@@ -503,14 +507,13 @@ def test_nonempty_solution_beats_target():
             assert res.estimated_precision > 0.85
 
 
-def test_each_left_string_tokenized_at_most_twice_per_tokenizer(monkeypatch):
-    # outside blocking, which tokenizes lowercased values for its own index,
-    # preparing one column tokenizes each distinct preprocessed left string
-    # once per distance call, L-R and L-L, under each tokenizer: the IDF
-    # weights come from those same passes
-    L, R, _ = generate_synthetic(n_left=30, seed=3, unmatched_rate=0.2)
-    fns = enumerate_function_space()
+def spy_tokenization(monkeypatch):
+    """Counts of ``text.tokenize`` calls by (string, tokenizer) outside
+    blocking, which tokenizes lowercased values for its own index, and the
+    (tokenizer, strings) of each ``tokenize_strings`` pass of the distance
+    stage."""
     seen = Counter()
+    passes = Counter()
     blocking = [False]
 
     def spy(s, scheme):
@@ -525,11 +528,47 @@ def test_each_left_string_tokenized_at_most_twice_per_tokenizer(monkeypatch):
         finally:
             blocking[0] = False
 
+    def tokenize_strings_spy(strings, used, tokenizer):
+        passes[(tokenizer, tuple(strings[s] for s in used.tolist()))] += 1
+        return tokenize_strings(strings, used, tokenizer)
+
     monkeypatch.setattr(text, "tokenize", spy)
     monkeypatch.setattr(solver, "build_index", build_index_unseen)
+    monkeypatch.setattr(distances, "tokenize_strings", tokenize_strings_spy)
+    return seen, passes
+
+
+def test_each_left_string_tokenized_once_per_tokenizer(monkeypatch):
+    # the L-R and L-L calls share the column's string table, whose one pass
+    # per tokenizer also gives the IDF weights
+    L, R, _ = generate_synthetic(n_left=30, seed=3, unmatched_rate=0.2)
+    fns = enumerate_function_space()
+    seen, passes = spy_tokenization(monkeypatch)
     prep = prepare_columns(L, R, ("name",), fns)
     assert len(prep.pairs.ll_a) > 0 and len(prep.pairs.lr_right) > 0
     options = {f.preprocess for f in fns if f.is_set_based}
     lefts = {apply_preprocess(v, p) for v in L.column_values("name") for p in options}
     for tokenizer in ("3G", "SP"):
-        assert max(seen[(s, tokenizer)] for s in lefts) <= 2, tokenizer
+        assert all(seen[(s, tokenizer)] == 1 for s in lefts), tokenizer
+    assert max(seen.values()) == 1
+    assert sorted(t for t, _ in passes) == ["3G", "SP"]
+
+
+def test_solve_multi_tokenizes_each_column_once_per_tokenizer(monkeypatch):
+    # later column sets keep each column's string table from the first set
+    # that prepared it
+    L, R, _ = generate_synthetic(n_left=30, seed=3, unmatched_rate=0.2)
+    L, R = add_random_column(L, seed=1), add_random_column(R, seed=2)
+    sets = []
+
+    def prepare_spy(L, R, columns, *args):
+        sets.append(columns)
+        return prepare_columns(L, R, columns, *args)
+
+    monkeypatch.setattr(multicolumn, "prepare_columns", prepare_spy)
+    _, passes = spy_tokenization(monkeypatch)
+    fns = enumerate_function_space(SPACE_PRESETS["reduced24"])
+    solve_multi(L, R, g=4, functions=fns)
+    assert len(sets) > len(L.columns)
+    assert max(passes.values()) == 1
+    assert sorted(t for t, _ in passes) == ["3G"] * len(L.columns) + ["SP"] * len(L.columns)
