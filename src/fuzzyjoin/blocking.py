@@ -185,7 +185,7 @@ def build_index(
         [distinct.setdefault(apply_preprocess(v, "L"), len(distinct)) for v in left_values + right_values],
         dtype=np.int64,
     )
-    vocab, sizes, tokens, _ = tokenize_strings(list(distinct), np.arange(len(distinct)), "3G")
+    vocab, sizes, tokens, _ = tokenize_strings(list(distinct), "3G")
     rank = np.empty(len(vocab), dtype=np.int64)
     rank[sorted(range(len(vocab)), key=list(vocab).__getitem__)] = np.arange(len(vocab))
     tokens = tokens[np.lexsort((rank[tokens], np.repeat(np.arange(len(distinct)), sizes)))]

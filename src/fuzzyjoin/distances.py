@@ -17,8 +17,11 @@ and L-L calls and across the column sets of a multi-column search; a raw or
 missing corpus becomes one at the start of the call.  A call computes every
 (preprocess, tokenizer, weights) combination once per distinct pair of
 string ids, shared across all distance kinds that use it.  A pair's row
-depends only on its two values and the table, so rows computed in
-different calls over one table are equal bit for bit.
+depends only on its two values and the table, so the table remembers the
+matrices computed over it, per tuple of functions, keyed by value pair: a
+later call with the same functions gathers the rows of the value pairs a
+previous call computed, bit for bit, and computes only the rest.  Returned
+matrices are read-only, because the table keeps them.
 
 The character kinds share one cache across preprocess options, so a
 preprocessed pair that several options produce is computed once.  Pairs of
@@ -429,7 +432,7 @@ class _Tokens:
 
 def _tokenize(strings: Sequence[str], tokenizer: str) -> _Tokens:
     n_strings = len(strings)
-    vocab, sizes, tokens, counts = tokenize_strings(strings, np.arange(n_strings), tokenizer)
+    vocab, sizes, tokens, counts = tokenize_strings(strings, tokenizer)
     n_vocab = len(vocab)
     owner = np.repeat(np.arange(n_strings), sizes)
     keys = owner * n_vocab + tokens
@@ -454,8 +457,8 @@ def _set_stats(
     """Per preprocess option, the per-pair intersection and size statistics
     of one tokenizer under both weight schemes, and whether the right bag is
     a sub-multiset of the left one.  ``idf_by_option[option]`` holds the
-    option's IDF weights (``_Tokens.idf``); the IDF statistics of an option
-    without them are zero.
+    option's IDF weights (``_Tokens.idf``); only those options get IDF
+    statistics.
 
     The count statistics of a distinct string pair are computed once,
     whichever options produce it; only the IDF weights differ between
@@ -500,8 +503,6 @@ def _set_stats(
         if option in idf_by_option:
             weight = idf_by_option[option][1]
             out[option] |= {"idf_i": idf_i[option][g], "idf_a": weight[pa], "idf_b": weight[pb]}
-        else:
-            out[option] |= {name: np.zeros(len(g)) for name in ("idf_i", "idf_a", "idf_b")}
         out[option]["contained"] = contained[g]
     return out
 
@@ -537,6 +538,14 @@ class ColumnStrings:
     use it tokenizes all of those strings once per tokenizer and counts each
     IDFW option's weights once; later calls, and later column sets that
     keep the table, read them again.
+
+    It also remembers, per tuple of functions, the matrices that
+    ``distance_matrix`` returned over it: per call, the sorted keys of the
+    distinct value pairs that call computed, one column of the matrix per
+    key, and the matrix itself, which is read-only and not copied.  A call
+    is remembered only once it has succeeded.  A row is looked up by its
+    functions and value pair only, so a plugin registered again under the
+    same name needs a new table.
     """
 
     def __init__(
@@ -565,6 +574,8 @@ class ColumnStrings:
         self.strings = list(ids)
         self._tokens: dict[str, _Tokens] = {}
         self._idf: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+        # per function tuple, one (keys, columns, matrix) per call
+        self._held: dict[tuple[JoinFunction, ...], list[tuple[np.ndarray, ...]]] = {}
 
     def tokens(self, tokenizer: str) -> _Tokens:
         if tokenizer not in self._tokens:
@@ -596,7 +607,8 @@ def distance_matrix(
     values that IDF weights are counted over, one document per value.  A raw
     or missing corpus becomes a ``ColumnStrings`` here, with the pair values
     as strings of no document.  An IDFW function needs a corpus of at least
-    one document; without one the corpus is not read.
+    one document; without one the corpus is not read.  The result is
+    read-only: the table keeps it for later calls with the same functions.
     """
     idfw = [f for f in functions if f.is_set_based and f.weights == "IDFW"]
     if isinstance(corpus, ColumnStrings):
@@ -616,13 +628,10 @@ def distance_matrix(
     if unknown:
         raise ValueError(f"the column's string table has no preprocess option {unknown[0]!r}")
 
+    # each distinct raw value's table id; a distinct raw pair that a previous
+    # call over the table computed is gathered from it, row by row, and the
+    # rest is computed once and scattered
     n = len(pairs)
-    result = np.empty((len(functions), n))
-    if n == 0:
-        return result
-
-    # each distinct raw value's table id; compute once per distinct raw
-    # pair, then scatter
     value_ids = table.value_ids
     try:
         ids = np.fromiter(
@@ -633,8 +642,33 @@ def distance_matrix(
             f"pair value {exc.args[0]!r} is not in the column's string table"
         ) from None
     n_values = len(value_ids)
-    distinct, inverse = np.unique(ids[0::2] * n_values + ids[1::2], return_inverse=True)
-    left, right = np.divmod(distinct, n_values)
+    keys, first, inverse = np.unique(
+        ids[0::2] * n_values + ids[1::2], return_index=True, return_inverse=True
+    )
+    result = np.empty((len(functions), n))
+    todo = np.ones(len(keys), dtype=bool)
+    signature = tuple(functions)
+    for held_keys, columns, held in table._held.get(signature, ()):
+        pos = np.minimum(np.searchsorted(held_keys, keys), len(held_keys) - 1)
+        hit = held_keys[pos] == keys
+        at = np.flatnonzero(hit[inverse])
+        src = columns[pos[inverse[at]]]
+        for fi in range(len(functions)):
+            result[fi, at] = held[fi, src]
+        todo &= ~hit
+    new = np.flatnonzero(todo)
+    if len(new) == 0:
+        result.flags.writeable = False
+        return result
+    if len(new) == len(keys):
+        at, rank = slice(None), inverse
+    else:
+        at = np.flatnonzero(todo[inverse])
+        rank = (np.cumsum(todo) - 1)[inverse[at]]
+    # what the table keeps is allocated before the kernels' temporaries, so
+    # that it does not pin them in the heap once they are freed
+    keys, first = keys[new], first[new]
+    left, right = np.divmod(keys, n_values)
     empty = value_ids.get("", -1)
     missing = (left == empty) & (right == empty)
     pre_pairs = {o: (table.of_value[o][left], table.of_value[o][right]) for o in options}
@@ -680,5 +714,7 @@ def distance_matrix(
                     set_rows[key] = _set_rows(inter, w_a, w_b, stats["contained"])
                 row = set_rows[key][f.distance]
         row = np.where(missing, 1.0, row)
-        result[fi] = row[inverse]
+        result[fi, at] = row[rank]
+    result.flags.writeable = False
+    table._held.setdefault(signature, []).append((keys, first, result))
     return result

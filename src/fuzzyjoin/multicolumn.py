@@ -11,12 +11,12 @@ column; per-column heterogeneous functions are excluded for tractability.
 
 Each column set is prepared once (blocking on the joined values, negative
 rules, per-column distances) and every trial over it reuses the
-preparation.  A later set is prepared with the earlier ones passed in: a
-column keeps the string table of the first set that held it, so it is
-tokenized once per tokenizer over the whole search, and a blocked pair an
-earlier set already holds keeps that set's distance rows.  The manifest's
-preparation timings are summed over the column sets, and its precompute
-and greedy timings over the trials.
+preparation.  Every set is prepared with the search's one string table per
+column, built by the first set that holds the column: a column is tokenized
+once per tokenizer over the whole search, and a value pair whose distances
+a previous set computed is gathered from that column's table.  The
+manifest's preparation timings are summed over the column sets, and its
+precompute and greedy timings over the trials.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .distances import ColumnStrings
 from .functions import (
     JoinFunction,
     JoinResult,
@@ -122,6 +123,7 @@ def solve_multi(
     fns = list(functions) if functions is not None else enumerate_function_space()
     m = len(cols)
     preps: dict[frozenset, PreparedColumns] = {}
+    tables: dict[str, ColumnStrings] = {}
     alphas = [i / g for i in range(1, g)]
 
     t_start = time.perf_counter()
@@ -136,9 +138,7 @@ def solve_multi(
         active = tuple(c for c, x in zip(cols, w) if x > 0.0)
         key = frozenset(active)
         if key not in preps:
-            preps[key] = prepare_columns(
-                L, R, active, fns, beta, use_negative_rules, list(preps.values())
-            )
+            preps[key] = prepare_columns(L, R, active, fns, beta, use_negative_rules, tables)
         prep = preps[key]
         if len(prep.pairs.lr_right) == 0:
             return _empty_result(active, project(w), [NO_PAIRS])

@@ -390,14 +390,6 @@ class BlockedPairs:
     ll_a: np.ndarray  # (n_ll,) left positions, ascending
     ll_b: np.ndarray  # (n_ll,) neighbor left positions
 
-    def lr_keys(self) -> np.ndarray:
-        """One key per cross-table pair, ascending."""
-        return self.lr_right * len(self.left_ids) + self.lr_left
-
-    def ll_keys(self) -> np.ndarray:
-        """One key per self-join pair, ascending."""
-        return self.ll_a * len(self.left_ids) + self.ll_b
-
 
 def flatten_index(idx: CandidateIndex) -> BlockedPairs:
     lr, ll = idx.lr_pairs, idx.ll_pairs
@@ -519,7 +511,7 @@ def solve_from_distances(
 @dataclass
 class PreparedColumns:
     """Blocked pairs of one column set, after negative rules, with each
-    column's rules, string table and distance matrices over those pairs."""
+    column's rules and distance matrices over those pairs."""
 
     pairs: BlockedPairs
     rules: dict[str, set[NegativeRule]]  # empty when rules are off
@@ -527,48 +519,16 @@ class PreparedColumns:
     d_ll: dict[str, np.ndarray]
     timings: dict[str, float]
     pair_counts: dict[str, int]
-    strings: dict[str, ColumnStrings] = field(default_factory=dict)  # as d_lr
 
 
 def value_pairs(
     values: tuple[Sequence[str], Sequence[str]],
     positions: tuple[np.ndarray, np.ndarray],
-    rows: slice | np.ndarray = slice(None),
 ) -> list[tuple[str, str]]:
     """The raw value pairs (values[0][positions[0][i]],
-    values[1][positions[1][i]]) for i in ``rows``."""
+    values[1][positions[1][i]])."""
     (a, b), (x, y) = values, positions
-    return [(a[i], b[j]) for i, j in zip(x[rows].tolist(), y[rows].tolist())]
-
-
-def _column_distances(
-    functions: Sequence[JoinFunction],
-    strings: ColumnStrings,
-    values: tuple[Sequence[str], Sequence[str]],
-    positions: tuple[np.ndarray, np.ndarray],
-    keys: np.ndarray,
-    held: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """Distance rows of one column over the ``value_pairs`` of ``positions``,
-    whose keys identify them across column sets.  ``held`` lists earlier
-    column sets' (ascending keys, rows) over the same column: a pair one of
-    them holds is gathered from it, which gives the same bits as computing
-    it again, and only the rest is computed."""
-    if not held:
-        return distance_matrix(functions, value_pairs(values, positions), strings)
-    out = np.empty((len(functions), len(keys)))
-    todo = np.ones(len(keys), dtype=bool)
-    for old_keys, old in held:
-        if len(old_keys) == 0:
-            continue
-        pos = np.minimum(np.searchsorted(old_keys, keys), len(old_keys) - 1)
-        hit = todo & (old_keys[pos] == keys)
-        out[:, hit] = old[:, pos[hit]]
-        todo &= ~hit
-    rows = np.flatnonzero(todo)
-    if len(rows):
-        out[:, rows] = distance_matrix(functions, value_pairs(values, positions, rows), strings)
-    return out
+    return [(a[i], b[j]) for i, j in zip(x.tolist(), y.tolist())]
 
 
 def prepare_columns(
@@ -578,7 +538,7 @@ def prepare_columns(
     functions: Sequence[JoinFunction],
     beta: float = 1.0,
     use_negative_rules: bool = True,
-    earlier: Sequence[PreparedColumns] = (),
+    tables: dict[str, ColumnStrings] | None = None,
 ) -> PreparedColumns:
     """Blocking on the columns' joined values, per-column negative rules
     filtering the cross-table pairs, and per-column distances.
@@ -586,10 +546,10 @@ def prepare_columns(
     Each column's L-R and L-L distances are two ``distance_matrix`` calls
     over one ``ColumnStrings`` of the column's values in both tables (the
     IDF corpus), so its strings are preprocessed and tokenized once.
-    ``earlier`` holds preparations of other column sets over the same
-    tables and functions: a column one of them covers keeps its string
-    table, and a blocked pair one of them holds keeps its distances, so
-    only the pairs none holds are computed.
+    ``tables`` maps columns to the string tables of a search over the same
+    tables and functions; a column it lacks gets its table built here and
+    added to it.  A table remembers the rows computed over it, so a value
+    pair a previous call over it computed is not computed again.
     """
     values = {c: (L.column_values(c), R.column_values(c)) for c in columns}
     timings: dict[str, float] = {}
@@ -616,20 +576,16 @@ def prepare_columns(
     t0 = time.perf_counter()
     d_lr: dict[str, np.ndarray] = {}
     d_ll: dict[str, np.ndarray] = {}
-    strings: dict[str, ColumnStrings] = {}
     if len(pairs.lr_right) > 0:
+        tables = {} if tables is None else tables
         for c in columns:
             lvals, rvals = values[c]
-            held = [p for p in earlier if c in p.strings]
-            strings[c] = held[0].strings[c] if held else ColumnStrings(functions, lvals + rvals)
-            d_lr[c] = _column_distances(
-                functions, strings[c], (lvals, rvals), (pairs.lr_left, pairs.lr_right),
-                pairs.lr_keys(), [(p.pairs.lr_keys(), p.d_lr[c]) for p in held],
-            )
-            d_ll[c] = _column_distances(
-                functions, strings[c], (lvals, lvals), (pairs.ll_a, pairs.ll_b),
-                pairs.ll_keys(), [(p.pairs.ll_keys(), p.d_ll[c]) for p in held],
-            )
+            if c not in tables:
+                tables[c] = ColumnStrings(functions, lvals + rvals)
+            lr = value_pairs((lvals, rvals), (pairs.lr_left, pairs.lr_right))
+            d_lr[c] = distance_matrix(functions, lr, tables[c])
+            ll = value_pairs((lvals, lvals), (pairs.ll_a, pairs.ll_b))
+            d_ll[c] = distance_matrix(functions, ll, tables[c])
     timings["distances"] = time.perf_counter() - t0
 
     pair_counts = {
@@ -637,7 +593,7 @@ def prepare_columns(
         "lr_pairs": int(len(pairs.lr_right)),
         "lr_dropped_by_rules": dropped,
     }
-    return PreparedColumns(pairs, rules, d_lr, d_ll, timings, pair_counts, strings)
+    return PreparedColumns(pairs, rules, d_lr, d_ll, timings, pair_counts)
 
 
 def solve(

@@ -59,25 +59,24 @@ def tokenize(s: str, scheme: str) -> Counter:
 
 
 def tokenize_strings(
-    strings: Sequence[str], used: np.ndarray, tokenizer: str
+    strings: Sequence[str], tokenizer: str
 ) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
-    """Each used string tokenized once: the token vocabulary, and a CSR over
-    all string ids (unused strings have no entries) of token ids and counts
-    in ``Counter`` order.  The set kernel reads its tokens and, with
-    ``idf_weights``, its IDF weights from one such pass per tokenizer over
-    the strings of a column's ``distances.ColumnStrings``;
-    ``blocking.build_index`` reads its trigrams from another."""
+    """Each string tokenized once: the token vocabulary, and a CSR over the
+    strings of token ids and counts in ``Counter`` order.  The set kernel
+    reads its tokens and, with ``idf_weights``, its IDF weights from one
+    such pass per tokenizer over the strings of a column's
+    ``distances.ColumnStrings``; ``blocking.build_index`` reads its trigrams
+    from another."""
     vocab: dict[str, int] = {}
-    sizes = np.zeros(len(strings), dtype=np.int64)
     tokens: list[int] = []
     counts: list[int] = []
     lengths: list[int] = []
-    for s in used.tolist():
-        bag = tokenize(strings[s], tokenizer)
+    for s in strings:
+        bag = tokenize(s, tokenizer)
         lengths.append(len(bag))
         tokens.extend([vocab.setdefault(t, len(vocab)) for t in bag])
         counts.extend(bag.values())
-    sizes[used] = lengths
+    sizes = np.array(lengths, dtype=np.int64)
     return vocab, sizes, np.array(tokens, dtype=np.int32), np.array(counts, dtype=np.int32)
 
 

@@ -423,7 +423,8 @@ def assert_matches_loop(pairs_by_option, tokenizer, docs_by_option):
         docs = docs_by_option.get(option)
         idf = idf_of_docs(docs, tokenizer, n_docs) if docs else None
         want = loop_set_stats(pairs, tokenizer, idf)
-        for name in STAT_NAMES:
+        # only options with IDF weights get IDF statistics
+        for name in STAT_NAMES if option in docs_by_option else STAT_NAMES[:3]:
             assert float_bits(got[option][name]) == float_bits(want[name]), (option, name)
         assert got[option]["contained"].tolist() == want["contained"].tolist(), option
 
@@ -550,13 +551,55 @@ class TestDistanceMatrix:
     @given(column_cases())
     def test_shared_table_matches_raw_corpus(self, case):
         # one table serves call after call, and a pair's row does not depend
-        # on the other pairs of its call, so rows can be gathered across calls
+        # on the other pairs of its call, so the table gathers the rows of
+        # the value pairs a previous call over it computed, and the kernels
+        # see only the rest
         corpus, first, second = case
         fns = enumerate_function_space()
         table = ColumnStrings(fns, corpus)
+        seen = []  # per kernel call, per option, the preprocessed pairs
+        strings = table.strings
+
+        def spy(kernel):
+            def run(source, pairs_by_option, *args):
+                seen.append({
+                    o: Counter((strings[x], strings[y]) for x, y in zip(a, b))
+                    for o, (a, b) in pairs_by_option.items()
+                })
+                return kernel(source, pairs_by_option, *args)
+
+            return run
+
+        # first + second holds no pair the first two calls did not compute
+        done = set()
         for pairs in (first, second, first + second):
-            got = distance_matrix(fns, pairs, table)
-            assert float_bits(got) == float_bits(distance_matrix(fns, pairs, corpus))
+            want = distance_matrix(fns, pairs, corpus)
+            seen.clear()
+            with mock.patch.object(distances, "_char_rows", spy(distances._char_rows)), \
+                    mock.patch.object(distances, "_set_stats", spy(distances._set_stats)):
+                got = distance_matrix(fns, pairs, table)
+            assert float_bits(got) == float_bits(want)
+            assert not got.flags.writeable
+            new = set(pairs) - done
+            done |= new
+            assert bool(seen) == bool(new)
+            for by_option in seen:
+                for o, computed in by_option.items():
+                    assert computed == Counter(
+                        (apply_preprocess(x, o), apply_preprocess(y, o)) for x, y in new
+                    )
+
+        # a call that raises leaves no rows behind, so after a valid plugin
+        # is registered under the same name the same table gives its rows
+        pairs = first + second or [(corpus[0], corpus[0])]
+        plugin = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="table-memory")
+        register_plugin("table-memory", lambda a, b: 1.5)
+        with pytest.raises(ValueError, match="'table-memory'"):
+            distance_matrix([*fns, plugin], pairs, table)
+        register_plugin("table-memory", lambda a, b: 0.5)
+        fresh = distance_matrix([*fns, plugin], pairs, ColumnStrings(fns, corpus))
+        assert set(fresh[-1].tolist()) <= {0.5, 1.0}
+        assert float_bits(distance_matrix([*fns, plugin], pairs, table)) == float_bits(fresh)
 
     def test_pair_value_missing_from_table_raises(self):
         fns = enumerate_function_space()

@@ -30,8 +30,7 @@ from fuzzyjoin import (
     generate_synthetic,
 )
 from fuzzyjoin.cli import main
-from fuzzyjoin import solver
-from fuzzyjoin.distances import distance_matrix
+from fuzzyjoin import distances
 from fuzzyjoin.solver import flatten_index, prepare_columns
 
 GOLDEN = {
@@ -107,15 +106,14 @@ def artifacts(mode: str, tmp: Path) -> tuple[str, str]:
     return sha256(joins), sha256(solution)
 
 
-def distance_digest(mode: str, earlier=None) -> str:
+def distance_digest(mode: str, tables=None) -> str:
     """Digest of the distances ``prepare_columns`` computes for a mode's
-    input over the full function space, column by column.  ``earlier``
-    maps the tables and functions to preparations passed in as earlier
-    column sets."""
+    input over the full function space, column by column, with the
+    per-column string ``tables`` of a search passed in."""
     L, R = golden_inputs(mode)
     columns = ("name",) if mode == "run" else L.columns
     fns = enumerate_function_space()
-    prep = prepare_columns(L, R, columns, fns, earlier=earlier(L, R, fns) if earlier else ())
+    prep = prepare_columns(L, R, columns, fns, tables=tables)
     digest = hashlib.sha256()
     for c in columns:
         for matrix in (prep.d_lr[c], prep.d_ll[c]):
@@ -155,23 +153,24 @@ def test_distances_unchanged():
 def test_multi_column_distances_unchanged(monkeypatch):
     assert distance_digest("run-multi") == GOLDEN_DISTANCES["run-multi"]
 
-    # the same digest when each column's rows come from its singleton
-    # preparation where it holds the pair, as solve_multi prepares them; the
-    # spy goes in after the singletons, so it counts the full set's pairs
-    def singletons(L, R, fns):
-        preps = [prepare_columns(L, R, (c,), fns) for c in L.columns]
-        monkeypatch.setattr(solver, "distance_matrix", spy)
-        return preps
-
+    # the same digest when the full set's rows come from the tables the
+    # singleton sets filled, as solve_multi prepares them; distance_matrix
+    # receives every pair, so the spy counts the pairs the kernels compute,
+    # and goes in after the singletons
+    L, R = golden_inputs("run-multi")
+    fns = enumerate_function_space()
+    tables = {}
+    for c in L.columns:
+        prepare_columns(L, R, (c,), fns, tables=tables)
     computed = []
 
-    def spy(functions, pairs, corpus=None, threads=1):
-        computed.append(len(pairs))
-        return distance_matrix(functions, pairs, corpus, threads)
+    def spy(strings, pairs_by_option, char_rows=distances._char_rows):
+        computed.append(len(next(iter(pairs_by_option.values()))[0]))
+        return char_rows(strings, pairs_by_option)
 
-    assert distance_digest("run-multi", singletons) == GOLDEN_DISTANCES["run-multi"]
+    monkeypatch.setattr(distances, "_char_rows", spy)
+    assert distance_digest("run-multi", tables) == GOLDEN_DISTANCES["run-multi"]
     # some pairs were gathered, and some computed
-    L, R = golden_inputs("run-multi")
     pairs = flatten_index(build_index(L, R, L.columns, 1.0))
     total = len(L.columns) * (len(pairs.lr_right) + len(pairs.ll_a))
     assert 0 < sum(computed) < total

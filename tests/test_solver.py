@@ -1,4 +1,5 @@
 import math
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -528,9 +529,9 @@ def spy_tokenization(monkeypatch):
         finally:
             blocking[0] = False
 
-    def tokenize_strings_spy(strings, used, tokenizer):
-        passes[(tokenizer, tuple(strings[s] for s in used.tolist()))] += 1
-        return tokenize_strings(strings, used, tokenizer)
+    def tokenize_strings_spy(strings, tokenizer):
+        passes[(tokenizer, tuple(strings))] += 1
+        return tokenize_strings(strings, tokenizer)
 
     monkeypatch.setattr(text, "tokenize", spy)
     monkeypatch.setattr(solver, "build_index", build_index_unseen)
@@ -572,3 +573,24 @@ def test_solve_multi_tokenizes_each_column_once_per_tokenizer(monkeypatch):
     assert len(sets) > len(L.columns)
     assert max(passes.values()) == 1
     assert sorted(t for t, _ in passes) == ["3G"] * len(L.columns) + ["SP"] * len(L.columns)
+
+
+def test_solve_frees_the_column_table_before_the_search(monkeypatch):
+    # only a multi-column search keeps string tables past the distance stage
+    tables = []
+    alive = []
+
+    def column_strings(*args, build=solver.ColumnStrings):
+        table = build(*args)
+        tables.append(weakref.ref(table))
+        return table
+
+    def solve_from_distances(*args, run=solver.solve_from_distances):
+        alive.append([ref() is not None for ref in tables])
+        return run(*args)
+
+    monkeypatch.setattr(solver, "ColumnStrings", column_strings)
+    monkeypatch.setattr(solver, "solve_from_distances", solve_from_distances)
+    L, R, _ = generate_synthetic(n_left=30, seed=3, unmatched_rate=0.2)
+    solve(L, R, "name", functions=enumerate_function_space(SPACE_PRESETS["reduced24"]))
+    assert alive == [[False]]

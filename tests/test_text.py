@@ -32,7 +32,7 @@ def shipped_weights(
     copies = Counter(apply_preprocess(v, preprocess) for v in values)
     copies.update(dict.fromkeys(unheld, 0))
     strings = list(copies)
-    vocab, sizes, tokens, _ = tokenize_strings(strings, np.arange(len(strings)), tokenizer)
+    vocab, sizes, tokens, _ = tokenize_strings(strings, tokenizer)
     counts = np.array(list(copies.values()), dtype=np.float64)
     weights = idf_weights(sizes, tokens, len(vocab), counts, len(values))
     return dict(zip(vocab, weights.tolist()))
