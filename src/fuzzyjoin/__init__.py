@@ -53,7 +53,7 @@ from .functions import (
     parse_solution,
     save_solution,
 )
-from .multicolumn import MultiSolveResult, interpolate, solve_multi
+from .multicolumn import interpolate, solve_multi
 from .negative_rules import (
     NegativeRule,
     dump_rules,

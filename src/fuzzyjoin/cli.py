@@ -54,7 +54,7 @@ def _config_from_args(args: argparse.Namespace, multi: bool) -> RunConfig:
         left_path=args.left,
         right_path=args.right,
         column=getattr(args, "column", None),
-        columns=args.columns.split(",") if getattr(args, "columns", None) else None,
+        columns=None if getattr(args, "columns", None) is None else args.columns.split(","),
         multi=multi,
         id_column=args.id_column,
         delimiter=args.delimiter,
@@ -79,11 +79,8 @@ def _print_outcome(outcome: PipelineOutcome) -> None:
         f"{m['n_configs_selected']} configurations "
         f"(estimated precision {m['estimated_precision']:.3f})"
     )
-    if "selected_columns" in m:
-        cols = ", ".join(
-            f"{c}={w:.2f}" for c, w in zip(m["selected_columns"], m["column_weights"])
-        )
-        print(f"columns selected: {cols}")
+    cols = ", ".join(f"{c}={w:.2f}" for c, w in zip(m["selected_columns"], m["column_weights"]))
+    print(f"columns selected: {cols}")
     for w in outcome.warnings:
         print(f"warning: {w}", file=sys.stderr)
 

@@ -1,10 +1,13 @@
-"""Multi-column joins: forward column selection with weight interpolation.
+"""Joins over one or more columns: forward column selection with weight
+interpolation.
 
 Columns are added one at a time, reminiscent of forward feature selection.
 Each candidate column is tried at a grid of interpolation weights against
 the weights inherited from previous rounds; every trial invokes the
 single-column search on the weighted sum of per-column distances.  A column
 is committed only when the best trial strictly improves estimated recall.
+A single-column join (``solver.solve``) is this search over one column: one
+trial, on that column's distances.
 
 Within one configuration the same join function applies to every selected
 column; per-column heterogeneous functions are excluded for tractability.
@@ -14,36 +17,23 @@ rules, per-column distances) and every trial over it reuses the
 preparation.  Every set is prepared with the search's one string table per
 column, built by the first set that holds the column: a column is tokenized
 once per tokenizer over the whole search, and a value pair whose distances
-a previous set computed is gathered from that column's table.  The
-manifest's preparation timings are summed over the column sets, and its
-precompute and greedy timings over the trials.
+a previous set computed is gathered from that column's table.  The tables
+are freed once the set of every column is prepared, since no later set can
+use them, so a one-column search frees its table before precompute and
+greedy.  The manifest's preparation timings are summed over the column
+sets, and its precompute and greedy timings over the trials.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .distances import ColumnStrings
-from .functions import (
-    JoinFunction,
-    JoinResult,
-    Solution,
-    enumerate_function_space,
-)
-from .negative_rules import NegativeRule
-from .solver import (
-    NO_PAIRS,
-    GreedyOutcome,
-    PreparedColumns,
-    SolveResult,
-    _empty_result,
-    prepare_columns,
-    solve_from_distances,
-)
+from .functions import JoinFunction, JoinResult, Solution, enumerate_function_space
+from .solver import PreparedColumns, SolveResult, prepare_columns, solve_from_distances
 from .tables import DataError, Table
 
 
@@ -64,24 +54,16 @@ def interpolate(
     )
 
 
-@dataclass
-class MultiSolveResult:
-    solution: Solution
-    result: JoinResult
-    selected_columns: tuple[str, ...]
-    weights: tuple[float, ...]  # aligned with selected_columns
-    tp: float
-    fp: float
-    estimated_precision: float
-    estimated_recall: float
-    invocations: int
-    history: list[dict] = field(default_factory=list)
-    trials: list[dict] = field(default_factory=list)  # every grid evaluation
-    rules_by_column: dict[str, set[NegativeRule]] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
-    pair_counts: dict[str, int] = field(default_factory=dict)
-    greedy: GreedyOutcome | None = None  # the search behind the result
+def weighted_sum(mats: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
+    """``sum(w * d for w, d in zip(weights, mats))`` bit for bit, for
+    distances >= 0, without its full-size temporaries: one matrix at weight
+    1.0 is returned itself, and more are summed in place."""
+    if len(mats) == 1 and weights[0] == 1.0:
+        return mats[0]
+    out = weights[0] * mats[0]
+    for w, d in zip(weights[1:], mats[1:]):
+        out += w * d
+    return out
 
 
 def shared_columns(L: Table, R: Table, columns: Sequence[str] | None) -> list[str]:
@@ -113,12 +95,16 @@ def solve_multi(
     s: int = 50,
     beta: float = 1.0,
     use_negative_rules: bool = True,
-) -> MultiSolveResult:
-    """Forward column selection over shared columns (matched by name)."""
+) -> SolveResult:
+    """Forward column selection over ``columns``, by default every column
+    the tables share (matched by name).  The result's solution names the
+    selected columns and their weights, in selection order."""
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"precision target must be in (0, 1], got {tau}")
     if g < 2:
         raise ValueError(f"weight step count must be >= 2, got {g}")
+    if columns is not None and not columns:
+        raise ValueError("no columns to join on")
     cols = shared_columns(L, R, columns)
     fns = list(functions) if functions is not None else enumerate_function_space()
     m = len(cols)
@@ -139,14 +125,25 @@ def solve_multi(
         key = frozenset(active)
         if key not in preps:
             preps[key] = prepare_columns(L, R, active, fns, beta, use_negative_rules, tables)
+            if len(key) == m:
+                # column sets only grow, so no later set is new to prepare
+                tables.clear()
         prep = preps[key]
+        ws = project(w)
         if len(prep.pairs.lr_right) == 0:
-            return _empty_result(active, project(w), [NO_PAIRS])
-        d_lr = sum(w[cols.index(c)] * prep.d_lr[c] for c in active)
-        d_ll = sum(w[cols.index(c)] * prep.d_ll[c] for c in active)
+            return SolveResult(
+                solution=Solution((), ws, active),
+                result=JoinResult({}),
+                tp=0.0,
+                fp=0.0,
+                estimated_precision=1.0,
+                estimated_recall=0.0,
+                warnings=["no candidate pairs survived blocking and negative rules"],
+            )
+        d_lr = weighted_sum([prep.d_lr[c] for c in active], ws)
+        d_ll = weighted_sum([prep.d_ll[c] for c in active], ws)
         res = solve_from_distances(
-            fns, prep.pairs, d_lr, d_ll, tau, s,
-            np.random.default_rng(seed), project(w), active,
+            fns, prep.pairs, d_lr, d_ll, tau, s, np.random.default_rng(seed), ws, active
         )
         for k, v in res.timings.items():
             solve_timings[k] = solve_timings.get(k, 0.0) + v
@@ -198,36 +195,23 @@ def solve_multi(
         else:
             break
 
-    if current is None or not selection_order:
-        # every trial joined nothing; the best (first) one says why
-        current = _empty_result((cols[0],), (1.0,), best.warnings)
+    if not selection_order:
+        # every trial joined nothing; the first, over the first column, says why
+        current = best
         current.warnings.append("no column produced any join")
-        current.greedy = best.greedy
-        selected: tuple[str, ...] = (cols[0],)
-        weights: tuple[float, ...] = (1.0,)
     else:
         # report in selection order, the inherited weights attached
-        selected = tuple(cols[j] for j in selection_order)
-        weights = tuple(w[j] for j in selection_order)
-    prep = preps[frozenset(selected)]
+        current.solution = Solution(
+            current.solution.configs,
+            tuple(w[j] for j in selection_order),
+            tuple(cols[j] for j in selection_order),
+        )
+    prep = preps[frozenset(current.selected_columns)]
     # preparation stages summed over every column set tried, as the solve
     # stages are over every trial
     stages = {k: sum(p.timings[k] for p in preps.values()) for k in prep.timings}
-    return MultiSolveResult(
-        solution=Solution(current.solution.configs, weights, selected),
-        result=current.result,
-        selected_columns=selected,
-        weights=weights,
-        tp=current.tp,
-        fp=current.fp,
-        estimated_precision=current.estimated_precision,
-        estimated_recall=current.estimated_recall,
-        invocations=len(trials),
-        history=history,
-        trials=trials,
-        rules_by_column=prep.rules,
-        warnings=list(current.warnings),
-        timings={"total": time.perf_counter() - t_start, **stages, **solve_timings},
-        pair_counts={**prep.pair_counts, **current.pair_counts},
-        greedy=current.greedy,
-    )
+    current.rules_by_column = prep.rules
+    current.timings = {"total": time.perf_counter() - t_start, **stages, **solve_timings}
+    current.pair_counts = {**prep.pair_counts, **current.pair_counts}
+    current.trials, current.history = trials, history
+    return current

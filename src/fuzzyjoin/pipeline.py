@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .functions import JoinResult, SPACE_PRESETS, enumerate_function_space, save_solution
-from .multicolumn import MultiSolveResult, solve_multi
+from .multicolumn import solve_multi
 from .negative_rules import dump_rules
-from .solver import SolveResult, solve
+from .solver import SolveResult
 from .tables import DataError, load_table
 
 
@@ -40,7 +40,7 @@ class StageError(Exception):
 class RunConfig:
     left_path: str
     right_path: str
-    column: str | None = None  # single-column mode
+    column: str | None = None  # single-column mode: the column search over this one
     columns: list[str] | None = None  # multi-column mode (None = shared columns)
     multi: bool = False
     id_column: str = "id"
@@ -78,8 +78,11 @@ class RunConfig:
             )
         if not self.multi and not self.column:
             raise ConfigError("single-column mode requires --column")
-        if self.columns is not None and len(set(self.columns)) != len(self.columns):
-            raise ConfigError(f"duplicate column names in {self.columns}")
+        if self.columns is not None:
+            if not self.columns or not all(self.columns):
+                raise ConfigError(f"column names must be non-empty, got {self.columns}")
+            if len(set(self.columns)) != len(self.columns):
+                raise ConfigError(f"duplicate column names in {self.columns}")
         # fail before the work, not when the artifacts are written
         for path in (self.out_path, self.solution_path, self.manifest_path, self.dump_rules_path):
             check_output_dir(path)
@@ -103,7 +106,7 @@ def write_joins_csv(result: JoinResult, path: str | Path) -> None:
             writer.writerow([rid, a.left_id, repr(a.precision), a.config_index])
 
 
-def greedy_report(res: SolveResult | MultiSolveResult) -> dict:
+def greedy_report(res: SolveResult) -> dict:
     """Why the search stopped, and each pick with the union's tp, fp and
     estimated precision after it; the stop reason is None when no search
     ran (no candidate pairs)."""
@@ -119,7 +122,7 @@ def greedy_report(res: SolveResult | MultiSolveResult) -> dict:
 
 @dataclass
 class PipelineOutcome:
-    solve_result: SolveResult | MultiSolveResult
+    solve_result: SolveResult
     manifest: dict
     warnings: list[str] = field(default_factory=list)
 
@@ -139,33 +142,18 @@ def run_pipeline(cfg: RunConfig) -> PipelineOutcome:
 
     functions = enumerate_function_space(SPACE_PRESETS[cfg.space_preset])
     try:
-        if cfg.multi:
-            res: SolveResult | MultiSolveResult = solve_multi(
-                L,
-                R,
-                tau=cfg.tau,
-                g=cfg.g,
-                seed=cfg.seed,
-                columns=cfg.columns,
-                functions=functions,
-                s=cfg.s,
-                beta=cfg.beta,
-                use_negative_rules=cfg.use_negative_rules,
-            )
-        else:
-            L.column_index(cfg.column)
-            R.column_index(cfg.column)
-            res = solve(
-                L,
-                R,
-                cfg.column,
-                tau=cfg.tau,
-                functions=functions,
-                s=cfg.s,
-                beta=cfg.beta,
-                seed=cfg.seed,
-                use_negative_rules=cfg.use_negative_rules,
-            )
+        res = solve_multi(
+            L,
+            R,
+            tau=cfg.tau,
+            g=cfg.g,
+            seed=cfg.seed,
+            columns=cfg.columns if cfg.multi else [cfg.column],
+            functions=functions,
+            s=cfg.s,
+            beta=cfg.beta,
+            use_negative_rules=cfg.use_negative_rules,
+        )
     except DataError as exc:
         raise StageError("solve", exc) from exc
     timings.update(res.timings)
@@ -190,13 +178,12 @@ def run_pipeline(cfg: RunConfig) -> PipelineOutcome:
         "estimated_recall": res.estimated_recall,
         "warnings": res.warnings,
         "greedy": greedy_report(res),
+        "selected_columns": list(res.selected_columns),
+        "column_weights": list(res.weights),
+        "inner_invocations": res.invocations,
+        "trials": res.trials,
+        "history": res.history,
     }
-    if cfg.multi:
-        manifest["selected_columns"] = list(res.selected_columns)
-        manifest["column_weights"] = list(res.weights)
-        manifest["inner_invocations"] = res.invocations
-        manifest["trials"] = res.trials
-        manifest["history"] = res.history
     if cfg.manifest_path is not None:
         Path(cfg.manifest_path).write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

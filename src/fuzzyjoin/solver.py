@@ -37,7 +37,6 @@ from .functions import (
     JoinFunction,
     JoinResult,
     Solution,
-    enumerate_function_space,
 )
 from .negative_rules import (
     NegativeRule,
@@ -347,9 +346,6 @@ def greedy_select(
 # --- column-set preparation and end-to-end solve ----------------------------
 
 
-NO_PAIRS = "no candidate pairs survived blocking and negative rules"
-
-
 @dataclass
 class SolveResult:
     solution: Solution
@@ -363,20 +359,23 @@ class SolveResult:
     timings: dict[str, float] = field(default_factory=dict)
     pair_counts: dict[str, int] = field(default_factory=dict)
     greedy: GreedyOutcome | None = None  # None when the search did not run
+    # the column search behind the result: every grid evaluation, and each
+    # committed column (see multicolumn.solve_multi)
+    trials: list[dict] = field(default_factory=list)
+    history: list[dict] = field(default_factory=list)
 
+    @property
+    def selected_columns(self) -> tuple[str, ...]:
+        return self.solution.columns
 
-def _empty_result(
-    columns: tuple[str, ...], weights: tuple[float, ...], warnings: Sequence[str]
-) -> SolveResult:
-    return SolveResult(
-        solution=Solution((), weights, columns),
-        result=JoinResult({}),
-        tp=0.0,
-        fp=0.0,
-        estimated_precision=1.0,
-        estimated_recall=0.0,
-        warnings=list(warnings),
-    )
+    @property
+    def weights(self) -> tuple[float, ...]:
+        """Column weights, aligned with ``selected_columns``."""
+        return self.solution.column_weights
+
+    @property
+    def invocations(self) -> int:
+        return len(self.trials)
 
 
 @dataclass
@@ -607,22 +606,14 @@ def solve(
     seed: int = 0,
     use_negative_rules: bool = True,
 ) -> SolveResult:
-    """Single-column end-to-end solve: column preparation (blocking,
-    negative rules, distances), then threshold discretization and greedy
-    selection."""
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"precision target must be in (0, 1], got {tau}")
-    fns = list(functions) if functions is not None else enumerate_function_space()
-    columns = (column,)
-    prep = prepare_columns(L, R, columns, fns, beta, use_negative_rules)
-    if len(prep.pairs.lr_right) == 0:
-        out = _empty_result(columns, (1.0,), [NO_PAIRS])
-    else:
-        rng = np.random.default_rng(seed)
-        out = solve_from_distances(
-            fns, prep.pairs, prep.d_lr[column], prep.d_ll[column], tau, s, rng, (1.0,), columns
-        )
-    out.rules_by_column = prep.rules
-    out.timings = {**prep.timings, **out.timings}
-    out.pair_counts = {**prep.pair_counts, **out.pair_counts}
-    return out
+    """Single-column solve: ``multicolumn.solve_multi``'s column search over
+    the one column, whose single trial prepares it (blocking, negative
+    rules, distances) and runs threshold discretization and greedy
+    selection on its distances."""
+    # multicolumn imports this module, so it is imported at the call
+    from .multicolumn import solve_multi
+
+    return solve_multi(
+        L, R, tau=tau, seed=seed, columns=[column], functions=functions, s=s,
+        beta=beta, use_negative_rules=use_negative_rules,
+    )

@@ -44,6 +44,7 @@ def test_run_produces_artifacts(tmp_path, synthetic_csvs, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "joined" in out
+    assert "columns selected: name=1.00" in out
 
     with open(tmp_path / "joins.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -132,6 +133,31 @@ def test_config_error_exits_2(tmp_path, synthetic_csvs, capsys):
     code = main(run_args(tmp_path, left, right, precision=1.5))
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    # an empty --columns value, or an empty name in it
+    for columns in ("", "name,", ",name"):
+        code = main(
+            [
+                "run-multi",
+                "--left", str(left),
+                "--right", str(right),
+                "--columns", columns,
+                "--out", str(tmp_path / "joins.csv"),
+                "--solution", str(tmp_path / "sol.txt"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "non-empty" in err
+    assert not (tmp_path / "joins.csv").exists()
+
+
+def test_missing_column_exits_3(tmp_path, synthetic_csvs, capsys):
+    left, right, _ = synthetic_csvs
+    code = main(run_args(tmp_path, left, right, column="nope"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error in stage solve") and "'nope'" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf"])
@@ -339,6 +365,9 @@ def test_run_multi_manifest_matches_run(tmp_path, synthetic_csvs):
     assert code == 0
     single = json.loads((tmp_path / "single.json").read_text())
     multi = json.loads((tmp_path / "multi.json").read_text())
+    assert set(multi) == set(single)
+    assert single["selected_columns"] == ["name"] and single["column_weights"] == [1.0]
+    assert single["inner_invocations"] == len(single["trials"]) == 1
     assert set(multi["timings"]) == set(single["timings"])
     assert {"blocking", "negative_rules", "distances"} <= set(multi["timings"])
     assert set(multi["pair_counts"]) == set(single["pair_counts"])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fuzzyjoin import (
     DataError,
@@ -34,6 +37,26 @@ class TestInterpolate:
     def test_alpha_range(self):
         with pytest.raises(ValueError):
             interpolate((1.0,), 0, 0.0)
+
+
+@given(st.data())
+def test_weighted_sum_is_the_sum_bit_for_bit(data):
+    # the search's weights: a first pick from zero, then pulls toward others
+    n = data.draw(st.integers(2, 3))
+    w = interpolate((0.0,) * n, data.draw(st.integers(0, n - 1)), 0.5)
+    for _ in range(data.draw(st.integers(0, 3))):
+        j = data.draw(st.integers(0, n - 1))
+        w = interpolate(w, j, data.draw(st.sampled_from([i / 10 for i in range(1, 10)])))
+    shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=5))
+    mats = []
+    for _ in range(n):
+        d = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+        d.setflags(write=False)  # as prepared distances are
+        mats.append(d)
+    active = [(x, d) for x, d in zip(w, mats) if x > 0.0]
+    got = multicolumn.weighted_sum([d for _, d in active], [x for x, _ in active])
+    expected = sum(x * d for x, d in active)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_missing_column_contributes_full_weight():
@@ -96,15 +119,31 @@ def two_column_tables(seed=0, n_pairs=16, ambiguous_rate=0.4):
 
 
 class TestSolveMulti:
-    def test_single_column_reduces_to_single_solver(self):
+    def test_single_column_reduces_to_single_solver(self, monkeypatch):
+        preps, handed = [], []
+
+        def prepare_spy(*args):
+            preps.append(prepare_columns(*args))
+            return preps[-1]
+
+        def solve_spy(fns, pairs, d_lr, d_ll, *args):
+            handed.append((d_lr, d_ll))
+            return solve_from_distances(fns, pairs, d_lr, d_ll, *args)
+
+        monkeypatch.setattr(multicolumn, "prepare_columns", prepare_spy)
+        monkeypatch.setattr(multicolumn, "solve_from_distances", solve_spy)
         L, R, gt = generate_synthetic(n_left=40, seed=6, unmatched_rate=0.1)
         multi = solve_multi(L, R, tau=0.9, g=10, seed=0)
         single = solve(L, R, "name", tau=0.9, seed=0)
-        assert multi.selected_columns == ("name",)
-        assert multi.weights == (1.0,)
+        assert multi.selected_columns == single.selected_columns == ("name",)
+        assert multi.weights == single.weights == (1.0,)
         assert multi.result.assignments == single.result.assignments
         assert multi.solution.configs == single.solution.configs
-        assert multi.invocations == 1
+        assert multi.invocations == single.invocations == 1
+        # the one search gets the prepared matrices themselves, not copies
+        assert len(preps) == len(handed) == 2
+        for prep, (d_lr, d_ll) in zip(preps, handed):
+            assert d_lr is prep.d_lr["name"] and d_ll is prep.d_ll["name"]
 
         # no candidate pairs: both modes give the same empty result
         L2 = make_table(("name",), [("L0", ("aaa bbb",)), ("L1", ("ccc ddd",))])
@@ -186,6 +225,8 @@ class TestSolveMulti:
         R = make_table(("b",), [("2", ("y",))], role="query")
         with pytest.raises(DataError, match=r"\['a'\].*\['b'\]"):
             solve_multi(L, R)
+        with pytest.raises(ValueError, match="no columns"):
+            solve_multi(L, R, columns=[])
 
     def test_invocation_bound(self):
         L, R, _ = two_column_tables(seed=3, n_pairs=8)

@@ -576,21 +576,36 @@ def test_solve_multi_tokenizes_each_column_once_per_tokenizer(monkeypatch):
 
 
 def test_solve_frees_the_column_table_before_the_search(monkeypatch):
-    # only a multi-column search keeps string tables past the distance stage
+    # a search keeps its string tables for later column sets only until the
+    # set of every column is prepared: one column's before its one search
     tables = []
     alive = []
+    searched = []  # the columns of each search, aligned with alive
 
     def column_strings(*args, build=solver.ColumnStrings):
         table = build(*args)
         tables.append(weakref.ref(table))
         return table
 
-    def solve_from_distances(*args, run=solver.solve_from_distances):
+    def solve_from_distances(*args, run=multicolumn.solve_from_distances):
         alive.append([ref() is not None for ref in tables])
+        searched.append(args[-1])
         return run(*args)
 
     monkeypatch.setattr(solver, "ColumnStrings", column_strings)
-    monkeypatch.setattr(solver, "solve_from_distances", solve_from_distances)
+    monkeypatch.setattr(multicolumn, "solve_from_distances", solve_from_distances)
+    fns = enumerate_function_space(SPACE_PRESETS["reduced24"])
     L, R, _ = generate_synthetic(n_left=30, seed=3, unmatched_rate=0.2)
-    solve(L, R, "name", functions=enumerate_function_space(SPACE_PRESETS["reduced24"]))
+    solve(L, R, "name", functions=fns)
     assert alive == [[False]]
+
+    tables.clear()
+    alive.clear()
+    searched.clear()
+    L, R = add_random_column(L, seed=1), add_random_column(R, seed=2)
+    solve_multi(L, R, g=4, functions=fns)
+    one = [a for cols, a in zip(searched, alive) if len(cols) == 1]
+    both = [a for cols, a in zip(searched, alive) if len(cols) == 2]
+    assert len(tables) == 2 and one and both
+    assert all(all(a) for a in one)  # kept for the set of both columns
+    assert all(a == [False, False] for a in both)
