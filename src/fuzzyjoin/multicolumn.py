@@ -14,10 +14,13 @@ column; per-column heterogeneous functions are excluded for tractability.
 
 Each column set is prepared once (blocking on the joined values, negative
 rules, per-column distances) and every trial over it reuses the
-preparation.  Every set is prepared with the search's one string table per
-column, built by the first set that holds the column: a column is tokenized
-once per tokenizer over the whole search, and a value pair whose distances
-a previous set computed is gathered from that column's table.  The tables
+preparation.  A set's preparation and solves work per distinct query: the
+right records with equal raw values in that set's own columns are one query,
+measured and joined once, and each record gets its query's join.  Every set
+is prepared with the search's one string table per column, built by the
+first set that holds the column: a column is tokenized once per tokenizer
+over the whole search, and a value pair whose distances a previous set
+computed is gathered from that column's table.  The tables
 are freed once the set of every column is prepared, since no later set can
 use them, so a one-column search frees its table before precompute and
 greedy.  The manifest's preparation timings are summed over the column
@@ -105,6 +108,9 @@ def solve_multi(
         raise ValueError(f"weight step count must be >= 2, got {g}")
     if columns is not None and not columns:
         raise ValueError("no columns to join on")
+    if columns is not None and len(set(columns)) < len(columns):
+        repeated = sorted({c for c in columns if list(columns).count(c) > 1})
+        raise ValueError(f"repeated column names {repeated} in {list(columns)}")
     cols = shared_columns(L, R, columns)
     fns = list(functions) if functions is not None else enumerate_function_space()
     m = len(cols)

@@ -7,6 +7,14 @@ highest true-positive/false-positive ratio is added, until the estimated
 precision of the union would fall to the target or no candidate adds any
 true-positive mass.
 
+The solve works per distinct query, not per right record.  Right records
+with equal raw values in the column set block the same candidates, pass the
+same negative rules, get the same distances and join alike, so
+``prepare_columns`` numbers the distinct value tuples by first appearance,
+keeps only the first record's cross-table pairs for each, and measures
+distances over those; the configuration table maps every record back to its
+query, and the assignments are expanded to every record.
+
 All pair distances and per-configuration assignments are precomputed into
 arrays; each greedy iteration is pure array arithmetic and touches no string
 data.  The configuration table has one column per distinct right record:
@@ -24,7 +32,7 @@ full recomputation per pick over all rights would.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -82,13 +90,14 @@ class ConfigTable:
     nearest candidate when that distance is within the threshold, so two
     rights whose (minimum distance, joined left) agree under every function
     get the same assignment in every configuration.  The table keeps one
-    column per distinct such right: ``column[r]`` is right r's column
-    (numbered in order of first appearance) and ``weight[k]`` the number of
-    rights in column k.  Row c holds configuration c's join: ``left[c, k]``
-    is the left-record position joined to column k's rights (-1 for none)
-    and ``prec[c, k]`` its estimated precision under the ball of radius
-    twice the threshold.  ``prec`` is 0 exactly where ``left`` is -1 and > 0
-    elsewhere, and ``left[:, column]`` is the table over all right records.
+    column per distinct such right: ``column[r]`` is right record r's
+    column (numbered in order of first appearance) and ``weight[k]`` the
+    number of right records in column k.  Row c holds configuration c's
+    join: ``left[c, k]`` is the left-record position joined to column k's
+    rights (-1 for none) and ``prec[c, k]`` its estimated precision under
+    the ball of radius twice the threshold.  ``prec`` is 0 exactly where
+    ``left`` is -1 and > 0 elsewhere, and ``left[:, column]`` is the table
+    over all right records.
     """
 
     functions: list[JoinFunction]
@@ -119,23 +128,32 @@ def precompute_config_table(
     d_lr: np.ndarray,
     ll_a: np.ndarray,
     d_ll: np.ndarray,
+    query: np.ndarray | None = None,
 ) -> ConfigTable:
     """Expand every (function, threshold) pair into assignment and
     precision rows over the distinct right columns.
 
     ``thresholds[fi]`` is function fi's ascending grid and ``lr_right`` must
-    be sorted ascending.  First, per function and right, the minimum
+    be sorted ascending.  ``lr_right`` indexes distinct queries and
+    ``query[r]`` is right record r's, numbered by first appearance
+    (``BlockedPairs.query``); without ``query`` each of the ``n_right``
+    records is its own query.  First, per function and query, the minimum
     candidate distance and the left record achieving it, for blocks of
-    functions at once; a right with no candidate, or whose minimum is tied,
-    joins nothing.  Rights that agree bit for bit on both under every
-    function share a column.  A precision depends only on the joined left
-    record and the threshold: each self-join pair falls in the ball of every
-    threshold from the first whose doubled value reaches its distance on, so
-    one ``bincount`` and a cumulative sum per function count every ball.
+    functions at once; a query with no candidate, or whose minimum is tied,
+    joins nothing.  Queries that agree bit for bit on both under every
+    function share a column, which holds their records; queries come in
+    first-appearance order, so columns are numbered by each one's first
+    record.  A precision depends only on the joined left record and the
+    threshold: each self-join pair falls in the ball of every threshold from
+    the first whose doubled value reaches its distance on, so one
+    ``bincount`` and a cumulative sum per function count every ball.
     """
+    if query is None:
+        query = np.arange(n_right)
+    n_query = int(query.max()) + 1 if len(query) else 0
     n_fn = len(thresholds)
-    dmin = np.full((n_fn, n_right), np.inf)  # inf where the right joins nothing
-    joined = np.full((n_fn, n_right), -1, dtype=np.int32)
+    dmin = np.full((n_fn, n_query), np.inf)  # inf where the query joins nothing
+    joined = np.full((n_fn, n_query), -1, dtype=np.int32)
     n_lr = len(lr_right)
     if n_lr:
         rights, starts, counts = np.unique(lr_right, return_index=True, return_counts=True)
@@ -152,11 +170,12 @@ def precompute_config_table(
 
     keys = np.ascontiguousarray(np.vstack([dmin.view(np.int64), joined]).T)
     index: dict[bytes, int] = {}
-    column = np.array(
+    query_column = np.array(
         [index.setdefault(row.tobytes(), len(index)) for row in keys], dtype=np.int64
     )
-    reps = np.unique(column, return_index=True)[1]  # each column's first right
-    weight = np.bincount(column)
+    reps = np.unique(query_column, return_index=True)[1]  # each column's first query
+    column = query_column[query]
+    weight = np.bincount(column, minlength=len(reps))
     dmin, joined = dmin[:, reps], joined[:, reps]
     n_col = len(reps)
 
@@ -380,14 +399,26 @@ class SolveResult:
 
 @dataclass
 class BlockedPairs:
-    """Flattened blocked pair lists, sorted for segment arithmetic."""
+    """Flattened blocked pair lists, sorted for segment arithmetic.
+
+    The cross-table pairs are those of distinct queries: ``lr_right`` holds
+    query numbers and ``query[r]`` is right record r's.  ``flatten_index``
+    makes every record its own query; ``group_queries`` collapses records
+    with equal values.
+    """
 
     left_ids: list[str]
     right_ids: list[str]
-    lr_right: np.ndarray  # (n_lr,) right positions, ascending
+    lr_right: np.ndarray  # (n_lr,) query numbers, ascending
     lr_left: np.ndarray  # (n_lr,) left positions
     ll_a: np.ndarray  # (n_ll,) left positions, ascending
     ll_b: np.ndarray  # (n_ll,) neighbor left positions
+    query: np.ndarray  # (n_right,) int64, each right record's query
+
+    def record_pairs(self) -> int:
+        """Cross-table pairs over right records: each query's pairs counted
+        once per record of it."""
+        return int(np.bincount(self.query)[self.lr_right].sum())
 
 
 def flatten_index(idx: CandidateIndex) -> BlockedPairs:
@@ -401,7 +432,26 @@ def flatten_index(idx: CandidateIndex) -> BlockedPairs:
         lr_left=lr.left[lr_order],
         ll_a=ll.query[ll_order],
         ll_b=ll.left[ll_order],
+        query=np.arange(len(idx.right_ids)),
     )
+
+
+def group_queries(pairs: BlockedPairs, keys: Sequence) -> tuple[BlockedPairs, np.ndarray]:
+    """Collapse the right records of ``flatten_index``'s pairs whose
+    ``keys`` (their raw values in the column set) are equal into one query
+    each, numbered by first appearance, keeping only the first record's
+    cross-table pairs: blocking gives equal values the same candidates.
+    Returns the grouped pairs and each query's first record."""
+    codes: dict = {}
+    query = np.array([codes.setdefault(k, len(codes)) for k in keys], dtype=np.int64)
+    first = np.unique(query, return_index=True)[1]
+    is_first = np.zeros(len(query), dtype=bool)
+    is_first[first] = True
+    keep = is_first[pairs.lr_right]
+    grouped = replace(
+        pairs, lr_right=query[pairs.lr_right[keep]], lr_left=pairs.lr_left[keep], query=query
+    )
+    return grouped, first
 
 
 def filter_lr_by_rules(
@@ -411,7 +461,8 @@ def filter_lr_by_rules(
     """Drop cross-table pairs matching a learned negative rule of any column.
 
     ``column_rules`` holds, per column, the rule-preprocessed left values,
-    the rule-preprocessed right values and that column's rules.
+    the rule-preprocessed values of the queries ``lr_right`` indexes and
+    that column's rules.
     """
     column_rules = [c for c in column_rules if c[2]]
     if not column_rules or len(pairs.lr_right) == 0:
@@ -432,17 +483,7 @@ def filter_lr_by_rules(
     if dropped == 0:
         return pairs, 0
     keep = ~blocked
-    return (
-        BlockedPairs(
-            pairs.left_ids,
-            pairs.right_ids,
-            pairs.lr_right[keep],
-            pairs.lr_left[keep],
-            pairs.ll_a,
-            pairs.ll_b,
-        ),
-        dropped,
-    )
+    return replace(pairs, lr_right=pairs.lr_right[keep], lr_left=pairs.lr_left[keep]), dropped
 
 
 def solve_from_distances(
@@ -457,7 +498,8 @@ def solve_from_distances(
     columns: tuple[str, ...] = (),
 ) -> SolveResult:
     """Threshold discretization, precomputation, and greedy selection, given
-    distance matrices over the blocked pairs."""
+    distance matrices over the blocked pairs of distinct queries; every
+    right record gets its query's assignment."""
     t0 = time.perf_counter()
     thresholds = [discretize_thresholds(d_lr[fi], s) for fi in range(len(functions))]
     table = precompute_config_table(
@@ -470,6 +512,7 @@ def solve_from_distances(
         d_lr=d_lr,
         ll_a=pairs.ll_a,
         d_ll=d_ll,
+        query=pairs.query,
     )
     t1 = time.perf_counter()
     outcome = greedy_select(table.left, table.prec, table.weight, tau, rng)
@@ -498,19 +541,16 @@ def solve_from_distances(
         estimated_recall=outcome.tp,
         warnings=warnings,
         timings={"precompute": t1 - t0, "greedy": t2 - t1},
-        pair_counts={
-            "lr_pairs": int(len(pairs.lr_right)),
-            "ll_pairs": int(len(pairs.ll_a)),
-            "right_columns": len(table.weight),
-        },
+        pair_counts={"right_columns": len(table.weight)},
         greedy=outcome,
     )
 
 
 @dataclass
 class PreparedColumns:
-    """Blocked pairs of one column set, after negative rules, with each
-    column's rules and distance matrices over those pairs."""
+    """Blocked pairs of one column set's distinct queries, after negative
+    rules, with each column's rules and distance matrices over those
+    pairs."""
 
     pairs: BlockedPairs
     rules: dict[str, set[NegativeRule]]  # empty when rules are off
@@ -542,9 +582,12 @@ def prepare_columns(
     """Blocking on the columns' joined values, per-column negative rules
     filtering the cross-table pairs, and per-column distances.
 
-    Each column's L-R and L-L distances are two ``distance_matrix`` calls
-    over one ``ColumnStrings`` of the column's values in both tables (the
-    IDF corpus), so its strings are preprocessed and tokenized once.
+    After blocking, right records with equal raw values in ``columns`` are
+    collapsed into distinct queries (``group_queries``), and the rules and
+    L-R distances read each query's first record.  Each column's L-R and L-L
+    distances are two ``distance_matrix`` calls over one ``ColumnStrings``
+    of the column's values in both tables, every record's copy included
+    (the IDF corpus), so its strings are preprocessed and tokenized once.
     ``tables`` maps columns to the string tables of a search over the same
     tables and functions; a column it lacks gets its table built here and
     added to it.  A table remembers the rows computed over it, so a value
@@ -555,21 +598,23 @@ def prepare_columns(
 
     t0 = time.perf_counter()
     pairs = flatten_index(build_index(L, R, columns, beta))
+    pairs, first = group_queries(pairs, list(zip(*(values[c][1] for c in columns))))
+    query_values = {c: [values[c][1][i] for i in first.tolist()] for c in columns}
     timings["blocking"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     rules: dict[str, set[NegativeRule]] = {}
-    dropped = 0
+    blocked_pairs = pairs.record_pairs()
     if use_negative_rules:
         column_rules = []
         for c in columns:
             lv = [preprocess_for_rules(v) for v in values[c][0]]
-            rv = [preprocess_for_rules(v) for v in values[c][1]]
+            rv = [preprocess_for_rules(v) for v in query_values[c]]
             rules[c] = learn_rules(
                 (lv[a], lv[b]) for a, b in zip(pairs.ll_a, pairs.ll_b)
             )
             column_rules.append((lv, rv, rules[c]))
-        pairs, dropped = filter_lr_by_rules(pairs, column_rules)
+        pairs, _ = filter_lr_by_rules(pairs, column_rules)
     timings["negative_rules"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -581,16 +626,19 @@ def prepare_columns(
             lvals, rvals = values[c]
             if c not in tables:
                 tables[c] = ColumnStrings(functions, lvals + rvals)
-            lr = value_pairs((lvals, rvals), (pairs.lr_left, pairs.lr_right))
+            lr = value_pairs((lvals, query_values[c]), (pairs.lr_left, pairs.lr_right))
             d_lr[c] = distance_matrix(functions, lr, tables[c])
             ll = value_pairs((lvals, lvals), (pairs.ll_a, pairs.ll_b))
             d_ll[c] = distance_matrix(functions, ll, tables[c])
     timings["distances"] = time.perf_counter() - t0
 
+    # cross-table pairs are counted over right records, as blocked
+    lr_pairs = pairs.record_pairs()
     pair_counts = {
         "ll_pairs": int(len(pairs.ll_a)),
-        "lr_pairs": int(len(pairs.lr_right)),
-        "lr_dropped_by_rules": dropped,
+        "lr_pairs": lr_pairs,
+        "lr_dropped_by_rules": blocked_pairs - lr_pairs,
+        "distinct_queries": len(first),
     }
     return PreparedColumns(pairs, rules, d_lr, d_ll, timings, pair_counts)
 

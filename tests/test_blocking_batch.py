@@ -169,6 +169,7 @@ def rule_cases(draw):
         np.array([l for _, l in lr], dtype=np.int64),
         np.zeros(0, dtype=np.int64),
         np.zeros(0, dtype=np.int64),
+        np.arange(n_right),
     )
     return pairs, columns
 
@@ -204,6 +205,7 @@ def test_rule_filter_calls_once_per_distinct_value_pair(monkeypatch):
         np.array([0, 1, 2, 0, 1, 2]),
         np.zeros(0, dtype=np.int64),
         np.zeros(0, dtype=np.int64),
+        np.arange(2),
     )
     rules = {NegativeRule.of("football", "baseball")}
     out, dropped = filter_lr_by_rules(pairs, [(lv, rv, rules)])

@@ -9,7 +9,13 @@ import pytest
 
 import fuzzyjoin
 from conftest import write_gt_csv, write_table_csv
-from fuzzyjoin import generate_synthetic, generate_disjoint_tables, load_solution
+from fuzzyjoin import (
+    build_index,
+    generate_synthetic,
+    generate_disjoint_tables,
+    load_solution,
+    load_table,
+)
 from fuzzyjoin.cli import main
 
 
@@ -36,6 +42,21 @@ def run_args(tmp_path, left, right, **extra):
     return args
 
 
+def assert_pair_counts_over_records(manifest, left, right):
+    """The manifest counts cross-table pairs over right records, as
+    blocking gives them, though the solve measures each distinct query
+    once; ``distinct_queries`` counts the right's distinct value tuples in
+    the selected columns."""
+    columns = manifest["selected_columns"]
+    L = load_table(left, "id")
+    R = load_table(right, "id", role="query")
+    counts = manifest["pair_counts"]
+    blocked = len(build_index(L, R, columns).lr_pairs.query)
+    assert counts["lr_pairs"] + counts["lr_dropped_by_rules"] == blocked
+    distinct = len(set(zip(*(R.column_values(c) for c in columns))))
+    assert counts["distinct_queries"] == distinct <= manifest["n_right"]
+
+
 def test_run_produces_artifacts(tmp_path, synthetic_csvs, capsys):
     left, right, _ = synthetic_csvs
     code = main(
@@ -58,6 +79,7 @@ def test_run_produces_artifacts(tmp_path, synthetic_csvs, capsys):
     assert manifest["config"]["seed"] == 1
     assert set(manifest["timings"]) >= {"ingest", "blocking", "distances", "greedy"}
     assert manifest["pair_counts"]["lr_pairs"] > 0
+    assert_pair_counts_over_records(manifest, left, right)
 
 
 def test_run_deterministic_bytes(tmp_path, synthetic_csvs):
@@ -374,6 +396,7 @@ def test_run_multi_manifest_matches_run(tmp_path, synthetic_csvs):
     assert "lr_dropped_by_rules" in multi["pair_counts"]
     for manifest in (single, multi):
         assert 0 < manifest["pair_counts"]["right_columns"] <= manifest["n_right"]
+        assert_pair_counts_over_records(manifest, left, right)
     # every inner solve is a trial; each committed column is a history step
     assert len(multi["trials"]) == multi["inner_invocations"] > 0
     for trial in multi["trials"]:

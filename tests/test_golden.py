@@ -106,17 +106,30 @@ def artifacts(mode: str, tmp: Path) -> tuple[str, str]:
     return sha256(joins), sha256(solution)
 
 
+def record_order(pairs) -> np.ndarray:
+    """Positions of the distinct-query pairs that list, right record by
+    right record, each record's query's pairs: the cross-table pairs as
+    blocking flattened them, one copy per record."""
+    counts = np.bincount(pairs.lr_right, minlength=int(pairs.query.max()) + 1)
+    starts = np.cumsum(counts) - counts
+    ranges = [np.arange(starts[q], starts[q] + counts[q]) for q in pairs.query.tolist()]
+    return np.concatenate(ranges).astype(np.int64)
+
+
 def distance_digest(mode: str, tables=None) -> str:
     """Digest of the distances ``prepare_columns`` computes for a mode's
     input over the full function space, column by column, with the
-    per-column string ``tables`` of a search passed in."""
+    per-column string ``tables`` of a search passed in.  The cross-table
+    distances, computed per distinct query, are hashed in record order, one
+    column per right record's pair."""
     L, R = golden_inputs(mode)
     columns = ("name",) if mode == "run" else L.columns
     fns = enumerate_function_space()
     prep = prepare_columns(L, R, columns, fns, tables=tables)
+    order = record_order(prep.pairs)
     digest = hashlib.sha256()
     for c in columns:
-        for matrix in (prep.d_lr[c], prep.d_ll[c]):
+        for matrix in (prep.d_lr[c][:, order], prep.d_ll[c]):
             digest.update(matrix.astype("<f8", copy=False).tobytes())
     return digest.hexdigest()
 

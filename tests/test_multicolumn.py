@@ -228,6 +228,32 @@ class TestSolveMulti:
         with pytest.raises(ValueError, match="no columns"):
             solve_multi(L, R, columns=[])
 
+    def test_repeated_column_names_rejected(self):
+        # a repeated name would search one column as several
+        L, R, _ = generate_synthetic(n_left=30, seed=2)
+        with pytest.raises(ValueError, match=r"repeated column names \['name'\]"):
+            solve_multi(L, R, columns=["name", "name"], g=4)
+
+    def test_each_column_set_groups_its_own_distinct_queries(self, monkeypatch):
+        # ambiguous twins share a name but not a city: one query in the
+        # name set, two in the set of both columns
+        L, R, _ = two_column_tables(seed=1)
+        preps = {}
+
+        def prepare_spy(L, R, columns, *args):
+            preps[columns] = prepare_columns(L, R, columns, *args)
+            return preps[columns]
+
+        monkeypatch.setattr(multicolumn, "prepare_columns", prepare_spy)
+        solve_multi(L, R, tau=0.9, g=4, seed=0)
+        assert {len(c) for c in preps} == {1, 2}
+        for columns, prep in preps.items():
+            keys = list(zip(*(R.column_values(c) for c in columns)))
+            first_seen = list(dict.fromkeys(keys))
+            assert prep.pairs.query.tolist() == [first_seen.index(k) for k in keys]
+            assert prep.pair_counts["distinct_queries"] == len(first_seen)
+        assert preps[("name",)].pair_counts["distinct_queries"] < len(R)
+
     def test_invocation_bound(self):
         L, R, _ = two_column_tables(seed=3, n_pairs=8)
         res = solve_multi(L, R, tau=0.9, g=5, seed=0)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzyjoin.multicolumn as multicolumn
@@ -25,8 +25,9 @@ from fuzzyjoin import (
 )
 from fuzzyjoin import distances, text
 from fuzzyjoin.blocking import build_index
-from fuzzyjoin.functions import SPACE_PRESETS
+from fuzzyjoin.functions import SPACE_PRESETS, dump_solution
 from fuzzyjoin.solver import precompute_config_table, prepare_columns
+from fuzzyjoin.tables import Table
 from fuzzyjoin.text import apply_preprocess, tokenize, tokenize_strings
 from conftest import (
     dense_config_table,
@@ -167,6 +168,33 @@ def table_cases(draw):
 @given(table_cases(), st.sampled_from(BLOCKS))
 def test_table_matches_dense_oracle(args, block):
     assert_table_matches_dense(args, block)
+
+
+@given(table_cases(), st.sampled_from(BLOCKS))
+def test_table_over_distinct_queries_matches_records(args, block):
+    # rights with the same candidates and distances given once, as one
+    # query each, and mapped back to the records: the same table
+    fns, thresholds, n_right, n_left, lr_right, lr_left, d_lr, ll_a, d_ll = args
+    codes = {}  # each record's candidates and distances -> its query
+    query = np.array(
+        [
+            codes.setdefault((lr_left[lr_right == r].tobytes(), d_lr[:, lr_right == r].tobytes()), len(codes))
+            for r in range(n_right)
+        ],
+        dtype=np.int64,
+    )
+    rep = np.unique(query, return_index=True)[1]
+    keep = np.isin(lr_right, rep)
+    grouped = (
+        fns, thresholds, n_right, n_left, query[lr_right[keep]], lr_left[keep],
+        d_lr[:, keep], ll_a, d_ll, query,
+    )
+    with mock.patch.object(solver, "_BLOCK_CELLS", block):
+        want = precompute_config_table(*args)
+        got = precompute_config_table(*grouped)
+    for name in ("left", "prec", "weight", "column", "cfg_function", "cfg_threshold"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 D2 = [0.1, 0.3]  # one distance per function
@@ -399,7 +427,7 @@ def golden_tables():
             fns,
             [discretize_thresholds(row, 50) for row in d_lr],
             len(pairs.right_ids), len(pairs.left_ids),
-            pairs.lr_right, pairs.lr_left, d_lr, pairs.ll_a, d_ll,
+            pairs.lr_right, pairs.lr_left, d_lr, pairs.ll_a, d_ll, pairs.query,
         )
         tables.append(table)
     return tables
@@ -506,6 +534,77 @@ def test_nonempty_solution_beats_target():
         res = solve(L, R, "name", tau=0.85, seed=seed)
         if res.solution.configs:
             assert res.estimated_precision > 0.85
+
+
+WORDS = ["oak", "oaks", "river", "maple", "falcon", "falcons", "tigers", "club", "north"]
+
+
+@st.composite
+def repeated_query_cases(draw):
+    """Small tables over a few shared words, a right table that may already
+    repeat values, a copy count and a row shuffle."""
+    value = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+    lefts = draw(st.lists(value, min_size=2, max_size=8))
+    rights = draw(st.lists(value, min_size=1, max_size=6))
+    L = make_table(("name",), [(f"L{i}", (v,)) for i, v in enumerate(lefts)])
+    R = make_table(("name",), [(f"R{i}", (v,)) for i, v in enumerate(rights)], role="query")
+    return L, R, draw(st.integers(2, 4)), draw(st.randoms(use_true_random=False))
+
+
+def solve_spied(L, R, fns, group_queries=solver.group_queries):
+    """``solve`` on column name, with the pair lists of each
+    ``distance_matrix`` call: the L-R call, then the L-L call."""
+    calls = []
+
+    def spy(functions, pairs, *args, run=solver.distance_matrix):
+        calls.append(list(pairs))
+        return run(functions, pairs, *args)
+
+    with mock.patch.object(solver, "distance_matrix", spy), \
+            mock.patch.object(solver, "group_queries", group_queries):
+        res = solve(L, R, "name", tau=0.6, functions=fns)
+    return res, calls
+
+
+def record_level(pairs, keys):
+    """``group_queries`` that keeps every right record its own query: the
+    solve over records, as before queries were collapsed."""
+    return pairs, np.arange(len(keys))
+
+
+@settings(max_examples=30)
+@given(repeated_query_cases())
+def test_repeated_queries_solve_once_per_distinct_value(case):
+    # the repeated table, shuffled, solved per distinct query, gives the
+    # solution and joins of the solve over every record.  The repeats are
+    # compared with each other, not with R alone: the IDF corpus counts
+    # every copy, so repeating rows may move blocking and IDF distances.
+    L, R, k, rnd = case
+    fns = enumerate_function_space(SPACE_PRESETS["reduced24"])
+    records = list(repeat_queries(R, k).records)
+    rnd.shuffle(records)
+    shuffled = Table(R.columns, tuple(records), R.role)
+
+    res, calls = solve_spied(L, shuffled, fns)
+    ref, ref_calls = solve_spied(L, shuffled, fns, record_level)
+    in_order, _ = solve_spied(L, repeat_queries(R, k), fns)
+    assert dump_solution(res.solution) == dump_solution(ref.solution)
+    assert dump_solution(in_order.solution) == dump_solution(ref.solution)
+    assert res.result.assignments == ref.result.assignments == in_order.result.assignments
+    # all k copies of a joined original join one left record at one precision
+    by_original = {}
+    for rid, a in res.result.assignments.items():
+        by_original.setdefault(rid.rsplit("-", 1)[0], []).append((a.left_id, a.precision))
+    assert all(len(joins) == k and len(set(joins)) == 1 for joins in by_original.values())
+
+    # the manifest's counts are over records, as before
+    distinct = len(set(R.column_values("name")))
+    assert res.pair_counts == {**ref.pair_counts, "distinct_queries": distinct}
+    if ref_calls:
+        # the L-R call gets each distinct query's pairs once; over records
+        # it got them once per record holding the value
+        rows = Counter(R.column_values("name"))
+        assert Counter(ref_calls[0]) == {p: n * k * rows[p[1]] for p, n in Counter(calls[0]).items()}
 
 
 def spy_tokenization(monkeypatch):
