@@ -20,10 +20,14 @@ arrays; each greedy iteration is pure array arithmetic and touches no string
 data.  The configuration table has one column per distinct right record:
 rights whose minimum candidate distance and joined left record agree under
 every function are assigned alike by every configuration, so they share a
-column weighted by their count.  The search is incremental: it keeps each
-configuration's weighted tp gain over the current union and its weighted
-count of newly assigned rights, and a pick updates them only on the columns
-whose union precision it raises.  Those sums are exact (precisions are
+column weighted by their count.  It has one row per run of consecutive
+thresholds of a function that join alike: a row changes only where a column
+is first assigned or the ball of a joined left record grows, so only those
+thresholds are filled, and the search runs over the rows, each standing for
+its run of configurations.  The search is incremental: it keeps each row's
+weighted tp gain over the current union and its weighted count of newly
+assigned rights, and a pick updates them only on the columns whose union
+precision it raises.  Those sums are exact (precisions are
 float32(1/k), k <= n_left + 1, times integer weights summing to n_right, in
 float64 while n_right * (n_left + 1) < 2**29), so the search picks what a
 full recomputation per pick over all rights would.
@@ -77,14 +81,15 @@ def discretize_thresholds(distances: Sequence[float] | np.ndarray, s: int) -> np
 # --- configuration table ----------------------------------------------------
 
 
-# cells (functions x pairs, or configurations x columns) in one vectorised
-# block of the table build: it bounds the block's temporaries, so peak memory
+# cells (functions x pairs) in one vectorised block of the per-query minima:
+# it bounds the block's temporaries, so peak memory
 _BLOCK_CELLS = 1 << 16
 
 
 @dataclass
 class ConfigTable:
-    """Per-configuration assignment arrays over distinct right columns.
+    """Per-configuration assignment arrays over distinct right columns and
+    distinct rows.
 
     A configuration joins a right record to the left record of its unique
     nearest candidate when that distance is within the threshold, so two
@@ -92,25 +97,36 @@ class ConfigTable:
     get the same assignment in every configuration.  The table keeps one
     column per distinct such right: ``column[r]`` is right record r's
     column (numbered in order of first appearance) and ``weight[k]`` the
-    number of right records in column k.  Row c holds configuration c's
-    join: ``left[c, k]`` is the left-record position joined to column k's
-    rights (-1 for none) and ``prec[c, k]`` its estimated precision under
-    the ball of radius twice the threshold.  ``prec`` is 0 exactly where
-    ``left`` is -1 and > 0 elsewhere, and ``left[:, column]`` is the table
-    over all right records.
+    number of right records in column k.  Row i holds a join:
+    ``left[i, k]`` is the left-record position joined to column k's rights
+    (-1 for none) and ``prec[i, k]`` its estimated precision under the ball
+    of radius twice the threshold.  ``prec`` is 0 exactly where ``left`` is
+    -1 and > 0 elsewhere.
+
+    Consecutive thresholds of one function often join alike, so the table
+    keeps one row per run of them with equal rows: configuration c's row is
+    ``row[c]``, rows are numbered in configuration order, and each row's
+    members are one ascending run of configurations.  ``left[row][:,
+    column]`` is the table over all configurations and right records.
     """
 
     functions: list[JoinFunction]
     cfg_function: np.ndarray  # (n_cfg,) index into functions
     cfg_threshold: np.ndarray  # (n_cfg,)
-    left: np.ndarray  # (n_cfg, n_col) int32
-    prec: np.ndarray  # (n_cfg, n_col) float32
+    row: np.ndarray  # (n_cfg,) int64, each configuration's row
+    left: np.ndarray  # (n_row, n_col) int32
+    prec: np.ndarray  # (n_row, n_col) float32
     weight: np.ndarray  # (n_col,) int64, rights per column
     column: np.ndarray  # (n_right,) int64, each right's column
 
     @property
     def n_configs(self) -> int:
         return len(self.cfg_function)
+
+    @property
+    def members(self) -> np.ndarray:
+        """(n_row,) int64, the configurations per row."""
+        return np.bincount(self.row, minlength=len(self.left))
 
     def configuration(self, c: int) -> Configuration:
         return Configuration(
@@ -131,7 +147,8 @@ def precompute_config_table(
     query: np.ndarray | None = None,
 ) -> ConfigTable:
     """Expand every (function, threshold) pair into assignment and
-    precision rows over the distinct right columns.
+    precision rows over the distinct right columns, one row per run of
+    consecutive thresholds that join alike.
 
     ``thresholds[fi]`` is function fi's ascending grid and ``lr_right`` must
     be sorted ascending.  ``lr_right`` indexes distinct queries and
@@ -143,10 +160,17 @@ def precompute_config_table(
     joins nothing.  Queries that agree bit for bit on both under every
     function share a column, which holds their records; queries come in
     first-appearance order, so columns are numbered by each one's first
-    record.  A precision depends only on the joined left record and the
-    threshold: each self-join pair falls in the ball of every threshold from
-    the first whose doubled value reaches its distance on, so one
-    ``bincount`` and a cumulative sum per function count every ball.
+    record.
+
+    A precision depends only on the joined left record and the threshold:
+    each self-join pair falls in the ball of every threshold from its slot,
+    the first whose doubled value reaches its distance, on, so one
+    ``bincount`` and a cumulative sum per function count every ball.  Within
+    a function, threshold k joins as threshold k - 1 does unless some column
+    is first assigned at k or a self-join pair of a left record joined
+    before k has slot k: a ball that grows changes its precision, since
+    ``float32(1/b)`` differs for every ball size b.  Only the thresholds
+    that start a row are filled.
     """
     if query is None:
         query = np.arange(n_right)
@@ -182,31 +206,51 @@ def precompute_config_table(
     sizes = [len(t) for t in thresholds]
     cfg_function = np.repeat(np.arange(n_fn, dtype=np.int32), sizes)
     cfg_threshold = np.concatenate([np.empty(0), *thresholds])
-    n_cfg = len(cfg_function)
-    prec = np.empty((n_cfg, n_col), dtype=np.float32)
-    row = 0
+    # threshold indices 0..s, where s stands for none
+    slot_dtype = np.min_scalar_type(max(sizes, default=0))
+    # per column, its first assigning threshold; per self-join pair, its slot
+    assign_at = np.empty((n_fn, n_col), dtype=slot_dtype)
+    ball_slot = np.empty((n_fn, len(ll_a)), dtype=slot_dtype)
+    row_starts: list[np.ndarray] = []  # per function, the thresholds starting a row
+    cfg_row: list[np.ndarray] = []
+    n_row = 0
     for fi, thetas in enumerate(thresholds):
         s = len(thetas)
+        assign_at[fi] = np.searchsorted(thetas, dmin[fi], side="left")
+        ball_slot[fi] = np.searchsorted(2.0 * thetas, d_ll[fi], side="left")
+        # per left record, the first threshold joining a column to it; the
+        # last entry, read through joined = -1, stays s
+        joined_at = np.full(n_left + 1, s, dtype=slot_dtype)
+        np.minimum.at(joined_at, joined[fi], assign_at[fi])
+        new = np.zeros(s + 1, dtype=bool)
+        new[0] = True
+        new[assign_at[fi]] = True
+        new[ball_slot[fi][ball_slot[fi] > joined_at[ll_a]]] = True
+        row_starts.append(np.flatnonzero(new[:s]))
+        cfg_row.append(n_row - 1 + np.cumsum(new[:s]))
+        n_row += len(row_starts[-1])
+    del dmin  # before the table is allocated
+
+    left = np.empty((n_row, n_col), dtype=np.int32)
+    prec = np.empty((n_row, n_col), dtype=np.float32)
+    r0 = 0
+    for fi, ks in enumerate(row_starts):
+        s = sizes[fi]
         # slot s holds pairs beyond every radius; row n_left is read by
         # columns that join nothing, whose precisions the fill zeroes
-        slot = np.searchsorted(2.0 * thetas, d_ll[fi], side="left")
-        hits = np.bincount(ll_a * (s + 1) + slot, minlength=(n_left + 1) * (s + 1))
-        balls = 1 + np.cumsum(hits.reshape(n_left + 1, s + 1)[joined[fi], :s], axis=1)
-        prec[row : row + s] = (1.0 / balls).T
-        row += s
-
-    left = np.empty((n_cfg, n_col), dtype=np.int32)
-    step = max(1, _BLOCK_CELLS // max(n_col, 1))
-    for c0 in range(0, n_cfg, step):
-        cs = slice(c0, c0 + step)
-        fi = cfg_function[cs]
-        assigned = dmin[fi] <= cfg_threshold[cs, None]
-        left[cs] = np.where(assigned, joined[fi], -1)
-        prec[cs] *= assigned
+        hits = np.bincount(ll_a * (s + 1) + ball_slot[fi], minlength=(n_left + 1) * (s + 1))
+        balls = 1 + np.cumsum(hits.reshape(n_left + 1, s + 1)[:, :s], axis=1)[:, ks]
+        rows = slice(r0, r0 + len(ks))
+        assigned = assign_at[fi] <= ks[:, None]
+        left[rows] = np.where(assigned, joined[fi], -1)
+        prec[rows] = (1.0 / balls[joined[fi]]).T
+        prec[rows] *= assigned
+        r0 += len(ks)
     return ConfigTable(
         functions=list(functions),
         cfg_function=cfg_function,
         cfg_threshold=cfg_threshold,
+        row=np.concatenate([np.empty(0, dtype=np.int64), *cfg_row]),
         left=left,
         prec=prec,
         weight=weight,
@@ -219,7 +263,7 @@ def precompute_config_table(
 
 @dataclass
 class GreedyStep:
-    """One pick: the configuration row and the union's tp, fp and estimated
+    """One pick: the configuration and the union's tp, fp and estimated
     precision once it is added."""
 
     config: int
@@ -230,7 +274,7 @@ class GreedyStep:
 
 @dataclass
 class GreedyOutcome:
-    selected: list[int]  # config row indices, in insertion order
+    selected: list[int]  # configuration indices, in insertion order
     cur_left: np.ndarray  # (n_col,) left position or -1, per table column
     cur_prec: np.ndarray  # (n_col,) float
     cur_source: np.ndarray  # (n_col,) index into selected, or -1
@@ -249,8 +293,9 @@ class GreedyOutcome:
 
 
 # columns of the table gathered at once when a pick's gains are updated.  It
-# bounds the (n_cfg x chunk) temporaries, so peak memory: under 1 MB at 6800
-# configurations, and on a 6800 x 3000 table 32 or 64 columns ran no faster.
+# bounds the (n_row x chunk) temporaries, so peak memory: under 1 MB at 6800
+# rows, the most a 136-function, 50-step grid makes; on a 6800 x 3000 table 32
+# or 64 columns ran no faster.
 _UPDATE_COLUMNS = 8
 
 
@@ -260,6 +305,7 @@ def greedy_select(
     weight: np.ndarray,
     tau: float,
     rng: np.random.Generator,
+    members: np.ndarray | None = None,
 ) -> GreedyOutcome:
     """Iteratively add the configuration maximizing the profit of the union.
 
@@ -273,10 +319,20 @@ def greedy_select(
     assignments (the ConfigTable columns); the search equals the one over
     the table with each column repeated that many times.  ``cfg_prec`` must
     be 0 exactly where ``cfg_left`` is -1 and > 0 elsewhere: a union's
-    per-column precision is then the elementwise maximum of its members'
+    per-column precision is then the elementwise maximum of its picks'
     rows.  The returned ``cur_*`` arrays are per column.
 
-    The search is incremental.  Per configuration c it keeps
+    Row i of the table stands for ``members[i]`` configurations with equal
+    rows (the ConfigTable rows; one each by default), numbered in one
+    ascending run after those of row i - 1, and the search equals the one
+    over the table with each row repeated that many times.  Equal rows tie
+    at every step, and once one is picked the others add no tp, so at most
+    one member of a row is picked; a tie draws ``rng.choice`` over the tied
+    rows' members, which is the array the expanded search draws from.
+    ``selected`` and the trace hold configuration indices, and the search
+    is "exhausted" only once every configuration is picked.
+
+    The search is incremental.  Per row c it keeps
     ``gain[c] = sum_k weight[k] * max(0, prec[c, k] - cur_prec[k])`` in
     float64 and ``cover[c]``, the rights c assigns that the union leaves
     unassigned, so adding c gives tp ``tp_cur + gain[c]`` and
@@ -291,9 +347,12 @@ def greedy_select(
     n_right * (n_left + 1) < 2**29.  The products and sums use ``np.einsum``,
     which runs on one thread.
     """
-    n_cfg, n_col = cfg_left.shape
+    n_row, n_col = cfg_left.shape
+    members = np.ones(n_row, dtype=np.int64) if members is None else np.asarray(members)
+    first_member = np.cumsum(members) - members  # each row's first configuration
+    n_cfg = int(members.sum())
     weight_f = np.asarray(weight, dtype=np.float64)
-    available = np.ones(n_cfg, dtype=bool)
+    available = np.ones(n_row, dtype=bool)  # rows none of whose members is picked
     cur_left = np.full(n_col, -1, dtype=np.int32)
     cur_prec = np.zeros(n_col, dtype=np.float32)
     cur_source = np.full(n_col, -1, dtype=np.int32)
@@ -305,7 +364,7 @@ def greedy_select(
     cover = np.einsum("ck,k->c", cfg_left != -1, weight)
     stop_reason = "exhausted"
 
-    while available.any():
+    while len(selected) < n_cfg:
         tp_new = tp_cur + gain
         n_assigned = n_cur + cover
         fp_new = np.maximum(n_assigned - tp_new, 0.0)
@@ -325,8 +384,13 @@ def greedy_select(
         ties = prof == best_profit
         if np.isinf(best_profit):
             ties &= tp_new == tp_new[ties].max()
-        tie_rows = np.nonzero(ties)[0]
-        pick = int(tie_rows[0]) if len(tie_rows) == 1 else int(rng.choice(tie_rows))
+        tie_rows = np.flatnonzero(ties)
+        counts = members[tie_rows]
+        # the tied rows' members, ascending
+        tied = np.repeat(first_member[tie_rows] - np.cumsum(counts) + counts, counts)
+        tied += np.arange(len(tied))
+        config = int(tied[0]) if len(tied) == 1 else int(rng.choice(tied))
+        pick = int(np.searchsorted(first_member, config, side="right")) - 1
 
         tp_pick, fp_pick = float(tp_new[pick]), float(fp_new[pick])
         total = tp_pick + fp_pick
@@ -336,8 +400,8 @@ def greedy_select(
             break
 
         slot = len(selected)
-        selected.append(pick)
-        trace.append(GreedyStep(pick, tp_pick, fp_pick, union_precision))
+        selected.append(config)
+        trace.append(GreedyStep(config, tp_pick, fp_pick, union_precision))
         available[pick] = False
         taken = np.flatnonzero(cfg_prec[pick] > cur_prec)
         for start in range(0, len(taken), _UPDATE_COLUMNS):
@@ -515,7 +579,7 @@ def solve_from_distances(
         query=pairs.query,
     )
     t1 = time.perf_counter()
-    outcome = greedy_select(table.left, table.prec, table.weight, tau, rng)
+    outcome = greedy_select(table.left, table.prec, table.weight, tau, rng, table.members)
     t2 = time.perf_counter()
 
     configs = tuple(table.configuration(c) for c in outcome.selected)
@@ -541,7 +605,7 @@ def solve_from_distances(
         estimated_recall=outcome.tp,
         warnings=warnings,
         timings={"precompute": t1 - t0, "greedy": t2 - t1},
-        pair_counts={"right_columns": len(table.weight)},
+        pair_counts={"right_columns": len(table.weight), "config_rows": len(table.left)},
         greedy=outcome,
     )
 

@@ -229,8 +229,8 @@ def dense_config_table(
     d_ll: np.ndarray,
 ) -> ConfigTable:
     """Expand every (function, threshold) pair into dense per-right
-    assignment and precision rows, filled in place: one column per right
-    record, one function at a time.  The table build that
+    assignment and precision rows, filled in place: one row per
+    configuration, one column per right record, one function at a time.  The table build that
     ``solver.precompute_config_table`` replaced, kept as its oracle.
 
     ``thresholds[fi]`` is function fi's ascending grid and ``ll_a`` must be
@@ -262,6 +262,7 @@ def dense_config_table(
         functions=list(functions),
         cfg_function=np.repeat(np.arange(len(sizes), dtype=np.int32), sizes),
         cfg_threshold=np.concatenate([np.empty(0), *thresholds]),
+        row=np.arange(sum(sizes), dtype=np.int64),
         left=left,
         prec=prec,
         weight=np.ones(n_right, dtype=np.int64),

@@ -11,12 +11,14 @@ import fuzzyjoin
 from conftest import write_gt_csv, write_table_csv
 from fuzzyjoin import (
     build_index,
+    enumerate_function_space,
     generate_synthetic,
     generate_disjoint_tables,
     load_solution,
     load_table,
 )
 from fuzzyjoin.cli import main
+from fuzzyjoin.functions import SPACE_PRESETS
 
 
 @pytest.fixture
@@ -396,6 +398,9 @@ def test_run_multi_manifest_matches_run(tmp_path, synthetic_csvs):
     assert "lr_dropped_by_rules" in multi["pair_counts"]
     for manifest in (single, multi):
         assert 0 < manifest["pair_counts"]["right_columns"] <= manifest["n_right"]
+        # at least one table row per function, fewer than one per configuration
+        n_fns = len(enumerate_function_space(SPACE_PRESETS[manifest["config"]["space_preset"]]))
+        assert n_fns <= manifest["pair_counts"]["config_rows"] < n_fns * manifest["config"]["s"]
         assert_pair_counts_over_records(manifest, left, right)
     # every inner solve is a trial; each committed column is a history step
     assert len(multi["trials"]) == multi["inner_invocations"] > 0

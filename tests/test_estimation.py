@@ -358,7 +358,7 @@ def check_engine_against_config_stats(
             }
         )
         for ti, theta in enumerate(thetas[fi]):
-            row = fi * 4 + ti
+            row = table.row[fi * 4 + ti]
             cfg = Configuration(functions[fi], float(theta))
             expected = config_stats(cfg, candidates, balls)
             left_row, prec_row = table.left[row, table.column], table.prec[row, table.column]
@@ -394,13 +394,14 @@ def test_engine_with_duplicated_rights(seed):
 def test_engine_without_self_join_pairs():
     # every ball holds only its own record, so every join has precision 1
     table = check_engine_against_config_stats(5, ll_per_left=0)
-    assert set(np.unique(table.prec[table.left >= 0])) == {1.0}
+    left, prec = table.left[table.row], table.prec[table.row]
+    assert set(np.unique(prec[left >= 0])) == {1.0}
 
 
 def test_engine_left_without_neighbours():
     n_left, lonely = 7, 3
     table = check_engine_against_config_stats(11, n_left=n_left, n_right=40, lonely=lonely)
     # the lone record is joined somewhere, always at precision 1
-    joined = table.left == lonely
+    joined = table.left[table.row] == lonely
     assert joined.any()
-    assert (table.prec[joined] == 1.0).all()
+    assert (table.prec[table.row][joined] == 1.0).all()

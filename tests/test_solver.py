@@ -108,16 +108,31 @@ def right_keys(args):
 
 
 def assert_table_matches_dense(args, block):
-    """The distinct-column table, expanded to one column per right, equals
-    the dense oracle bit for bit; each column holds exactly the rights of
-    one (minimum, joined left) key, numbered by first appearance."""
+    """The distinct-row, distinct-column table, expanded to one row per
+    configuration and one column per right, equals the dense oracle bit for
+    bit; each column holds exactly the rights of one (minimum, joined left)
+    key, numbered by first appearance; each row holds one run of
+    consecutive thresholds of one function, and a function's neighbouring
+    rows differ."""
     with mock.patch.object(solver, "_BLOCK_CELLS", block):
         table = precompute_config_table(*args)
     want = dense_config_table(*args)
     for name in ("left", "prec"):
-        got, ref = getattr(table, name)[:, table.column], getattr(want, name)
+        got, ref = getattr(table, name)[table.row][:, table.column], getattr(want, name)
         assert got.dtype == ref.dtype and got.shape == ref.shape, name
         assert got.tobytes() == ref.tobytes(), name
+    assert table.row.dtype == np.int64 and len(table.row) == table.n_configs
+    step = np.diff(table.row)
+    assert table.row[:1].tolist() in ([], [0]) and set(step.tolist()) <= {0, 1}
+    assert len(table.members) == len(table.left) == len(table.prec)
+    assert (table.members > 0).all()
+    same_function = np.diff(table.cfg_function) == 0
+    assert (step[~same_function] == 1).all()  # no row spans two functions
+    for r in table.row[1:][same_function & (step == 1)]:
+        assert not (
+            np.array_equal(table.left[r], table.left[r - 1])
+            and np.array_equal(table.prec[r], table.prec[r - 1])
+        )
     assert table.cfg_function.tobytes() == want.cfg_function.tobytes()
     assert table.cfg_threshold.tobytes() == want.cfg_threshold.tobytes()
     assert table.weight.dtype == np.int64
@@ -192,7 +207,7 @@ def test_table_over_distinct_queries_matches_records(args, block):
     with mock.patch.object(solver, "_BLOCK_CELLS", block):
         want = precompute_config_table(*args)
         got = precompute_config_table(*grouped)
-    for name in ("left", "prec", "weight", "column", "cfg_function", "cfg_threshold"):
+    for name in ("row", "left", "prec", "weight", "column", "cfg_function", "cfg_threshold"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -230,6 +245,19 @@ TABLE_CASES = {
         [(0, 1, [0.2, 0.2]), (1, 0, [0.1, 0.6])], [[0.1, 0.3], [0.3, 0.5]],
     ),
     "no-rights": (2, 0, [], [(0, 1, D2)], [[0.1, 0.5], [0.3]]),
+    # no right is first assigned at 0.15 or 0.2, and no joined ball grows
+    # before 0.6 / 2: one row for 0.1-0.2 and one for 0.25-0.3
+    "collapsed-thresholds": (
+        2, 2, [(0, 0, [0.1]), (1, 1, [0.25])], [(0, 1, [0.9])],
+        [[0.1, 0.15, 0.2, 0.25, 0.3]],
+    ),
+    # left 0's ball grows at 0.25 (0.5 / 2) with no new assignment, which
+    # starts a row; left 2's ball grows at 0.2, before any right joins it,
+    # which does not; right 1 joins left 2 at 0.3
+    "ball-growth-split": (
+        3, 2, [(0, 0, [0.1]), (1, 2, [0.3])], [(0, 1, [0.5]), (2, 1, [0.3])],
+        [[0.1, 0.2, 0.25, 0.3]],
+    ),
 }
 
 
@@ -242,8 +270,38 @@ def test_table_edge_cases(case, block):
     if case == "rights-without-candidates":
         assert table.column.tolist() == [0, 1, 0, 2, 0]
         assert (table.left[:, 0] == -1).all()
-    if case == "no-rights":
-        assert table.left.shape == (3, 0) and table.weight.size == 0
+    if case == "no-rights":  # one row per function
+        assert table.left.shape == (2, 0) and table.weight.size == 0
+        assert table.n_configs == 3
+    if case == "collapsed-thresholds":
+        assert table.row.tolist() == [0, 0, 0, 1, 1]
+    if case == "ball-growth-split":
+        assert table.row.tolist() == [0, 0, 1, 2]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_table_with_wide_grid(block):
+    # 300 thresholds: slots beyond 255, and self-join pairs beyond every
+    # radius, in slot 300
+    rng = np.random.default_rng(7)
+    n_left, n_right, n_fn = 6, 12, 2
+    lr = sorted(
+        (r, int(l), list(rng.integers(0, 600, size=n_fn) / 600))
+        for r in range(n_right)
+        for l in rng.choice(n_left, size=2, replace=False)
+    )
+    ll = sorted(
+        (a, b, list(rng.integers(0, 1300, size=n_fn) / 600))
+        for a in range(n_left)
+        for b in range(n_left)
+        if a != b
+    )
+    d_lr = np.array([d for _, _, d in lr]).T
+    thresholds = [discretize_thresholds(row, 300) for row in d_lr]
+    table = assert_table_matches_dense(
+        table_args(n_left, n_right, lr, ll, thresholds), block
+    )
+    assert table.n_configs == 600 and len(table.left) < 600
 
 
 # --- greedy vs exhaustive oracle ----------------------------------------------
@@ -349,20 +407,23 @@ def test_greedy_does_not_recompute_distances():
 # --- incremental greedy vs the dense loop ------------------------------------
 
 
-def assert_same_search(cfg_left, cfg_prec, tau, seed, column=None):
+def assert_same_search(cfg_left, cfg_prec, tau, seed, column=None, members=None):
     """greedy_select and the dense reference loop agree exactly: picks, union
     arrays, tp/fp, stop reason, trace and the random draws consumed.
 
     With ``column``, table column k stands for the rights r with
     ``column[r] == k``: greedy_select weighs each column by its count of
     rights, and the dense loop runs over the table expanded to one column
-    per right."""
+    per right.  With ``members``, table row i stands for ``members[i]``
+    configurations, and the dense loop runs over the table with row i
+    repeated that many times."""
     if column is None:
         column = np.arange(cfg_left.shape[1])
+    row = np.repeat(np.arange(len(cfg_left)), 1 if members is None else members)
     weight = np.bincount(column, minlength=cfg_left.shape[1])
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = greedy_select(cfg_left, cfg_prec, weight, tau, rng_a)
-    want = dense_greedy(cfg_left[:, column], cfg_prec[:, column], tau, rng_b)
+    got = greedy_select(cfg_left, cfg_prec, weight, tau, rng_a, members)
+    want = dense_greedy(cfg_left[row][:, column], cfg_prec[row][:, column], tau, rng_b)
     assert got.selected == want.selected
     for name in ("cur_left", "cur_prec", "cur_source"):
         a, b = getattr(got, name)[column], getattr(want, name)
@@ -413,6 +474,54 @@ def test_weighted_greedy_matches_dense_loop_on_repeated_columns(seed):
         assert_same_search(cfg_left, cfg_prec, tau, seed, column)
 
 
+def group_rows(rng, cfg_left, cfg_prec):
+    """Equal rows grouped into one row each, in first-appearance order, with
+    their counts as member counts; a group of several rows is split in two
+    rows at random, as equal rows of two functions are not grouped."""
+    codes: dict[bytes, int] = {}
+    keys = [l.tobytes() + p.tobytes() for l, p in zip(cfg_left, cfg_prec)]
+    group = np.array([codes.setdefault(k, len(codes)) for k in keys])
+    reps, counts = np.unique(group, return_index=True, return_counts=True)[1:]
+    rows, members = [], []
+    for rep, count in zip(reps.tolist(), counts.tolist()):
+        parts = [count]
+        if count > 1 and rng.random() < 0.3:
+            cut = int(rng.integers(1, count))
+            parts = [cut, count - cut]
+        rows += [rep] * len(parts)
+        members += parts
+    return cfg_left[rows], cfg_prec[rows], np.array(members)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_row_greedy_matches_dense_loop_on_tied_instances(seed):
+    rng = np.random.default_rng(3000 + seed)
+    cfg_left, cfg_prec, members = group_rows(rng, *tied_instance(rng))
+    assert members.max() > 1
+    n_col = cfg_left.shape[1]
+    column = rng.permutation(np.repeat(np.arange(n_col), rng.integers(1, 4, size=n_col)))
+    for tau in (0.3, 0.6, 0.8, 0.95):
+        assert_same_search(cfg_left, cfg_prec, tau, seed, members=members)
+        assert_same_search(cfg_left, cfg_prec, tau, seed, column, members)
+
+
+ROW_LEFT = np.array([[0, 1], [0, -1]], dtype=np.int32)
+ROW_PREC = np.array([[1.0, 0.5], [1.0, 0.0]], dtype=np.float32)
+
+
+def test_row_greedy_stops_with_an_unpicked_duplicate():
+    # configurations 0 and 1 share row 0: one of them is drawn, and the
+    # other adds no tp once one is picked
+    got = assert_same_search(ROW_LEFT, ROW_PREC, 0.1, 0, members=np.array([2, 1]))
+    assert got.selected[0] == 2 and got.selected[1] in (0, 1)
+    assert len(got.selected) == 2 and got.stop_reason == "no_gain"
+
+
+def test_row_greedy_exhausts_single_member_rows():
+    got = assert_same_search(ROW_LEFT, ROW_PREC, 0.1, 0, members=np.array([1, 1]))
+    assert got.selected == [1, 0] and got.stop_reason == "exhausted"
+
+
 @pytest.fixture(scope="module")
 def golden_tables():
     """Configuration tables of the golden "run" input, and of the same input
@@ -437,7 +546,8 @@ def golden_tables():
 @pytest.mark.parametrize("tau", [0.5, 0.9, 0.99])
 def test_greedy_matches_dense_loop_on_golden_table(golden_tables, which, tau):
     table = golden_tables[which]
-    cfg_left, cfg_prec = table.left[:, table.column], table.prec[:, table.column]
+    cfg_left = table.left[table.row][:, table.column]
+    cfg_prec = table.prec[table.row][:, table.column]
     got = assert_same_search(cfg_left, cfg_prec, tau, seed=0)
     assert got.selected
 
@@ -448,7 +558,8 @@ def test_weighted_greedy_matches_dense_loop_on_golden_table(golden_tables, which
     table = golden_tables[which]
     if which == 1:  # every query row 4 times: no column holds a single right
         assert table.weight.min() >= 4
-    got = assert_same_search(table.left, table.prec, tau, seed=0, column=table.column)
+    assert len(table.left) < table.n_configs
+    got = assert_same_search(table.left, table.prec, tau, 0, table.column, table.members)
     assert got.selected
 
 
