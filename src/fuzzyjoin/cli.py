@@ -49,13 +49,13 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dump-negative-rules", default=None, metavar="PATH")
 
 
-def _config_from_args(args: argparse.Namespace, multi: bool) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         left_path=args.left,
         right_path=args.right,
         column=getattr(args, "column", None),
         columns=None if getattr(args, "columns", None) is None else args.columns.split(","),
-        multi=multi,
+        multi=args.multi,
         id_column=args.id_column,
         delimiter=args.delimiter,
         tau=args.precision,
@@ -86,14 +86,7 @@ def _print_outcome(outcome: PipelineOutcome) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    outcome = run_pipeline(_config_from_args(args, multi=False))
-    _print_outcome(outcome)
-    return EXIT_OK
-
-
-def _cmd_run_multi(args: argparse.Namespace) -> int:
-    outcome = run_pipeline(_config_from_args(args, multi=True))
-    _print_outcome(outcome)
+    _print_outcome(run_pipeline(_config_from_args(args)))
     return EXIT_OK
 
 
@@ -188,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="single-column fuzzy join")
     _add_common_run_flags(p_run)
     p_run.add_argument("--column", required=True, help="join column name (both tables)")
-    p_run.set_defaults(fn=_cmd_run)
+    p_run.set_defaults(fn=_cmd_run, multi=False)
 
     p_multi = sub.add_parser("run-multi", help="multi-column fuzzy join")
     _add_common_run_flags(p_multi)
@@ -196,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--columns", default=None, help="comma-separated columns (default: shared names)"
     )
     p_multi.add_argument("--weight-steps", type=int, default=10, metavar="G")
-    p_multi.set_defaults(fn=_cmd_run_multi)
+    p_multi.set_defaults(fn=_cmd_run, multi=True)
 
     p_eval = sub.add_parser("eval", help="score joins.csv against ground truth")
     p_eval.add_argument("--pred", required=True, help="joins.csv from a run")

@@ -60,12 +60,16 @@ def interpolate(
 def weighted_sum(mats: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
     """``sum(w * d for w, d in zip(weights, mats))`` bit for bit, for
     distances >= 0, without its full-size temporaries: one matrix at weight
-    1.0 is returned itself, and more are summed in place."""
+    1.0 is returned itself, and more are summed in place and capped at 1.0.
+    Weights summing to 1 can round a sum of distances at 1 an ulp above it
+    (0.64 + 0.16 + 0.2), which is no valid threshold."""
     if len(mats) == 1 and weights[0] == 1.0:
         return mats[0]
     out = weights[0] * mats[0]
     for w, d in zip(weights[1:], mats[1:]):
         out += w * d
+    if len(mats) > 1:
+        np.minimum(out, 1.0, out=out)
     return out
 
 

@@ -17,16 +17,14 @@ query, and the assignments are expanded to every record.
 
 All pair distances and per-configuration assignments are precomputed into
 arrays; each greedy iteration is pure array arithmetic and touches no string
-data.  The configuration table has one column per distinct right record:
-rights whose minimum candidate distance and joined left record agree under
-every function are assigned alike by every configuration, so they share a
-column weighted by their count.  It has one row per run of consecutive
-thresholds of a function that join alike: a row changes only where a column
+data.  The configuration table has one column per distinct query, weighted
+by its count of right records.  It has one row per run of consecutive
+thresholds of a function that join alike: a row changes only where a query
 is first assigned or the ball of a joined left record grows, so only those
 thresholds are filled, and the search runs over the rows, each standing for
 its run of configurations.  The search is incremental: it keeps each row's
 weighted tp gain over the current union and its weighted count of newly
-assigned rights, and a pick updates them only on the columns whose union
+assigned rights, and a pick updates them only on the queries whose union
 precision it raises.  Those sums are exact (precisions are
 float32(1/k), k <= n_left + 1, times integer weights summing to n_right, in
 float64 while n_right * (n_left + 1) < 2**29), so the search picks what a
@@ -88,36 +86,27 @@ _BLOCK_CELLS = 1 << 16
 
 @dataclass
 class ConfigTable:
-    """Per-configuration assignment arrays over distinct right columns and
+    """Per-configuration assignment arrays over distinct queries and
     distinct rows.
 
-    A configuration joins a right record to the left record of its unique
-    nearest candidate when that distance is within the threshold, so two
-    rights whose (minimum distance, joined left) agree under every function
-    get the same assignment in every configuration.  The table keeps one
-    column per distinct such right: ``column[r]`` is right record r's
-    column (numbered in order of first appearance) and ``weight[k]`` the
-    number of right records in column k.  Row i holds a join:
-    ``left[i, k]`` is the left-record position joined to column k's rights
-    (-1 for none) and ``prec[i, k]`` its estimated precision under the ball
-    of radius twice the threshold.  ``prec`` is 0 exactly where ``left`` is
-    -1 and > 0 elsewhere.
+    Column k is query k.  Row i holds a join: ``left[i, k]`` is the
+    left-record position joined to query k (-1 for none) and ``prec[i, k]``
+    its estimated precision under the ball of radius twice the threshold.
+    ``prec`` is 0 exactly where ``left`` is -1 and > 0 elsewhere.
 
     Consecutive thresholds of one function often join alike, so the table
     keeps one row per run of them with equal rows: configuration c's row is
     ``row[c]``, rows are numbered in configuration order, and each row's
-    members are one ascending run of configurations.  ``left[row][:,
-    column]`` is the table over all configurations and right records.
+    members are one ascending run of configurations.  ``left[row]`` is the
+    table over all configurations.
     """
 
     functions: list[JoinFunction]
     cfg_function: np.ndarray  # (n_cfg,) index into functions
     cfg_threshold: np.ndarray  # (n_cfg,)
     row: np.ndarray  # (n_cfg,) int64, each configuration's row
-    left: np.ndarray  # (n_row, n_col) int32
-    prec: np.ndarray  # (n_row, n_col) float32
-    weight: np.ndarray  # (n_col,) int64, rights per column
-    column: np.ndarray  # (n_right,) int64, each right's column
+    left: np.ndarray  # (n_row, n_query) int32
+    prec: np.ndarray  # (n_row, n_query) float32
 
     @property
     def n_configs(self) -> int:
@@ -137,44 +126,34 @@ class ConfigTable:
 def precompute_config_table(
     functions: Sequence[JoinFunction],
     thresholds: Sequence[np.ndarray],
-    n_right: int,
+    n_query: int,
     n_left: int,
     lr_right: np.ndarray,
     lr_left: np.ndarray,
     d_lr: np.ndarray,
     ll_a: np.ndarray,
     d_ll: np.ndarray,
-    query: np.ndarray | None = None,
 ) -> ConfigTable:
     """Expand every (function, threshold) pair into assignment and
-    precision rows over the distinct right columns, one row per run of
-    consecutive thresholds that join alike.
+    precision rows over the ``n_query`` distinct queries, one row per run
+    of consecutive thresholds that join alike.
 
-    ``thresholds[fi]`` is function fi's ascending grid and ``lr_right`` must
-    be sorted ascending.  ``lr_right`` indexes distinct queries and
-    ``query[r]`` is right record r's, numbered by first appearance
-    (``BlockedPairs.query``); without ``query`` each of the ``n_right``
-    records is its own query.  First, per function and query, the minimum
-    candidate distance and the left record achieving it, for blocks of
-    functions at once; a query with no candidate, or whose minimum is tied,
-    joins nothing.  Queries that agree bit for bit on both under every
-    function share a column, which holds their records; queries come in
-    first-appearance order, so columns are numbered by each one's first
-    record.
+    ``thresholds[fi]`` is function fi's ascending grid and ``lr_right``,
+    the query of each cross-table pair, must be sorted ascending.  First,
+    per function and query, the minimum candidate distance and the left
+    record achieving it, for blocks of functions at once; a query with no
+    candidate, or whose minimum is tied, joins nothing.
 
     A precision depends only on the joined left record and the threshold:
     each self-join pair falls in the ball of every threshold from its slot,
     the first whose doubled value reaches its distance, on, so one
     ``bincount`` and a cumulative sum per function count every ball.  Within
-    a function, threshold k joins as threshold k - 1 does unless some column
+    a function, threshold k joins as threshold k - 1 does unless some query
     is first assigned at k or a self-join pair of a left record joined
     before k has slot k: a ball that grows changes its precision, since
     ``float32(1/b)`` differs for every ball size b.  Only the thresholds
     that start a row are filled.
     """
-    if query is None:
-        query = np.arange(n_right)
-    n_query = int(query.max()) + 1 if len(query) else 0
     n_fn = len(thresholds)
     dmin = np.full((n_fn, n_query), np.inf)  # inf where the query joins nothing
     joined = np.full((n_fn, n_query), -1, dtype=np.int32)
@@ -192,24 +171,13 @@ def precompute_config_table(
             dmin[fs, rights] = np.where(unique, seg_min, np.inf)
             joined[fs, rights] = np.where(unique, lr_left[first], -1)
 
-    keys = np.ascontiguousarray(np.vstack([dmin.view(np.int64), joined]).T)
-    index: dict[bytes, int] = {}
-    query_column = np.array(
-        [index.setdefault(row.tobytes(), len(index)) for row in keys], dtype=np.int64
-    )
-    reps = np.unique(query_column, return_index=True)[1]  # each column's first query
-    column = query_column[query]
-    weight = np.bincount(column, minlength=len(reps))
-    dmin, joined = dmin[:, reps], joined[:, reps]
-    n_col = len(reps)
-
     sizes = [len(t) for t in thresholds]
     cfg_function = np.repeat(np.arange(n_fn, dtype=np.int32), sizes)
     cfg_threshold = np.concatenate([np.empty(0), *thresholds])
     # threshold indices 0..s, where s stands for none
     slot_dtype = np.min_scalar_type(max(sizes, default=0))
-    # per column, its first assigning threshold; per self-join pair, its slot
-    assign_at = np.empty((n_fn, n_col), dtype=slot_dtype)
+    # per query, its first assigning threshold; per self-join pair, its slot
+    assign_at = np.empty((n_fn, n_query), dtype=slot_dtype)
     ball_slot = np.empty((n_fn, len(ll_a)), dtype=slot_dtype)
     row_starts: list[np.ndarray] = []  # per function, the thresholds starting a row
     cfg_row: list[np.ndarray] = []
@@ -218,7 +186,7 @@ def precompute_config_table(
         s = len(thetas)
         assign_at[fi] = np.searchsorted(thetas, dmin[fi], side="left")
         ball_slot[fi] = np.searchsorted(2.0 * thetas, d_ll[fi], side="left")
-        # per left record, the first threshold joining a column to it; the
+        # per left record, the first threshold joining a query to it; the
         # last entry, read through joined = -1, stays s
         joined_at = np.full(n_left + 1, s, dtype=slot_dtype)
         np.minimum.at(joined_at, joined[fi], assign_at[fi])
@@ -231,13 +199,13 @@ def precompute_config_table(
         n_row += len(row_starts[-1])
     del dmin  # before the table is allocated
 
-    left = np.empty((n_row, n_col), dtype=np.int32)
-    prec = np.empty((n_row, n_col), dtype=np.float32)
+    left = np.empty((n_row, n_query), dtype=np.int32)
+    prec = np.empty((n_row, n_query), dtype=np.float32)
     r0 = 0
     for fi, ks in enumerate(row_starts):
         s = sizes[fi]
         # slot s holds pairs beyond every radius; row n_left is read by
-        # columns that join nothing, whose precisions the fill zeroes
+        # queries that join nothing, whose precisions the fill zeroes
         hits = np.bincount(ll_a * (s + 1) + ball_slot[fi], minlength=(n_left + 1) * (s + 1))
         balls = 1 + np.cumsum(hits.reshape(n_left + 1, s + 1)[:, :s], axis=1)[:, ks]
         rows = slice(r0, r0 + len(ks))
@@ -253,8 +221,6 @@ def precompute_config_table(
         row=np.concatenate([np.empty(0, dtype=np.int64), *cfg_row]),
         left=left,
         prec=prec,
-        weight=weight,
-        column=column,
     )
 
 
@@ -275,9 +241,9 @@ class GreedyStep:
 @dataclass
 class GreedyOutcome:
     selected: list[int]  # configuration indices, in insertion order
-    cur_left: np.ndarray  # (n_col,) left position or -1, per table column
-    cur_prec: np.ndarray  # (n_col,) float
-    cur_source: np.ndarray  # (n_col,) index into selected, or -1
+    cur_left: np.ndarray  # (n_query,) left position or -1, per query
+    cur_prec: np.ndarray  # (n_query,) float
+    cur_source: np.ndarray  # (n_query,) index into selected, or -1
     tp: float
     fp: float
     # why the search stopped: "precision_target" (the best addition would
@@ -315,12 +281,13 @@ def greedy_select(
     ties are broken by larger tp among false-positive-free candidates, then
     by seeded randomness.
 
-    Column k of the table stands for ``weight[k]`` right records with equal
-    assignments (the ConfigTable columns); the search equals the one over
-    the table with each column repeated that many times.  ``cfg_prec`` must
-    be 0 exactly where ``cfg_left`` is -1 and > 0 elsewhere: a union's
-    per-column precision is then the elementwise maximum of its picks'
-    rows.  The returned ``cur_*`` arrays are per column.
+    Column k of the table is a query standing for ``weight[k]`` right
+    records, which it assigns alike (the ConfigTable columns); the search
+    equals the one over the table with each query repeated that many times.
+    ``cfg_prec`` must be 0 exactly where ``cfg_left`` is -1 and > 0
+    elsewhere: a union's per-query precision is then the elementwise
+    maximum of its picks' rows.  The returned ``cur_*`` arrays are per
+    query.
 
     Row i of the table stands for ``members[i]`` configurations with equal
     rows (the ConfigTable rows; one each by default), numbered in one
@@ -337,7 +304,7 @@ def greedy_select(
     float64 and ``cover[c]``, the rights c assigns that the union leaves
     unassigned, so adding c gives tp ``tp_cur + gain[c]`` and
     ``n_cur + cover[c]`` assigned rights.  A pick changes ``cur_prec`` only
-    on the columns it takes, and only those columns of the table are read to
+    on the queries it takes, and only those columns of the table are read to
     update ``gain`` and ``cover``.  The sums are exact, so they equal the
     dense per-pick recomputation over all rights bit for bit, and picks,
     ties and random draws do not depend on the update order or on the
@@ -566,28 +533,28 @@ def solve_from_distances(
     right record gets its query's assignment."""
     t0 = time.perf_counter()
     thresholds = [discretize_thresholds(d_lr[fi], s) for fi in range(len(functions))]
+    weight = np.bincount(pairs.query)  # right records per query
     table = precompute_config_table(
         functions,
         thresholds,
-        n_right=len(pairs.right_ids),
+        n_query=len(weight),
         n_left=len(pairs.left_ids),
         lr_right=pairs.lr_right,
         lr_left=pairs.lr_left,
         d_lr=d_lr,
         ll_a=pairs.ll_a,
         d_ll=d_ll,
-        query=pairs.query,
     )
     t1 = time.perf_counter()
-    outcome = greedy_select(table.left, table.prec, table.weight, tau, rng, table.members)
+    outcome = greedy_select(table.left, table.prec, weight, tau, rng, table.members)
     t2 = time.perf_counter()
 
     configs = tuple(table.configuration(c) for c in outcome.selected)
     solution = Solution(configs, column_weights, columns)
     assignments: dict[str, Assignment] = {}
-    cur_left = outcome.cur_left[table.column]
-    cur_prec = outcome.cur_prec[table.column]
-    cur_source = outcome.cur_source[table.column]
+    cur_left = outcome.cur_left[pairs.query]
+    cur_prec = outcome.cur_prec[pairs.query]
+    cur_source = outcome.cur_source[pairs.query]
     for r, rid in enumerate(pairs.right_ids):
         lpos = int(cur_left[r])
         if lpos >= 0:
@@ -605,7 +572,7 @@ def solve_from_distances(
         estimated_recall=outcome.tp,
         warnings=warnings,
         timings={"precompute": t1 - t0, "greedy": t2 - t1},
-        pair_counts={"right_columns": len(table.weight), "config_rows": len(table.left)},
+        pair_counts={"config_rows": len(table.left)},
         greedy=outcome,
     )
 

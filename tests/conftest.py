@@ -50,12 +50,33 @@ def write_gt_csv(matches: dict[str, str], path: Path) -> Path:
 
 
 def repeat_queries(R: Table, k: int) -> Table:
-    """Each query row k times under fresh ids: identical rows give identical
-    configuration columns, so greedy profits tie often."""
+    """Each query row k times under fresh ids: identical rows are one
+    distinct query, solved once and joined alike."""
     records = tuple(
         Record(f"{rec.id}-{i}", rec.values) for rec in R.records for i in range(k)
     )
     return Table(R.columns, records, R.role)
+
+
+def ulp_over_one_tables() -> tuple[Table, Table]:
+    """9 left and 10 right records over columns a, b and c, every value 4
+    CJK characters: each left value is its own, so no two lefts block
+    together.  Rights 0-5 copy a left's a, rights 6-7 a left's b, right 8 a
+    left's c, and right 9 shares only a trigram of left 0's a, so it is at
+    distance 1 in every column under a word-token distance.  A search with
+    weight steps 5 commits a, then b, and its first trial over all three
+    columns weighs them (0.64, 0.16, 0.2), whose float sum is an ulp above
+    1."""
+    values = iter("".join(chr(0x4E00 + i + k) for k in range(4)) for i in range(0, 400, 4))
+    lefts = [(next(values), next(values), next(values)) for _ in range(9)]
+    rights = [(lefts[k][0], next(values), next(values)) for k in range(6)]
+    rights += [(next(values), lefts[k][1], next(values)) for k in (6, 7)]
+    rights.append((next(values), next(values), lefts[8][2]))
+    rights.append((lefts[0][0][:3] + next(values)[0], next(values), next(values)))
+    cols = ("a", "b", "c")
+    L = Table(cols, tuple(Record(f"L{i}", v) for i, v in enumerate(lefts)), "reference")
+    R = Table(cols, tuple(Record(f"R{i}", v) for i, v in enumerate(rights)), "query")
+    return L, R
 
 
 @pytest.fixture
@@ -265,8 +286,6 @@ def dense_config_table(
         row=np.arange(sum(sizes), dtype=np.int64),
         left=left,
         prec=prec,
-        weight=np.ones(n_right, dtype=np.int64),
-        column=np.arange(n_right, dtype=np.int64),
     )
 
 

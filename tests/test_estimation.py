@@ -303,7 +303,7 @@ def check_engine_against_config_stats(
     ``ll_per_left`` self-join draws per left record (0 for none); left
     record ``lonely`` gets no self-join neighbour at all.  With ``copies``
     each drawn right record appears that many times in a row, with the same
-    candidates and distances, so rights share table columns.
+    candidates and distances.
     """
     rng = np.random.default_rng(seed)
     n_fn = 3
@@ -361,7 +361,7 @@ def check_engine_against_config_stats(
             row = table.row[fi * 4 + ti]
             cfg = Configuration(functions[fi], float(theta))
             expected = config_stats(cfg, candidates, balls)
-            left_row, prec_row = table.left[row, table.column], table.prec[row, table.column]
+            left_row, prec_row = table.left[row], table.prec[row]
             got = {
                 right_ids[r]: (left_ids[left_row[r]], float(prec_row[r]))
                 for r in range(n_right)
@@ -386,9 +386,9 @@ def test_engine_matches_config_stats_over_seeds(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_engine_with_duplicated_rights(seed):
-    # rights share columns, so the table is narrower than the right table
+    # each copy is its own query, with its own column
     table = check_engine_against_config_stats(seed, n_left=8, n_right=12, copies=3)
-    assert len(table.weight) < len(table.column) == 36
+    assert table.left.shape[1] == 36
 
 
 def test_engine_without_self_join_pairs():

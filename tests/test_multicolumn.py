@@ -4,8 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import ulp_over_one_tables
 from fuzzyjoin import (
     DataError,
+    JoinFunction,
     add_random_column,
     enumerate_function_space,
     generate_synthetic,
@@ -55,8 +57,31 @@ def test_weighted_sum_is_the_sum_bit_for_bit(data):
         mats.append(d)
     active = [(x, d) for x, d in zip(w, mats) if x > 0.0]
     got = multicolumn.weighted_sum([d for _, d in active], [x for x, _ in active])
-    expected = sum(x * d for x, d in active)
+    # capped at 1.0, which only an ulp of rounding can exceed
+    expected = np.minimum(sum(x * d for x, d in active), 1.0)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def test_weighted_sum_caps_an_ulp_over_one():
+    # the search's weights after committing a then b at alpha 0.2, and the
+    # first trial over c: their float sum is an ulp above 1
+    w = interpolate(interpolate((1.0, 0.0, 0.0), 1, 0.2), 2, 0.2)
+    ones = np.ones((2, 3))
+    assert sum(x * ones for x in w).max() > 1.0
+    got = multicolumn.weighted_sum([ones] * 3, w)
+    assert (got == 1.0).all()
+
+
+def test_three_column_search_with_weights_an_ulp_over_one():
+    # right 9 is at distance 1 in every column; its weighted distance is
+    # the top threshold, which must stay a valid one
+    L, R = ulp_over_one_tables()
+    fn = JoinFunction("L", "SP", "EW", "JD")
+    res = solve_multi(L, R, columns=["a", "b", "c"], functions=[fn], g=5)
+    assert res.selected_columns == ("a", "b", "c")
+    assert res.weights == interpolate(interpolate((1.0, 0.0, 0.0), 1, 0.2), 2, 0.2)
+    assert max(c.threshold for c in res.solution.configs) == 1.0
+    assert len(res.result.assignments) == len(R)
 
 
 def test_missing_column_contributes_full_weight():

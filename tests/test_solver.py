@@ -91,34 +91,16 @@ def table_args(n_left, n_right, lr, ll, thresholds):
     )
 
 
-def right_keys(args):
-    """Per right, per function: (minimum distance, its left record) when one
-    candidate attains the minimum, else None."""
-    _, _, n_right, _, lr_right, lr_left, d_lr, _, _ = args
-    keys = []
-    for r in range(n_right):
-        key = []
-        for row in d_lr:
-            cands = [(float(row[k]), int(lr_left[k])) for k in np.flatnonzero(lr_right == r)]
-            best = min((d for d, _ in cands), default=None)
-            winners = [l for d, l in cands if d == best]
-            key.append((best, winners[0]) if len(winners) == 1 else None)
-        keys.append(tuple(key))
-    return keys
-
-
 def assert_table_matches_dense(args, block):
-    """The distinct-row, distinct-column table, expanded to one row per
-    configuration and one column per right, equals the dense oracle bit for
-    bit; each column holds exactly the rights of one (minimum, joined left)
-    key, numbered by first appearance; each row holds one run of
-    consecutive thresholds of one function, and a function's neighbouring
-    rows differ."""
+    """The distinct-row table, expanded to one row per configuration,
+    equals the dense oracle bit for bit, one column per query; each row
+    holds one run of consecutive thresholds of one function, and a
+    function's neighbouring rows differ."""
     with mock.patch.object(solver, "_BLOCK_CELLS", block):
         table = precompute_config_table(*args)
     want = dense_config_table(*args)
     for name in ("left", "prec"):
-        got, ref = getattr(table, name)[table.row][:, table.column], getattr(want, name)
+        got, ref = getattr(table, name)[table.row], getattr(want, name)
         assert got.dtype == ref.dtype and got.shape == ref.shape, name
         assert got.tobytes() == ref.tobytes(), name
     assert table.row.dtype == np.int64 and len(table.row) == table.n_configs
@@ -135,15 +117,6 @@ def assert_table_matches_dense(args, block):
         )
     assert table.cfg_function.tobytes() == want.cfg_function.tobytes()
     assert table.cfg_threshold.tobytes() == want.cfg_threshold.tobytes()
-    assert table.weight.dtype == np.int64
-    assert np.array_equal(table.weight, np.bincount(table.column))
-    assert table.left.shape[1] == len(table.weight)
-    keys = right_keys(args)
-    first_seen = list(dict.fromkeys(table.column.tolist()))
-    assert first_seen == list(range(len(table.weight)))
-    for r1 in range(len(keys)):
-        for r2 in range(r1):
-            assert (table.column[r1] == table.column[r2]) == (keys[r1] == keys[r2])
     return table
 
 
@@ -201,14 +174,16 @@ def test_table_over_distinct_queries_matches_records(args, block):
     rep = np.unique(query, return_index=True)[1]
     keep = np.isin(lr_right, rep)
     grouped = (
-        fns, thresholds, n_right, n_left, query[lr_right[keep]], lr_left[keep],
-        d_lr[:, keep], ll_a, d_ll, query,
+        fns, thresholds, len(rep), n_left, query[lr_right[keep]], lr_left[keep],
+        d_lr[:, keep], ll_a, d_ll,
     )
     with mock.patch.object(solver, "_BLOCK_CELLS", block):
         want = precompute_config_table(*args)
         got = precompute_config_table(*grouped)
-    for name in ("row", "left", "prec", "weight", "column", "cfg_function", "cfg_threshold"):
+    for name in ("row", "left", "prec", "cfg_function", "cfg_threshold"):
         a, b = getattr(got, name), getattr(want, name)
+        if name in ("left", "prec"):
+            a = a[:, query]
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
@@ -265,13 +240,16 @@ TABLE_CASES = {
 @pytest.mark.parametrize("case", list(TABLE_CASES))
 def test_table_edge_cases(case, block):
     table = assert_table_matches_dense(table_args(*TABLE_CASES[case]), block)
-    if case == "repeated-rights":
-        assert table.column.tolist() == [0, 0, 1, 0] and table.weight.tolist() == [3, 1]
+    if case == "repeated-rights":  # each right its own query
+        assert table.left.shape[1] == 4
+        for name in ("left", "prec"):
+            got = getattr(table, name)
+            assert (got[:, 0] == got[:, 1]).all() and (got[:, 0] == got[:, 3]).all()
     if case == "rights-without-candidates":
-        assert table.column.tolist() == [0, 1, 0, 2, 0]
-        assert (table.left[:, 0] == -1).all()
+        assert table.left.shape[1] == 5
+        assert (table.left[:, [0, 2, 4]] == -1).all()
     if case == "no-rights":  # one row per function
-        assert table.left.shape == (2, 0) and table.weight.size == 0
+        assert table.left.shape == (2, 0)
         assert table.n_configs == 3
     if case == "collapsed-thresholds":
         assert table.row.tolist() == [0, 0, 0, 1, 1]
@@ -535,19 +513,19 @@ def golden_tables():
         table = precompute_config_table(
             fns,
             [discretize_thresholds(row, 50) for row in d_lr],
-            len(pairs.right_ids), len(pairs.left_ids),
-            pairs.lr_right, pairs.lr_left, d_lr, pairs.ll_a, d_ll, pairs.query,
+            int(pairs.query.max()) + 1, len(pairs.left_ids),
+            pairs.lr_right, pairs.lr_left, d_lr, pairs.ll_a, d_ll,
         )
-        tables.append(table)
+        tables.append((table, pairs.query))
     return tables
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["run", "run-ties"])
 @pytest.mark.parametrize("tau", [0.5, 0.9, 0.99])
 def test_greedy_matches_dense_loop_on_golden_table(golden_tables, which, tau):
-    table = golden_tables[which]
-    cfg_left = table.left[table.row][:, table.column]
-    cfg_prec = table.prec[table.row][:, table.column]
+    table, query = golden_tables[which]
+    cfg_left = table.left[table.row][:, query]
+    cfg_prec = table.prec[table.row][:, query]
     got = assert_same_search(cfg_left, cfg_prec, tau, seed=0)
     assert got.selected
 
@@ -555,11 +533,11 @@ def test_greedy_matches_dense_loop_on_golden_table(golden_tables, which, tau):
 @pytest.mark.parametrize("which", [0, 1], ids=["run", "run-ties"])
 @pytest.mark.parametrize("tau", [0.5, 0.9, 0.99])
 def test_weighted_greedy_matches_dense_loop_on_golden_table(golden_tables, which, tau):
-    table = golden_tables[which]
-    if which == 1:  # every query row 4 times: no column holds a single right
-        assert table.weight.min() >= 4
+    table, query = golden_tables[which]
+    if which == 1:  # every query row 4 times: no query holds a single right
+        assert np.bincount(query).min() >= 4
     assert len(table.left) < table.n_configs
-    got = assert_same_search(table.left, table.prec, tau, 0, table.column, table.members)
+    got = assert_same_search(table.left, table.prec, tau, 0, query, table.members)
     assert got.selected
 
 
