@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from fuzzyjoin import JoinFunction, distance_matrix, register_plugin
-from fuzzyjoin.solver import precompute_config_table
+from fuzzyjoin.solver import BlockedPairs, precompute_config_table, reduce_distances
 
 SCALE = 20.0
 
@@ -35,16 +35,18 @@ fn = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="grid")
 def precision_at_origin(deleted, d):
     """The precision the configuration table estimates for a right record
     whose only candidate is the origin at distance d, under the one-threshold
-    grid [d].  Every ordered pair of grid points is a self-join pair."""
+    grid [d] that one distance makes.  Every ordered pair of grid points is a
+    self-join pair."""
     points = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) not in deleted]
     values = [f"{x} {y}" for x, y in points]
     ll_a, ll_b = np.nonzero(~np.eye(len(points), dtype=bool))
     d_ll = distance_matrix([fn], [(values[a], values[b]) for a, b in zip(ll_a, ll_b)])
     origin = points.index((0, 0))
-    table = precompute_config_table(
-        [fn], [np.array([d])], 1, len(points),
-        np.array([0]), np.array([origin]), np.array([[d]]), ll_a, d_ll,
+    pairs = BlockedPairs(
+        values, ["r"], np.array([0]), np.array([origin]), ll_a, ll_b, query=np.array([0])
     )
+    reduced = reduce_distances(pairs, [np.array([[d]])], [d_ll], (1.0,), s=1)
+    table = precompute_config_table([fn], pairs, reduced)
     return table.prec[0, 0]
 
 

@@ -8,6 +8,13 @@ above the target.  No labeled examples are used: precision is estimated
 from the geometry of the reference table itself.
 """
 
+import os
+
+# The engine makes no BLAS call, yet importing numpy starts an OpenBLAS
+# worker per extra core, each busy-waiting.  One thread avoids that when
+# this package imports numpy first; a user's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .blocking import CandidateIndex, blocking_cutoff, build_index
 from .distances import (
     ColumnStrings,

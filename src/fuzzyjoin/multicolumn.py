@@ -4,7 +4,8 @@ interpolation.
 Columns are added one at a time, reminiscent of forward feature selection.
 Each candidate column is tried at a grid of interpolation weights against
 the weights inherited from previous rounds; every trial invokes the
-single-column search on the weighted sum of per-column distances.  A column
+single-column search on the weighted sum of per-column distances, which
+``solver.reduce_distances`` forms one block of functions at a time.  A column
 is committed only when the best trial strictly improves estimated recall.
 A single-column join (``solver.solve``) is this search over one column: one
 trial, on that column's distances.
@@ -23,8 +24,11 @@ over the whole search, and a value pair whose distances a previous set
 computed is gathered from that column's table.  The tables
 are freed once the set of every column is prepared, since no later set can
 use them, so a one-column search frees its table before precompute and
-greedy.  The manifest's preparation timings are summed over the column
-sets, and its precompute and greedy timings over the trials.
+greedy.  A set's trials run as one consecutive batch, so once its last trial
+has reduced the set's distance matrices they are dropped, before that
+trial's configuration table is built.  The manifest's preparation timings
+are summed over the column sets, and its precompute (reduction and fill)
+and greedy timings over the trials.
 """
 
 from __future__ import annotations
@@ -36,7 +40,13 @@ import numpy as np
 
 from .distances import ColumnStrings
 from .functions import JoinFunction, JoinResult, Solution, enumerate_function_space
-from .solver import PreparedColumns, SolveResult, prepare_columns, solve_from_distances
+from .solver import (
+    PreparedColumns,
+    SolveResult,
+    prepare_columns,
+    reduce_distances,
+    solve_from_distances,
+)
 from .tables import DataError, Table
 
 
@@ -110,6 +120,8 @@ def solve_multi(
         raise ValueError(f"precision target must be in (0, 1], got {tau}")
     if g < 2:
         raise ValueError(f"weight step count must be >= 2, got {g}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if columns is not None and not columns:
         raise ValueError("no columns to join on")
     if columns is not None and len(set(columns)) < len(columns):
@@ -129,7 +141,8 @@ def solve_multi(
         active = [x for x in w if x > 0.0]
         return tuple(active) if active else (1.0,)
 
-    def run_inner(w: tuple[float, ...]) -> SolveResult:
+    def run_inner(w: tuple[float, ...], last: bool) -> SolveResult:
+        """One trial; ``last`` when no later trial is over its column set."""
         # no two trial weight vectors are equal, so each trial is one solve
         active = tuple(c for c, x in zip(cols, w) if x > 0.0)
         key = frozenset(active)
@@ -150,10 +163,16 @@ def solve_multi(
                 estimated_recall=0.0,
                 warnings=["no candidate pairs survived blocking and negative rules"],
             )
-        d_lr = weighted_sum([prep.d_lr[c] for c in active], ws)
-        d_ll = weighted_sum([prep.d_ll[c] for c in active], ws)
+        assert prep.d_lr, f"column set {list(active)} tried after its last trial"
+        reduced = reduce_distances(
+            prep.pairs, [prep.d_lr[c] for c in active], [prep.d_ll[c] for c in active], ws, s
+        )
+        if last:
+            # free the set's matrices before the configuration table is built
+            prep.d_lr.clear()
+            prep.d_ll.clear()
         res = solve_from_distances(
-            fns, prep.pairs, d_lr, d_ll, tau, s, np.random.default_rng(seed), ws, active
+            fns, prep.pairs, reduced, tau, np.random.default_rng(seed), ws, active
         )
         for k, v in res.timings.items():
             solve_timings[k] = solve_timings.get(k, 0.0) + v
@@ -177,8 +196,9 @@ def solve_multi(
                 trial_ws = [interpolate(w, j, alphas[0])]
             else:
                 trial_ws = [interpolate(w, j, a) for a in alphas]
-            for w_trial in trial_ws:
-                res = run_inner(w_trial)
+            # the trials over one column set are these, consecutive
+            for i, w_trial in enumerate(trial_ws):
+                res = run_inner(w_trial, last=i == len(trial_ws) - 1)
                 trials.append(
                     {
                         "iteration": iteration,

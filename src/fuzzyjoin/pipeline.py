@@ -67,6 +67,8 @@ class RunConfig:
             raise ConfigError(f"threshold steps must be >= 1, got {self.s}")
         if self.g < 2:
             raise ConfigError(f"weight steps must be >= 2, got {self.g}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if len(self.delimiter) != 1:
             raise ConfigError(
                 f"delimiter must be one character, got {self.delimiter!r}"

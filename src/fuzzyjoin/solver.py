@@ -15,12 +15,20 @@ keeps only the first record's cross-table pairs for each, and measures
 distances over those; the configuration table maps every record back to its
 query, and the assignments are expanded to every record.
 
-All pair distances and per-configuration assignments are precomputed into
-arrays; each greedy iteration is pure array arithmetic and touches no string
-data.  The configuration table has one column per distinct query, weighted
-by its count of right records.  It has one row per run of consecutive
-thresholds of a function that join alike: a row changes only where a query
-is first assigned or the ball of a joined left record grows, so only those
+A trial's distances are first reduced (``reduce_distances``) to what the
+configuration table needs, per function: its threshold grid, each query's
+join at its minimum distance and the first threshold assigning it, and each
+self-join pair's ball slot.  The reduction reads the per-column matrices one
+block of functions at a time and forms their weighted sum for that block
+only, so the caller can drop the matrices before the table is allocated:
+peak memory is the larger of the two stages, not their sum.
+
+All per-configuration assignments are precomputed into arrays; each greedy
+iteration is pure array arithmetic and touches no string data.  The
+configuration table has one column per distinct query, weighted by its
+count of right records.  It has one row per run of consecutive thresholds
+of a function that join alike: a row changes only where a query is first
+assigned or the ball of a joined left record grows, so only those
 thresholds are filled, and the search runs over the rows, each standing for
 its run of configurations.  The search is incremental: it keeps each row's
 weighted tp gain over the current union and its weighted count of newly
@@ -79,9 +87,78 @@ def discretize_thresholds(distances: Sequence[float] | np.ndarray, s: int) -> np
 # --- configuration table ----------------------------------------------------
 
 
-# cells (functions x pairs) in one vectorised block of the per-query minima:
-# it bounds the block's temporaries, so peak memory
+# cells (functions x pairs) in one block of the reduction: it bounds the
+# block's weighted sums and temporaries, so peak memory
 _BLOCK_CELLS = 1 << 16
+
+
+@dataclass
+class ReducedDistances:
+    """What the configuration table needs of a trial's distances, per
+    function: its threshold grid, per query the left record it joins at its
+    minimum distance and the first threshold that assigns it, and per
+    self-join pair its ball slot.  A threshold index equal to the grid's
+    size stands for none."""
+
+    thresholds: list[np.ndarray]  # per function, its ascending grid
+    joined: np.ndarray  # (n_fn, n_query) int32 left position, -1 for none
+    assign_at: np.ndarray  # (n_fn, n_query) unsigned threshold index
+    ball_slot: np.ndarray  # (n_fn, n_ll) unsigned threshold index
+    seconds: float  # the reduction's time, reported in "precompute"
+
+
+def reduce_distances(
+    pairs: BlockedPairs,
+    d_lr: Sequence[np.ndarray],
+    d_ll: Sequence[np.ndarray],
+    weights: Sequence[float],
+    s: int,
+) -> ReducedDistances:
+    """Reduce the weighted sum (``multicolumn.weighted_sum``) of per-column
+    distance matrices over ``pairs`` to the configuration table's summary,
+    one block of functions at a time: the sum is formed for one block only,
+    and one column at weight 1.0 is read in place.
+
+    Function fi's grid is ``discretize_thresholds`` of its summed L-R row
+    in ``s`` steps.  Per query (``lr_right`` must be sorted ascending), the
+    minimum candidate distance and the left record achieving it; a query
+    with no candidate, or whose minimum is tied, joins nothing.  Its
+    assigning threshold is the first that reaches the minimum, and a
+    self-join pair's ball slot the first whose doubled value reaches its
+    distance: the pair falls in the ball of every threshold from there on.
+    """
+    # multicolumn imports this module, so it is imported at the call
+    from .multicolumn import weighted_sum
+
+    t0 = time.perf_counter()
+    n_fn, n_lr = d_lr[0].shape
+    n_query = len(np.bincount(pairs.query))
+    slot_dtype = np.min_scalar_type(s)  # threshold indices 0..s
+    thresholds: list[np.ndarray] = []
+    joined = np.full((n_fn, n_query), -1, dtype=np.int32)
+    assign_at = np.empty((n_fn, n_query), dtype=slot_dtype)
+    ball_slot = np.empty((n_fn, len(pairs.ll_a)), dtype=slot_dtype)
+    rights, starts, counts = np.unique(pairs.lr_right, return_index=True, return_counts=True)
+    pos = np.arange(n_lr)
+    step = max(1, _BLOCK_CELLS // max(n_lr, len(pairs.ll_a), 1))
+    for f0 in range(0, n_fn, step):
+        fs = slice(f0, f0 + step)
+        lr = weighted_sum([d[fs] for d in d_lr], weights)
+        ll = weighted_sum([d[fs] for d in d_ll], weights)
+        dmin = np.full((len(lr), n_query), np.inf)  # inf where the query joins nothing
+        if n_lr:
+            seg_min = np.minimum.reduceat(lr, starts, axis=1)
+            is_min = lr == np.repeat(seg_min, counts, axis=1)
+            first = np.minimum.reduceat(np.where(is_min, pos, n_lr), starts, axis=1)
+            unique = np.add.reduceat(is_min, starts, axis=1, dtype=np.int64) == 1
+            dmin[:, rights] = np.where(unique, seg_min, np.inf)
+            joined[fs, rights] = np.where(unique, pairs.lr_left[first], -1)
+        for k in range(len(lr)):
+            thetas = discretize_thresholds(lr[k], s)
+            thresholds.append(thetas)
+            assign_at[f0 + k] = np.searchsorted(thetas, dmin[k], side="left")
+            ball_slot[f0 + k] = np.searchsorted(2.0 * thetas, ll[k], side="left")
+    return ReducedDistances(thresholds, joined, assign_at, ball_slot, time.perf_counter() - t0)
 
 
 @dataclass
@@ -125,70 +202,38 @@ class ConfigTable:
 
 def precompute_config_table(
     functions: Sequence[JoinFunction],
-    thresholds: Sequence[np.ndarray],
-    n_query: int,
-    n_left: int,
-    lr_right: np.ndarray,
-    lr_left: np.ndarray,
-    d_lr: np.ndarray,
-    ll_a: np.ndarray,
-    d_ll: np.ndarray,
+    pairs: BlockedPairs,
+    reduced: ReducedDistances,
 ) -> ConfigTable:
-    """Expand every (function, threshold) pair into assignment and
-    precision rows over the ``n_query`` distinct queries, one row per run
-    of consecutive thresholds that join alike.
-
-    ``thresholds[fi]`` is function fi's ascending grid and ``lr_right``,
-    the query of each cross-table pair, must be sorted ascending.  First,
-    per function and query, the minimum candidate distance and the left
-    record achieving it, for blocks of functions at once; a query with no
-    candidate, or whose minimum is tied, joins nothing.
+    """Expand every (function, threshold) pair of ``reduced``, the
+    reduction of the distances over ``pairs``, into assignment and
+    precision rows over the distinct queries, one row per run of
+    consecutive thresholds that join alike.
 
     A precision depends only on the joined left record and the threshold:
-    each self-join pair falls in the ball of every threshold from its slot,
-    the first whose doubled value reaches its distance, on, so one
-    ``bincount`` and a cumulative sum per function count every ball.  Within
-    a function, threshold k joins as threshold k - 1 does unless some query
-    is first assigned at k or a self-join pair of a left record joined
-    before k has slot k: a ball that grows changes its precision, since
-    ``float32(1/b)`` differs for every ball size b.  Only the thresholds
-    that start a row are filled.
+    each self-join pair falls in the ball of every threshold from its slot
+    on, so one ``bincount`` and a cumulative sum per function count every
+    ball.  Within a function, threshold k joins as threshold k - 1 does
+    unless some query is first assigned at k or a self-join pair of a left
+    record joined before k has slot k: a ball that grows changes its
+    precision, since ``float32(1/b)`` differs for every ball size b.  Only
+    the thresholds that start a row are filled.
     """
-    n_fn = len(thresholds)
-    dmin = np.full((n_fn, n_query), np.inf)  # inf where the query joins nothing
-    joined = np.full((n_fn, n_query), -1, dtype=np.int32)
-    n_lr = len(lr_right)
-    if n_lr:
-        rights, starts, counts = np.unique(lr_right, return_index=True, return_counts=True)
-        pos = np.arange(n_lr)
-        step = max(1, _BLOCK_CELLS // n_lr)
-        for f0 in range(0, n_fn, step):
-            fs = slice(f0, f0 + step)
-            seg_min = np.minimum.reduceat(d_lr[fs], starts, axis=1)
-            is_min = d_lr[fs] == np.repeat(seg_min, counts, axis=1)
-            first = np.minimum.reduceat(np.where(is_min, pos, n_lr), starts, axis=1)
-            unique = np.add.reduceat(is_min, starts, axis=1, dtype=np.int64) == 1
-            dmin[fs, rights] = np.where(unique, seg_min, np.inf)
-            joined[fs, rights] = np.where(unique, lr_left[first], -1)
-
+    thresholds, joined = reduced.thresholds, reduced.joined
+    assign_at, ball_slot = reduced.assign_at, reduced.ball_slot
+    n_query = joined.shape[1]
+    n_left = len(pairs.left_ids)
+    ll_a = pairs.ll_a
     sizes = [len(t) for t in thresholds]
-    cfg_function = np.repeat(np.arange(n_fn, dtype=np.int32), sizes)
+    cfg_function = np.repeat(np.arange(len(thresholds), dtype=np.int32), sizes)
     cfg_threshold = np.concatenate([np.empty(0), *thresholds])
-    # threshold indices 0..s, where s stands for none
-    slot_dtype = np.min_scalar_type(max(sizes, default=0))
-    # per query, its first assigning threshold; per self-join pair, its slot
-    assign_at = np.empty((n_fn, n_query), dtype=slot_dtype)
-    ball_slot = np.empty((n_fn, len(ll_a)), dtype=slot_dtype)
     row_starts: list[np.ndarray] = []  # per function, the thresholds starting a row
     cfg_row: list[np.ndarray] = []
     n_row = 0
-    for fi, thetas in enumerate(thresholds):
-        s = len(thetas)
-        assign_at[fi] = np.searchsorted(thetas, dmin[fi], side="left")
-        ball_slot[fi] = np.searchsorted(2.0 * thetas, d_ll[fi], side="left")
+    for fi, s in enumerate(sizes):
         # per left record, the first threshold joining a query to it; the
         # last entry, read through joined = -1, stays s
-        joined_at = np.full(n_left + 1, s, dtype=slot_dtype)
+        joined_at = np.full(n_left + 1, s, dtype=assign_at.dtype)
         np.minimum.at(joined_at, joined[fi], assign_at[fi])
         new = np.zeros(s + 1, dtype=bool)
         new[0] = True
@@ -197,7 +242,6 @@ def precompute_config_table(
         row_starts.append(np.flatnonzero(new[:s]))
         cfg_row.append(n_row - 1 + np.cumsum(new[:s]))
         n_row += len(row_starts[-1])
-    del dmin  # before the table is allocated
 
     left = np.empty((n_row, n_query), dtype=np.int32)
     prec = np.empty((n_row, n_query), dtype=np.float32)
@@ -520,32 +564,19 @@ def filter_lr_by_rules(
 def solve_from_distances(
     functions: Sequence[JoinFunction],
     pairs: BlockedPairs,
-    d_lr: np.ndarray,
-    d_ll: np.ndarray,
+    reduced: ReducedDistances,
     tau: float,
-    s: int,
     rng: np.random.Generator,
     column_weights: tuple[float, ...] = (1.0,),
     columns: tuple[str, ...] = (),
 ) -> SolveResult:
-    """Threshold discretization, precomputation, and greedy selection, given
-    distance matrices over the blocked pairs of distinct queries; every
-    right record gets its query's assignment."""
+    """Precomputation and greedy selection, given the reduction
+    (``reduce_distances``) of the distances over the blocked pairs of
+    distinct queries; every right record gets its query's assignment."""
     t0 = time.perf_counter()
-    thresholds = [discretize_thresholds(d_lr[fi], s) for fi in range(len(functions))]
-    weight = np.bincount(pairs.query)  # right records per query
-    table = precompute_config_table(
-        functions,
-        thresholds,
-        n_query=len(weight),
-        n_left=len(pairs.left_ids),
-        lr_right=pairs.lr_right,
-        lr_left=pairs.lr_left,
-        d_lr=d_lr,
-        ll_a=pairs.ll_a,
-        d_ll=d_ll,
-    )
+    table = precompute_config_table(functions, pairs, reduced)
     t1 = time.perf_counter()
+    weight = np.bincount(pairs.query)  # right records per query
     outcome = greedy_select(table.left, table.prec, weight, tau, rng, table.members)
     t2 = time.perf_counter()
 
@@ -571,7 +602,7 @@ def solve_from_distances(
         estimated_precision=outcome.tp / total if total > 0 else 1.0,
         estimated_recall=outcome.tp,
         warnings=warnings,
-        timings={"precompute": t1 - t0, "greedy": t2 - t1},
+        timings={"precompute": reduced.seconds + t1 - t0, "greedy": t2 - t1},
         pair_counts={"config_rows": len(table.left)},
         greedy=outcome,
     )
@@ -581,7 +612,8 @@ def solve_from_distances(
 class PreparedColumns:
     """Blocked pairs of one column set's distinct queries, after negative
     rules, with each column's rules and distance matrices over those
-    pairs."""
+    pairs.  The column search empties the matrices once the set's last
+    trial has reduced them."""
 
     pairs: BlockedPairs
     rules: dict[str, set[NegativeRule]]  # empty when rules are off

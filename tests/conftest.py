@@ -13,15 +13,16 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from fuzzyjoin import CandidateIndex, Record, Table, blocking_cutoff
+from fuzzyjoin import CandidateIndex, Record, Table, blocking_cutoff, solver
 from fuzzyjoin.distances import char_distance, get_plugin
 from fuzzyjoin.functions import CHAR_DISTANCES, PLUGIN, Configuration, JoinFunction
-from fuzzyjoin.solver import ConfigTable, GreedyOutcome, GreedyStep
+from fuzzyjoin.solver import BlockedPairs, ConfigTable, GreedyOutcome, GreedyStep
 from fuzzyjoin.text import apply_preprocess, tokenize
 
 # No per-example deadline: the kernels' first calls and a busy shared host
@@ -252,7 +253,8 @@ def dense_config_table(
     """Expand every (function, threshold) pair into dense per-right
     assignment and precision rows, filled in place: one row per
     configuration, one column per right record, one function at a time.  The table build that
-    ``solver.precompute_config_table`` replaced, kept as its oracle.
+    ``solver.precompute_config_table`` replaced, kept as its oracle (see
+    ``config_table``).
 
     ``thresholds[fi]`` is function fi's ascending grid and ``ll_a`` must be
     sorted ascending.  A precision depends only on the joined left record
@@ -287,6 +289,36 @@ def dense_config_table(
         left=left,
         prec=prec,
     )
+
+
+def config_table(
+    functions: Sequence[JoinFunction],
+    thresholds: Sequence[np.ndarray],
+    n_query: int,
+    n_left: int,
+    lr_right: np.ndarray,
+    lr_left: np.ndarray,
+    d_lr: np.ndarray,
+    ll_a: np.ndarray,
+    d_ll: np.ndarray,
+) -> ConfigTable:
+    """``solver.precompute_config_table`` over ``solver.reduce_distances``
+    of one column's matrices at weight 1, with the given ascending grids in
+    place of ``discretize_thresholds``'s.  Takes ``dense_config_table``'s
+    arguments; query k stands for right record k."""
+    pairs = BlockedPairs(
+        left_ids=[f"L{i}" for i in range(n_left)],
+        right_ids=[f"R{k}" for k in range(n_query)],
+        lr_right=np.asarray(lr_right, dtype=np.int64),
+        lr_left=np.asarray(lr_left, dtype=np.int64),
+        ll_a=np.asarray(ll_a, dtype=np.int64),
+        ll_b=np.asarray(ll_a, dtype=np.int64),  # read by neither step
+        query=np.arange(n_query),
+    )
+    s = max((len(t) for t in thresholds), default=1)
+    with mock.patch.object(solver, "discretize_thresholds", side_effect=list(thresholds)):
+        reduced = solver.reduce_distances(pairs, [d_lr], [d_ll], (1.0,), s)
+    return solver.precompute_config_table(functions, pairs, reduced)
 
 
 def dense_greedy(

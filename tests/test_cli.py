@@ -119,6 +119,33 @@ def test_run_deterministic_bytes(tmp_path, synthetic_csvs):
     assert s[0] == s[1] == s[2]
 
 
+IMPORT_PROBE = """
+import os
+import fuzzyjoin
+task = "/proc/self/task"
+print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir(task)) if os.path.isdir(task) else 1)
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_keeps_numpy_to_one_blas_thread(preset):
+    # the engine makes no BLAS call, so importing it starts no idle
+    # OpenBLAS workers; a user's own setting is kept
+    src = str(Path(fuzzyjoin.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    setting, threads = proc.stdout.split()
+    assert setting == (preset or "1")
+    if preset is None:
+        assert threads == "1"
+
+
 def test_unsatisfiable_target_warns_but_succeeds(tmp_path, capsys):
     # precision must strictly exceed the target, so tau = 1.0 joins nothing
     L, R = generate_disjoint_tables(20, 20, seed=3)
@@ -203,6 +230,17 @@ def test_run_multi_with_weights_an_ulp_over_one_exits_0(tmp_path, capsys):
     solution = load_solution(tmp_path / "solution.txt")
     assert solution.columns == ("a", "b", "c")
     assert max(c.threshold for c in solution.configs) == 1.0
+
+
+def test_negative_seed_exits_2(tmp_path, synthetic_csvs, capsys):
+    # rejected before the work, not by numpy's generator after it
+    left, right, _ = synthetic_csvs
+    code = main(run_args(tmp_path, left, right, seed=-1, manifest=tmp_path / "m.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed must be >= 0, got -1" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.csv", "left.csv", "right.csv"]
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import BallCounter, config_stats, oracle_union
+from conftest import BallCounter, config_stats, config_table, oracle_union
 from fuzzyjoin import (
     Configuration,
     JoinFunction,
@@ -17,7 +17,6 @@ from fuzzyjoin import (
     greedy_select,
     register_plugin,
 )
-from fuzzyjoin.solver import precompute_config_table
 
 ED_FN = JoinFunction("L", "NONE", "NONE", "ED")
 
@@ -31,7 +30,7 @@ def engine_precision(n_left, ll_a, d_ll, left, d, fn=ED_FN) -> np.float32:
     whose only candidate is left record ``left`` at distance d, under the
     one-threshold grid [d].  ``ll_a`` (ascending) and ``d_ll`` are the
     self-join pairs' first records and distances."""
-    table = precompute_config_table(
+    table = config_table(
         [fn],
         [np.array([d])],
         1,
@@ -336,7 +335,7 @@ def check_engine_against_config_stats(
 
     functions = [JoinFunction("L", "NONE", "NONE", "ED")] * n_fn
     thetas = [np.array([0.2, 0.45, 0.7, 0.9])] * n_fn
-    table = precompute_config_table(
+    table = config_table(
         functions, thetas, n_right, n_left, lr_right, lr_left, d_lr, ll_a, d_ll
     )
     assert table.n_configs == 4 * n_fn

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,8 +18,8 @@ from fuzzyjoin import (
     solve,
     solve_multi,
 )
-from fuzzyjoin import multicolumn
-from fuzzyjoin.solver import prepare_columns, solve_from_distances
+from fuzzyjoin import multicolumn, solver
+from fuzzyjoin.solver import BlockedPairs, prepare_columns, reduce_distances, solve_from_distances
 
 
 class TestInterpolate:
@@ -41,14 +43,20 @@ class TestInterpolate:
             interpolate((1.0,), 0, 0.0)
 
 
-@given(st.data())
-def test_weighted_sum_is_the_sum_bit_for_bit(data):
-    # the search's weights: a first pick from zero, then pulls toward others
-    n = data.draw(st.integers(2, 3))
+def search_weights(data, n):
+    """Weights as the search draws them: a first pick from zero, then pulls
+    toward the columns."""
     w = interpolate((0.0,) * n, data.draw(st.integers(0, n - 1)), 0.5)
     for _ in range(data.draw(st.integers(0, 3))):
         j = data.draw(st.integers(0, n - 1))
         w = interpolate(w, j, data.draw(st.sampled_from([i / 10 for i in range(1, 10)])))
+    return w
+
+
+@given(st.data())
+def test_weighted_sum_is_the_sum_bit_for_bit(data):
+    n = data.draw(st.integers(2, 3))
+    w = search_weights(data, n)
     shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=5))
     mats = []
     for _ in range(n):
@@ -70,6 +78,79 @@ def test_weighted_sum_caps_an_ulp_over_one():
     assert sum(x * ones for x in w).max() > 1.0
     got = multicolumn.weighted_sum([ones] * 3, w)
     assert (got == 1.0).all()
+
+
+def assert_reduced_in_blocks_equals_full_sum(pairs, d_lr, d_ll, w, s):
+    """``reduce_distances`` over the per-column matrices, at every block
+    size, equals its reduction of the full weighted sums bit for bit."""
+    active = [i for i, x in enumerate(w) if x > 0.0]
+    ws = [w[i] for i in active]
+    lr, ll = [d_lr[i] for i in active], [d_ll[i] for i in active]
+    want = reduce_distances(
+        pairs, [multicolumn.weighted_sum(lr, ws)], [multicolumn.weighted_sum(ll, ws)], (1.0,), s
+    )
+    for block in (1, solver._BLOCK_CELLS):
+        with mock.patch.object(solver, "_BLOCK_CELLS", block):
+            got = reduce_distances(pairs, lr, ll, ws, s)
+        assert len(got.thresholds) == len(want.thresholds)
+        for a, b in zip(got.thresholds, want.thresholds):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for name in ("joined", "assign_at", "ball_slot"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+    return want
+
+
+@given(st.data())
+def test_reduction_in_blocks_equals_the_full_sum(data):
+    n_col = data.draw(st.integers(1, 3))
+    w = search_weights(data, n_col)
+    n_fn = data.draw(st.integers(1, 4))
+    n_left = data.draw(st.integers(1, 5))
+    n_query = data.draw(st.integers(1, 5))
+    # each query has 0 to n_left candidates, at least one query has some
+    cands = [
+        sorted(data.draw(st.sets(st.integers(0, n_left - 1), max_size=n_left)))
+        for _ in range(n_query)
+    ]
+    if not any(cands):
+        cands[0] = [0]
+    lr_right = np.array([q for q, c in enumerate(cands) for _ in c], dtype=np.int64)
+    lr_left = np.array([l for c in cands for l in c], dtype=np.int64)
+    left = st.integers(0, n_left - 1)
+    ll = sorted(data.draw(st.lists(st.tuples(left, left), max_size=8)))
+    ll_a = np.array([a for a, _ in ll], dtype=np.int64)
+    pairs = BlockedPairs(
+        [f"L{i}" for i in range(n_left)], [f"R{k}" for k in range(n_query)],
+        lr_right, lr_left, ll_a, np.array([b for _, b in ll], dtype=np.int64),
+        np.arange(n_query),
+    )
+    # few distance values, so minima tie; 1.0 in every column sums an ulp over
+    dist = st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.7, 1.0])
+
+    def matrix(n):
+        d = data.draw(hnp.arrays(np.float64, (n_fn, n), elements=dist))
+        d.setflags(write=False)  # as prepared distances are
+        return d
+
+    d_lr = [matrix(len(lr_right)) for _ in range(n_col)]
+    d_ll = [matrix(len(ll)) for _ in range(n_col)]
+    assert_reduced_in_blocks_equals_full_sum(pairs, d_lr, d_ll, w, data.draw(st.integers(1, 6)))
+
+
+def test_reduction_in_blocks_caps_an_ulp_over_one():
+    # the first trial over all three columns weighs them (0.64, 0.16, 0.2):
+    # right 9, at distance 1 in every column, sums to the top threshold 1.0
+    L, R = ulp_over_one_tables()
+    fns = [JoinFunction("L", "SP", "EW", "JD"), JoinFunction("L", "3G", "EW", "JD")]
+    prep = prepare_columns(L, R, ("a", "b", "c"), fns)
+    w = interpolate(interpolate((1.0, 0.0, 0.0), 1, 0.2), 2, 0.2)
+    assert sum(w) > 1.0
+    d_lr = [prep.d_lr[c] for c in ("a", "b", "c")]
+    d_ll = [prep.d_ll[c] for c in ("a", "b", "c")]
+    reduced = assert_reduced_in_blocks_equals_full_sum(prep.pairs, d_lr, d_ll, w, 50)
+    assert reduced.thresholds[0][-1] == 1.0
 
 
 def test_three_column_search_with_weights_an_ulp_over_one():
@@ -145,18 +226,20 @@ def two_column_tables(seed=0, n_pairs=16, ambiguous_rate=0.4):
 
 class TestSolveMulti:
     def test_single_column_reduces_to_single_solver(self, monkeypatch):
-        preps, handed = [], []
+        prepared, handed = [], []
 
         def prepare_spy(*args):
-            preps.append(prepare_columns(*args))
-            return preps[-1]
+            prep = prepare_columns(*args)
+            # the matrices, which the search drops once they are reduced
+            prepared.append((dict(prep.d_lr), dict(prep.d_ll)))
+            return prep
 
-        def solve_spy(fns, pairs, d_lr, d_ll, *args):
+        def reduce_spy(pairs, d_lr, d_ll, *args):
             handed.append((d_lr, d_ll))
-            return solve_from_distances(fns, pairs, d_lr, d_ll, *args)
+            return reduce_distances(pairs, d_lr, d_ll, *args)
 
         monkeypatch.setattr(multicolumn, "prepare_columns", prepare_spy)
-        monkeypatch.setattr(multicolumn, "solve_from_distances", solve_spy)
+        monkeypatch.setattr(multicolumn, "reduce_distances", reduce_spy)
         L, R, gt = generate_synthetic(n_left=40, seed=6, unmatched_rate=0.1)
         multi = solve_multi(L, R, tau=0.9, g=10, seed=0)
         single = solve(L, R, "name", tau=0.9, seed=0)
@@ -165,10 +248,11 @@ class TestSolveMulti:
         assert multi.result.assignments == single.result.assignments
         assert multi.solution.configs == single.solution.configs
         assert multi.invocations == single.invocations == 1
-        # the one search gets the prepared matrices themselves, not copies
-        assert len(preps) == len(handed) == 2
-        for prep, (d_lr, d_ll) in zip(preps, handed):
-            assert d_lr is prep.d_lr["name"] and d_ll is prep.d_ll["name"]
+        # the one reduction gets the prepared matrices themselves, not copies
+        assert len(prepared) == len(handed) == 2
+        for (d_lr, d_ll), (lr, ll) in zip(prepared, handed):
+            assert len(lr) == len(ll) == 1
+            assert lr[0] is d_lr["name"] and ll[0] is d_ll["name"]
 
         # no candidate pairs: both modes give the same empty result
         L2 = make_table(("name",), [("L0", ("aaa bbb",)), ("L1", ("ccc ddd",))])
@@ -252,6 +336,22 @@ class TestSolveMulti:
             solve_multi(L, R)
         with pytest.raises(ValueError, match="no columns"):
             solve_multi(L, R, columns=[])
+
+    def test_negative_seed_rejected_before_preparation(self, monkeypatch):
+        # numpy's generator rejects it, once every column set is prepared
+        prepared = []
+
+        def prepare_spy(*args):
+            prepared.append(args)
+            return prepare_columns(*args)
+
+        monkeypatch.setattr(multicolumn, "prepare_columns", prepare_spy)
+        L, R, _ = generate_synthetic(n_left=30, seed=2)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            solve_multi(L, R, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            solve(L, R, "name", seed=-1)
+        assert prepared == []
 
     def test_repeated_column_names_rejected(self):
         # a repeated name would search one column as several

@@ -26,10 +26,11 @@ from fuzzyjoin import (
 from fuzzyjoin import distances, text
 from fuzzyjoin.blocking import build_index
 from fuzzyjoin.functions import SPACE_PRESETS, dump_solution
-from fuzzyjoin.solver import precompute_config_table, prepare_columns
+from fuzzyjoin.solver import precompute_config_table, prepare_columns, reduce_distances
 from fuzzyjoin.tables import Table
 from fuzzyjoin.text import apply_preprocess, tokenize, tokenize_strings
 from conftest import (
+    config_table,
     dense_config_table,
     dense_greedy,
     make_random_instance,
@@ -69,7 +70,7 @@ BLOCKS = [1, solver._BLOCK_CELLS]
 
 
 def table_args(n_left, n_right, lr, ll, thresholds):
-    """precompute_config_table's arguments from pair lists: ``lr`` holds
+    """``config_table``'s arguments from pair lists: ``lr`` holds
     (right, left, distance per function) sorted by right, ``ll`` holds
     (left, neighbour, distance per function) sorted by left."""
     n_fn = len(thresholds)
@@ -97,7 +98,7 @@ def assert_table_matches_dense(args, block):
     holds one run of consecutive thresholds of one function, and a
     function's neighbouring rows differ."""
     with mock.patch.object(solver, "_BLOCK_CELLS", block):
-        table = precompute_config_table(*args)
+        table = config_table(*args)
     want = dense_config_table(*args)
     for name in ("left", "prec"):
         got, ref = getattr(table, name)[table.row], getattr(want, name)
@@ -178,8 +179,8 @@ def test_table_over_distinct_queries_matches_records(args, block):
         d_lr[:, keep], ll_a, d_ll,
     )
     with mock.patch.object(solver, "_BLOCK_CELLS", block):
-        want = precompute_config_table(*args)
-        got = precompute_config_table(*grouped)
+        want = config_table(*args)
+        got = config_table(*grouped)
     for name in ("row", "left", "prec", "cfg_function", "cfg_threshold"):
         a, b = getattr(got, name), getattr(want, name)
         if name in ("left", "prec"):
@@ -375,9 +376,9 @@ def test_greedy_does_not_recompute_distances():
         raise AssertionError("distance_matrix called after preparation")
 
     with mock.patch.object(solver, "distance_matrix", forbidden):
+        reduced = reduce_distances(prep.pairs, [prep.d_lr["name"]], [prep.d_ll["name"]], (1.0,), 10)
         res = solver.solve_from_distances(
-            fns, prep.pairs, prep.d_lr["name"], prep.d_ll["name"], 0.8, 10,
-            np.random.default_rng(0),
+            fns, prep.pairs, reduced, 0.8, np.random.default_rng(0)
         )
     assert res.solution.configs
 
@@ -509,13 +510,9 @@ def golden_tables():
     tables = []
     for right in (R, repeat_queries(R, 4)):
         prep = prepare_columns(L, right, ("name",), fns)
-        d_lr, d_ll, pairs = prep.d_lr["name"], prep.d_ll["name"], prep.pairs
-        table = precompute_config_table(
-            fns,
-            [discretize_thresholds(row, 50) for row in d_lr],
-            int(pairs.query.max()) + 1, len(pairs.left_ids),
-            pairs.lr_right, pairs.lr_left, d_lr, pairs.ll_a, d_ll,
-        )
+        pairs = prep.pairs
+        reduced = reduce_distances(pairs, [prep.d_lr["name"]], [prep.d_ll["name"]], (1.0,), 50)
+        table = precompute_config_table(fns, pairs, reduced)
         tables.append((table, pairs.query))
     return tables
 
@@ -797,3 +794,68 @@ def test_solve_frees_the_column_table_before_the_search(monkeypatch):
     assert len(tables) == 2 and one and both
     assert all(all(a) for a in one)  # kept for the set of both columns
     assert all(a == [False, False] for a in both)
+
+
+
+def spy_matrix_release(monkeypatch):
+    """Per configuration-table fill, the trial's columns and, per column set
+    prepared so far, whether its distance matrices are alive: True or False
+    for all of them, None for some."""
+    refs = {}
+    fills = []
+    trial = []
+
+    def prepare_spy(L, R, columns, *args):
+        prep = prepare_columns(L, R, columns, *args)
+        refs[columns] = [weakref.ref(m) for d in (prep.d_lr, prep.d_ll) for m in d.values()]
+        return prep
+
+    def solve_spy(*args, run=multicolumn.solve_from_distances):
+        trial[:] = [args[-1]]
+        return run(*args)
+
+    def fill_spy(*args, run=solver.precompute_config_table):
+        alive = {}
+        for columns, rs in refs.items():
+            live = {r() is not None for r in rs}
+            alive[columns] = live.pop() if len(live) == 1 else None
+        fills.append((trial[0], alive))
+        return run(*args)
+
+    monkeypatch.setattr(multicolumn, "prepare_columns", prepare_spy)
+    monkeypatch.setattr(multicolumn, "solve_from_distances", solve_spy)
+    monkeypatch.setattr(solver, "precompute_config_table", fill_spy)
+    return fills
+
+
+def test_solve_frees_the_matrices_before_the_table(monkeypatch):
+    # the one trial reduces the column's matrices, then drops them, and the
+    # string table that also holds them is already freed
+    fills = spy_matrix_release(monkeypatch)
+    fns = enumerate_function_space(SPACE_PRESETS["reduced24"])
+    L, R, _ = generate_synthetic(n_left=30, seed=3, unmatched_rate=0.2)
+    res = solve(L, R, "name", functions=fns)
+    assert res.solution.configs
+    assert fills == [(("name",), {("name",): False})]
+
+
+def test_solve_multi_frees_each_sets_matrices_after_its_last_trial(monkeypatch):
+    fills = spy_matrix_release(monkeypatch)
+    fns = enumerate_function_space(SPACE_PRESETS["reduced24"])
+    L, R, _ = generate_synthetic(n_left=30, seed=3, unmatched_rate=0.2)
+    L, R = add_random_column(L, seed=1), add_random_column(R, seed=2)
+    res = solve_multi(L, R, g=4, functions=fns)
+    sets = [cols for cols, _ in fills]
+    both = [i for i, cols in enumerate(sets) if len(cols) == 2]
+    # one trial per single column, then g - 1 over both, consecutive
+    assert len(sets) == 2 + 3 == res.invocations and both == [2, 3, 4]
+    for i, (cols, alive) in enumerate(fills):
+        if len(cols) == 1:
+            # the column's string table keeps the matrices for the set of
+            # both columns, which gathers rows from them
+            assert alive[cols] is True
+            continue
+        assert alive[cols] is (i != both[-1])  # alive until the last trial
+        # the string tables, freed once the set of both was prepared, were
+        # the last to hold the single-column sets' matrices
+        assert all(a is False for c, a in alive.items() if c != cols)
