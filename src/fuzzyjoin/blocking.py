@@ -186,8 +186,9 @@ def build_index(
         dtype=np.int64,
     )
     vocab, sizes, tokens, _ = tokenize_strings(list(distinct), "3G")
+    # packed trigram codes sort as their token strings do
     rank = np.empty(len(vocab), dtype=np.int64)
-    rank[sorted(range(len(vocab)), key=list(vocab).__getitem__)] = np.arange(len(vocab))
+    rank[np.argsort(vocab)] = np.arange(len(vocab))
     tokens = tokens[np.lexsort((rank[tokens], np.repeat(np.arange(len(distinct)), sizes)))]
     bounds = np.concatenate([[0], np.cumsum(sizes)])
 

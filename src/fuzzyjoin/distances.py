@@ -43,13 +43,18 @@ the kernels' test oracle.
 The set kinds have no scalar path.  They run batched over one tokenization
 per table and tokenizer (`text.tokenize_strings`): each distinct
 preprocessed string of the column is tokenized once into token ids and
-counts, on the first call that needs that tokenizer, with the (string,
-token) keys sorted for lookup.  A pair's intersection is found by a
-sorted-key lookup, and numpy sums each pair's terms in the order of a loop
-over its token `Counter`s, so the results equal, bit for bit, the per-pair
-loop kept as the test oracle in `tests/conftest.py` (`loop_set_stats`,
-`scalar_evaluate`).  Count statistics are shared across preprocess options
-like the character cache; only the IDF weights differ.
+counts, on the first call that needs that tokenizer.  A pair's
+intersection reads the A string's count of each B token directly, from
+dense (string x token) count rows filled for a block of A strings at a time
+(the probe step of an inverted token index), and numpy sums each pair's
+terms over the tokens both hold, in the order of a loop over its token
+`Counter`s; a token A lacks would add 0, which changes no sum.  So the
+results equal, bit for bit, the per-pair loop kept as the test oracle in
+`tests/conftest.py` (`loop_set_stats`, `scalar_evaluate`).  Count
+statistics are shared across preprocess options like the character cache;
+only the IDF weights differ.  Within one call, a (preprocess, tokenizer,
+weights) combination's rows are dropped after the last function that reads
+them.
 
 IDF weights count the table's documents: each raw corpus value stands for
 as many documents as it has copies, and a value of a pair that is not in
@@ -402,23 +407,28 @@ def _char_rows(
 # B-side token entries per set-kernel step, which bounds the per-entry
 # temporaries
 _SET_ENTRIES = 1 << 14
+# bytes of the dense int32 (A string x token) count rows the set kernel
+# fills at once; a row larger than this still takes one block
+_SET_BLOCK_BYTES = 1 << 18
 
 
-@dataclass(frozen=True)
 class _Tokens:
     """One ``tokenize_strings`` pass over every string of a table: per
     string its entries (token ids and counts, in ``Counter`` order) and its
-    total count, and the A side of the set kernel's lookup, the (string,
-    token) keys sorted, then a sentinel no query hits."""
+    total count."""
 
-    n_vocab: int
-    sizes: np.ndarray
-    starts: np.ndarray
-    tokens: np.ndarray
-    counts: np.ndarray
-    size: np.ndarray
-    keys: np.ndarray
-    key_counts: np.ndarray
+    def __init__(self, strings: Sequence[str], tokenizer: str):
+        vocab, self.sizes, self.tokens, self.counts = tokenize_strings(strings, tokenizer)
+        self.n_vocab = len(vocab)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        owner = np.repeat(np.arange(len(strings)), self.sizes)
+        self.size = np.bincount(owner, weights=self.counts, minlength=len(strings))
+
+    def entries(self, strings: np.ndarray) -> np.ndarray:
+        """The positions of the given strings' entries, string by string."""
+        lengths = self.sizes[strings]
+        first = np.cumsum(lengths) - lengths
+        return np.arange(int(lengths.sum())) + np.repeat(self.starts[strings] - first, lengths)
 
     def idf(self, docs: np.ndarray, n_docs: int) -> tuple[np.ndarray, np.ndarray]:
         """Per token its IDF weight over ``n_docs`` documents, of which string
@@ -428,25 +438,6 @@ class _Tokens:
         w = idf_weights(self.sizes, self.tokens, self.n_vocab, docs, n_docs)
         owner = np.repeat(np.arange(n_strings), self.sizes)
         return w, np.bincount(owner, weights=self.counts * w[self.tokens], minlength=n_strings)
-
-
-def _tokenize(strings: Sequence[str], tokenizer: str) -> _Tokens:
-    n_strings = len(strings)
-    vocab, sizes, tokens, counts = tokenize_strings(strings, tokenizer)
-    n_vocab = len(vocab)
-    owner = np.repeat(np.arange(n_strings), sizes)
-    keys = owner * n_vocab + tokens
-    order = np.argsort(keys)
-    return _Tokens(
-        n_vocab,
-        sizes,
-        np.cumsum(sizes) - sizes,
-        tokens,
-        counts,
-        np.bincount(owner, weights=counts, minlength=n_strings),
-        np.append(keys[order], np.iinfo(np.int64).max),
-        np.append(counts[order], 0),
-    )
 
 
 def _set_stats(
@@ -462,39 +453,57 @@ def _set_stats(
 
     The count statistics of a distinct string pair are computed once,
     whichever options produce it; only the IDF weights differ between
-    options.  A pair's intersection comes from its B-side entries, each
-    looked up among the A string's entries; ``np.bincount`` then adds each
+    options.  The distinct pairs come sorted by A string.  Per block of
+    consecutive A strings whose dense (string x token) int32 count rows fit
+    ``_SET_BLOCK_BYTES``, their counts are scattered into those rows; each
+    B-side entry of the block's pairs then reads its A count directly at
+    (row, token), in steps of at most ``_SET_ENTRIES`` entries, and the
+    touched cells are zeroed for the next block.  ``np.bincount`` adds each
     pair's terms in B's token order starting from 0.0, the order of a loop
-    over the bags, and a token missing from A adds ``0 * w``, which changes
-    no sum.
+    over the bags.  It adds only the entries whose token A holds: any other
+    would add ``0 * w``, which changes no sum, so the results are those of
+    the loop bit for bit.  B is a sub-multiset of A exactly when the summed
+    ``min(count in A, count in B)`` reaches B's total count.
     """
     a, b, gather = _distinct_pairs(pairs_by_option, len(tok.sizes))
     n = len(a)
+    n_vocab = tok.n_vocab
     cnt_i = np.empty(n)
-    contained = np.empty(n, dtype=bool)
     idf_i = {option: np.empty(n) for option in idf_by_option}
-    ends = np.cumsum(tok.sizes[b])
-    # steps of whole pairs; step k ends with the last pair that ends within
-    # the first (k + 1) * _SET_ENTRIES entries, so it holds at most
-    # _SET_ENTRIES entries plus those of its first pair (a repeated cut makes
-    # an empty step)
-    cuts = np.searchsorted(ends, np.arange(_SET_ENTRIES, ends[-1], _SET_ENTRIES), side="right")
-    bounds = np.concatenate([[0], cuts, [n]])
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        lengths = tok.sizes[b[lo:hi]]
-        pair = np.repeat(np.arange(hi - lo, dtype=np.int32), lengths)
-        first = np.cumsum(lengths) - lengths
-        entry = np.arange(len(pair)) + np.repeat(tok.starts[b[lo:hi]] - first, lengths)
-        t = tok.tokens[entry]
-        mb = tok.counts[entry]
-        query = a[lo:hi][pair] * tok.n_vocab + t
-        pos = np.searchsorted(tok.keys, query)
-        ma = np.where(tok.keys[pos] == query, tok.key_counts[pos], 0)
-        m = np.minimum(ma, mb)
-        cnt_i[lo:hi] = np.bincount(pair, weights=m, minlength=hi - lo)
-        contained[lo:hi] = np.bincount(pair[mb > ma], minlength=hi - lo) == 0
-        for option, (w, _) in idf_by_option.items():
-            idf_i[option][lo:hi] = np.bincount(pair, weights=m * w[t], minlength=hi - lo)
+    # each pair's A string numbered in order, and blocks of rows_per_block of
+    # them, one dense row each
+    new_a = np.diff(a, prepend=-1) != 0
+    heads = np.flatnonzero(new_a)
+    rows_per_block = max(_SET_BLOCK_BYTES // (4 * max(n_vocab, 1)), 1)
+    row = (np.cumsum(new_a) - 1) % rows_per_block
+    dense = np.zeros(min(rows_per_block, len(heads)) * n_vocab, dtype=np.int32)
+    block_bounds = np.append(heads[::rows_per_block], n).tolist()
+    for block, (start, stop) in enumerate(zip(block_bounds[:-1], block_bounds[1:])):
+        held = a[heads[block * rows_per_block : (block + 1) * rows_per_block]]
+        entry = tok.entries(held)
+        cells = np.repeat(np.arange(len(held)) * n_vocab, tok.sizes[held]) + tok.tokens[entry]
+        dense[cells] = tok.counts[entry]
+        # steps of whole pairs; step k ends with the last pair that ends
+        # within the block's first (k + 1) * _SET_ENTRIES entries, so it holds
+        # at most _SET_ENTRIES entries plus those of its first pair (a
+        # repeated cut makes an empty step)
+        ends = np.cumsum(tok.sizes[b[start:stop]])
+        cuts = np.searchsorted(ends, np.arange(_SET_ENTRIES, ends[-1], _SET_ENTRIES), side="right")
+        bounds = np.concatenate([[0], cuts, [stop - start]]) + start
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            lengths = tok.sizes[b[lo:hi]]
+            entry = tok.entries(b[lo:hi])
+            t = tok.tokens[entry]
+            ma = dense[np.repeat(row[lo:hi] * n_vocab, lengths) + t]
+            hit = np.flatnonzero(ma)
+            pair = np.repeat(np.arange(hi - lo, dtype=np.int32), lengths)[hit]
+            t = t[hit]
+            m = np.minimum(ma[hit], tok.counts[entry[hit]])
+            cnt_i[lo:hi] = np.bincount(pair, weights=m, minlength=hi - lo)
+            for option, (w, _) in idf_by_option.items():
+                idf_i[option][lo:hi] = np.bincount(pair, weights=m * w[t], minlength=hi - lo)
+        dense[cells] = 0
+    contained = cnt_i == tok.size[b]
 
     out = {}
     for option, (pa, pb) in pairs_by_option.items():
@@ -579,7 +588,7 @@ class ColumnStrings:
 
     def tokens(self, tokenizer: str) -> _Tokens:
         if tokenizer not in self._tokens:
-            self._tokens[tokenizer] = _tokenize(self.strings, tokenizer)
+            self._tokens[tokenizer] = _Tokens(self.strings, tokenizer)
         return self._tokens[tokenizer]
 
     def idf(self, tokenizer: str, option: str) -> tuple[np.ndarray, np.ndarray]:
@@ -686,8 +695,12 @@ def distance_matrix(
             {f.preprocess: pre_pairs[f.preprocess] for f in fns},
             {f.preprocess: table.idf(tokenizer, f.preprocess) for f in fns if f.weights == "IDFW"},
         )
-    # rows memo by (option, tokenizer, weights), filled on first use
+    # rows memo by (option, tokenizer, weights), filled on first use and
+    # dropped after the last function that reads it
     set_rows: dict[tuple[str, str, str], dict[str, np.ndarray]] = {}
+    last_use = {
+        (f.preprocess, f.tokenizer, f.weights): fi for fi, f in enumerate(functions) if f.is_set_based
+    }
     for fi, f in enumerate(functions):
         if f.distance == PLUGIN:
             fn = get_plugin(f.plugin)
@@ -713,6 +726,8 @@ def distance_matrix(
                         inter, w_a, w_b = stats["idf_i"], stats["idf_a"], stats["idf_b"]
                     set_rows[key] = _set_rows(inter, w_a, w_b, stats["contained"])
                 row = set_rows[key][f.distance]
+                if last_use[key] == fi:
+                    del set_rows[key]
         row = np.where(missing, 1.0, row)
         result[fi, at] = row[rank]
     result.flags.writeable = False

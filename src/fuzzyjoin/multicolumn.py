@@ -34,6 +34,7 @@ and greedy timings over the trials.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -129,6 +130,11 @@ def solve_multi(
         raise ValueError(f"repeated column names {repeated} in {list(columns)}")
     cols = shared_columns(L, R, columns)
     fns = list(functions) if functions is not None else enumerate_function_space()
+    # the reference table is assumed duplicate-free: a query nearest two
+    # left rows with equal values in the join columns has a tied minimum
+    # under every function, and joins neither
+    copies = Counter(zip(*(L.column_values(c) for c in cols)))
+    left_duplicates = sum(k for k in copies.values() if k > 1)
     m = len(cols)
     preps: dict[frozenset, PreparedColumns] = {}
     tables: dict[str, ColumnStrings] = {}
@@ -242,6 +248,13 @@ def solve_multi(
     stages = {k: sum(p.timings[k] for p in preps.values()) for k in prep.timings}
     current.rules_by_column = prep.rules
     current.timings = {"total": time.perf_counter() - t_start, **stages, **solve_timings}
-    current.pair_counts = {**prep.pair_counts, **current.pair_counts}
+    current.pair_counts = {
+        **prep.pair_counts, **current.pair_counts, "left_duplicate_rows": left_duplicates
+    }
+    if left_duplicates:
+        current.warnings.append(
+            f"{left_duplicates} reference rows have the same values in columns {cols} "
+            "as another reference row; a query nearest such rows ties and joins none of them"
+        )
     current.trials, current.history = trials, history
     return current

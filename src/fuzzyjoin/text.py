@@ -58,26 +58,95 @@ def tokenize(s: str, scheme: str) -> Counter:
     raise ValueError(f"unknown tokenizer {scheme!r}")
 
 
+# bits per character of a packed trigram: a code point (at most 0x10FFFF)
+# is stored plus 1, so that 0 stands for no character
+_CHAR_BITS = 21
+
+
 def tokenize_strings(
     strings: Sequence[str], tokenizer: str
-) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
-    """Each string tokenized once: the token vocabulary, and a CSR over the
-    strings of token ids and counts in ``Counter`` order.  The set kernel
-    reads its tokens and, with ``idf_weights``, its IDF weights from one
-    such pass per tokenizer over the strings of a column's
+) -> tuple[Sequence, np.ndarray, np.ndarray, np.ndarray]:
+    """Each string tokenized once: the token vocabulary, numbered by first
+    appearance, and a CSR over the strings of token ids and counts in
+    ``Counter`` order, as a loop over ``tokenize`` gives them.  The set
+    kernel reads its tokens and, with ``idf_weights``, its IDF weights from
+    one such pass per tokenizer over the strings of a column's
     ``distances.ColumnStrings``; ``blocking.build_index`` reads its trigrams
-    from another."""
-    vocab: dict[str, int] = {}
-    tokens: list[int] = []
-    counts: list[int] = []
-    lengths: list[int] = []
-    for s in strings:
-        bag = tokenize(s, tokenizer)
-        lengths.append(len(bag))
-        tokens.extend([vocab.setdefault(t, len(vocab)) for t in bag])
-        counts.extend(bag.values())
-    sizes = np.array(lengths, dtype=np.int64)
-    return vocab, sizes, np.array(tokens, dtype=np.int32), np.array(counts, dtype=np.int32)
+    from another.
+
+    SP is that loop, and its vocabulary a list of token strings.  3G is one
+    array pass that builds no token string: each string's whitespace runs
+    collapsed as ``tokenize`` does, its UTF-32 code points are packed three
+    to an int64 trigram code, 21 bits each (a string shorter than 3 leaves
+    the missing ones 0), so codes sort as their token strings do, and the
+    vocabulary is the array of codes.  One stable sort of the codes groups
+    each token's occurrences in position order: the first is the token's
+    first appearance, and each string's first occurrence and run length
+    give its entry and count, which read back in position order are in
+    ``Counter`` order.
+    """
+    if tokenizer != "3G":
+        vocab: dict[str, int] = {}
+        tokens: list[int] = []
+        counts: list[int] = []
+        lengths: list[int] = []
+        for s in strings:
+            bag = tokenize(s, tokenizer)
+            lengths.append(len(bag))
+            tokens.extend([vocab.setdefault(t, len(vocab)) for t in bag])
+            counts.extend(bag.values())
+        sizes = np.array(lengths, dtype=np.int64)
+        return list(vocab), sizes, np.array(tokens, dtype=np.int32), np.array(counts, dtype=np.int32)
+
+    collapsed = [" ".join(s.split()) for s in strings]
+    n = len(collapsed)
+    lengths = np.fromiter(map(len, collapsed), dtype=np.int64, count=n)
+    # code points plus 1, and the positions of each trigram's first, as
+    # int32 while they fit: the per-trigram int64 arrays are the codes alone
+    chars = np.zeros(int(lengths.sum()) + 2, dtype=np.int32)
+    chars[:-2] = np.frombuffer("".join(collapsed).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    chars[:-2] += 1
+    index = np.int32 if len(chars) < 2**31 else np.int64
+    # k >= 3 characters give k - 2 trigrams, and 1 or 2 one token of them all
+    grams = np.maximum(lengths - 2, lengths > 0)
+    first = np.cumsum(grams) - grams
+    start = np.repeat((np.cumsum(lengths) - lengths - first).astype(index), grams)
+    start += np.arange(len(start), dtype=index)
+    codes = chars[start].astype(np.int64)
+    codes <<= 2 * _CHAR_BITS
+    part = chars[1:][start].astype(np.int64)
+    part <<= _CHAR_BITS
+    codes |= part
+    codes |= chars[2:][start]
+    del chars, start, part
+    # a short string's token reads the next string's characters: zero them
+    short = np.flatnonzero((lengths > 0) & (lengths < 3))
+    codes[first[short]] &= -1 << _CHAR_BITS * (3 - lengths[short])
+
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    new = np.empty(len(codes), dtype=bool)
+    new[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    heads = np.flatnonzero(new)
+    by_appearance = np.argsort(order[heads])
+    vocab = codes[heads[by_appearance]]
+    del codes
+    token_id = np.empty(len(heads), dtype=np.int32)
+    token_id[by_appearance] = np.arange(len(heads), dtype=np.int32)
+    token_of = np.empty(len(order), dtype=np.int32)
+    token_of[order] = token_id[np.cumsum(new, dtype=np.int32) - 1]
+    # an entry starts where the token or, within one token, the string changes
+    owner = np.repeat(np.arange(n, dtype=np.int32), grams)[order]
+    new[1:] |= owner[1:] != owner[:-1]
+    entry = np.flatnonzero(new)
+    # each entry's count, at its first position: read in position order, a
+    # string's entries are in Counter order
+    count_of = np.zeros(len(order), dtype=np.int32)
+    count_of[order[entry]] = np.diff(entry, append=len(order))
+    entry = np.flatnonzero(count_of)
+    sizes = np.bincount(np.searchsorted(first + grams, entry, side="right"), minlength=n)
+    return vocab, sizes, token_of[entry], count_of[entry]
 
 
 def idf_weights(

@@ -1,9 +1,9 @@
 """Shared helpers: CSV writers, random greedy-search instances, the
 blocked candidates by id, and the loops that the vectorized engines are
 held to: the per-configuration ball counts, the dense configuration table,
-the dense greedy loop, the per-pair set-statistics loop with the scalar
-single-pair distance on top of it, the per-token IDF index, and the per-row
-blocking loop."""
+the dense greedy loop, the per-string tokenizer loop, the per-pair
+set-statistics loop with the scalar single-pair distance on top of it, the
+per-token IDF index, and the per-row blocking loop."""
 
 from __future__ import annotations
 
@@ -417,6 +417,37 @@ def build_idf_from_values(
         for t in tokenize(apply_preprocess(v, preprocess), tokenizer):
             doc_freq[t] += k
     return IdfIndex(dict(doc_freq), copies.total())
+
+
+def loop_tokenize_strings(
+    strings: Sequence[str], tokenizer: str
+) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+    """Each string tokenized once: the token vocabulary, and a CSR over the
+    strings of token ids and counts in ``Counter`` order.  The per-string
+    loop that ``text.tokenize_strings``'s 3G array pass replaced, kept as its
+    oracle."""
+    vocab: dict[str, int] = {}
+    tokens: list[int] = []
+    counts: list[int] = []
+    lengths: list[int] = []
+    for s in strings:
+        bag = tokenize(s, tokenizer)
+        lengths.append(len(bag))
+        tokens.extend([vocab.setdefault(t, len(vocab)) for t in bag])
+        counts.extend(bag.values())
+    sizes = np.array(lengths, dtype=np.int64)
+    return vocab, sizes, np.array(tokens, dtype=np.int32), np.array(counts, dtype=np.int32)
+
+
+def token_strings(vocab) -> list[str]:
+    """The token strings of a ``tokenize_strings`` vocabulary: SP's as they
+    are, 3G's packed codes decoded, three 21-bit fields of a code point plus
+    1, where 0 is no character."""
+    if not isinstance(vocab, np.ndarray):
+        return list(vocab)
+    mask = (1 << 21) - 1
+    fields = [(c >> 42, (c >> 21) & mask, c & mask) for c in vocab.tolist()]
+    return ["".join(chr(x - 1) for x in f if x) for f in fields]
 
 
 def loop_set_stats(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import index_by_id, loop_build_index
+from conftest import index_by_id, loop_build_index, token_strings
 import fuzzyjoin.solver as solver
 from fuzzyjoin import (
     NegativeRule,
@@ -17,7 +17,6 @@ from fuzzyjoin import (
     build_index,
     generate_synthetic,
     make_table,
-    text,
 )
 from fuzzyjoin.negative_rules import pair_blocked
 from fuzzyjoin.solver import BlockedPairs, filter_lr_by_rules, flatten_index
@@ -105,23 +104,61 @@ class TestMatchesLoop:
 def test_each_distinct_value_tokenized_and_scored_once(monkeypatch):
     left = ["Oak Tigers", "oak tigers", "pine bears", "pine bears", ""]
     right = ["oak tigers", "OAK TIGERS", "pine bears", "elm", "elm", "elm", ""]
-    seen, scored = [], []
-    tokenize, rank = text.tokenize, blocking._rank_values
+    passes, scored = [], []
+    tokenize_strings, rank = blocking.tokenize_strings, blocking._rank_values
 
-    def spy_tokenize(s, scheme):
-        seen.append(s)
-        return tokenize(s, scheme)
+    def spy_tokenize(strings, tokenizer):
+        passes.append((tokenizer, list(strings)))
+        return tokenize_strings(strings, tokenizer)
 
     def spy_rank(bounds, *args):
         scored.append(len(bounds) - 1)
         return rank(bounds, *args)
 
-    monkeypatch.setattr(text, "tokenize", spy_tokenize)
+    monkeypatch.setattr(blocking, "tokenize_strings", spy_tokenize)
     monkeypatch.setattr(blocking, "_rank_values", spy_rank)
     build_index(*tables(left, right), "name", 1.0)
     distinct = {v.lower() for v in left + right}
-    assert sorted(seen) == sorted(distinct)
+    # one pass, which holds each distinct lowercased value once
+    [(tokenizer, strings)] = passes
+    assert tokenizer == "3G"
+    assert sorted(strings) == sorted(distinct)
     assert scored == [len(distinct)]
+
+
+# whitespace runs, repeated trigrams, astral code points and a lone
+# surrogate, which order by code point as Python strings do
+RANK_TEXT = st.lists(
+    st.sampled_from(["a", "B", "é", "\U0001F600", "\ud83d", " ", "\t", "\xa0"]), max_size=8
+).map("".join)
+
+
+@given(st.lists(RANK_TEXT, max_size=8), st.lists(RANK_TEXT, max_size=8))
+def test_trigram_rank_is_token_string_order(left, right):
+    # each value's distinct trigrams are scored in the sorted order of their
+    # token strings, which blocking ranks by packed trigram code
+    passes, scored = [], []
+    tokenize_strings, rank = blocking.tokenize_strings, blocking._rank_values
+
+    def spy_tokenize(strings, tokenizer):
+        passes.append(tokenize_strings(strings, tokenizer))
+        return passes[-1]
+
+    def spy_rank(bounds, tokens, *args):
+        scored.append((bounds, tokens))
+        return rank(bounds, tokens, *args)
+
+    with mock.patch.object(blocking, "tokenize_strings", spy_tokenize), mock.patch.object(
+        blocking, "_rank_values", spy_rank
+    ):
+        build_index(*tables(left, right), "name", 1.0)
+    [(vocab, sizes, _, _)] = passes
+    [(bounds, tokens)] = scored
+    names = token_strings(vocab)
+    assert bounds.tolist() == [0, *np.cumsum(sizes).tolist()]
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        value = [names[t] for t in tokens[lo:hi].tolist()]
+        assert value == sorted(set(value))
 
 
 class TestViews:

@@ -19,6 +19,7 @@ from fuzzyjoin import (
 )
 from fuzzyjoin.cli import main
 from fuzzyjoin.functions import SPACE_PRESETS
+from fuzzyjoin.tables import Record, Table
 
 
 @pytest.fixture
@@ -476,3 +477,32 @@ def test_run_multi_manifest_matches_run(tmp_path, synthetic_csvs):
             assert step["precision"] > manifest["config"]["tau"]
         last = greedy["trace"][-1]
         assert last["precision"] == manifest["estimated_precision"]
+
+
+@pytest.mark.parametrize("command", ["run", "run-multi"])
+def test_duplicate_reference_rows_reported(tmp_path, capsys, command):
+    # 30 reference rows appended again under new ids: queries whose true
+    # left was copied tie between the copies and join neither, so recall
+    # falls; the manifest counts the 60 rows and both modes warn
+    L, R, _ = generate_synthetic(n_left=300, seed=0, unmatched_rate=0.2)
+    copies = tuple(Record(f"{rec.id}-copy", rec.values) for rec in L.records[:30])
+    counts = {}
+    for name, left_table in (("clean", L), ("copied", Table(L.columns, L.records + copies))):
+        left = write_table_csv(left_table, tmp_path / f"{name}.csv")
+        right = write_table_csv(R, tmp_path / "right.csv")
+        args = [
+            command,
+            "--left", str(left),
+            "--right", str(right),
+            "--out", str(tmp_path / "joins.csv"),
+            "--solution", str(tmp_path / "solution.txt"),
+            "--manifest", str(tmp_path / f"{name}.json"),
+            "--space-preset", "reduced24",
+        ]
+        assert main(args + (["--column", "name"] if command == "run" else [])) == 0
+        err = capsys.readouterr().err
+        counts[name] = json.loads((tmp_path / f"{name}.json").read_text())["pair_counts"]
+        warned = "60 reference rows have the same values in columns ['name']" in err
+        assert warned == (name == "copied")
+    assert counts["clean"]["left_duplicate_rows"] == 0
+    assert counts["copied"]["left_duplicate_rows"] == 60

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -23,12 +24,12 @@ from fuzzyjoin import (
 from fuzzyjoin import distances, text
 from fuzzyjoin.distances import (
     ColumnStrings,
+    _Tokens,
     _char_rows,
     _jaro_winkler_batch,
     _levenshtein_batch,
     _peq_table,
     _set_stats,
-    _tokenize,
 )
 
 
@@ -382,10 +383,11 @@ class TestContainDistance:
 STAT_NAMES = ("cnt_i", "cnt_a", "cnt_b", "idf_i", "idf_a", "idf_b")
 
 
-def kernel_set_stats(pairs_by_option, tokenizer, docs_by_option, n_docs):
+def kernel_set_stats(pairs_by_option, tokenizer, docs_by_option, n_docs, rows=None):
     """``_set_stats`` on preprocessed string pairs, one list per option,
     with per option the number of documents each string stands for (strings
-    outside the pairs too)."""
+    outside the pairs too).  ``rows`` A strings share one dense block,
+    where given; by default the block's byte cap decides."""
     string_ids: dict[str, int] = {}
     id_pairs = {
         option: tuple(
@@ -401,9 +403,11 @@ def kernel_set_stats(pairs_by_option, tokenizer, docs_by_option, n_docs):
         option: np.array([docs.get(s, 0) for s in string_ids], dtype=np.float64)
         for option, docs in docs_by_option.items()
     }
-    tok = _tokenize(list(string_ids), tokenizer)
+    tok = _Tokens(list(string_ids), tokenizer)
     idf = {option: tok.idf(docs, n_docs) for option, docs in doc_counts.items()}
-    return _set_stats(tok, id_pairs, idf)
+    cap = distances._SET_BLOCK_BYTES if rows is None else rows * 4 * max(tok.n_vocab, 1)
+    with mock.patch.object(distances, "_SET_BLOCK_BYTES", cap):
+        return _set_stats(tok, id_pairs, idf)
 
 
 def idf_of_docs(docs: dict[str, int], tokenizer: str, n_docs: int) -> IdfIndex:
@@ -416,9 +420,9 @@ def idf_of_docs(docs: dict[str, int], tokenizer: str, n_docs: int) -> IdfIndex:
     return IdfIndex(dict(doc_freq), n_docs)
 
 
-def assert_matches_loop(pairs_by_option, tokenizer, docs_by_option):
+def assert_matches_loop(pairs_by_option, tokenizer, docs_by_option, rows=None):
     n_docs = max((sum(docs.values()) for docs in docs_by_option.values()), default=1)
-    got = kernel_set_stats(pairs_by_option, tokenizer, docs_by_option, n_docs)
+    got = kernel_set_stats(pairs_by_option, tokenizer, docs_by_option, n_docs, rows)
     for option, pairs in pairs_by_option.items():
         docs = docs_by_option.get(option)
         idf = idf_of_docs(docs, tokenizer, n_docs) if docs else None
@@ -484,10 +488,38 @@ class TestSetKernel:
         assert not set(tokenize("unseen", tokenizer)) & set(idf.doc_freq)
         assert_matches_loop({"x": self.EDGE, "y": self.EDGE[::-1]}, tokenizer, {"x": docs})
 
-    @given(set_cases(), st.sampled_from([1, 3, 7, distances._SET_ENTRIES]))
-    def test_matches_loop(self, case, entries):
+    @pytest.mark.parametrize("tokenizer", ["3G", "SP"])
+    @pytest.mark.parametrize("entries", [1, 3, distances._SET_ENTRIES])
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_block_boundaries(self, monkeypatch, tokenizer, entries, rows):
+        # blocks of one A string, of a few, and the default cap, crossed with
+        # steps that cut between and inside the pairs of a block
+        monkeypatch.setattr(distances, "_SET_ENTRIES", entries)
+        docs = {s: 1 + i % 3 for i, s in enumerate(dict.fromkeys(s for p in self.EDGE for s in p))}
+        assert_matches_loop({"x": self.EDGE, "y": self.EDGE[::-1]}, tokenizer, {"x": docs}, rows)
+        # every pair shares one A string, the empty one among them
+        for a in ("a a b c aaaa", ""):
+            one_a = [(a, b) for _, b in self.EDGE]
+            assert_matches_loop({"x": one_a}, tokenizer, {"x": docs}, rows)
+
+    @pytest.mark.parametrize("cap", [0, 4, 64])
+    def test_vocabulary_larger_than_cap(self, monkeypatch, cap):
+        # a dense row larger than the cap still takes one block of one row
+        words = [f"w{i}" for i in range(40)]
+        pairs = [(" ".join(words[i::3]), " ".join(words[i::2])) for i in range(6)]
+        pairs += [(" ".join(words), ""), ("", " ".join(words))]
+        monkeypatch.setattr(distances, "_SET_BLOCK_BYTES", cap)
+        for tokenizer in ("3G", "SP"):
+            assert_matches_loop({"x": pairs}, tokenizer, {"x": {s: 1 for p in pairs for s in p}})
+
+    @given(
+        set_cases(),
+        st.sampled_from([1, 3, 7, distances._SET_ENTRIES]),
+        st.sampled_from([1, 2, None]),
+    )
+    def test_matches_loop(self, case, entries, rows):
         with mock.patch.object(distances, "_SET_ENTRIES", entries):
-            assert_matches_loop(*case)
+            assert_matches_loop(*case, rows=rows)
 
 
 # --- full evaluation ----------------------------------------------------------
@@ -695,11 +727,11 @@ class TestDistanceMatrix:
         fns = enumerate_function_space()
         seen = []
 
-        def spy(s, scheme):
-            seen.append((s, scheme))
-            return tokenize(s, scheme)
+        def spy(strings, tokenizer, tokenize_strings=distances.tokenize_strings):
+            seen.extend((s, tokenizer) for s in strings)
+            return tokenize_strings(strings, tokenizer)
 
-        monkeypatch.setattr(text, "tokenize", spy)
+        monkeypatch.setattr(distances, "tokenize_strings", spy)
         distance_matrix(fns, pairs, values)
         by_option = [{apply_preprocess(v, o) for v in values} for o in {f.preprocess for f in fns}]
         expected = [(s, t) for s in set().union(*by_option) for t in ("3G", "SP")]
@@ -707,6 +739,33 @@ class TestDistanceMatrix:
         assert len(by_option) == 4
         assert len(expected) < 2 * sum(map(len, by_option))
         assert sorted(seen) == sorted(expected)
+
+    def test_set_rows_released_after_last_use(self, monkeypatch):
+        # the full space orders set functions by (option, tokenizer, weights)
+        # key, so when a key's rows are built every earlier key's are freed
+        values = ["oak tigers", "Oak, Tigers!", "running dogs", "oak tiger", "", "ab"]
+        pairs = [(a, b) for a in values for b in values]
+        fns = enumerate_function_space()
+        built, freed = [], []
+
+        def spy(*args, set_rows=distances._set_rows):
+            freed.append([ref() is None for ref in built])
+            rows = set_rows(*args)
+            built.extend(weakref.ref(row) for row in rows.values())
+            return rows
+
+        monkeypatch.setattr(distances, "_set_rows", spy)
+        want = distance_matrix(fns, pairs, values)
+        keys = {(f.preprocess, f.tokenizer, f.weights) for f in fns if f.is_set_based}
+        assert len(freed) == len(keys) == 16
+        assert all(all(done) for done in freed)
+        # a release counts last uses: interleaved keys are built once each and
+        # give the same rows
+        order = sorted(range(len(fns)), key=lambda i: (fns[i].distance, i))
+        freed.clear()
+        got = distance_matrix([fns[i] for i in order], pairs, values)
+        assert len(freed) == 16 and not all(all(done) for done in freed)
+        assert float_bits(got) == float_bits(want[order])
 
     @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25])
     def test_plugin_out_of_range_raises(self, bad):

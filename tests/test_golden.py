@@ -12,17 +12,21 @@ The distance digest catches a last-ulp drift in a kernel even when the joins
 survive it.  The blocking digests, recorded before blocking was batched over
 distinct query values, pin the flattened blocked pairs and their blocking
 scores, so a reordered summation shows even where no candidate list moves.
-``PYTHONPATH=src:tests python3 tests/test_golden.py`` prints the current
-digests.
+The token digest, recorded before 3G tokenization became one array pass,
+pins both tokenizers' vocabularies (as token strings, in id order), sizes,
+tokens and counts over the distinct preprocessed strings of the "run" and
+"run-multi" columns.  ``PYTHONPATH=src:tests python3 tests/test_golden.py``
+prints the current digests.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import index_by_id, repeat_queries, write_table_csv
+from conftest import index_by_id, repeat_queries, token_strings, write_table_csv
 from fuzzyjoin import (
     add_random_column,
     build_index,
@@ -32,6 +36,7 @@ from fuzzyjoin import (
 from fuzzyjoin.cli import main
 from fuzzyjoin import distances
 from fuzzyjoin.solver import flatten_index, prepare_columns
+from fuzzyjoin.text import tokenize_strings
 
 GOLDEN = {
     "run": (
@@ -72,6 +77,11 @@ GOLDEN_BLOCKING = {
         "5cffd2b795765155ada79bc37949a25796ee34d5d69495f42312ac7dc524fcad",
     ),
 }
+
+# sha256 of tokenize_strings under 3G then SP over the distinct preprocessed
+# strings (every option of the full space) of each column that
+# GOLDEN_DISTANCES digests, in that order
+GOLDEN_TOKENS = "7456da58d40ca3e9b6e455cb5f624a4b14d50e8d13f183558420228a86c2d6d6"
 
 
 def sha256(path: Path) -> str:
@@ -134,6 +144,24 @@ def distance_digest(mode: str, tables=None) -> str:
     return digest.hexdigest()
 
 
+def token_digest() -> str:
+    """Digest of both tokenizers' output over the column strings of the
+    "run" and "run-multi" inputs: per column and tokenizer, the vocabulary
+    as JSON token strings, then sizes, tokens and counts as int64 bytes."""
+    digest = hashlib.sha256()
+    for mode in ("run", "run-multi"):
+        L, R = golden_inputs(mode)
+        for c in ("name",) if mode == "run" else L.columns:
+            corpus = L.column_values(c) + R.column_values(c)
+            strings = distances.ColumnStrings(enumerate_function_space(), corpus).strings
+            for tokenizer in ("3G", "SP"):
+                vocab, *csr = tokenize_strings(strings, tokenizer)
+                digest.update(json.dumps(token_strings(vocab)).encode())
+                for arr in csr:
+                    digest.update(arr.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
 def blocking_digests(mode: str) -> tuple[str, str]:
     """Digests of the flattened blocked pairs of a mode's input and of their
     blocking scores."""
@@ -157,6 +185,10 @@ def blocking_digests(mode: str) -> tuple[str, str]:
 @pytest.mark.parametrize("mode", ["run", "run-ties", "run-multi"])
 def test_blocking_unchanged(mode):
     assert blocking_digests(mode) == GOLDEN_BLOCKING[mode]
+
+
+def test_tokens_unchanged():
+    assert token_digest() == GOLDEN_TOKENS
 
 
 def test_distances_unchanged():
@@ -211,3 +243,4 @@ if __name__ == "__main__":
         print("distances", mode, distance_digest(mode))
     for mode in GOLDEN:
         print("blocking", mode, *blocking_digests(mode))
+    print("tokens", token_digest())

@@ -23,12 +23,11 @@ from fuzzyjoin import (
     solve,
     solve_multi,
 )
-from fuzzyjoin import distances, text
-from fuzzyjoin.blocking import build_index
+from fuzzyjoin import distances
 from fuzzyjoin.functions import SPACE_PRESETS, dump_solution
 from fuzzyjoin.solver import precompute_config_table, prepare_columns, reduce_distances
 from fuzzyjoin.tables import Table
-from fuzzyjoin.text import apply_preprocess, tokenize, tokenize_strings
+from fuzzyjoin.text import apply_preprocess, tokenize_strings
 from conftest import (
     config_table,
     dense_config_table,
@@ -694,32 +693,17 @@ def test_repeated_queries_solve_once_per_distinct_value(case):
 
 
 def spy_tokenization(monkeypatch):
-    """Counts of ``text.tokenize`` calls by (string, tokenizer) outside
-    blocking, which tokenizes lowercased values for its own index, and the
-    (tokenizer, strings) of each ``tokenize_strings`` pass of the distance
-    stage."""
+    """Counts, over the ``tokenize_strings`` passes of the distance stage,
+    of each (string, tokenizer) tokenized and of each (tokenizer, strings)
+    pass.  Blocking's own pass over lowercased values is not counted."""
     seen = Counter()
     passes = Counter()
-    blocking = [False]
-
-    def spy(s, scheme):
-        if not blocking[0]:
-            seen[(s, scheme)] += 1
-        return tokenize(s, scheme)
-
-    def build_index_unseen(*args, **kwargs):
-        blocking[0] = True
-        try:
-            return build_index(*args, **kwargs)
-        finally:
-            blocking[0] = False
 
     def tokenize_strings_spy(strings, tokenizer):
+        seen.update((s, tokenizer) for s in strings)
         passes[(tokenizer, tuple(strings))] += 1
         return tokenize_strings(strings, tokenizer)
 
-    monkeypatch.setattr(text, "tokenize", spy)
-    monkeypatch.setattr(solver, "build_index", build_index_unseen)
     monkeypatch.setattr(distances, "tokenize_strings", tokenize_strings_spy)
     return seen, passes
 

@@ -3,8 +3,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import IdfIndex, build_idf_from_values, scalar_evaluate
-from hypothesis import given, strategies as st
+from conftest import (
+    IdfIndex,
+    build_idf_from_values,
+    loop_tokenize_strings,
+    scalar_evaluate,
+    token_strings,
+)
+from hypothesis import example, given, strategies as st
 
 from fuzzyjoin import (
     JoinFunction,
@@ -35,7 +41,7 @@ def shipped_weights(
     vocab, sizes, tokens, _ = tokenize_strings(strings, tokenizer)
     counts = np.array(list(copies.values()), dtype=np.float64)
     weights = idf_weights(sizes, tokens, len(vocab), counts, len(values))
-    return dict(zip(vocab, weights.tolist()))
+    return dict(zip(token_strings(vocab), weights.tolist()))
 
 
 class TestPreprocess:
@@ -110,6 +116,32 @@ class TestTokenize:
             assert bag.total() == 1
         else:
             assert bag == Counter()
+
+
+# whitespace runs (tab, NBSP, em space), repeated trigrams, an astral code
+# point and a lone surrogate: their code points order as Python strings do
+TOKEN_TEXT = st.lists(
+    st.sampled_from(["a", "b", "é", "\U0001F600", "\ud83d", "\x00", " ", "\t", "\xa0", "\u2003"]),
+    max_size=9,
+).map("".join)
+TOKEN_STRINGS = st.lists(
+    st.one_of(st.just("aaaa"), TOKEN_TEXT), max_size=8
+).flatmap(lambda pool: st.lists(st.sampled_from(pool or [""]), max_size=12))
+
+
+class TestTokenizeStrings:
+    @given(TOKEN_STRINGS, st.sampled_from(["3G", "SP"]))
+    @example(["", "a", "ab", " a\t", "aaaa", "a\xa0\u2003b", "\U0001F600ab", "aaaa", "abc"], "3G")
+    def test_matches_loop(self, strings, tokenizer):
+        # vocabulary in first-appearance order, sizes, tokens and counts in
+        # Counter order, bit for bit; strings repeat, are empty or 1-2
+        # characters
+        vocab, sizes, tokens, counts = tokenize_strings(strings, tokenizer)
+        want = loop_tokenize_strings(strings, tokenizer)
+        assert token_strings(vocab) == list(want[0])
+        for got, expected in zip((sizes, tokens, counts), want[1:]):
+            assert got.dtype == expected.dtype
+            assert got.tolist() == expected.tolist()
 
 
 # words that the options change differently: case, punctuation, stems, and
