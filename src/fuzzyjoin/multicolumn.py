@@ -168,6 +168,7 @@ def solve_multi(
                 estimated_precision=1.0,
                 estimated_recall=0.0,
                 warnings=["no candidate pairs survived blocking and negative rules"],
+                pair_counts={"tied_queries": 0},
             )
         assert prep.d_lr, f"column set {list(active)} tried after its last trial"
         reduced = reduce_distances(

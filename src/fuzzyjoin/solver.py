@@ -21,16 +21,20 @@ join at its minimum distance and the first threshold assigning it, and each
 self-join pair's ball slot.  The reduction reads the per-column matrices one
 block of functions at a time and forms their weighted sum for that block
 only, so the caller can drop the matrices before the table is allocated:
-peak memory is the larger of the two stages, not their sum.
+peak memory is the larger of the two stages, not their sum.  The reduction
+and the table fill both work on blocks of functions, with no loop over
+single functions: a block's grids are formed in closed form, and its slots
+are read off the grids' equal spacing.
 
-All per-configuration assignments are precomputed into arrays; each greedy
-iteration is pure array arithmetic and touches no string data.  The
+All per-configuration precisions are precomputed into one array; each
+greedy iteration is pure array arithmetic and touches no string data.  The
 configuration table has one column per distinct query, weighted by its
-count of right records.  It has one row per run of consecutive thresholds
-of a function that join alike: a row changes only where a query is first
-assigned or the ball of a joined left record grows, so only those
-thresholds are filled, and the search runs over the rows, each standing for
-its run of configurations.  The search is incremental: it keeps each row's
+count of right records, and holds precisions only: a row's joined left
+records are the reduction's joins under the row's function.  It has one
+row per run of consecutive thresholds of a function that join alike: a row
+changes only where a query is first assigned or the ball of a joined left
+record grows, so only those thresholds are filled, and the search runs over
+the rows, each standing for its run of configurations.  The search is incremental: it keeps each row's
 weighted tp gain over the current union and its weighted count of newly
 assigned rights, and a pick updates them only on the queries whose union
 precision it raises.  Those sums are exact (precisions are
@@ -87,8 +91,10 @@ def discretize_thresholds(distances: Sequence[float] | np.ndarray, s: int) -> np
 # --- configuration table ----------------------------------------------------
 
 
-# cells (functions x pairs) in one block of the reduction: it bounds the
-# block's weighted sums and temporaries, so peak memory
+# cells in one block of the reduction or the fill: functions x pairs or
+# queries, left records x table rows, or table rows x queries.  It bounds
+# each block's weighted sums and temporaries, so that they add little to
+# peak memory
 _BLOCK_CELLS = 1 << 16
 
 
@@ -98,13 +104,76 @@ class ReducedDistances:
     function: its threshold grid, per query the left record it joins at its
     minimum distance and the first threshold that assigns it, and per
     self-join pair its ball slot.  A threshold index equal to the grid's
-    size stands for none."""
+    size stands for none.  The grids are the rows of one array, each cut to
+    its size.  ``joined`` is also the configuration table's source of left
+    records: a table row assigns query k the left ``joined[f, k]`` of its
+    function f, or nothing."""
 
-    thresholds: list[np.ndarray]  # per function, its ascending grid
+    grid: np.ndarray  # (n_fn, s) float64, function f's grid in grid[f, :sizes[f]]
+    sizes: np.ndarray  # (n_fn,) int64, s, or 1 for a degenerate grid
     joined: np.ndarray  # (n_fn, n_query) int32 left position, -1 for none
     assign_at: np.ndarray  # (n_fn, n_query) unsigned threshold index
     ball_slot: np.ndarray  # (n_fn, n_ll) unsigned threshold index
+    # right records whose query has candidates but a tied minimum under
+    # every function, so joins nothing
+    tied_queries: int
     seconds: float  # the reduction's time, reported in "precompute"
+
+    @property
+    def thresholds(self) -> list[np.ndarray]:
+        """Per function, its ascending grid."""
+        return [g[:n] for g, n in zip(self.grid, self.sizes.tolist())]
+
+
+def _first_reaching(
+    edges: np.ndarray,
+    sizes: np.ndarray,
+    base: np.ndarray,
+    width: np.ndarray,
+    d: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Write to ``out`` per row f ``np.searchsorted(edges[f, :sizes[f]],
+    d[f], side="left")``, for ascending edges near ``base + (j + 1) *
+    width``: the index is guessed from the spacing, moved one step where an
+    edge on either side contradicts it, and searched for where it is still
+    wrong (degenerate or nearly degenerate grids)."""
+    nb, s = edges.shape
+    n = d.shape[1]
+    span = s + 2
+    # per row: -inf, the grid, then +inf past its size, so flat index g of
+    # row f is right when ext[g] < d <= ext[g + 1]
+    ext = np.full((nb, span), np.inf)
+    ext[:, 0] = -np.inf
+    ext[:, 1:-1] = np.where(np.arange(s) < sizes[:, None], edges, np.inf)
+    flat = ext.reshape(-1)
+    row_start = np.arange(0, nb * span, span)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = 1.0 / width
+        shift = base * inv
+        wild = ~(np.isfinite(inv) & np.isfinite(shift))
+        inv[wild], shift[wild] = 1.0, 0.0  # any finite guess; the search decides
+        # ceil((d - base) / width) - 1, as a flat index
+        guess = d * inv[:, None]
+        guess -= (shift + 1.0 - row_start)[:, None]
+    np.ceil(guess, out=guess)
+    np.maximum(guess, row_start[:, None].astype(float), out=guess)
+    np.minimum(guess, (row_start + sizes)[:, None].astype(float), out=guess)
+    idx = guess.astype(np.intp)
+    # the edges on either side, read into guess's memory
+    miss = np.take(flat, idx, out=guess, mode="clip") >= d
+    miss |= d > np.take(flat[1:], idx, out=guess, mode="clip")
+    if miss.any():
+        miss = np.flatnonzero(miss)
+        di, gi, idx_flat = d.reshape(-1)[miss], idx.reshape(-1)[miss], idx.reshape(-1)
+        down = flat[gi] >= di
+        gi += np.where(down, -1, 1)
+        idx_flat[miss] = gi
+        wrong = miss[~np.where(down, flat[gi] < di, di <= flat[gi + 1])]
+        for f in set((wrong // n).tolist()):
+            cols = wrong[wrong // n == f] % n
+            idx[f, cols] = f * span + np.searchsorted(edges[f, : sizes[f]], d[f, cols])
+    np.subtract(idx, row_start[:, None], out=out, casting="unsafe")
 
 
 def reduce_distances(
@@ -120,61 +189,88 @@ def reduce_distances(
     and one column at weight 1.0 is read in place.
 
     Function fi's grid is ``discretize_thresholds`` of its summed L-R row
-    in ``s`` steps.  Per query (``lr_right`` must be sorted ascending), the
+    in ``s`` steps, formed for the whole block with the same float
+    operations.  Per query (``lr_right`` must be sorted ascending), the
     minimum candidate distance and the left record achieving it; a query
     with no candidate, or whose minimum is tied, joins nothing.  Its
     assigning threshold is the first that reaches the minimum, and a
     self-join pair's ball slot the first whose doubled value reaches its
     distance: the pair falls in the ball of every threshold from there on.
+    Both are the ``searchsorted`` indices, taken from the grid's equal
+    spacing (``_first_reaching``).
     """
     # multicolumn imports this module, so it is imported at the call
     from .multicolumn import weighted_sum
 
+    if s < 1:
+        raise ValueError(f"step count must be >= 1, got {s}")
     t0 = time.perf_counter()
     n_fn, n_lr = d_lr[0].shape
+    if n_lr == 0:
+        raise ValueError("no observed distances to discretize")
+    n_ll = len(pairs.ll_a)
     n_query = len(np.bincount(pairs.query))
     slot_dtype = np.min_scalar_type(s)  # threshold indices 0..s
-    thresholds: list[np.ndarray] = []
+    grid = np.empty((n_fn, s))
+    sizes = np.empty(n_fn, dtype=np.int64)
     joined = np.full((n_fn, n_query), -1, dtype=np.int32)
     assign_at = np.empty((n_fn, n_query), dtype=slot_dtype)
-    ball_slot = np.empty((n_fn, len(pairs.ll_a)), dtype=slot_dtype)
+    ball_slot = np.empty((n_fn, n_ll), dtype=slot_dtype)
     rights, starts, counts = np.unique(pairs.lr_right, return_index=True, return_counts=True)
-    pos = np.arange(n_lr)
-    step = max(1, _BLOCK_CELLS // max(n_lr, len(pairs.ll_a), 1))
+    ever_unique = np.zeros(len(rights), dtype=bool)
+    pos = np.arange(n_lr, dtype=np.int32)
+    steps = np.arange(1, s + 1)
+    step = max(1, _BLOCK_CELLS // max(n_lr, n_ll, n_query, s + 2))
     for f0 in range(0, n_fn, step):
         fs = slice(f0, f0 + step)
         lr = weighted_sum([d[fs] for d in d_lr], weights)
         ll = weighted_sum([d[fs] for d in d_ll], weights)
         dmin = np.full((len(lr), n_query), np.inf)  # inf where the query joins nothing
-        if n_lr:
-            seg_min = np.minimum.reduceat(lr, starts, axis=1)
-            is_min = lr == np.repeat(seg_min, counts, axis=1)
-            first = np.minimum.reduceat(np.where(is_min, pos, n_lr), starts, axis=1)
-            unique = np.add.reduceat(is_min, starts, axis=1, dtype=np.int64) == 1
-            dmin[:, rights] = np.where(unique, seg_min, np.inf)
-            joined[fs, rights] = np.where(unique, pairs.lr_left[first], -1)
-        for k in range(len(lr)):
-            thetas = discretize_thresholds(lr[k], s)
-            thresholds.append(thetas)
-            assign_at[f0 + k] = np.searchsorted(thetas, dmin[k], side="left")
-            ball_slot[f0 + k] = np.searchsorted(2.0 * thetas, ll[k], side="left")
-    return ReducedDistances(thresholds, joined, assign_at, ball_slot, time.perf_counter() - t0)
+        seg_min = np.minimum.reduceat(lr, starts, axis=1)
+        is_min = lr == np.repeat(seg_min, counts, axis=1)
+        first = np.minimum.reduceat(np.where(is_min, pos, n_lr), starts, axis=1)
+        unique = np.add.reduceat(is_min, starts, axis=1, dtype=np.int32) == 1
+        ever_unique |= unique.any(axis=0)
+        dmin[:, rights] = np.where(unique, seg_min, np.inf)
+        joined[fs, rights] = np.where(unique, pairs.lr_left[first], -1)
+        # discretize_thresholds per row: lo + k * ((hi - lo) / s), clipped,
+        # ending at hi; a degenerate row is all hi, of which one is kept
+        lo, hi = seg_min.min(axis=1), lr.max(axis=1)
+        width = (hi - lo) / s
+        g = grid[fs]
+        np.multiply(steps, width[:, None], out=g)
+        g += lo[:, None]
+        np.clip(g, lo[:, None], hi[:, None], out=g)
+        g[:, -1] = hi
+        sizes[fs] = np.where(lo == hi, 1, s)
+        _first_reaching(g, sizes[fs], lo, width, dmin, assign_at[fs])
+        # at most _BLOCK_CELLS pairs at a time, so the temporaries stay in cache
+        chunk = max(1, _BLOCK_CELLS // len(ll))
+        for c in range(0, n_ll, chunk):
+            cs = slice(c, c + chunk)
+            _first_reaching(2.0 * g, sizes[fs], 2.0 * lo, 2.0 * width, ll[:, cs], ball_slot[fs, cs])
+    tied = int(np.bincount(pairs.query)[rights[~ever_unique]].sum())
+    return ReducedDistances(
+        grid, sizes, joined, assign_at, ball_slot, tied, time.perf_counter() - t0
+    )
 
 
 @dataclass
 class ConfigTable:
-    """Per-configuration assignment arrays over distinct queries and
+    """Per-configuration precision arrays over distinct queries and
     distinct rows.
 
-    Column k is query k.  Row i holds a join: ``left[i, k]`` is the
-    left-record position joined to query k (-1 for none) and ``prec[i, k]``
-    its estimated precision under the ball of radius twice the threshold.
-    ``prec`` is 0 exactly where ``left`` is -1 and > 0 elsewhere.
+    Column k is query k.  Row i holds a join: ``prec[i, k]`` is the
+    estimated precision of query k's join under the ball of radius twice
+    the threshold, 0 where the row assigns query k nothing and > 0
+    elsewhere.  The left record joined is that of the row's function
+    (``row_function``), ``joined[row_function[i], k]``, wherever the row
+    assigns one; ``left`` builds that table.
 
     Consecutive thresholds of one function often join alike, so the table
     keeps one row per run of them with equal rows: configuration c's row is
     ``row[c]``, rows are numbered in configuration order, and each row's
-    members are one ascending run of configurations.  ``left[row]`` is the
+    members are one ascending run of configurations.  ``prec[row]`` is the
     table over all configurations.
     """
 
@@ -182,8 +278,8 @@ class ConfigTable:
     cfg_function: np.ndarray  # (n_cfg,) index into functions
     cfg_threshold: np.ndarray  # (n_cfg,)
     row: np.ndarray  # (n_cfg,) int64, each configuration's row
-    left: np.ndarray  # (n_row, n_query) int32
     prec: np.ndarray  # (n_row, n_query) float32
+    joined: np.ndarray  # (n_fn, n_query) int32, ReducedDistances.joined
 
     @property
     def n_configs(self) -> int:
@@ -192,7 +288,20 @@ class ConfigTable:
     @property
     def members(self) -> np.ndarray:
         """(n_row,) int64, the configurations per row."""
-        return np.bincount(self.row, minlength=len(self.left))
+        return np.bincount(self.row, minlength=len(self.prec))
+
+    @property
+    def row_function(self) -> np.ndarray:
+        """(n_row,) each row's function."""
+        out = np.empty(len(self.prec), dtype=self.cfg_function.dtype)
+        out[self.row] = self.cfg_function
+        return out
+
+    @property
+    def left(self) -> np.ndarray:
+        """(n_row, n_query) int32, the left position each row joins to
+        each query, -1 for none; built on each access."""
+        return np.where(self.prec > 0, self.joined[self.row_function], -1)
 
     def configuration(self, c: int) -> Configuration:
         return Configuration(
@@ -206,65 +315,112 @@ def precompute_config_table(
     reduced: ReducedDistances,
 ) -> ConfigTable:
     """Expand every (function, threshold) pair of ``reduced``, the
-    reduction of the distances over ``pairs``, into assignment and
-    precision rows over the distinct queries, one row per run of
-    consecutive thresholds that join alike.
+    reduction of the distances over ``pairs``, into precision rows over the
+    distinct queries, one row per run of consecutive thresholds that join
+    alike, one block of functions at a time.
 
-    A precision depends only on the joined left record and the threshold:
-    each self-join pair falls in the ball of every threshold from its slot
-    on, so one ``bincount`` and a cumulative sum per function count every
-    ball.  Within a function, threshold k joins as threshold k - 1 does
-    unless some query is first assigned at k or a self-join pair of a left
-    record joined before k has slot k: a ball that grows changes its
-    precision, since ``float32(1/b)`` differs for every ball size b.  Only
-    the thresholds that start a row are filled.
+    Within a function, threshold k joins as threshold k - 1 does unless
+    some query is first assigned at k or a self-join pair of a left record
+    joined before k has slot k: a ball that grows changes its precision,
+    since ``float32(1/b)`` differs for every ball size b.  Those thresholds
+    start the rows.
+
+    A precision depends only on the joined left record and the row.  Each
+    self-join pair is counted in the row holding its slot, so one
+    ``bincount`` and a cumulative sum per block count every left record's
+    ball at every row of the block.  A pair whose slot does not start a row
+    belongs to a left record that no query joins until a later row, so the
+    count is exact wherever a row assigns the record.  ``float32(1/b)`` is formed
+    once per ball size b, read once per (left record, row) and gathered
+    into the rows.  Each block's temporaries hold about ``_BLOCK_CELLS``
+    cells.
     """
-    thresholds, joined = reduced.thresholds, reduced.joined
+    grid, sizes, joined = reduced.grid, reduced.sizes, reduced.joined
     assign_at, ball_slot = reduced.assign_at, reduced.ball_slot
-    n_query = joined.shape[1]
+    n_fn, n_query = joined.shape
     n_left = len(pairs.left_ids)
     ll_a = pairs.ll_a
-    sizes = [len(t) for t in thresholds]
-    cfg_function = np.repeat(np.arange(len(thresholds), dtype=np.int32), sizes)
-    cfg_threshold = np.concatenate([np.empty(0), *thresholds])
-    row_starts: list[np.ndarray] = []  # per function, the thresholds starting a row
-    cfg_row: list[np.ndarray] = []
-    n_row = 0
-    for fi, s in enumerate(sizes):
-        # per left record, the first threshold joining a query to it; the
-        # last entry, read through joined = -1, stays s
-        joined_at = np.full(n_left + 1, s, dtype=assign_at.dtype)
-        np.minimum.at(joined_at, joined[fi], assign_at[fi])
-        new = np.zeros(s + 1, dtype=bool)
-        new[0] = True
-        new[assign_at[fi]] = True
-        new[ball_slot[fi][ball_slot[fi] > joined_at[ll_a]]] = True
-        row_starts.append(np.flatnonzero(new[:s]))
-        cfg_row.append(n_row - 1 + np.cumsum(new[:s]))
-        n_row += len(row_starts[-1])
+    s = grid.shape[1]
+    in_grid = np.arange(s) < sizes[:, None]
+    fn_step = max(1, _BLOCK_CELLS // max(n_query, len(ll_a), n_left + 1, s + 1))
 
-    left = np.empty((n_row, n_query), dtype=np.int32)
-    prec = np.empty((n_row, n_query), dtype=np.float32)
-    r0 = 0
-    for fi, ks in enumerate(row_starts):
-        s = sizes[fi]
-        # slot s holds pairs beyond every radius; row n_left is read by
-        # queries that join nothing, whose precisions the fill zeroes
-        hits = np.bincount(ll_a * (s + 1) + ball_slot[fi], minlength=(n_left + 1) * (s + 1))
-        balls = 1 + np.cumsum(hits.reshape(n_left + 1, s + 1)[:, :s], axis=1)[:, ks]
-        rows = slice(r0, r0 + len(ks))
-        assigned = assign_at[fi] <= ks[:, None]
-        left[rows] = np.where(assigned, joined[fi], -1)
-        prec[rows] = (1.0 / balls[joined[fi]]).T
-        prec[rows] *= assigned
-        r0 += len(ks)
+    # per function, the thresholds that start a row
+    new = np.zeros((n_fn, s + 1), dtype=bool)  # column sizes[f]: none
+    new[:, 0] = True
+    for f0 in range(0, n_fn, fn_step):
+        fs = slice(f0, f0 + fn_step)
+        nb = len(new[fs])
+        # per left record, the first threshold joining a query to it, in
+        # rows of n_left + 1: a query that joins nothing (-1) lands in the
+        # previous row's unread last column
+        joined_at = np.repeat(sizes[fs].astype(assign_at.dtype), n_left + 1)
+        at_row = np.arange(0, nb * (n_left + 1), n_left + 1)[:, None]
+        np.minimum.at(joined_at, (joined[fs] + at_row).reshape(-1), assign_at[fs].reshape(-1))
+        grows = ball_slot[fs] > np.take(joined_at.reshape(nb, n_left + 1), ll_a, axis=1)
+        at_row = np.arange(0, nb * (s + 1), s + 1)[:, None]
+        flags = new[fs].reshape(-1)
+        flags[assign_at[fs] + at_row] = True
+        flags[(ball_slot[fs] + at_row)[grows]] = True
+    starts = new[:, :s] & in_grid
+    cum = np.cumsum(starts, axis=1)  # 1 + each threshold's row in its function
+    n_rows = cum[:, -1]
+    first_row = np.cumsum(n_rows) - n_rows
+    row = (cum + (first_row - 1)[:, None])[in_grid]
+
+    prec = np.empty((int(n_rows.sum()), n_query), dtype=np.float32)
+    # float32(1/b) for every ball size b
+    recip = np.zeros(2 + (np.bincount(ll_a).max() if len(ll_a) else 0), dtype=np.float32)
+    recip[1:] = 1.0 / np.arange(1, len(recip))
+    end_row = first_row + n_rows
+    row_cap = max(1, _BLOCK_CELLS // max(n_left, 1) - 1)
+    gather_rows = max(1, _BLOCK_CELLS // max(n_query, 1))
+    f0 = 0
+    while f0 < n_fn:
+        # the next functions whose rows fit in row_cap, at least one
+        f1 = int(np.searchsorted(end_row, first_row[f0] + row_cap, side="right"))
+        f1 = min(max(f1, f0 + 1), f0 + fn_step)
+        fs = slice(f0, f1)
+        r0, n_blk = int(first_row[f0]), int(end_row[f1 - 1] - first_row[f0])
+        fn_start = first_row[fs] - r0  # each function's first row in the block
+        # each threshold's row in the block, and n_blk past the grid
+        row_of = np.full((f1 - f0, s + 1), n_blk)
+        row_of[:, :s] = np.where(in_grid[fs], cum[fs] + (fn_start - 1)[:, None], n_blk)
+        row_of = row_of.reshape(-1)
+        at_row = np.arange(0, (f1 - f0) * (s + 1), s + 1)[:, None]
+        # balls[l, r]: the self-join pairs of left l whose slot lies in row
+        # r, plus 1 for the record itself at each function's first row,
+        # less the count of the previous function there; the cumulative sum
+        # along l is then its ball at every row
+        key = np.take(row_of, ball_slot[fs] + at_row)
+        key += ll_a * (n_blk + 1)
+        balls = np.bincount(key.reshape(-1), minlength=n_left * (n_blk + 1))
+        balls = balls.reshape(n_left, n_blk + 1)
+        balls[:, fn_start] += 1
+        per_fn = np.add.reduceat(balls, fn_start, axis=1)
+        balls[:, fn_start[1:]] -= per_fn[:, :-1]
+        np.cumsum(balls, axis=1, out=balls)
+        # the last column, which sums pairs past every grid, is never read
+        inv = np.take(recip, balls.reshape(-1), mode="clip")
+        # per (function, query): its left record's first cell in inv, and
+        # the row first assigning the query, n_blk for none
+        left_at = np.maximum(joined[fs], 0).astype(np.intp) * (n_blk + 1)
+        assigned_from = row_of[assign_at[fs] + at_row].astype(np.int32)
+        fn_of_row = np.repeat(np.arange(f1 - f0), n_rows[fs])
+        for a in range(0, n_blk, gather_rows):
+            rows = np.arange(a, min(a + gather_rows, n_blk), dtype=np.int32)
+            idx = np.take(left_at, fn_of_row[rows], axis=0)
+            idx += rows[:, None]
+            out = prec[r0 + a : r0 + a + len(rows)]
+            np.take(inv, idx, out=out, mode="clip")
+            out *= np.take(assigned_from, fn_of_row[rows], axis=0) <= rows[:, None]
+        f0 = f1
     return ConfigTable(
         functions=list(functions),
-        cfg_function=cfg_function,
-        cfg_threshold=cfg_threshold,
-        row=np.concatenate([np.empty(0, dtype=np.int64), *cfg_row]),
-        left=left,
+        cfg_function=np.repeat(np.arange(n_fn, dtype=np.int32), sizes),
+        cfg_threshold=grid[in_grid],
+        row=row,
         prec=prec,
+        joined=joined,
     )
 
 
@@ -285,7 +441,7 @@ class GreedyStep:
 @dataclass
 class GreedyOutcome:
     selected: list[int]  # configuration indices, in insertion order
-    cur_left: np.ndarray  # (n_query,) left position or -1, per query
+    cur_row: np.ndarray  # (n_query,) int64, the table row that set it or -1, per query
     cur_prec: np.ndarray  # (n_query,) float
     cur_source: np.ndarray  # (n_query,) index into selected, or -1
     tp: float
@@ -310,7 +466,6 @@ _UPDATE_COLUMNS = 8
 
 
 def greedy_select(
-    cfg_left: np.ndarray,
     cfg_prec: np.ndarray,
     weight: np.ndarray,
     tau: float,
@@ -328,10 +483,11 @@ def greedy_select(
     Column k of the table is a query standing for ``weight[k]`` right
     records, which it assigns alike (the ConfigTable columns); the search
     equals the one over the table with each query repeated that many times.
-    ``cfg_prec`` must be 0 exactly where ``cfg_left`` is -1 and > 0
-    elsewhere: a union's per-query precision is then the elementwise
-    maximum of its picks' rows.  The returned ``cur_*`` arrays are per
-    query.
+    ``cfg_prec[i, k]`` is > 0 exactly where row i assigns query k: a
+    union's per-query precision is then the elementwise maximum of its
+    picks' rows.  The returned ``cur_*`` arrays are per query;
+    ``cur_row`` is the row whose pick set each query's join (the caller
+    knows which left record that row joins it to).
 
     Row i of the table stands for ``members[i]`` configurations with equal
     rows (the ConfigTable rows; one each by default), numbered in one
@@ -358,13 +514,13 @@ def greedy_select(
     n_right * (n_left + 1) < 2**29.  The products and sums use ``np.einsum``,
     which runs on one thread.
     """
-    n_row, n_col = cfg_left.shape
+    n_row, n_col = cfg_prec.shape
     members = np.ones(n_row, dtype=np.int64) if members is None else np.asarray(members)
     first_member = np.cumsum(members) - members  # each row's first configuration
     n_cfg = int(members.sum())
     weight_f = np.asarray(weight, dtype=np.float64)
     available = np.ones(n_row, dtype=bool)  # rows none of whose members is picked
-    cur_left = np.full(n_col, -1, dtype=np.int32)
+    cur_row = np.full(n_col, -1, dtype=np.int64)
     cur_prec = np.zeros(n_col, dtype=np.float32)
     cur_source = np.full(n_col, -1, dtype=np.int32)
     selected: list[int] = []
@@ -372,7 +528,7 @@ def greedy_select(
     tp_cur = 0.0
     n_cur = 0
     gain = np.einsum("ck,k->c", cfg_prec, weight_f)
-    cover = np.einsum("ck,k->c", cfg_left != -1, weight)
+    cover = np.einsum("ck,k->c", cfg_prec > 0, weight)
     stop_reason = "exhausted"
 
     while len(selected) < n_cfg:
@@ -418,7 +574,7 @@ def greedy_select(
         for start in range(0, len(taken), _UPDATE_COLUMNS):
             cols = taken[start : start + _UPDATE_COLUMNS]
             block = cfg_prec[:, cols]
-            opened = cur_left[cols] == -1  # columns the pick newly assigns
+            opened = cur_row[cols] == -1  # columns the pick newly assigns
             # prec > 0 iff assigned
             cover -= np.einsum("ck,k->c", block[:, opened] > 0, weight[cols[opened]])
             # max(0, p - old) - max(0, p - new) = max(0, min(p, new) - old)
@@ -426,14 +582,14 @@ def greedy_select(
             lost -= cur_prec[cols]
             np.maximum(lost, 0.0, out=lost)
             gain -= np.einsum("ck,k->c", lost, weight_f[cols])
-        cur_left[taken] = cfg_left[pick, taken]
+        cur_row[taken] = pick
         cur_prec[taken] = cfg_prec[pick, taken]
         cur_source[taken] = slot
         tp_cur, n_cur = tp_pick, int(n_assigned[pick])
 
     fp_cur = max(n_cur - tp_cur, 0.0)
     return GreedyOutcome(
-        selected, cur_left, cur_prec, cur_source, tp_cur, fp_cur, stop_reason, trace
+        selected, cur_row, cur_prec, cur_source, tp_cur, fp_cur, stop_reason, trace
     )
 
 
@@ -577,13 +733,18 @@ def solve_from_distances(
     table = precompute_config_table(functions, pairs, reduced)
     t1 = time.perf_counter()
     weight = np.bincount(pairs.query)  # right records per query
-    outcome = greedy_select(table.left, table.prec, weight, tau, rng, table.members)
+    outcome = greedy_select(table.prec, weight, tau, rng, table.members)
     t2 = time.perf_counter()
 
     configs = tuple(table.configuration(c) for c in outcome.selected)
     solution = Solution(configs, column_weights, columns)
     assignments: dict[str, Assignment] = {}
-    cur_left = outcome.cur_left[pairs.query]
+    # each query's left record, joined by the function of the row that set it
+    query_left = np.full(len(outcome.cur_row), -1, dtype=np.int64)
+    set_by = np.flatnonzero(outcome.cur_row >= 0)
+    fn = table.row_function[outcome.cur_row[set_by]]
+    query_left[set_by] = reduced.joined[fn, set_by]
+    cur_left = query_left[pairs.query]
     cur_prec = outcome.cur_prec[pairs.query]
     cur_source = outcome.cur_source[pairs.query]
     for r, rid in enumerate(pairs.right_ids):
@@ -594,6 +755,11 @@ def solve_from_distances(
             )
     total = outcome.tp + outcome.fp
     warnings = [] if configs else ["no configuration met the precision target"]
+    if reduced.tied_queries:
+        warnings.append(
+            f"{reduced.tied_queries} right records have candidates but a tied minimum "
+            "distance under every join function, and join nothing"
+        )
     return SolveResult(
         solution=solution,
         result=JoinResult(assignments),
@@ -603,7 +769,7 @@ def solve_from_distances(
         estimated_recall=outcome.tp,
         warnings=warnings,
         timings={"precompute": reduced.seconds + t1 - t0, "greedy": t2 - t1},
-        pair_counts={"config_rows": len(table.left)},
+        pair_counts={"config_rows": len(table.prec), "tied_queries": reduced.tied_queries},
         greedy=outcome,
     )
 

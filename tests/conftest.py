@@ -1,9 +1,10 @@
 """Shared helpers: CSV writers, random greedy-search instances, the
 blocked candidates by id, and the loops that the vectorized engines are
 held to: the per-configuration ball counts, the dense configuration table,
-the dense greedy loop, the per-string tokenizer loop, the per-pair
-set-statistics loop with the scalar single-pair distance on top of it, the
-per-token IDF index, and the per-row blocking loop."""
+the per-function distance reduction and table fill, the dense greedy loop,
+the per-string tokenizer loop, the per-pair set-statistics loop with the
+scalar single-pair distance on top of it, the per-token IDF index, and the
+per-row blocking loop."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +22,14 @@ from hypothesis import settings
 from fuzzyjoin import CandidateIndex, Record, Table, blocking_cutoff, solver
 from fuzzyjoin.distances import char_distance, get_plugin
 from fuzzyjoin.functions import CHAR_DISTANCES, PLUGIN, Configuration, JoinFunction
-from fuzzyjoin.solver import BlockedPairs, ConfigTable, GreedyOutcome, GreedyStep
+from fuzzyjoin.multicolumn import weighted_sum
+from fuzzyjoin.solver import (
+    BlockedPairs,
+    ConfigTable,
+    GreedyOutcome,
+    GreedyStep,
+    ReducedDistances,
+)
 from fuzzyjoin.text import apply_preprocess, tokenize
 
 # No per-example deadline: the kernels' first calls and a busy shared host
@@ -239,6 +246,18 @@ def _per_right_minima(
     return dmin, argmin_pair, tie
 
 
+@dataclass
+class DenseTable:
+    """A configuration table with one row per configuration and both
+    the joined left records and their precisions stored."""
+
+    cfg_function: np.ndarray
+    cfg_threshold: np.ndarray
+    row: np.ndarray
+    left: np.ndarray  # (n_cfg, n_right) int32, -1 for none
+    prec: np.ndarray  # (n_cfg, n_right) float32
+
+
 def dense_config_table(
     functions: Sequence[JoinFunction],
     thresholds: Sequence[np.ndarray],
@@ -249,7 +268,7 @@ def dense_config_table(
     d_lr: np.ndarray,
     ll_a: np.ndarray,
     d_ll: np.ndarray,
-) -> ConfigTable:
+) -> DenseTable:
     """Expand every (function, threshold) pair into dense per-right
     assignment and precision rows, filled in place: one row per
     configuration, one column per right record, one function at a time.  The table build that
@@ -281,13 +300,124 @@ def dense_config_table(
         left[block, joinable] = np.where(assigned, joined_left, -1)
         prec[block, joinable] = np.where(assigned, inv_balls[:, joined_left], 0)
         row += len(thetas)
-    return ConfigTable(
-        functions=list(functions),
+    return DenseTable(
         cfg_function=np.repeat(np.arange(len(sizes), dtype=np.int32), sizes),
         cfg_threshold=np.concatenate([np.empty(0), *thresholds]),
         row=np.arange(sum(sizes), dtype=np.int64),
         left=left,
         prec=prec,
+    )
+
+
+def loop_reduce_distances(
+    pairs: BlockedPairs,
+    d_lr: Sequence[np.ndarray],
+    d_ll: Sequence[np.ndarray],
+    weights: Sequence[float],
+    s: int,
+    thresholds: Sequence[np.ndarray] | None = None,
+) -> ReducedDistances:
+    """The per-function reduction that ``solver.reduce_distances`` replaced,
+    kept as its oracle: per function one ``discretize_thresholds`` grid of
+    the weighted L-R row, or ``thresholds[fi]`` when given (any ascending
+    grids of at most ``s`` values), each query's unique minimum, and two
+    ``searchsorted`` calls.  The tied queries are counted from the
+    per-function minima: the right records of the queries with candidates
+    that no function joins."""
+    n_fn, n_lr = d_lr[0].shape
+    n_query = len(np.bincount(pairs.query))
+    slot_dtype = np.min_scalar_type(s)
+    lr_all = weighted_sum(list(d_lr), weights)
+    ll_all = weighted_sum(list(d_ll), weights)
+    grid = np.zeros((n_fn, s))
+    sizes = np.zeros(n_fn, dtype=np.int64)
+    joined = np.full((n_fn, n_query), -1, dtype=np.int32)
+    assign_at = np.empty((n_fn, n_query), dtype=slot_dtype)
+    ball_slot = np.empty((n_fn, len(pairs.ll_a)), dtype=slot_dtype)
+    rights = np.unique(pairs.lr_right)
+    for fi in range(n_fn):
+        lr = lr_all[fi]
+        if thresholds is None:
+            thetas = solver.discretize_thresholds(lr, s)
+        else:
+            thetas = np.asarray(thresholds[fi], dtype=float)
+        grid[fi, : len(thetas)], sizes[fi] = thetas, len(thetas)
+        dmin = np.full(n_query, np.inf)
+        for q in rights.tolist():
+            seg = np.flatnonzero(pairs.lr_right == q)
+            best = lr[seg].min()
+            at = seg[lr[seg] == best]
+            if len(at) == 1:
+                dmin[q], joined[fi, q] = best, pairs.lr_left[at[0]]
+        assign_at[fi] = np.searchsorted(thetas, dmin, side="left")
+        ball_slot[fi] = np.searchsorted(2.0 * thetas, ll_all[fi], side="left")
+    tied = int(np.bincount(pairs.query)[rights[(joined[:, rights] == -1).all(axis=0)]].sum())
+    return ReducedDistances(grid, sizes, joined, assign_at, ball_slot, tied, 0.0)
+
+
+def loop_config_table(
+    functions: Sequence[JoinFunction], pairs: BlockedPairs, reduced: ReducedDistances
+) -> ConfigTable:
+    """The per-function fill that ``solver.precompute_config_table``
+    replaced, kept as its oracle: per function the thresholds starting a
+    row, one ``bincount`` and cumulative sum of its balls at every
+    threshold, and its rows filled from them, the joined left records
+    included.  Asserts that those equal the table's derived ``left``."""
+    thresholds, joined = reduced.thresholds, reduced.joined
+    assign_at, ball_slot = reduced.assign_at, reduced.ball_slot
+    n_query = joined.shape[1]
+    n_left = len(pairs.left_ids)
+    ll_a = pairs.ll_a
+    sizes = [len(t) for t in thresholds]
+    row_starts: list[np.ndarray] = []
+    cfg_row: list[np.ndarray] = []
+    n_row = 0
+    for fi, s in enumerate(sizes):
+        joined_at = np.full(n_left + 1, s, dtype=assign_at.dtype)
+        np.minimum.at(joined_at, joined[fi], assign_at[fi])
+        new = np.zeros(s + 1, dtype=bool)
+        new[0] = True
+        new[assign_at[fi]] = True
+        new[ball_slot[fi][ball_slot[fi] > joined_at[ll_a]]] = True
+        row_starts.append(np.flatnonzero(new[:s]))
+        cfg_row.append(n_row - 1 + np.cumsum(new[:s]))
+        n_row += len(row_starts[-1])
+    left = np.empty((n_row, n_query), dtype=np.int32)
+    prec = np.empty((n_row, n_query), dtype=np.float32)
+    r0 = 0
+    for fi, ks in enumerate(row_starts):
+        s = sizes[fi]
+        hits = np.bincount(ll_a * (s + 1) + ball_slot[fi], minlength=(n_left + 1) * (s + 1))
+        balls = 1 + np.cumsum(hits.reshape(n_left + 1, s + 1)[:, :s], axis=1)[:, ks]
+        rows = slice(r0, r0 + len(ks))
+        assigned = assign_at[fi] <= ks[:, None]
+        left[rows] = np.where(assigned, joined[fi], -1)
+        prec[rows] = (1.0 / balls[joined[fi]]).T
+        prec[rows] *= assigned
+        r0 += len(ks)
+    table = ConfigTable(
+        functions=list(functions),
+        cfg_function=np.repeat(np.arange(len(thresholds), dtype=np.int32), sizes),
+        cfg_threshold=np.concatenate([np.empty(0), *thresholds]),
+        row=np.concatenate([np.empty(0, dtype=np.int64), *cfg_row]),
+        prec=prec,
+        joined=joined,
+    )
+    derived = table.left
+    assert derived.dtype == left.dtype and np.array_equal(derived, left)
+    return table
+
+
+def table_pairs(n_query, n_left, lr_right, lr_left, ll_a, ll_b=None) -> BlockedPairs:
+    """Blocked pairs over query k = right record k."""
+    return BlockedPairs(
+        left_ids=[f"L{i}" for i in range(n_left)],
+        right_ids=[f"R{k}" for k in range(n_query)],
+        lr_right=np.asarray(lr_right, dtype=np.int64),
+        lr_left=np.asarray(lr_left, dtype=np.int64),
+        ll_a=np.asarray(ll_a, dtype=np.int64),
+        ll_b=np.asarray(ll_a if ll_b is None else ll_b, dtype=np.int64),
+        query=np.arange(n_query),
     )
 
 
@@ -302,38 +432,32 @@ def config_table(
     ll_a: np.ndarray,
     d_ll: np.ndarray,
 ) -> ConfigTable:
-    """``solver.precompute_config_table`` over ``solver.reduce_distances``
-    of one column's matrices at weight 1, with the given ascending grids in
-    place of ``discretize_thresholds``'s.  Takes ``dense_config_table``'s
-    arguments; query k stands for right record k."""
-    pairs = BlockedPairs(
-        left_ids=[f"L{i}" for i in range(n_left)],
-        right_ids=[f"R{k}" for k in range(n_query)],
-        lr_right=np.asarray(lr_right, dtype=np.int64),
-        lr_left=np.asarray(lr_left, dtype=np.int64),
-        ll_a=np.asarray(ll_a, dtype=np.int64),
-        ll_b=np.asarray(ll_a, dtype=np.int64),  # read by neither step
-        query=np.arange(n_query),
-    )
+    """``solver.precompute_config_table`` over ``loop_reduce_distances`` of
+    one column's matrices at weight 1, with the given ascending grids.
+    Takes ``dense_config_table``'s arguments; query k stands for right
+    record k."""
+    pairs = table_pairs(n_query, n_left, lr_right, lr_left, ll_a)
     s = max((len(t) for t in thresholds), default=1)
-    with mock.patch.object(solver, "discretize_thresholds", side_effect=list(thresholds)):
-        reduced = solver.reduce_distances(pairs, [d_lr], [d_ll], (1.0,), s)
+    reduced = loop_reduce_distances(pairs, [d_lr], [d_ll], (1.0,), s, thresholds)
     return solver.precompute_config_table(functions, pairs, reduced)
 
 
-def dense_greedy(
-    cfg_left: np.ndarray,
-    cfg_prec: np.ndarray,
-    tau: float,
-    rng: np.random.Generator,
-) -> GreedyOutcome:
+def union_left(cfg_left: np.ndarray, cur_row: np.ndarray) -> np.ndarray:
+    """Per query k, ``cfg_left[cur_row[k], k]``, -1 where no row set it."""
+    got = np.full(len(cur_row), -1, dtype=np.int32)
+    k = np.flatnonzero(cur_row >= 0)
+    got[k] = cfg_left[cur_row[k], k]
+    return got
+
+
+def dense_greedy(cfg_prec: np.ndarray, tau: float, rng: np.random.Generator) -> GreedyOutcome:
     """Reference greedy search: every pick recomputes each candidate's union
     tp and assigned count over the whole table.  Same profit, tie rule,
     random draws and stop rule as ``solver.greedy_select``."""
-    n_cfg, n_right = cfg_left.shape
-    cfg_assigned = cfg_left != -1
+    n_cfg, n_right = cfg_prec.shape
+    cfg_assigned = cfg_prec > 0
     available = np.ones(n_cfg, dtype=bool)
-    cur_left = np.full(n_right, -1, dtype=np.int32)
+    cur_row = np.full(n_right, -1, dtype=np.int64)
     cur_prec = np.zeros(n_right, dtype=np.float32)
     cur_source = np.full(n_right, -1, dtype=np.int32)
     selected: list[int] = []
@@ -343,7 +467,7 @@ def dense_greedy(
 
     while available.any():
         tp_new = np.maximum(cfg_prec, cur_prec).sum(axis=1, dtype=np.float64)
-        n_assigned = (cfg_assigned | (cur_left != -1)).sum(axis=1)
+        n_assigned = (cfg_assigned | (cur_row != -1)).sum(axis=1)
         fp_new = np.maximum(n_assigned - tp_new, 0.0)
 
         eligible = available & (tp_new > tp_cur)
@@ -377,15 +501,15 @@ def dense_greedy(
         )
         available[pick] = False
         row_take = cfg_prec[pick] > cur_prec
-        cur_left = np.where(row_take, cfg_left[pick], cur_left)
+        cur_row = np.where(row_take, pick, cur_row)
         cur_prec = np.where(row_take, cfg_prec[pick], cur_prec)
         cur_source = np.where(row_take, slot, cur_source)
         tp_cur = float(cur_prec.sum(dtype=np.float64))
 
-    n_joined = int((cur_left != -1).sum())
+    n_joined = int((cur_row != -1).sum())
     fp_cur = max(n_joined - tp_cur, 0.0)
     return GreedyOutcome(
-        selected, cur_left, cur_prec, cur_source, tp_cur, fp_cur, stop_reason, trace
+        selected, cur_row, cur_prec, cur_source, tp_cur, fp_cur, stop_reason, trace
     )
 
 

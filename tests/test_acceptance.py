@@ -120,8 +120,7 @@ def test_criterion_3_greedy_exhaustive():
         cfg_left, cfg_prec = make_random_instance(rng, dyadic=True)
         tau = float(rng.choice([0.5, 0.7, 0.9]))
         outcome = greedy_select(
-            cfg_left, cfg_prec, np.ones(cfg_left.shape[1], np.int64), tau,
-            np.random.default_rng(seed),
+            cfg_prec, np.ones(cfg_left.shape[1], np.int64), tau, np.random.default_rng(seed)
         )
         for i, pick in enumerate(outcome.selected):
             argmax = oracle_step(cfg_left, cfg_prec, outcome.selected[:i], tau)

@@ -483,7 +483,8 @@ def test_run_multi_manifest_matches_run(tmp_path, synthetic_csvs):
 def test_duplicate_reference_rows_reported(tmp_path, capsys, command):
     # 30 reference rows appended again under new ids: queries whose true
     # left was copied tie between the copies and join neither, so recall
-    # falls; the manifest counts the 60 rows and both modes warn
+    # falls; the manifest counts the 60 rows and the right records whose
+    # minimum ties under every function, and both modes warn of each
     L, R, _ = generate_synthetic(n_left=300, seed=0, unmatched_rate=0.2)
     copies = tuple(Record(f"{rec.id}-copy", rec.values) for rec in L.records[:30])
     counts = {}
@@ -504,5 +505,9 @@ def test_duplicate_reference_rows_reported(tmp_path, capsys, command):
         counts[name] = json.loads((tmp_path / f"{name}.json").read_text())["pair_counts"]
         warned = "60 reference rows have the same values in columns ['name']" in err
         assert warned == (name == "copied")
+        tied = counts[name]["tied_queries"]
+        assert (f"warning: {tied} right records have candidates but a tied minimum" in err) == (tied > 0)
     assert counts["clean"]["left_duplicate_rows"] == 0
     assert counts["copied"]["left_duplicate_rows"] == 60
+    assert counts["clean"]["tied_queries"] == 0 < counts["copied"]["tied_queries"]
+

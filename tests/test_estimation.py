@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import BallCounter, config_stats, config_table, oracle_union
+from conftest import BallCounter, config_stats, config_table, oracle_union, union_left
 from fuzzyjoin import (
     Configuration,
     JoinFunction,
@@ -131,10 +131,12 @@ def as_table(rows: list[dict[int, tuple[int, float]]], n_right: int):
 
 def union_of(rows: list[dict[int, tuple[int, float]]], n_right: int, tau: float = 0.0):
     """greedy_select over ``as_table(rows)``, each right its own unit-weight
-    column."""
+    column, and each right's joined left record, read from the table at the
+    row that set it."""
     left, prec = as_table(rows, n_right)
     ones = np.ones(n_right, dtype=np.int64)
-    return greedy_select(left, prec, ones, tau, np.random.default_rng(0))
+    u = greedy_select(prec, ones, tau, np.random.default_rng(0))
+    return u, union_left(left, u.cur_row)
 
 
 # picked first (profit 3.5 / 0.5 = 7), right 0 at precision 1/2
@@ -147,46 +149,46 @@ class TestUnionStats:
     its maximum."""
 
     def test_single_config_is_identity(self):
-        u = union_of([{0: (0, 0.5), 1: (1, 1.0)}], 2)
+        u, cur_left = union_of([{0: (0, 0.5), 1: (1, 1.0)}], 2)
         assert u.selected == [0]
         assert u.tp == 1.5 and u.fp == 0.5
-        assert u.cur_left.tolist() == [0, 1]
+        assert cur_left.tolist() == [0, 1]
         assert u.cur_prec.tolist() == [0.5, 1.0]
         assert u.cur_source.tolist() == [0, 0]
 
     def test_conflict_keeps_more_confident(self):
         # the later pick joins right 0 elsewhere, less confidently
-        u = union_of([{0: (0, 1.0)}, {0: (1, 0.5), 1: (1, 1.0)}], 2)
+        u, cur_left = union_of([{0: (0, 1.0)}, {0: (1, 0.5), 1: (1, 1.0)}], 2)
         assert u.selected == [0, 1]
-        assert u.cur_left.tolist() == [0, 1]
+        assert cur_left.tolist() == [0, 1]
         assert u.cur_source.tolist() == [0, 1]
         assert u.tp == 2.0 and u.fp == 0.0
         # the later pick joins right 0 elsewhere, more confidently
-        u = union_of([FIRST, {0: (1, 1.0), 4: (1, 0.5)}], 5)
+        u, cur_left = union_of([FIRST, {0: (1, 1.0), 4: (1, 0.5)}], 5)
         assert u.selected == [0, 1]
-        assert (u.cur_left[0], u.cur_prec[0], u.cur_source[0]) == (1, 1.0, 1)
+        assert (cur_left[0], u.cur_prec[0], u.cur_source[0]) == (1, 1.0, 1)
         assert u.tp == 4.5 and u.fp == 0.5
 
     def test_conflict_tie_earlier_wins(self):
-        u = union_of([FIRST, {0: (1, 0.5), 4: (1, 1.0)}], 5)
+        u, cur_left = union_of([FIRST, {0: (1, 0.5), 4: (1, 1.0)}], 5)
         assert u.selected == [0, 1]
-        assert (u.cur_left[0], u.cur_prec[0], u.cur_source[0]) == (0, 0.5, 0)
+        assert (cur_left[0], u.cur_prec[0], u.cur_source[0]) == (0, 0.5, 0)
         assert u.tp == 4.5 and u.fp == 0.5
 
     def test_same_left_counted_once_at_max(self):
-        u = union_of([FIRST, {0: (0, 1.0), 4: (1, 0.5)}], 5)
+        u, cur_left = union_of([FIRST, {0: (0, 1.0), 4: (1, 0.5)}], 5)
         assert u.selected == [0, 1]
-        assert (u.cur_left[0], u.cur_prec[0], u.cur_source[0]) == (0, 1.0, 1)
-        assert (u.cur_left != -1).sum() == 5
+        assert (cur_left[0], u.cur_prec[0], u.cur_source[0]) == (0, 1.0, 1)
+        assert (cur_left != -1).sum() == 5
         assert u.tp == 4.5 and u.fp == 0.5
 
     def test_disjoint_coverage_sums(self):
-        u = union_of([{0: (0, 1.0)}, {1: (1, 0.5)}], 2, tau=0.5)
+        u, _ = union_of([{0: (0, 1.0)}, {1: (1, 0.5)}], 2, tau=0.5)
         assert u.selected == [0, 1]
         assert u.tp == 1.5 and u.fp == 0.5
 
     def test_empty_union_precision_one(self):
-        u = union_of([], 3)
+        u, _ = union_of([], 3)
         assert u.selected == [] and u.stop_reason == "exhausted"
         assert u.precision == 1.0
 
@@ -201,11 +203,11 @@ class TestUnionStats:
         )
     )
     def test_tp_plus_fp_equals_assigned(self, rows):
-        u = union_of(rows, 4)
-        assert u.tp + u.fp == pytest.approx((u.cur_left != -1).sum(), abs=1e-9)
+        u, cur_left = union_of(rows, 4)
+        assert u.tp + u.fp == pytest.approx((cur_left != -1).sum(), abs=1e-9)
         left, prec = as_table(rows, 4)
         _, _, best_left, best_prec = oracle_union([(left[c], prec[c]) for c in u.selected], 4)
-        assert u.cur_left.tolist() == best_left
+        assert cur_left.tolist() == best_left
         assert u.cur_prec.tolist() == best_prec
 
 

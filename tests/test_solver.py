@@ -26,16 +26,20 @@ from fuzzyjoin import (
 from fuzzyjoin import distances
 from fuzzyjoin.functions import SPACE_PRESETS, dump_solution
 from fuzzyjoin.solver import precompute_config_table, prepare_columns, reduce_distances
-from fuzzyjoin.tables import Table
+from fuzzyjoin.tables import Record, Table
 from fuzzyjoin.text import apply_preprocess, tokenize_strings
 from conftest import (
     config_table,
     dense_config_table,
     dense_greedy,
+    loop_config_table,
+    loop_reduce_distances,
     make_random_instance,
     oracle_profit,
     oracle_union,
     repeat_queries,
+    table_pairs,
+    union_left,
 )
 
 
@@ -220,6 +224,11 @@ TABLE_CASES = {
         [(0, 1, [0.2, 0.2]), (1, 0, [0.1, 0.6])], [[0.1, 0.3], [0.3, 0.5]],
     ),
     "no-rights": (2, 0, [], [(0, 1, D2)], [[0.1, 0.5], [0.3]]),
+    # every self-join pair lies past both grids: their counts pile up past
+    # the last row of a block of both functions, which nothing reads
+    "pairs-past-every-grid": (
+        2, 1, [(0, 0, D2)], [(0, 1, [0.9, 0.9]), (1, 0, [0.9, 0.9])], [[0.1, 0.3], [0.1, 0.3]],
+    ),
     # no right is first assigned at 0.15 or 0.2, and no joined ball grows
     # before 0.6 / 2: one row for 0.1-0.2 and one for 0.25-0.3
     "collapsed-thresholds": (
@@ -282,6 +291,131 @@ def test_table_with_wide_grid(block):
     assert table.n_configs == 600 and len(table.left) < 600
 
 
+# --- blocked reduction and fill vs the per-function loops ---------------------
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def reduction_cases(draw):
+    """Blocked pairs and one or two columns of distances: per function all
+    equal L-R distances (a degenerate grid), distances 0-3 ulp apart, a few
+    values on a quarter grid, or any; self-join distances on a grid value,
+    on twice one, or any.  Queries without candidates and tied minima give
+    infinite minima; s = 1 gives one-threshold grids and s = 300 uint16
+    slots."""
+    n_fn, n_left, n_query = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    s = draw(st.sampled_from([1, 2, 4, 7, 50, 300]))
+    lefts = st.sets(st.integers(0, n_left - 1), max_size=4)
+    lr = [(q, l) for q in range(n_query) for l in sorted(draw(lefts))] or [(0, 0)]
+    ll = sorted(draw(st.lists(st.tuples(st.integers(0, n_left - 1), st.integers(0, n_left - 1)), max_size=12)))
+    d_lr = np.empty((n_fn, len(lr)))
+    d_ll = np.empty((n_fn, len(ll)))
+    for fi in range(n_fn):
+        kind = draw(st.sampled_from(["equal", "ulp", "quarter", "any"]))
+        if kind == "equal":
+            d_lr[fi] = draw(UNIT)
+        elif kind == "ulp":
+            x = draw(st.floats(0.0, 0.99))
+            ulps = [x]
+            for _ in range(3):
+                ulps.append(np.nextafter(ulps[-1], 2.0))
+            d_lr[fi] = draw(st.lists(st.sampled_from(ulps), min_size=len(lr), max_size=len(lr)))
+        else:
+            values = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) if kind == "quarter" else UNIT
+            d_lr[fi] = draw(st.lists(values, min_size=len(lr), max_size=len(lr)))
+        thetas = discretize_thresholds(d_lr[fi], s)
+        on_grid = st.sampled_from([*thetas.tolist(), *(2.0 * thetas).tolist()])
+        d_ll[fi] = draw(st.lists(st.one_of(on_grid, UNIT), min_size=len(ll), max_size=len(ll)))
+    pairs = table_pairs(
+        n_query, n_left, [q for q, _ in lr], [l for _, l in lr], [a for a, _ in ll], [b for _, b in ll]
+    )
+    if draw(st.booleans()):
+        return pairs, [d_lr], [d_ll], (1.0,), s
+    # a second column: the weighted sum capped at 1.0
+    other_lr = np.array(draw(st.lists(UNIT, min_size=d_lr.size, max_size=d_lr.size))).reshape(d_lr.shape)
+    other_ll = np.array(draw(st.lists(UNIT, min_size=d_ll.size, max_size=d_ll.size))).reshape(d_ll.shape)
+    return pairs, [d_lr, other_lr], [d_ll, other_ll], draw(st.sampled_from([(0.64, 0.36), (0.9, 0.1)])), s
+
+
+BLOCK_SIZES = st.sampled_from([1, 2, 7, 64, solver._BLOCK_CELLS])
+
+
+def assert_same_reduction(got, want):
+    assert len(got.thresholds) == len(want.thresholds)
+    for a, b in zip(got.thresholds, want.thresholds):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for name in ("sizes", "joined", "assign_at", "ball_slot"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.tied_queries == want.tied_queries
+
+
+def assert_same_table(got, want):
+    for name in ("cfg_function", "cfg_threshold", "row", "prec"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.joined is want.joined
+
+
+@given(reduction_cases(), BLOCK_SIZES)
+def test_blocked_reduction_matches_loop_oracle(case, block):
+    pairs, d_lr, d_ll, weights, s = case
+    want = loop_reduce_distances(pairs, d_lr, d_ll, weights, s)
+    with mock.patch.object(solver, "_BLOCK_CELLS", block):
+        got = reduce_distances(pairs, d_lr, d_ll, weights, s)
+    assert_same_reduction(got, want)
+
+
+@given(reduction_cases(), BLOCK_SIZES)
+def test_blocked_fill_matches_loop_oracle(case, block):
+    pairs, d_lr, d_ll, weights, s = case
+    reduced = loop_reduce_distances(pairs, d_lr, d_ll, weights, s)
+    fns = [JoinFunction("L", "NONE", "NONE", "ED")] * len(reduced.sizes)
+    want = loop_config_table(fns, pairs, reduced)
+    with mock.patch.object(solver, "_BLOCK_CELLS", block):
+        got = precompute_config_table(fns, pairs, reduced)
+    assert_same_table(got, want)
+
+
+@given(table_cases(), BLOCK_SIZES)
+def test_blocked_fill_matches_loop_oracle_on_given_grids(args, block):
+    # grids of any ascending values and sizes, queries without candidates,
+    # no self-join pairs and no rights at all
+    fns, thresholds, n_query, n_left, lr_right, lr_left, d_lr, ll_a, d_ll = args
+    pairs = table_pairs(n_query, n_left, lr_right, lr_left, ll_a)
+    s = max(len(t) for t in thresholds)
+    reduced = loop_reduce_distances(pairs, [d_lr], [d_ll], (1.0,), s, thresholds)
+    want = loop_config_table(fns, pairs, reduced)
+    with mock.patch.object(solver, "_BLOCK_CELLS", block):
+        got = precompute_config_table(fns, pairs, reduced)
+    assert_same_table(got, want)
+
+
+def test_reduction_without_cross_table_pairs_raises():
+    # no L-R distance to discretize, in the blocked reduction as in the loop
+    pairs = table_pairs(2, 2, [], [], [0], [1])
+    d_lr, d_ll = np.empty((3, 0)), np.full((3, 1), 0.5)
+    for reduce in (reduce_distances, loop_reduce_distances):
+        with pytest.raises(ValueError, match="no observed distances"):
+            reduce(pairs, [d_lr], [d_ll], (1.0,), 5)
+
+
+def test_slots_of_nearly_degenerate_grids():
+    # grids 1-3 ulp wide put many thresholds on one value and the spacing
+    # guess far from the index: the searched fallback gives searchsorted's
+    x = 0.3
+    lr = np.array([[x, np.nextafter(x, 1.0)], [x, np.nextafter(np.nextafter(x, 1.0), 1.0)]])
+    ll = np.array([[x, 2 * x, np.nextafter(2 * x, 1.0), 0.0], [2 * x, 1.0, x, np.nextafter(2 * x, 0.0)]])
+    pairs = table_pairs(2, 2, [0, 1], [0, 1], [0, 0, 1, 1], [1, 1, 0, 0])
+    for s in (1, 3, 50, 300):
+        assert_same_reduction(
+            reduce_distances(pairs, [lr], [ll], (1.0,), s),
+            loop_reduce_distances(pairs, [lr], [ll], (1.0,), s),
+        )
+
+
 # --- greedy vs exhaustive oracle ----------------------------------------------
 
 
@@ -321,7 +455,7 @@ def test_greedy_matches_exhaustive_argmax(seed):
     tau = float(rng.choice([0.5, 0.7, 0.9]))
 
     ones = np.ones(cfg_left.shape[1], np.int64)
-    outcome = greedy_select(cfg_left, cfg_prec, ones, tau, np.random.default_rng(seed))
+    outcome = greedy_select(cfg_prec, ones, tau, np.random.default_rng(seed))
     # verify each pick along the engine's own path, then the stop itself
     for i, pick in enumerate(outcome.selected):
         argmax = oracle_step(cfg_left, cfg_prec, outcome.selected[:i], tau)
@@ -335,7 +469,7 @@ def test_greedy_matches_exhaustive_argmax(seed):
     )
     assert outcome.tp == pytest.approx(tp, abs=1e-9)
     assert outcome.fp == pytest.approx(fp, abs=1e-9)
-    assert list(outcome.cur_left) == left
+    assert union_left(cfg_left, outcome.cur_row).tolist() == left
     if outcome.selected:
         assert outcome.precision > tau
 
@@ -345,7 +479,7 @@ def test_greedy_tp_strictly_increases(seed):
     rng = np.random.default_rng(100 + seed)
     cfg_left, cfg_prec = make_random_instance(rng, dyadic=True)
     ones = np.ones(cfg_left.shape[1], np.int64)
-    outcome = greedy_select(cfg_left, cfg_prec, ones, 0.5, np.random.default_rng(0))
+    outcome = greedy_select(cfg_prec, ones, 0.5, np.random.default_rng(0))
     tps = []
     for i in range(len(outcome.selected)):
         tp, _, _, _ = oracle_union(
@@ -360,8 +494,8 @@ def test_greedy_reproducible_with_seed():
     rng = np.random.default_rng(42)
     cfg_left, cfg_prec = make_random_instance(rng, n_cfg=32, n_right=20)
     ones = np.ones(cfg_left.shape[1], np.int64)
-    a = greedy_select(cfg_left, cfg_prec, ones, 0.6, np.random.default_rng(5))
-    b = greedy_select(cfg_left, cfg_prec, ones, 0.6, np.random.default_rng(5))
+    a = greedy_select(cfg_prec, ones, 0.6, np.random.default_rng(5))
+    b = greedy_select(cfg_prec, ones, 0.6, np.random.default_rng(5))
     assert a.selected == b.selected
 
 
@@ -387,7 +521,9 @@ def test_greedy_does_not_recompute_distances():
 
 def assert_same_search(cfg_left, cfg_prec, tau, seed, column=None, members=None):
     """greedy_select and the dense reference loop agree exactly: picks, union
-    arrays, tp/fp, stop reason, trace and the random draws consumed.
+    arrays, tp/fp, stop reason, trace and the random draws consumed.  The
+    row that set each right's join is the dense loop's, grouped, so the
+    joined left records, read from ``cfg_left``, agree too.
 
     With ``column``, table column k stands for the rights r with
     ``column[r] == k``: greedy_select weighs each column by its count of
@@ -400,10 +536,17 @@ def assert_same_search(cfg_left, cfg_prec, tau, seed, column=None, members=None)
     row = np.repeat(np.arange(len(cfg_left)), 1 if members is None else members)
     weight = np.bincount(column, minlength=cfg_left.shape[1])
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = greedy_select(cfg_left, cfg_prec, weight, tau, rng_a, members)
-    want = dense_greedy(cfg_left[row][:, column], cfg_prec[row][:, column], tau, rng_b)
+    got = greedy_select(cfg_prec, weight, tau, rng_a, members)
+    want = dense_greedy(cfg_prec[row][:, column], tau, rng_b)
     assert got.selected == want.selected
-    for name in ("cur_left", "cur_prec", "cur_source"):
+    set_by = want.cur_row >= 0
+    want_row = np.full_like(want.cur_row, -1)
+    want_row[set_by] = row[want.cur_row[set_by]]
+    assert got.cur_row.dtype == want.cur_row.dtype
+    assert np.array_equal(got.cur_row[column], want_row)
+    got_left = union_left(cfg_left, got.cur_row)[column]
+    assert np.array_equal(got_left, union_left(cfg_left[row][:, column], want.cur_row))
+    for name in ("cur_prec", "cur_source"):
         a, b = getattr(got, name)[column], getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert (got.tp, got.fp) == (want.tp, want.fp)
@@ -843,3 +986,41 @@ def test_solve_multi_frees_each_sets_matrices_after_its_last_trial(monkeypatch):
         # the string tables, freed once the set of both was prepared, were
         # the last to hold the single-column sets' matrices
         assert all(a is False for c, a in alive.items() if c != cols)
+
+
+def test_solve_never_reads_the_left_table(monkeypatch):
+    # the solve reads the table's precisions and the reduction's joins;
+    # ``ConfigTable.left`` is built on access, for tests and tracing only
+    def forbidden(self):
+        raise AssertionError("the solve read ConfigTable.left")
+
+    monkeypatch.setattr(solver.ConfigTable, "left", property(forbidden))
+    # the golden "run" and "run-multi" inputs and settings
+    L, R, _ = generate_synthetic(n_left=60, seed=0, unmatched_rate=0.2)
+    assert solve_multi(L, R, columns=["name"]).result.assignments
+    L, R, _ = generate_synthetic(n_left=20, seed=3, unmatched_rate=0.2)
+    L, R = add_random_column(L, seed=1), add_random_column(R, seed=2)
+    fns = enumerate_function_space(SPACE_PRESETS["reduced24"])
+    assert solve_multi(L, R, g=4, functions=fns).result.assignments
+
+
+def test_tied_queries_counted_over_the_per_function_minima():
+    # 30 reference rows copied: a query nearest a copied row ties between
+    # the copies under every function and joins nothing
+    L, R, _ = generate_synthetic(n_left=300, seed=0, unmatched_rate=0.2)
+    copies = tuple(Record(f"{rec.id}-copy", rec.values) for rec in L.records[:30])
+    L = Table(L.columns, L.records + copies)
+    res = solve(L, R, "name")
+    prep = prepare_columns(L, R, ("name",), enumerate_function_space())
+    pairs, d_lr = prep.pairs, prep.d_lr["name"]
+    records = np.bincount(pairs.query)
+    tied = []
+    for q in np.unique(pairs.lr_right).tolist():
+        rows = d_lr[:, pairs.lr_right == q]
+        if all((row == row.min()).sum() > 1 for row in rows):
+            tied.append(q)
+    assert len(tied) > 0
+    assert res.pair_counts["tied_queries"] == int(records[tied].sum())
+    assert any(f"{res.pair_counts['tied_queries']} right records" in w for w in res.warnings)
+    unjoined = {pairs.right_ids[r] for r in np.flatnonzero(np.isin(pairs.query, tied))}
+    assert not unjoined & set(res.result.assignments)
