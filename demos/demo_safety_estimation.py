@@ -9,38 +9,34 @@ would be empty of competitors.  The more reference records inside, the
 more likely r's true match is a missing record and l is an impostor.
 
 We reconstruct that picture literally with reference records on an integer
-grid, using a plugin distance so the geometry is exact.
+grid, each pair of them at its exact Euclidean distance.
 """
 
 import math
 
 import numpy as np
 
-from fuzzyjoin import JoinFunction, distance_matrix, register_plugin
+from fuzzyjoin import JoinFunction
 from fuzzyjoin.solver import BlockedPairs, precompute_config_table, reduce_distances
 
 SCALE = 20.0
-
-
-def grid_distance(a: str, b: str) -> float:
-    xa, ya = map(float, a.split())
-    xb, yb = map(float, b.split())
-    return math.hypot(xa - xb, ya - yb) / SCALE
-
-
-register_plugin("grid", grid_distance)
-fn = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="grid")
+# the table labels its rows with a join function; the grid's distances stand
+# in for that function's
+fn = JoinFunction("L", "NONE", "NONE", "ED")
 
 
 def precision_at_origin(deleted, d):
     """The precision the configuration table estimates for a right record
     whose only candidate is the origin at distance d, under the one-threshold
     grid [d] that one distance makes.  Every ordered pair of grid points is a
-    self-join pair."""
+    self-join pair, at its Euclidean distance over SCALE."""
     points = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) not in deleted]
     values = [f"{x} {y}" for x, y in points]
     ll_a, ll_b = np.nonzero(~np.eye(len(points), dtype=bool))
-    d_ll = distance_matrix([fn], [(values[a], values[b]) for a, b in zip(ll_a, ll_b)])
+    d_ll = np.array([[
+        math.hypot(points[a][0] - points[b][0], points[a][1] - points[b][1]) / SCALE
+        for a, b in zip(ll_a, ll_b)
+    ]])
     origin = points.index((0, 0))
     pairs = BlockedPairs(
         values, ["r"], np.array([0]), np.array([origin]), ll_a, ll_b, query=np.array([0])

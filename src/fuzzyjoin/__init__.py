@@ -24,7 +24,6 @@ from .distances import (
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein,
-    register_plugin,
 )
 from .evaluation import (
     DROP_ONLY_PROFILE,

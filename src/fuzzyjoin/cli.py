@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import traceback
 
@@ -147,6 +148,14 @@ def _read_joins_csv(path: str) -> JoinResult:
     return JoinResult(assignments)
 
 
+def _score(value: str) -> float:
+    """A PR-AUC score: a float that ranks, so not NaN."""
+    score = float(value)
+    if math.isnan(score):
+        raise ValueError("NaN score")
+    return score
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     check_output_dir(args.json)
     gt = _read_gt_csv(args.gt)
@@ -155,7 +164,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.scores:
         scored = [
             (
-                _parse(args.scores, row_no, "score", row["score"], float),
+                _parse(args.scores, row_no, "score", row["score"], _score),
                 gt.matches.get(row["right_id"]) == row["left_id"],
             )
             for row_no, row in _read_csv(args.scores, ("right_id", "left_id", "score"))

@@ -4,8 +4,8 @@ Character-based kinds (ED, JW) compare preprocessed strings directly;
 set-based kinds (JD, CD, DD, ID, MD) compare weighted token multisets; the
 containment hybrids (CJD, CCD, CDD) fall back to the matching standard kind
 when the right bag is a sub-multiset of the left bag and return 1 otherwise.
-Callers can register extra distance functions on raw strings under the
-PLUGIN kind.
+These are all the kinds: the function space is closed, and the library
+computes each of them itself.
 
 `distance_matrix` is the library's one set-distance path: the solver calls
 it, and the single-pair `evaluate` is one call to it.  Every call runs on a
@@ -67,11 +67,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .functions import CHAR_DISTANCES, JoinFunction, PLUGIN
+from .functions import CHAR_DISTANCES, JoinFunction
 from .text import apply_preprocess, idf_weights, tokenize_strings
 
 # --- character-based -------------------------------------------------------
@@ -173,23 +173,6 @@ def char_distance(a: str, b: str, kind: str) -> float:
 # a containment hybrid's standard kind, taken when the right bag is a
 # sub-multiset of the left one
 _CONTAIN_BASE = {"CJD": "JD", "CCD": "CD", "CDD": "DD"}
-
-
-# --- plugin registry --------------------------------------------------------
-
-_plugins: dict[str, Callable[[str, str], float]] = {}
-
-
-def register_plugin(name: str, fn: Callable[[str, str], float]) -> None:
-    """Register a caller-supplied distance on raw strings under a name."""
-    _plugins[name] = fn
-
-
-def get_plugin(name: str) -> Callable[[str, str], float]:
-    try:
-        return _plugins[name]
-    except KeyError:
-        raise ValueError(f"no distance plugin registered under {name!r}") from None
 
 
 # --- full evaluation --------------------------------------------------------
@@ -552,9 +535,7 @@ class ColumnStrings:
     ``distance_matrix`` returned over it: per call, the sorted keys of the
     distinct value pairs that call computed, one column of the matrix per
     key, and the matrix itself, which is read-only and not copied.  A call
-    is remembered only once it has succeeded.  A row is looked up by its
-    functions and value pair only, so a plugin registered again under the
-    same name needs a new table.
+    is remembered only once it has succeeded.
     """
 
     def __init__(
@@ -568,17 +549,16 @@ class ColumnStrings:
         self.value_ids = {v: i for i, v in enumerate(copies)}
         for v in extra:
             self.value_ids.setdefault(v, len(self.value_ids))
-        self.values = list(self.value_ids)
-        self.copies = np.zeros(len(self.values))
+        self.copies = np.zeros(len(self.value_ids))
         self.copies[: len(copies)] = list(copies.values())
         ids: dict[str, int] = {}
         # per option, each value's preprocessed string id
         self.of_value = {
             option: np.array(
-                [ids.setdefault(apply_preprocess(v, option), len(ids)) for v in self.values],
+                [ids.setdefault(apply_preprocess(v, option), len(ids)) for v in self.value_ids],
                 dtype=np.int64,
             )
-            for option in dict.fromkeys(f.preprocess for f in functions if f.distance != PLUGIN)
+            for option in dict.fromkeys(f.preprocess for f in functions)
         }
         self.strings = list(ids)
         self._tokens: dict[str, _Tokens] = {}
@@ -632,7 +612,7 @@ def distance_matrix(
             f"IDFW function {idfw[0]} was given an empty corpus: IDF weights need "
             "at least one document"
         )
-    options = dict.fromkeys(f.preprocess for f in functions if f.distance != PLUGIN)
+    options = dict.fromkeys(f.preprocess for f in functions)
     unknown = [option for option in options if option not in table.of_value]
     if unknown:
         raise ValueError(f"the column's string table has no preprocess option {unknown[0]!r}")
@@ -702,32 +682,22 @@ def distance_matrix(
         (f.preprocess, f.tokenizer, f.weights): fi for fi, f in enumerate(functions) if f.is_set_based
     }
     for fi, f in enumerate(functions):
-        if f.distance == PLUGIN:
-            fn = get_plugin(f.plugin)
-            values = table.values
-            row = np.array([fn(values[a], values[b]) for a, b in zip(left, right)], dtype=float)
-            if not np.all((row >= 0.0) & (row <= 1.0)):
-                raise ValueError(
-                    f"distance plugin {f.plugin!r} returned a value that is NaN "
-                    "or outside [0, 1]"
-                )
+        option = f.preprocess
+        if f.distance in CHAR_DISTANCES:
+            ed, jw = char_rows[option]
+            row = ed if f.distance == "ED" else jw
         else:
-            option = f.preprocess
-            if f.distance in CHAR_DISTANCES:
-                ed, jw = char_rows[option]
-                row = ed if f.distance == "ED" else jw
-            else:
-                key = (option, f.tokenizer, f.weights)
-                if key not in set_rows:
-                    stats = set_stats[f.tokenizer][option]
-                    if f.weights == "EW":
-                        inter, w_a, w_b = stats["cnt_i"], stats["cnt_a"], stats["cnt_b"]
-                    else:
-                        inter, w_a, w_b = stats["idf_i"], stats["idf_a"], stats["idf_b"]
-                    set_rows[key] = _set_rows(inter, w_a, w_b, stats["contained"])
-                row = set_rows[key][f.distance]
-                if last_use[key] == fi:
-                    del set_rows[key]
+            key = (option, f.tokenizer, f.weights)
+            if key not in set_rows:
+                stats = set_stats[f.tokenizer][option]
+                if f.weights == "EW":
+                    inter, w_a, w_b = stats["cnt_i"], stats["cnt_a"], stats["cnt_b"]
+                else:
+                    inter, w_a, w_b = stats["idf_i"], stats["idf_a"], stats["idf_b"]
+                set_rows[key] = _set_rows(inter, w_a, w_b, stats["contained"])
+            row = set_rows[key][f.distance]
+            if last_use[key] == fi:
+                del set_rows[key]
         row = np.where(missing, 1.0, row)
         result[fi, at] = row[rank]
     result.flags.writeable = False

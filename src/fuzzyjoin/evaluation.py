@@ -40,7 +40,6 @@ class MetricsReport:
     n_assigned: int
     n_correct: int
     pr_auc: float | None = None
-    ubr: float | None = None
     zero_coverage: bool = False
 
     def as_dict(self) -> dict:
@@ -51,7 +50,6 @@ class MetricsReport:
             "n_assigned": self.n_assigned,
             "n_correct": self.n_correct,
             "pr_auc": self.pr_auc,
-            "ubr": self.ubr,
             "zero_coverage": self.zero_coverage,
         }
 
@@ -113,10 +111,13 @@ def pr_auc(scored_pairs: Sequence[tuple[float, bool]], total_true: int) -> float
 
     Thresholds sweep the distinct scores descending (higher score = more
     confident); the curve is anchored at recall 0 with the precision of the
-    first point and integrated by the trapezoid rule.
+    first point and integrated by the trapezoid rule.  A NaN score, which
+    ranks nowhere, raises ValueError.
     """
     if total_true < 1:
         raise ValueError("total_true must be at least 1")
+    if np.isnan([s for s, _ in scored_pairs]).any():
+        raise ValueError("a NaN score has no rank")
     if not scored_pairs:
         return 0.0
     ranked = sorted(scored_pairs, key=lambda sc: -sc[0])

@@ -1,17 +1,18 @@
 """Join functions, configurations, and solutions.
 
 A join function is a 4-tuple (preprocessing, tokenizer, token weights,
-distance kind) that maps a pair of strings to a distance in [0, 1].  A
-configuration adds a cut-off threshold; a solution is an ordered union of
-configurations plus a column-weight vector (a single 1.0 in single-column
-mode).
+distance kind) that maps a pair of strings to a distance in [0, 1].  The
+space of them is closed: every kind is one the library computes itself, so
+a serialized solution names nothing a reader must supply.  A configuration
+adds a cut-off threshold; a solution is an ordered union of configurations
+plus a column-weight vector (a single 1.0 in single-column mode).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator
 
 PREPROCESS_OPTIONS = ("L", "L+S", "L+RP", "L+S+RP")
 TOKENIZERS = ("3G", "SP")
@@ -20,7 +21,6 @@ SET_DISTANCES = ("JD", "CD", "DD", "ID", "MD", "CJD", "CCD", "CDD")
 WEIGHT_SCHEMES = ("EW", "IDFW")
 
 NONE = "NONE"
-PLUGIN = "PLUGIN"
 
 
 @dataclass(frozen=True)
@@ -29,20 +29,18 @@ class JoinFunction:
 
     Character-based kinds (ED, JW) operate on the preprocessed strings and
     carry no tokenizer or weight scheme; set-based kinds operate on weighted
-    token multisets.  PLUGIN defers to a caller-registered distance on the
-    raw strings.
+    token multisets.
     """
 
     preprocess: str
     tokenizer: str
     weights: str
     distance: str
-    plugin: Optional[str] = None
 
     def __post_init__(self):
         if self.preprocess not in PREPROCESS_OPTIONS:
             raise ValueError(f"unknown preprocess option {self.preprocess!r}")
-        if self.distance in CHAR_DISTANCES or self.distance == PLUGIN:
+        if self.distance in CHAR_DISTANCES:
             if self.tokenizer != NONE or self.weights != NONE:
                 raise ValueError(
                     f"{self.distance} requires tokenizer=NONE and weights=NONE"
@@ -58,25 +56,16 @@ class JoinFunction:
                 )
         else:
             raise ValueError(f"unknown distance kind {self.distance!r}")
-        if self.distance == PLUGIN and not self.plugin:
-            raise ValueError("PLUGIN distance needs a registered plugin name")
-        if self.distance != PLUGIN and self.plugin is not None:
-            raise ValueError("plugin name only valid with distance=PLUGIN")
 
     @property
     def is_set_based(self) -> bool:
         return self.distance in SET_DISTANCES
 
     def label(self) -> str:
-        parts = [
-            f"preprocess={self.preprocess}",
-            f"tokenizer={self.tokenizer}",
-            f"weights={self.weights}",
-            f"distance={self.distance}",
-        ]
-        if self.plugin:
-            parts.append(f"plugin={self.plugin}")
-        return " ".join(parts)
+        return (
+            f"preprocess={self.preprocess} tokenizer={self.tokenizer} "
+            f"weights={self.weights} distance={self.distance}"
+        )
 
 
 @dataclass(frozen=True)
@@ -142,7 +131,7 @@ class Solution:
 
     ``column_weights`` always sums to 1; single-column solutions carry the
     one-element vector (1.0,).  ``columns`` names the joined column pairs so
-    a serialized solution can be re-applied.
+    a serialized solution can be re-applied, one per weight when given.
     """
 
     configs: tuple[Configuration, ...]
@@ -150,11 +139,15 @@ class Solution:
     columns: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if any(w < 0 for w in self.column_weights):
-            raise ValueError("column weights must be nonnegative")
+        if not all(w >= 0 for w in self.column_weights):
+            raise ValueError("column weights must be nonnegative numbers")
         if abs(sum(self.column_weights) - 1.0) > 1e-9:
             raise ValueError(
                 f"column weights sum to {sum(self.column_weights)}, expected 1"
+            )
+        if self.columns and len(self.columns) != len(self.column_weights):
+            raise ValueError(
+                f"{len(self.columns)} columns but {len(self.column_weights)} column weights"
             )
 
     def __len__(self) -> int:
@@ -204,35 +197,47 @@ def save_solution(solution: Solution, path: str | Path) -> None:
     Path(path).write_text(dump_solution(solution), encoding="utf-8")
 
 
+# the fields of a config line, as dump_solution writes them
+_CONFIG_FIELDS = ("preprocess", "tokenizer", "weights", "distance", "threshold")
+
+
 def parse_solution(text: str) -> Solution:
+    """The solution ``dump_solution`` wrote.  A line that does not make one
+    raises ValueError naming it: a config line holds exactly the fields
+    ``_CONFIG_FIELDS``, and a columns or weights error names the later of
+    those two lines."""
     columns: tuple[str, ...] = ()
     weights: tuple[float, ...] = (1.0,)
     configs: list[Configuration] = []
+    header_no = 0  # the later of the columns and column_weights lines
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("columns:"):
-            body = line[len("columns:"):].strip()
-            columns = tuple(c for c in body.split(",") if c) if body else ()
-        elif line.startswith("column_weights:"):
-            body = line[len("column_weights:"):].strip()
-            weights = tuple(float(w) for w in body.split(","))
-        elif line.startswith("config:"):
-            fields = dict(
-                kv.split("=", 1) for kv in line[len("config:"):].strip().split()
-            )
-            fn = JoinFunction(
-                preprocess=fields["preprocess"],
-                tokenizer=fields["tokenizer"],
-                weights=fields["weights"],
-                distance=fields["distance"],
-                plugin=fields.get("plugin"),
-            )
-            configs.append(Configuration(fn, float(fields["threshold"])))
-        else:
-            raise ValueError(f"solution line {line_no}: cannot parse {raw!r}")
-    return Solution(tuple(configs), weights, columns)
+        try:
+            if line.startswith("columns:"):
+                body = line[len("columns:"):].strip()
+                columns = tuple(c for c in body.split(",") if c) if body else ()
+                header_no = line_no
+            elif line.startswith("column_weights:"):
+                body = line[len("column_weights:"):].strip()
+                weights = tuple(float(w) for w in body.split(","))
+                header_no = line_no
+            elif line.startswith("config:"):
+                items = [kv.partition("=") for kv in line[len("config:"):].split()]
+                fields = {key: value for key, sep, value in items if sep}
+                if len(fields) != len(items) or fields.keys() != set(_CONFIG_FIELDS):
+                    raise ValueError(f"a config holds exactly {', '.join(_CONFIG_FIELDS)}")
+                threshold = float(fields.pop("threshold"))
+                configs.append(Configuration(JoinFunction(**fields), threshold))
+            else:
+                raise ValueError("cannot parse")
+        except ValueError as exc:
+            raise ValueError(f"solution line {line_no}: {exc}: {raw!r}") from None
+    try:
+        return Solution(tuple(configs), weights, columns)
+    except ValueError as exc:
+        raise ValueError(f"solution line {header_no}: {exc}") from None
 
 
 def load_solution(path: str | Path) -> Solution:

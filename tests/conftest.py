@@ -20,8 +20,8 @@ import pytest
 from hypothesis import settings
 
 from fuzzyjoin import CandidateIndex, Record, Table, blocking_cutoff, solver
-from fuzzyjoin.distances import char_distance, get_plugin
-from fuzzyjoin.functions import CHAR_DISTANCES, PLUGIN, Configuration, JoinFunction
+from fuzzyjoin.distances import char_distance
+from fuzzyjoin.functions import CHAR_DISTANCES, Configuration, JoinFunction
 from fuzzyjoin.multicolumn import weighted_sum
 from fuzzyjoin.solver import (
     BlockedPairs,
@@ -637,8 +637,6 @@ def scalar_evaluate(
     ``loop_set_stats``."""
     if l_value == "" and r_value == "":
         return 1.0
-    if f.distance == PLUGIN:
-        return get_plugin(f.plugin)(l_value, r_value)
     a = apply_preprocess(l_value, f.preprocess)
     b = apply_preprocess(r_value, f.preprocess)
     if f.distance in CHAR_DISTANCES:

@@ -377,6 +377,8 @@ LATIN1 = "right_id,left_id\nr1,caf\u00e9\n".encode("latin-1")
         ("pred.csv", PRED_HEADER + "r1,l1,high,0\n", 3, "row 2: bad estimated_precision 'high'"),
         ("pred.csv", PRED_HEADER + "r1,l1,0.9,first\n", 3, "row 2: bad config_index 'first'"),
         ("scores.csv", "right_id,left_id,score\nr1,l1,x\n", 3, "row 2: bad score 'x'"),
+        # a NaN score has no rank
+        ("scores.csv", "right_id,left_id,score\nr1,l1,nan\nr2,l2,0.5\n", 3, "row 2: bad score 'nan'"),
         ("report.json", None, 2, "config error"),
         # each right record joins at most one left record
         ("pred.csv", PRED_HEADER + "r1,l1,0.9,0\nr1,l2,0.9,0\n", 3, "row 3: repeated right_id 'r1'"),
@@ -384,7 +386,7 @@ LATIN1 = "right_id,left_id\nr1,caf\u00e9\n".encode("latin-1")
     ],
     ids=[
         "missing-pred", "missing-gt", "latin1-pred", "latin1-gt",
-        "bad-precision", "bad-config-index", "bad-score", "json-missing-dir",
+        "bad-precision", "bad-config-index", "bad-score", "nan-score", "json-missing-dir",
         "repeated-pred-right-id", "repeated-gt-right-id",
     ],
 )

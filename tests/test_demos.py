@@ -1,5 +1,6 @@
 """Every narrative script under demos/ runs to completion against the
-package in src/, and the distance tour prints the values it always has."""
+package in src/, and the distance tour and the safety estimate print the
+values they always have."""
 
 import os
 import subprocess
@@ -38,6 +39,19 @@ grid of candidate thresholds, so the solver weighs thousands of
 configurations per dataset.
 """
 
+# demo_safety_estimation.py's stdout, pinned so that a moved estimate shows
+SAFETY_STDOUT = """\
+complete grid, r at 0.3 units from (0,0):
+  ball of radius 0.6 holds only (0,0) itself -> precision 1
+
+incomplete grid (4 records deleted), r at 0.75 units from (0,0):
+  the 1.5-unit ball holds 5 surviving records -> precision 0.2
+
+the estimate only needs to separate safe joins (clean balls) from
+risky ones; whether a crowded ball scores 1/5 or 1/8 barely matters
+once the target precision is 0.9.
+"""
+
 
 def run_demo(demo: Path, cwd: Path) -> subprocess.CompletedProcess:
     src = str(ROOT / "src")
@@ -60,3 +74,9 @@ def test_distance_tour_stdout(tmp_path):
     proc = run_demo(ROOT / "demos" / "demo_distance_tour.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == TOUR_STDOUT
+
+
+def test_safety_estimation_stdout(tmp_path):
+    proc = run_demo(ROOT / "demos" / "demo_safety_estimation.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == SAFETY_STDOUT

@@ -18,7 +18,6 @@ from fuzzyjoin import (
     evaluate,
     jaro_winkler_similarity,
     levenshtein,
-    register_plugin,
     tokenize,
 )
 from fuzzyjoin import distances, text
@@ -539,26 +538,6 @@ class TestEvaluate:
         f = JoinFunction("L", "SP", "EW", "JD")
         assert evaluate(f, "a b c d e", "a b c d x") == pytest.approx(1 - 4 / 6)
 
-    def test_plugin_roundtrip(self):
-        register_plugin("always-half", lambda a, b: 0.5)
-        f = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="always-half")
-        assert evaluate(f, "x", "y") == 0.5
-
-    def test_missing_plugin_raises(self):
-        f = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="not-registered")
-        with pytest.raises(ValueError):
-            evaluate(f, "x", "y")
-
-    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25])
-    def test_plugin_out_of_range_raises(self, bad):
-        # as in the pipeline; the missing pair, whose distance is 1 whatever
-        # the plugin says, still has its plugin value checked
-        register_plugin("bad-single", lambda a, b: bad)
-        f = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="bad-single")
-        for l_value, r_value in (("x", "y"), ("", "")):
-            with pytest.raises(ValueError, match="'bad-single'"):
-                evaluate(f, l_value, r_value)
-
 
 @st.composite
 def column_cases(draw):
@@ -621,17 +600,16 @@ class TestDistanceMatrix:
                         (apply_preprocess(x, o), apply_preprocess(y, o)) for x, y in new
                     )
 
-        # a call that raises leaves no rows behind, so after a valid plugin
-        # is registered under the same name the same table gives its rows
+        # a call that raises leaves no rows behind: with a pair value missing
+        # from the table it fails, the table holds the calls it held, and it
+        # still gives the rows a fresh table gives
         pairs = first + second or [(corpus[0], corpus[0])]
-        plugin = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="table-memory")
-        register_plugin("table-memory", lambda a, b: 1.5)
-        with pytest.raises(ValueError, match="'table-memory'"):
-            distance_matrix([*fns, plugin], pairs, table)
-        register_plugin("table-memory", lambda a, b: 0.5)
-        fresh = distance_matrix([*fns, plugin], pairs, ColumnStrings(fns, corpus))
-        assert set(fresh[-1].tolist()) <= {0.5, 1.0}
-        assert float_bits(distance_matrix([*fns, plugin], pairs, table)) == float_bits(fresh)
+        held = {signature: len(calls) for signature, calls in table._held.items()}
+        with pytest.raises(ValueError, match="'zz'"):
+            distance_matrix(fns, [*pairs, (corpus[0], "zz")], table)
+        assert {signature: len(calls) for signature, calls in table._held.items()} == held
+        fresh = distance_matrix(fns, pairs, ColumnStrings(fns, corpus))
+        assert float_bits(distance_matrix(fns, pairs, table)) == float_bits(fresh)
 
     def test_pair_value_missing_from_table_raises(self):
         fns = enumerate_function_space()
@@ -766,19 +744,6 @@ class TestDistanceMatrix:
         got = distance_matrix([fns[i] for i in order], pairs, values)
         assert len(freed) == 16 and not all(all(done) for done in freed)
         assert float_bits(got) == float_bits(want[order])
-
-    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25])
-    def test_plugin_out_of_range_raises(self, bad):
-        register_plugin("bad-range", lambda a, b: bad if a == "x" else 0.5)
-        f = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="bad-range")
-        with pytest.raises(ValueError, match="'bad-range'"):
-            distance_matrix([f], [("y", "z"), ("x", "z")])
-
-    def test_plugin_bounds_accepted(self):
-        register_plugin("zero-one", lambda a, b: float(a != b))
-        f = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="zero-one")
-        mat = distance_matrix([f], [("a", "a"), ("a", "b")])
-        assert mat.tolist() == [[0.0, 1.0]]
 
     def test_missing_pair_is_one_for_all_functions(self):
         fns = enumerate_function_space(FunctionSpaceOptions(weights=("EW",)))

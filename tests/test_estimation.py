@@ -10,13 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import BallCounter, config_stats, config_table, oracle_union, union_left
-from fuzzyjoin import (
-    Configuration,
-    JoinFunction,
-    distance_matrix,
-    greedy_select,
-    register_plugin,
-)
+from fuzzyjoin import Configuration, JoinFunction, greedy_select
 
 ED_FN = JoinFunction("L", "NONE", "NONE", "ED")
 
@@ -25,13 +19,13 @@ def ball_from(dists: dict[str, list[float]]) -> BallCounter:
     return BallCounter.from_distances(dists)
 
 
-def engine_precision(n_left, ll_a, d_ll, left, d, fn=ED_FN) -> np.float32:
+def engine_precision(n_left, ll_a, d_ll, left, d) -> np.float32:
     """The configuration table's estimated precision for one right record
     whose only candidate is left record ``left`` at distance d, under the
     one-threshold grid [d].  ``ll_a`` (ascending) and ``d_ll`` are the
     self-join pairs' first records and distances."""
     table = config_table(
-        [fn],
+        [ED_FN],
         [np.array([d])],
         1,
         n_left,
@@ -216,34 +210,26 @@ class TestUnionStats:
 GRID_SCALE = 20.0
 
 
-def grid_distance(a: str, b: str) -> float:
-    xa, ya = map(float, a.split())
-    xb, yb = map(float, b.split())
-    return math.hypot(xa - xb, ya - yb) / GRID_SCALE
-
-
-register_plugin("grid-euclid", grid_distance)
-GRID_FN = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="grid-euclid")
-
-
 def build_grid(deleted: set[tuple[int, int]]):
     """Integer grid [-3, 3]^2 minus deleted points, as the point list and the
     engine's precision for a join to the origin at a given distance.  The
-    self-join pairs are all ordered pairs of distinct points, under the
-    plugin distance."""
+    self-join pairs are all ordered pairs of distinct points, at their
+    Euclidean distance over ``GRID_SCALE``."""
     points = [
         (x, y)
         for x in range(-3, 4)
         for y in range(-3, 4)
         if (x, y) not in deleted
     ]
-    values = [f"{x} {y}" for x, y in points]
     ll_a, ll_b = np.nonzero(~np.eye(len(points), dtype=bool))
-    d_ll = distance_matrix([GRID_FN], [(values[a], values[b]) for a, b in zip(ll_a, ll_b)])
+    d_ll = [
+        math.hypot(points[a][0] - points[b][0], points[a][1] - points[b][1]) / GRID_SCALE
+        for a, b in zip(ll_a, ll_b)
+    ]
     origin = points.index((0, 0))
 
     def precision(d: float) -> np.float32:
-        return engine_precision(len(points), ll_a, d_ll, origin, d, GRID_FN)
+        return engine_precision(len(points), ll_a, d_ll, origin, d)
 
     return points, precision
 

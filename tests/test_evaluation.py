@@ -147,6 +147,15 @@ class TestPrAuc:
         with pytest.raises(ValueError):
             pr_auc([(0.5, True)], 0)
 
+    @pytest.mark.parametrize("nan_at", [0, 1])
+    def test_nan_score_raises(self, nan_at):
+        # a NaN score equals no score, not even itself, so a tie loop over
+        # the ranking never gets past it
+        scored = [(0.5, True)]
+        scored.insert(nan_at, (float("nan"), False))
+        with pytest.raises(ValueError, match="NaN"):
+            pr_auc(scored, 1)
+
 
 def loop_recall_upper_bound(L, R, column, gt, functions, beta):
     """The recall bound one true match at a time: its left must be among its

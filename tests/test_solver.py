@@ -19,7 +19,6 @@ from fuzzyjoin import (
     generate_disjoint_tables,
     generate_synthetic,
     make_table,
-    register_plugin,
     solve,
     solve_multi,
 )
@@ -738,21 +737,6 @@ def test_empty_candidate_space_warns():
     res = solve(L2, R2, "name", tau=0.9, seed=0)
     assert res.solution.configs == ()
     assert any("no candidate pairs" in w for w in res.warnings)
-
-
-@pytest.mark.parametrize("bad", [float("nan"), 1.5])
-def test_invalid_plugin_distance_is_named(bad):
-    # a bad plugin value must fail at the distance stage, naming the plugin:
-    # NaN otherwise breaks the per-right minima in precompute, and a value
-    # above 1 stretches the threshold grid past 1
-    register_plugin("bad-solve", lambda a, b: bad)
-    fns = [
-        JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="bad-solve"),
-        JoinFunction("L", "NONE", "NONE", "ED"),
-    ]
-    L, R, _ = generate_synthetic(n_left=30, seed=0, unmatched_rate=0.2)
-    with pytest.raises(ValueError, match="'bad-solve'"):
-        solve(L, R, "name", functions=fns)
 
 
 def test_nonempty_solution_beats_target():

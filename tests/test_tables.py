@@ -107,7 +107,7 @@ def test_join_function_validation():
     with pytest.raises(ValueError):
         JoinFunction("X", "NONE", "NONE", "ED")
     with pytest.raises(ValueError):
-        JoinFunction("L", "NONE", "NONE", "PLUGIN")  # plugin without a name
+        JoinFunction("L", "NONE", "NONE", "PLUGIN")  # unknown distance kind
 
 
 def test_configuration_threshold_range():
@@ -140,15 +140,37 @@ def test_multicolumn_solution_round_trip():
 def test_solution_weight_validation():
     with pytest.raises(ValueError):
         Solution((), (0.5, 0.4))
+    with pytest.raises(ValueError):
+        Solution((), (float("nan"),))
+    with pytest.raises(ValueError):
+        Solution((), (1.0,), ("name", "city"))
 
 
-def test_plugin_solution_round_trip():
-    from fuzzyjoin import register_plugin
+CONFIG = "config: preprocess=L tokenizer=NONE weights=NONE distance=ED threshold=0.5"
 
-    register_plugin("rt-demo", lambda a, b: 0.0)
-    f = JoinFunction("L", "NONE", "NONE", "PLUGIN", plugin="rt-demo")
-    sol = Solution((Configuration(f, 0.125),), (1.0,), ("name",))
-    assert parse_solution(dump_solution(sol)) == sol
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("columns: name\nconfig: preprocess=L weights=NONE distance=ED threshold=0.5\n", 2),
+        ("# fuzzyjoin solution v1\nconfig: foo\n", 2),
+        (f"{CONFIG}\n{CONFIG} plugin=rt-demo\n", 2),
+        (f"{CONFIG.replace('=ED', '=PLUGIN')}\n", 1),
+        (f"{CONFIG} threshold=0.25\n", 1),
+        ("columns: a,b\ncolumn_weights: 1.0\n", 2),
+        ("column_weights: 0.5,0.5\n\ncolumns: a\n", 3),
+        ("columns: a\ncolumn_weights: nan\n", 2),
+        ("column_weights: 0.5,0.4\n", 1),
+    ],
+    ids=[
+        "missing-field", "bare-token", "unknown-field", "unknown-distance",
+        "repeated-field", "fewer-weights", "fewer-columns", "nan-weight",
+        "weights-not-summing-to-1",
+    ],
+)
+def test_parse_solution_rejects_malformed_lines(text, line):
+    with pytest.raises(ValueError, match=f"^solution line {line}: "):
+        parse_solution(text)
 
 
 def test_load_table_bom_and_crlf(tmp_path):
