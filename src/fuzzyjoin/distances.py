@@ -10,18 +10,24 @@ computes each of them itself.
 `distance_matrix` is the library's one set-distance path: the solver calls
 it, and the single-pair `evaluate` is one call to it.  Every call runs on a
 `ColumnStrings`, the string table of one column: its raw values in both
-tables (the IDF corpus), each distinct value interned once and
-preprocessed once per option into one table of distinct preprocessed
-strings.  The solver builds one per column and shares it between the L-R
-and L-L calls and across the column sets of a multi-column search; a raw or
-missing corpus becomes one at the start of the call.  A call computes every
+tables (the IDF corpus), each distinct value interned once and preprocessed
+once per option into one table of distinct preprocessed strings.  The
+solver builds one per column, which also holds the negative rules'
+preprocessed strings when the rules run, and makes one call per column and
+column set over its L-R pairs followed by its L-L pairs; the table is
+shared across the column sets of a multi-column search.  A raw or missing
+corpus becomes one at the start of the call.  A call computes every
 (preprocess, tokenizer, weights) combination once per distinct pair of
 string ids, shared across all distance kinds that use it.  A pair's row
 depends only on its two values and the table, so the table remembers the
 matrices computed over it, per tuple of functions, keyed by value pair: a
 later call with the same functions gathers the rows of the value pairs a
-previous call computed, bit for bit, and computes only the rest.  Returned
-matrices are read-only, because the table keeps them.
+previous call computed, bit for bit, and computes only the rest.  That rest
+is computed in order of first position, at most ``_PAIR_CHUNK`` distinct
+pairs at a time, each written to its first position and copied to its
+repeats, so a call's per-pair statistics and rows are bounded whatever its
+size; gathered and repeated columns are copied a block of rows at a time.
+Returned matrices are read-only, because the table keeps them.
 
 The character kinds share one cache across preprocess options, so a
 preprocessed pair that several options produce is computed once.  Pairs of
@@ -52,9 +58,9 @@ terms over the tokens both hold, in the order of a loop over its token
 results equal, bit for bit, the per-pair loop kept as the test oracle in
 `tests/conftest.py` (`loop_set_stats`, `scalar_evaluate`).  Count
 statistics are shared across preprocess options like the character cache;
-only the IDF weights differ.  Within one call, a (preprocess, tokenizer,
-weights) combination's rows are dropped after the last function that reads
-them.
+only the IDF weights differ.  Within one chunk, a (preprocess, tokenizer,
+weights) combination's statistics are gathered when its first function is
+reached, and its rows are dropped after the last function that reads them.
 
 IDF weights count the table's documents: each raw corpus value stands for
 as many documents as it has copies, and a value of a pair that is not in
@@ -201,6 +207,12 @@ def evaluate(
 _WORD = 64
 # pairs per kernel step, which bounds the (pairs x 64) temporaries
 _CHUNK = 4096
+# new distinct value pairs per pass of all the kernels in one
+# ``distance_matrix`` call, which bounds the call's per-pair statistics and
+# rows whatever its number of pairs
+_PAIR_CHUNK = 1 << 15
+# cells per block of a copy of matrix columns, which bounds its temporary
+_GATHER_CELLS = 1 << 16
 # largest row of a dense match-mask table in bytes, 255 symbols and the pad:
 # the table costs at most 2 KB per string, whatever the number of strings;
 # a larger alphabet is kept as sorted (string, symbol) keys instead
@@ -396,13 +408,13 @@ _SET_BLOCK_BYTES = 1 << 18
 
 
 class _Tokens:
-    """One ``tokenize_strings`` pass over every string of a table: per
-    string its entries (token ids and counts, in ``Counter`` order) and its
-    total count."""
+    """One ``tokenize_strings`` pass over every string of a table: its
+    vocabulary, and per string its entries (token ids and counts, in
+    ``Counter`` order) and its total count."""
 
     def __init__(self, strings: Sequence[str], tokenizer: str):
-        vocab, self.sizes, self.tokens, self.counts = tokenize_strings(strings, tokenizer)
-        self.n_vocab = len(vocab)
+        self.vocab, self.sizes, self.tokens, self.counts = tokenize_strings(strings, tokenizer)
+        self.n_vocab = len(self.vocab)
         self.starts = np.cumsum(self.sizes) - self.sizes
         owner = np.repeat(np.arange(len(strings)), self.sizes)
         self.size = np.bincount(owner, weights=self.counts, minlength=len(strings))
@@ -423,16 +435,42 @@ class _Tokens:
         return w, np.bincount(owner, weights=self.counts * w[self.tokens], minlength=n_strings)
 
 
+@dataclass
+class _SetStats:
+    """``_set_stats`` of one tokenizer: the distinct pairs' statistics, and
+    per preprocess option its pairs and their indices among the distinct."""
+
+    tok: _Tokens
+    pairs: Mapping[str, tuple[np.ndarray, np.ndarray]]
+    idf: Mapping[str, tuple[np.ndarray, np.ndarray]]
+    at: Mapping[str, np.ndarray]
+    cnt_i: np.ndarray
+    idf_i: Mapping[str, np.ndarray]
+    contained: np.ndarray
+
+    def gather(self, option: str, weights: str) -> tuple[np.ndarray, ...]:
+        """An option's per-pair intersection, A size and B size under one
+        weight scheme, and whether B is a sub-multiset of A."""
+        pa, pb = self.pairs[option]
+        g = self.at[option]
+        if weights == "EW":
+            inter, w_a, w_b = self.cnt_i[g], self.tok.size[pa], self.tok.size[pb]
+        else:
+            total = self.idf[option][1]
+            inter, w_a, w_b = self.idf_i[option][g], total[pa], total[pb]
+        return inter, w_a, w_b, self.contained[g]
+
+
 def _set_stats(
     tok: _Tokens,
     pairs_by_option: Mapping[str, tuple[np.ndarray, np.ndarray]],
     idf_by_option: Mapping[str, tuple[np.ndarray, np.ndarray]],
-) -> dict[str, dict[str, np.ndarray]]:
+) -> _SetStats:
     """Per preprocess option, the per-pair intersection and size statistics
     of one tokenizer under both weight schemes, and whether the right bag is
-    a sub-multiset of the left one.  ``idf_by_option[option]`` holds the
-    option's IDF weights (``_Tokens.idf``); only those options get IDF
-    statistics.
+    a sub-multiset of the left one, each gathered when asked for
+    (``_SetStats.gather``).  ``idf_by_option[option]`` holds the option's
+    IDF weights (``_Tokens.idf``); only those options have IDF statistics.
 
     The count statistics of a distinct string pair are computed once,
     whichever options produce it; only the IDF weights differ between
@@ -487,16 +525,7 @@ def _set_stats(
                 idf_i[option][lo:hi] = np.bincount(pair, weights=m * w[t], minlength=hi - lo)
         dense[cells] = 0
     contained = cnt_i == tok.size[b]
-
-    out = {}
-    for option, (pa, pb) in pairs_by_option.items():
-        g = gather[option]
-        out[option] = {"cnt_i": cnt_i[g], "cnt_a": tok.size[pa], "cnt_b": tok.size[pb]}
-        if option in idf_by_option:
-            weight = idf_by_option[option][1]
-            out[option] |= {"idf_i": idf_i[option][g], "idf_a": weight[pa], "idf_b": weight[pb]}
-        out[option]["contained"] = contained[g]
-    return out
+    return _SetStats(tok, pairs_by_option, idf_by_option, gather, cnt_i, idf_i, contained)
 
 
 def _set_rows(inter, w_a, w_b, contained) -> dict[str, np.ndarray]:
@@ -526,7 +555,8 @@ class ColumnStrings:
     document per value, so a value stands for as many documents as it has
     copies), plus ``extra`` values of no document.  It interns each distinct
     value once and preprocesses it once per preprocess option of
-    ``functions`` into one table of distinct preprocessed strings.  On first
+    ``functions``, and of ``options`` (the solver adds the negative rules'),
+    into one table of distinct preprocessed strings.  On first
     use it tokenizes all of those strings once per tokenizer and counts each
     IDFW option's weights once; later calls, and later column sets that
     keep the table, read them again.
@@ -543,6 +573,7 @@ class ColumnStrings:
         functions: Sequence[JoinFunction],
         corpus: Iterable[str],
         extra: Iterable[str] = (),
+        options: Iterable[str] = (),
     ):
         copies = Counter(corpus)
         self.n_docs = copies.total()
@@ -558,13 +589,18 @@ class ColumnStrings:
                 [ids.setdefault(apply_preprocess(v, option), len(ids)) for v in self.value_ids],
                 dtype=np.int64,
             )
-            for option in dict.fromkeys(f.preprocess for f in functions)
+            for option in dict.fromkeys([*(f.preprocess for f in functions), *options])
         }
         self.strings = list(ids)
         self._tokens: dict[str, _Tokens] = {}
         self._idf: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         # per function tuple, one (keys, columns, matrix) per call
         self._held: dict[tuple[JoinFunction, ...], list[tuple[np.ndarray, ...]]] = {}
+
+    def string_ids(self, values: Iterable[str], option: str) -> np.ndarray:
+        """Each value's preprocessed string id under ``option``."""
+        value_ids = self.value_ids
+        return self.of_value[option][np.fromiter((value_ids[v] for v in values), dtype=np.int64)]
 
     def tokens(self, tokenizer: str) -> _Tokens:
         if tokenizer not in self._tokens:
@@ -580,6 +616,59 @@ class ColumnStrings:
             )
             self._idf[key] = self.tokens(tokenizer).idf(docs, self.n_docs)
         return self._idf[key]
+
+
+def _write_rows(
+    out: np.ndarray,
+    at: np.ndarray,
+    functions: Sequence[JoinFunction],
+    table: ColumnStrings,
+    left: np.ndarray,
+    right: np.ndarray,
+) -> None:
+    """Write to ``out[fi, at]`` function fi's row over the distinct value
+    pairs (left[i], right[i]) of ``table``.  A (preprocess, tokenizer,
+    weights) combination's statistics are gathered when its first function
+    is reached, and its rows are dropped after its last."""
+    pre_pairs = {
+        o: (table.of_value[o][left], table.of_value[o][right])
+        for o in dict.fromkeys(f.preprocess for f in functions)
+    }
+    char_pairs = {
+        f.preprocess: pre_pairs[f.preprocess] for f in functions if f.distance in CHAR_DISTANCES
+    }
+    char_rows = _char_rows(table.strings, char_pairs) if char_pairs else {}
+    set_fns = [f for f in functions if f.is_set_based]
+    set_stats: dict[str, _SetStats] = {}
+    for tokenizer in dict.fromkeys(f.tokenizer for f in set_fns):
+        fns = [f for f in set_fns if f.tokenizer == tokenizer]
+        set_stats[tokenizer] = _set_stats(
+            table.tokens(tokenizer),
+            {f.preprocess: pre_pairs[f.preprocess] for f in fns},
+            {f.preprocess: table.idf(tokenizer, f.preprocess) for f in fns if f.weights == "IDFW"},
+        )
+    set_rows: dict[tuple[str, str, str], dict[str, np.ndarray]] = {}
+    last_use = {
+        (f.preprocess, f.tokenizer, f.weights): fi for fi, f in enumerate(functions) if f.is_set_based
+    }
+    for fi, f in enumerate(functions):
+        if f.distance in CHAR_DISTANCES:
+            ed, jw = char_rows[f.preprocess]
+            out[fi, at] = ed if f.distance == "ED" else jw
+            continue
+        key = (f.preprocess, f.tokenizer, f.weights)
+        if key not in set_rows:
+            set_rows[key] = _set_rows(*set_stats[f.tokenizer].gather(f.preprocess, f.weights))
+        out[fi, at] = set_rows[key][f.distance]
+        if last_use[key] == fi:
+            del set_rows[key]
+
+
+def _copy_columns(out: np.ndarray, at: np.ndarray, source: np.ndarray, src: np.ndarray) -> None:
+    """``out[:, at] = source[:, src]``, a block of rows at a time."""
+    step = max(1, _GATHER_CELLS // max(len(src), 1))
+    for r in range(0, len(out), step):
+        out[r : r + step, at] = source[r : r + step, src]
 
 
 def distance_matrix(
@@ -618,8 +707,8 @@ def distance_matrix(
         raise ValueError(f"the column's string table has no preprocess option {unknown[0]!r}")
 
     # each distinct raw value's table id; a distinct raw pair that a previous
-    # call over the table computed is gathered from it, row by row, and the
-    # rest is computed once and scattered
+    # call over the table computed is gathered from it, and the rest is
+    # computed in chunks
     n = len(pairs)
     value_ids = table.value_ids
     try:
@@ -641,65 +730,28 @@ def distance_matrix(
         pos = np.minimum(np.searchsorted(held_keys, keys), len(held_keys) - 1)
         hit = held_keys[pos] == keys
         at = np.flatnonzero(hit[inverse])
-        src = columns[pos[inverse[at]]]
-        for fi in range(len(functions)):
-            result[fi, at] = held[fi, src]
+        _copy_columns(result, at, held, columns[pos[inverse[at]]])
         todo &= ~hit
+    # the new distinct pairs in order of first position, each computed once
+    # and written there, _PAIR_CHUNK at a time
     new = np.flatnonzero(todo)
-    if len(new) == 0:
-        result.flags.writeable = False
-        return result
-    if len(new) == len(keys):
-        at, rank = slice(None), inverse
-    else:
-        at = np.flatnonzero(todo[inverse])
-        rank = (np.cumsum(todo) - 1)[inverse[at]]
+    new = new[np.argsort(first[new])]
     # what the table keeps is allocated before the kernels' temporaries, so
     # that it does not pin them in the heap once they are freed
-    keys, first = keys[new], first[new]
-    left, right = np.divmod(keys, n_values)
+    computed = (keys[todo], first[todo], result)
     empty = value_ids.get("", -1)
-    missing = (left == empty) & (right == empty)
-    pre_pairs = {o: (table.of_value[o][left], table.of_value[o][right]) for o in options}
-
-    char_pairs = {
-        f.preprocess: pre_pairs[f.preprocess] for f in functions if f.distance in CHAR_DISTANCES
-    }
-    char_rows = _char_rows(table.strings, char_pairs) if char_pairs else {}
-    set_fns = [f for f in functions if f.is_set_based]
-    set_stats: dict[str, dict[str, dict[str, np.ndarray]]] = {}
-    for tokenizer in dict.fromkeys(f.tokenizer for f in set_fns):
-        fns = [f for f in set_fns if f.tokenizer == tokenizer]
-        set_stats[tokenizer] = _set_stats(
-            table.tokens(tokenizer),
-            {f.preprocess: pre_pairs[f.preprocess] for f in fns},
-            {f.preprocess: table.idf(tokenizer, f.preprocess) for f in fns if f.weights == "IDFW"},
-        )
-    # rows memo by (option, tokenizer, weights), filled on first use and
-    # dropped after the last function that reads it
-    set_rows: dict[tuple[str, str, str], dict[str, np.ndarray]] = {}
-    last_use = {
-        (f.preprocess, f.tokenizer, f.weights): fi for fi, f in enumerate(functions) if f.is_set_based
-    }
-    for fi, f in enumerate(functions):
-        option = f.preprocess
-        if f.distance in CHAR_DISTANCES:
-            ed, jw = char_rows[option]
-            row = ed if f.distance == "ED" else jw
-        else:
-            key = (option, f.tokenizer, f.weights)
-            if key not in set_rows:
-                stats = set_stats[f.tokenizer][option]
-                if f.weights == "EW":
-                    inter, w_a, w_b = stats["cnt_i"], stats["cnt_a"], stats["cnt_b"]
-                else:
-                    inter, w_a, w_b = stats["idf_i"], stats["idf_a"], stats["idf_b"]
-                set_rows[key] = _set_rows(inter, w_a, w_b, stats["contained"])
-            row = set_rows[key][f.distance]
-            if last_use[key] == fi:
-                del set_rows[key]
-        row = np.where(missing, 1.0, row)
-        result[fi, at] = row[rank]
+    for lo in range(0, len(new), _PAIR_CHUNK):
+        chunk = new[lo : lo + _PAIR_CHUNK]
+        left, right = np.divmod(keys[chunk], n_values)
+        _write_rows(result, first[chunk], functions, table, left, right)
+        # a pair of two missing values is maximally distant
+        missing = first[chunk[(left == empty) & (right == empty)]]
+        result[:, missing] = 1.0
+    if len(keys) < n:
+        # the other positions of a new pair read its first
+        repeat = np.flatnonzero(todo[inverse] & (first[inverse] != np.arange(n)))
+        _copy_columns(result, repeat, result, first[inverse[repeat]])
     result.flags.writeable = False
-    table._held.setdefault(signature, []).append((keys, first, result))
+    if len(new):
+        table._held.setdefault(signature, []).append(computed)
     return result

@@ -21,12 +21,13 @@ measured and joined once, and each record gets its query's join.  Every set
 is prepared with the search's one string table per column, built by the
 first set that holds the column: a column is tokenized once per tokenizer
 over the whole search, and a value pair whose distances a previous set
-computed is gathered from that column's table.  The tables
-are freed once the set of every column is prepared, since no later set can
-use them, so a one-column search frees its table before precompute and
-greedy.  A set's trials run as one consecutive batch, so once its last trial
-has reduced the set's distance matrices they are dropped, before that
-trial's configuration table is built.  The manifest's preparation timings
+computed is gathered from that column's table.  No set after that of
+every column can use the tables, so that set frees each column's table right
+after the column's distance call, before the next column's; a one-column
+search frees its table before precompute and greedy.  A set's trials run as
+one consecutive batch, so once its last trial has reduced the set's distance
+matrices they are dropped, before that trial's configuration table is
+built.  The manifest's preparation timings
 are summed over the column sets, and its precompute (reduction and fill)
 and greedy timings over the trials.
 """
@@ -153,10 +154,11 @@ def solve_multi(
         active = tuple(c for c, x in zip(cols, w) if x > 0.0)
         key = frozenset(active)
         if key not in preps:
-            preps[key] = prepare_columns(L, R, active, fns, beta, use_negative_rules, tables)
-            if len(key) == m:
-                # column sets only grow, so no later set is new to prepare
-                tables.clear()
+            # column sets only grow, so no set after that of every column is
+            # new to prepare, and it frees each column's table after its call
+            preps[key] = prepare_columns(
+                L, R, active, fns, beta, use_negative_rules, tables, len(key) == m
+            )
         prep = preps[key]
         ws = project(w)
         if len(prep.pairs.lr_right) == 0:

@@ -5,6 +5,14 @@ Two reference records that differ by exactly one word on each side (say
 reference-table assumption, so the word pair they differ by marks a
 distinction that matters.  Candidate cross-table pairs differing by exactly
 such a learned word pair are discarded before any distance is computed.
+
+``word_delta``, ``learn_rules`` and ``pair_blocked`` define the rules over
+preprocessed strings; they are the test oracle.  The solver runs them over
+token ids instead (``word_delta_codes``, ``learn_rule_codes``,
+``pairs_blocked``): the words of a rule-preprocessed string are its SP
+tokens in the column's string table (``distances.ColumnStrings``), which
+splits on whitespace as ``word_delta`` does, and an unordered word pair is
+one integer code.
 """
 
 from __future__ import annotations
@@ -12,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from .text import apply_preprocess
 
@@ -64,6 +74,64 @@ def pair_blocked(a: str, b: str, rules: set[NegativeRule]) -> bool:
         return False
     delta = word_delta(a, b)
     return delta is not None and NegativeRule.of(*delta) in rules
+
+
+def word_delta_codes(words, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``word_delta`` of the string pairs (a[i], b[i]) of an SP tokenization
+    ``words`` (a ``distances._Tokens``, whose entries per string are its
+    distinct words): per pair, with x and y the ids of the one word each side
+    holds and the other lacks, the code ``min(x, y) * n_vocab + max(x, y)``;
+    -1 where ``word_delta`` is None.
+
+    Each side lacks exactly one word of the other only when both hold equally
+    many words, all but one of them shared.  So only such pairs are read:
+    each A word is looked up among B's in the sorted (string, word) keys,
+    and each side's missing word is the sum of its word ids less the shared
+    ones'.
+    """
+    out = np.full(len(a), -1, dtype=np.int64)
+    sizes, n_vocab = words.sizes, words.n_vocab
+    cand = np.flatnonzero((sizes[a] == sizes[b]) & (sizes[a] > 0))
+    if len(cand) == 0:
+        return out
+    a, b = a[cand], b[cand]
+    keys = np.sort(np.repeat(np.arange(len(sizes)) * n_vocab, sizes) + words.tokens)
+    running = np.concatenate([[0], np.cumsum(words.tokens, dtype=np.int64)])
+    id_sum = running[words.starts + sizes] - running[words.starts]
+    lengths = sizes[a]
+    t = words.tokens[words.entries(a)].astype(np.int64)
+    query = np.repeat(b * n_vocab, lengths) + t
+    shared = keys[np.minimum(np.searchsorted(keys, query), len(keys) - 1)] == query
+    starts = np.cumsum(lengths) - lengths
+    one = np.add.reduceat(shared.astype(np.int64), starts) == lengths - 1
+    shared_sum = np.add.reduceat(t * shared, starts)
+    x, y = id_sum[a] - shared_sum, id_sum[b] - shared_sum
+    out[cand[one]] = (np.minimum(x, y) * n_vocab + np.maximum(x, y))[one]
+    return out
+
+
+def learn_rule_codes(words, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``learn_rules`` over the self-join string pairs (a[i], b[i]) of
+    ``words``: the sorted distinct codes of its rules (``word_delta_codes``).
+    Two different words always differ, so every code is a rule."""
+    codes = np.sort(word_delta_codes(words, a, b))
+    codes = codes[codes >= 0]
+    return codes[np.diff(codes, prepend=-1) != 0]
+
+
+def pairs_blocked(words, codes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``pair_blocked`` of the string pairs (a[i], b[i]) of ``words`` under
+    the rules of ``learn_rule_codes``."""
+    if len(codes) == 0:
+        return np.zeros(len(a), dtype=bool)
+    delta = word_delta_codes(words, a, b)
+    return codes[np.minimum(np.searchsorted(codes, delta), len(codes) - 1)] == delta
+
+
+def rules_of_codes(words, codes: np.ndarray) -> set[NegativeRule]:
+    """The rules of ``learn_rule_codes``, as words."""
+    x, y = np.divmod(codes, words.n_vocab)
+    return {NegativeRule.of(words.vocab[i], words.vocab[j]) for i, j in zip(x.tolist(), y.tolist())}
 
 
 def dump_rules(rules: set[NegativeRule], path: str | Path) -> None:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,10 +61,11 @@ from .functions import (
     Solution,
 )
 from .negative_rules import (
+    RULE_PREPROCESS,
     NegativeRule,
-    learn_rules,
-    pair_blocked,
-    preprocess_for_rules,
+    learn_rule_codes,
+    pairs_blocked,
+    rules_of_codes,
 )
 from .tables import Table
 
@@ -687,29 +688,27 @@ def group_queries(pairs: BlockedPairs, keys: Sequence) -> tuple[BlockedPairs, np
 
 def filter_lr_by_rules(
     pairs: BlockedPairs,
-    column_rules: Sequence[tuple[Sequence[str], Sequence[str], set[NegativeRule]]],
+    column_rules: Sequence[tuple[object, np.ndarray, np.ndarray, np.ndarray]],
 ) -> tuple[BlockedPairs, int]:
     """Drop cross-table pairs matching a learned negative rule of any column.
 
-    ``column_rules`` holds, per column, the rule-preprocessed left values,
-    the rule-preprocessed values of the queries ``lr_right`` indexes and
-    that column's rules.
+    ``column_rules`` holds, per column, the SP tokenization of its string
+    table (``ColumnStrings.tokens``), the rule-preprocessed string ids of the
+    left records and of the queries ``lr_right`` indexes, and the codes of
+    that column's rules (``negative_rules.learn_rule_codes``).
     """
-    column_rules = [c for c in column_rules if c[2]]
+    column_rules = [c for c in column_rules if len(c[3])]
     if not column_rules or len(pairs.lr_right) == 0:
         return pairs, 0
     blocked = np.zeros(len(pairs.lr_right), dtype=bool)
-    for lv, rv, rules in column_rules:
-        # pair_blocked once per distinct (left value, right value) pair
-        codes: dict[str, int] = {}
-        lc = np.array([codes.setdefault(v, len(codes)) for v in lv], dtype=np.int64)
-        rc = np.array([codes.setdefault(v, len(codes)) for v in rv], dtype=np.int64)
-        n = len(codes)
-        distinct, inverse = np.unique(lc[pairs.lr_left] * n + rc[pairs.lr_right], return_inverse=True)
-        strings = list(codes)
+    for words, left, query, codes in column_rules:
+        # once per distinct (left string, query string) pair
+        n = len(words.sizes)
+        distinct, inverse = np.unique(
+            left[pairs.lr_left] * n + query[pairs.lr_right], return_inverse=True
+        )
         a, b = np.divmod(distinct, n)
-        hit = [pair_blocked(strings[x], strings[y], rules) for x, y in zip(a.tolist(), b.tolist())]
-        blocked |= np.array(hit)[inverse]
+        blocked |= pairs_blocked(words, codes, a, b)[inverse]
     dropped = int(blocked.sum())
     if dropped == 0:
         return pairs, 0
@@ -778,8 +777,9 @@ def solve_from_distances(
 class PreparedColumns:
     """Blocked pairs of one column set's distinct queries, after negative
     rules, with each column's rules and distance matrices over those
-    pairs.  The column search empties the matrices once the set's last
-    trial has reduced them."""
+    pairs.  A column's two matrices are column slices of one matrix.  The
+    column search empties them once the set's last trial has reduced
+    them."""
 
     pairs: BlockedPairs
     rules: dict[str, set[NegativeRule]]  # empty when rules are off
@@ -799,6 +799,30 @@ def value_pairs(
     return [(a[i], b[j]) for i, j in zip(x.tolist(), y.tolist())]
 
 
+def _negative_rules(
+    pairs: BlockedPairs,
+    columns: tuple[str, ...],
+    values: dict[str, tuple[list[str], list[str]]],
+    query_values: dict[str, list[str]],
+    table: Callable[[str], ColumnStrings],
+) -> tuple[BlockedPairs, dict[str, set[NegativeRule]]]:
+    """Per column, the rules learned from the self-join pairs over the SP
+    token ids of its string table (``table(column)``), and the cross-table
+    pairs no rule of any column drops."""
+    if len(pairs.ll_a) == 0:
+        return pairs, {c: set() for c in columns}
+    rules: dict[str, set[NegativeRule]] = {}
+    column_rules = []
+    for c in columns:
+        words = table(c).tokens("SP")
+        left = table(c).string_ids(values[c][0], RULE_PREPROCESS)
+        codes = learn_rule_codes(words, left[pairs.ll_a], left[pairs.ll_b])
+        rules[c] = rules_of_codes(words, codes)
+        query = table(c).string_ids(query_values[c], RULE_PREPROCESS)
+        column_rules.append((words, left, query, codes))
+    return filter_lr_by_rules(pairs, column_rules)[0], rules
+
+
 def prepare_columns(
     L: Table,
     R: Table,
@@ -807,23 +831,46 @@ def prepare_columns(
     beta: float = 1.0,
     use_negative_rules: bool = True,
     tables: dict[str, ColumnStrings] | None = None,
+    final: bool = False,
 ) -> PreparedColumns:
     """Blocking on the columns' joined values, per-column negative rules
     filtering the cross-table pairs, and per-column distances.
 
     After blocking, right records with equal raw values in ``columns`` are
     collapsed into distinct queries (``group_queries``), and the rules and
-    L-R distances read each query's first record.  Each column's L-R and L-L
-    distances are two ``distance_matrix`` calls over one ``ColumnStrings``
-    of the column's values in both tables, every record's copy included
-    (the IDF corpus), so its strings are preprocessed and tokenized once.
+    L-R distances read each query's first record.  Every later step reads
+    one ``ColumnStrings`` per column, of the column's values in both
+    tables, every record's copy included (the IDF corpus), which also holds
+    the rules' preprocessed strings when the rules run; it is built by the first step that
+    needs it, and only when blocking left pairs that need it.  The rules run
+    over its SP token ids: learned from the self-join pairs, and tested once
+    per distinct cross-table string pair.  Each column's L-R and L-L
+    distances are then one ``distance_matrix`` call over the L-R pairs
+    followed by the L-L pairs, of which ``d_lr`` and ``d_ll`` are column
+    slices.
+
     ``tables`` maps columns to the string tables of a search over the same
     tables and functions; a column it lacks gets its table built here and
     added to it.  A table remembers the rows computed over it, so a value
-    pair a previous call over it computed is not computed again.
+    pair a previous call over it computed is not computed again.  With
+    ``final`` no later column set reads ``tables``: each column's table is
+    removed from it right after that column's distance call, so it is freed
+    before the next column's call.  Without ``tables`` the tables are this
+    call's own, and freed alike.
     """
     values = {c: (L.column_values(c), R.column_values(c)) for c in columns}
     timings: dict[str, float] = {}
+    if tables is None:
+        tables, final = {}, True
+    # the rules' strings, when the rules run: the flag is fixed for a whole
+    # search, so every table shared across its column sets holds them alike
+    options = (RULE_PREPROCESS,) if use_negative_rules else ()
+
+    def table(c: str) -> ColumnStrings:
+        if c not in tables:
+            lvals, rvals = values[c]
+            tables[c] = ColumnStrings(functions, lvals + rvals, options=options)
+        return tables[c]
 
     t0 = time.perf_counter()
     pairs = flatten_index(build_index(L, R, columns, beta))
@@ -835,30 +882,26 @@ def prepare_columns(
     rules: dict[str, set[NegativeRule]] = {}
     blocked_pairs = pairs.record_pairs()
     if use_negative_rules:
-        column_rules = []
-        for c in columns:
-            lv = [preprocess_for_rules(v) for v in values[c][0]]
-            rv = [preprocess_for_rules(v) for v in query_values[c]]
-            rules[c] = learn_rules(
-                (lv[a], lv[b]) for a, b in zip(pairs.ll_a, pairs.ll_b)
-            )
-            column_rules.append((lv, rv, rules[c]))
-        pairs, _ = filter_lr_by_rules(pairs, column_rules)
+        pairs, rules = _negative_rules(pairs, columns, values, query_values, table)
     timings["negative_rules"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     d_lr: dict[str, np.ndarray] = {}
     d_ll: dict[str, np.ndarray] = {}
-    if len(pairs.lr_right) > 0:
-        tables = {} if tables is None else tables
+    n_lr = len(pairs.lr_right)
+    if n_lr > 0:
         for c in columns:
-            lvals, rvals = values[c]
-            if c not in tables:
-                tables[c] = ColumnStrings(functions, lvals + rvals)
+            lvals = values[c][0]
             lr = value_pairs((lvals, query_values[c]), (pairs.lr_left, pairs.lr_right))
-            d_lr[c] = distance_matrix(functions, lr, tables[c])
             ll = value_pairs((lvals, lvals), (pairs.ll_a, pairs.ll_b))
-            d_ll[c] = distance_matrix(functions, ll, tables[c])
+            d = distance_matrix(functions, lr + ll, table(c))
+            d_lr[c], d_ll[c] = d[:, :n_lr], d[:, n_lr:]
+            if final:
+                del tables[c]
+    if final:
+        # tables built for the rules alone, with no cross-table pair left
+        for c in columns:
+            tables.pop(c, None)
     timings["distances"] = time.perf_counter() - t0
 
     # cross-table pairs are counted over right records, as blocked

@@ -16,12 +16,20 @@ import numpy as np
 from .stem import stem
 
 
+# the ASCII characters in a Unicode punctuation category (P*), as a
+# ``str.translate`` table that drops them
+_ASCII_PUNCTUATION = {c: None for c in range(128) if unicodedata.category(chr(c)).startswith("P")}
+
+
 @lru_cache(maxsize=65536)
 def _preprocess_cached(s: str, option: str) -> str:
     out = s.lower()
     if "RP" in option.split("+"):
         # drop every character in a Unicode punctuation category (P*)
-        out = "".join(c for c in out if not unicodedata.category(c).startswith("P"))
+        if out.isascii():
+            out = out.translate(_ASCII_PUNCTUATION)
+        else:
+            out = "".join(c for c in out if not unicodedata.category(c).startswith("P"))
     if "S" in option.split("+"):
         out = " ".join(stem(w) for w in out.split())
     return out
@@ -155,6 +163,8 @@ def idf_weights(
     """The IDF weight ``log(n_docs / df)`` of each vocab id of a
     ``tokenize_strings`` CSR, where string s stands for ``copies[s]``
     documents and a token's df is the number of documents holding it.  A
-    token no document holds weighs as if one did."""
+    token no document holds weighs as if one did.  Tokens share few distinct
+    document frequencies, so ``math.log`` runs once per distinct one."""
     doc_freq = np.bincount(tokens, weights=np.repeat(copies, sizes), minlength=n_vocab)
-    return np.array([math.log(n_docs / (df or 1)) for df in doc_freq.tolist()])
+    distinct, inverse = np.unique(doc_freq, return_inverse=True)
+    return np.array([math.log(n_docs / (df or 1)) for df in distinct.tolist()])[inverse]

@@ -1,5 +1,5 @@
 """The batched blocking engine against the per-row loop it replaced, and the
-negative-rule filter against its per-pair loop."""
+negative-rule filter over token ids against the per-pair loop over words."""
 
 from unittest import mock
 
@@ -18,6 +18,7 @@ from fuzzyjoin import (
     generate_synthetic,
     make_table,
 )
+from fuzzyjoin.distances import _Tokens
 from fuzzyjoin.negative_rules import pair_blocked
 from fuzzyjoin.solver import BlockedPairs, filter_lr_by_rules, flatten_index
 
@@ -211,6 +212,30 @@ def rule_cases(draw):
     return pairs, columns
 
 
+def token_rules(lv, rv, rules):
+    """One column's ``filter_lr_by_rules`` entry: the SP tokenization of
+    its distinct values, taken as rule-preprocessed strings, the string ids
+    of the left values and of the query values, and the codes of the rules
+    whose words the strings hold (no other rule can match)."""
+    strings = list(dict.fromkeys(lv + rv))
+    words = _Tokens(strings, "SP")
+    ids = {w: i for i, w in enumerate(words.vocab)}
+    codes = sorted(
+        {
+            min(ids[r.word_a], ids[r.word_b]) * words.n_vocab + max(ids[r.word_a], ids[r.word_b])
+            for r in rules
+            if r.word_a in ids and r.word_b in ids
+        }
+    )
+    index = {v: i for i, v in enumerate(strings)}
+    return (
+        words,
+        np.array([index[v] for v in lv], dtype=np.int64),
+        np.array([index[v] for v in rv], dtype=np.int64),
+        np.array(codes, dtype=np.int64),
+    )
+
+
 @given(rule_cases())
 def test_rule_filter_matches_per_pair_loop(case):
     pairs, columns = case
@@ -218,7 +243,7 @@ def test_rule_filter_matches_per_pair_loop(case):
         not any(pair_blocked(lv[l], rv[r], rules) for lv, rv, rules in columns)
         for r, l in zip(pairs.lr_right, pairs.lr_left)
     ]
-    out, dropped = filter_lr_by_rules(pairs, columns)
+    out, dropped = filter_lr_by_rules(pairs, [token_rules(*c) for c in columns])
     assert dropped == keep.count(False)
     assert out.lr_right.tolist() == pairs.lr_right[keep].tolist()
     assert out.lr_left.tolist() == pairs.lr_left[keep].tolist()
@@ -228,11 +253,11 @@ def test_rule_filter_matches_per_pair_loop(case):
 def test_rule_filter_calls_once_per_distinct_value_pair(monkeypatch):
     calls = []
 
-    def spy(a, b, rules):
-        calls.append((a, b))
-        return pair_blocked(a, b, rules)
+    def spy(words, codes, a, b, run=solver.pairs_blocked):
+        calls.extend(zip(a.tolist(), b.tolist()))
+        return run(words, codes, a, b)
 
-    monkeypatch.setattr(solver, "pair_blocked", spy)
+    monkeypatch.setattr(solver, "pairs_blocked", spy)
     lv = ["lsu football", "lsu baseball", "lsu football"]
     rv = ["lsu baseball", "lsu baseball"]
     pairs = BlockedPairs(
@@ -245,7 +270,11 @@ def test_rule_filter_calls_once_per_distinct_value_pair(monkeypatch):
         np.arange(2),
     )
     rules = {NegativeRule.of("football", "baseball")}
-    out, dropped = filter_lr_by_rules(pairs, [(lv, rv, rules)])
-    assert sorted(calls) == sorted({("lsu football", "lsu baseball"), ("lsu baseball", "lsu baseball")})
+    column = token_rules(lv, rv, rules)
+    out, dropped = filter_lr_by_rules(pairs, [column])
+    strings = list(dict.fromkeys(lv + rv))
+    assert sorted((strings[a], strings[b]) for a, b in calls) == sorted(
+        {("lsu football", "lsu baseball"), ("lsu baseball", "lsu baseball")}
+    )
     assert dropped == 4
     assert out.lr_left.tolist() == [1, 1]

@@ -385,8 +385,10 @@ STAT_NAMES = ("cnt_i", "cnt_a", "cnt_b", "idf_i", "idf_a", "idf_b")
 def kernel_set_stats(pairs_by_option, tokenizer, docs_by_option, n_docs, rows=None):
     """``_set_stats`` on preprocessed string pairs, one list per option,
     with per option the number of documents each string stands for (strings
-    outside the pairs too).  ``rows`` A strings share one dense block,
-    where given; by default the block's byte cap decides."""
+    outside the pairs too), gathered per option into ``STAT_NAMES`` and
+    "contained": IDF statistics for the options with documents only.
+    ``rows`` A strings share one dense block, where given; by default the
+    block's byte cap decides."""
     string_ids: dict[str, int] = {}
     id_pairs = {
         option: tuple(
@@ -406,7 +408,16 @@ def kernel_set_stats(pairs_by_option, tokenizer, docs_by_option, n_docs, rows=No
     idf = {option: tok.idf(docs, n_docs) for option, docs in doc_counts.items()}
     cap = distances._SET_BLOCK_BYTES if rows is None else rows * 4 * max(tok.n_vocab, 1)
     with mock.patch.object(distances, "_SET_BLOCK_BYTES", cap):
-        return _set_stats(tok, id_pairs, idf)
+        stats = _set_stats(tok, id_pairs, idf)
+    out = {}
+    for option in id_pairs:
+        *ew, contained = stats.gather(option, "EW")
+        out[option] = dict(zip(STAT_NAMES[:3], ew), contained=contained)
+        if option in idf:
+            *weighted, same = stats.gather(option, "IDFW")
+            assert same.tolist() == contained.tolist()
+            out[option] |= dict(zip(STAT_NAMES[3:], weighted))
+    return out
 
 
 def idf_of_docs(docs: dict[str, int], tokenizer: str, n_docs: int) -> IdfIndex:
@@ -610,6 +621,24 @@ class TestDistanceMatrix:
         assert {signature: len(calls) for signature, calls in table._held.items()} == held
         fresh = distance_matrix(fns, pairs, ColumnStrings(fns, corpus))
         assert float_bits(distance_matrix(fns, pairs, table)) == float_bits(fresh)
+
+    @pytest.mark.parametrize("chunk", [1, 3, distances._PAIR_CHUNK])
+    @settings(max_examples=20)
+    @given(column_cases())
+    def test_pair_chunks_give_the_same_bits(self, chunk, case):
+        # a call's new pairs computed a chunk at a time, in order of first
+        # position, with repeated pairs and rows gathered from earlier calls
+        # over the table (a few cells at a time with the small chunks), give
+        # the bits of a fresh call per pair list
+        corpus, first, second = case
+        fns = enumerate_function_space()
+        calls = [first, second, second[::-1] + first + second]
+        want = [distance_matrix(fns, pairs, corpus) for pairs in calls]
+        table = ColumnStrings(fns, corpus)
+        with mock.patch.object(distances, "_PAIR_CHUNK", chunk), \
+                mock.patch.object(distances, "_GATHER_CELLS", min(chunk, distances._GATHER_CELLS)):
+            got = [distance_matrix(fns, pairs, table) for pairs in calls]
+        assert [float_bits(g) for g in got] == [float_bits(w) for w in want]
 
     def test_pair_value_missing_from_table_raises(self):
         fns = enumerate_function_space()

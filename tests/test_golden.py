@@ -21,6 +21,9 @@ prints the current digests.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +100,9 @@ def golden_inputs(mode: str):
     return L, repeat_queries(R, 4) if mode == "run-ties" else R
 
 
-def artifacts(mode: str, tmp: Path) -> tuple[str, str]:
-    """Run one CLI mode on its fixed inputs; digests of joins and solution."""
+def cli_args(mode: str, tmp: Path) -> list[str]:
+    """Write one CLI mode's fixed inputs to ``tmp``; its command line, which
+    writes joins.csv and solution.txt there."""
     L, R = golden_inputs(mode)
     if mode == "run-multi":
         extra = ["--space-preset", "reduced24", "--weight-steps", "4"]
@@ -106,14 +110,15 @@ def artifacts(mode: str, tmp: Path) -> tuple[str, str]:
         extra = ["--column", "name"]
     left = write_table_csv(L, tmp / "left.csv")
     right = write_table_csv(R, tmp / "right.csv")
-    joins, solution = tmp / "joins.csv", tmp / "solution.txt"
     command = "run-multi" if mode == "run-multi" else "run"
-    code = main(
-        [command, "--left", str(left), "--right", str(right),
-         "--out", str(joins), "--solution", str(solution), *extra]
-    )
-    assert code == 0
-    return sha256(joins), sha256(solution)
+    return [command, "--left", str(left), "--right", str(right),
+            "--out", str(tmp / "joins.csv"), "--solution", str(tmp / "solution.txt"), *extra]
+
+
+def artifacts(mode: str, tmp: Path) -> tuple[str, str]:
+    """Run one CLI mode on its fixed inputs; digests of joins and solution."""
+    assert main(cli_args(mode, tmp)) == 0
+    return sha256(tmp / "joins.csv"), sha256(tmp / "solution.txt")
 
 
 def record_order(pairs) -> np.ndarray:
@@ -244,3 +249,29 @@ if __name__ == "__main__":
     for mode in GOLDEN:
         print("blocking", mode, *blocking_digests(mode))
     print("tokens", token_digest())
+
+
+NUMPY_MA_PROBE = """
+import json, sys
+from fuzzyjoin.cli import main
+for args in json.loads(sys.argv[1]):
+    assert main(args) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_golden_pipelines_never_import_numpy_ma(tmp_path):
+    # a plain np.unique or np.isin imports numpy.ma, about 12 ms of CPU in a
+    # fresh process; the job path calls neither
+    commands = []
+    for mode in ("run", "run-multi"):
+        (tmp_path / mode).mkdir()
+        commands.append(cli_args(mode, tmp_path / mode))
+    src = str(Path(distances.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"

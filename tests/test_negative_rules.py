@@ -1,13 +1,21 @@
 import itertools
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
 
 from fuzzyjoin import (
     NegativeRule,
+    build_index,
     dump_rules,
+    enumerate_function_space,
     learn_rules,
+    make_table,
     pair_blocked,
     preprocess_for_rules,
     word_delta,
 )
+from fuzzyjoin.functions import SPACE_PRESETS
+from fuzzyjoin.solver import flatten_index, group_queries, prepare_columns
 
 
 def prep(values):
@@ -109,3 +117,61 @@ def test_dump_rules_sorted(tmp_path):
     path = tmp_path / "rules.tsv"
     dump_rules(rules, path)
     assert path.read_text() == "a\tb\nalpha\tzeta\n"
+
+
+# words whose rule-preprocessed forms repeat, vanish or are not ASCII
+RULE_WORDS = [
+    "2007", "2008", "lsu", "tigers", "Football", "baseball", "team", "Team!",
+    "équipe", "Équipe", "…", "--", "running", "runs", "foot-ball",
+]
+RULE_SPACES = {
+    "full": enumerate_function_space(),
+    "reduced24": enumerate_function_space(SPACE_PRESETS["reduced24"]),
+    # no function preprocesses as the rules do
+    "L only": [f for f in enumerate_function_space(SPACE_PRESETS["reduced24"]) if f.preprocess == "L"],
+}
+
+
+@st.composite
+def rule_tables(draw):
+    """Small tables over one or two columns of values made of RULE_WORDS
+    (repeated words among them), empty or punctuation-only values, and a
+    function space."""
+    value = st.one_of(
+        st.just(""),
+        st.just("!? …"),
+        st.lists(st.sampled_from(RULE_WORDS), min_size=1, max_size=5).map(" ".join),
+    )
+    columns = ("name", "city")[: draw(st.integers(1, 2))]
+    row = st.tuples(*[value] * len(columns))
+    lefts = draw(st.lists(row, min_size=1, max_size=8))
+    rights = draw(st.lists(row, min_size=1, max_size=6))
+    L = make_table(columns, [(f"L{i}", v) for i, v in enumerate(lefts)])
+    R = make_table(columns, [(f"R{j}", v) for j, v in enumerate(rights)], role="query")
+    return L, R, columns, draw(st.sampled_from(sorted(RULE_SPACES)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule_tables())
+def test_prepared_rules_match_word_oracle(case):
+    # the rules over the string table's token ids learn the rules, and keep
+    # the cross-table pairs, that learn_rules and pair_blocked give over the
+    # rule-preprocessed values
+    L, R, columns, space = case
+    pairs = flatten_index(build_index(L, R, columns, 1.0))
+    pairs, first = group_queries(pairs, list(zip(*(R.column_values(c) for c in columns))))
+    lv = {c: prep(L.column_values(c)) for c in columns}
+    qv = {c: prep([R.column_values(c)[i] for i in first.tolist()]) for c in columns}
+    rules = {c: learn_rules((lv[c][a], lv[c][b]) for a, b in zip(pairs.ll_a, pairs.ll_b)) for c in columns}
+    keep = [
+        not any(pair_blocked(lv[c][left], qv[c][q], rules[c]) for c in columns)
+        for q, left in zip(pairs.lr_right.tolist(), pairs.lr_left.tolist())
+    ]
+    prepared = prepare_columns(L, R, columns, RULE_SPACES[space])
+    assert prepared.rules == rules
+    assert prepared.pairs.lr_right.tolist() == pairs.lr_right[keep].tolist()
+    assert prepared.pairs.lr_left.tolist() == pairs.lr_left[keep].tolist()
+    # dropped pairs are counted over right records
+    records = Counter(pairs.query.tolist())
+    dropped = sum(records[q] for q, k in zip(pairs.lr_right.tolist(), keep) if not k)
+    assert prepared.pair_counts["lr_dropped_by_rules"] == dropped

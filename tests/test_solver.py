@@ -764,16 +764,27 @@ def repeated_query_cases(draw):
 
 
 def solve_spied(L, R, fns, group_queries=solver.group_queries):
-    """``solve`` on column name, with the pair lists of each
-    ``distance_matrix`` call: the L-R call, then the L-L call."""
+    """``solve`` on column name, with the pair list of its one
+    ``distance_matrix`` call split in two: the L-R pairs, then the L-L
+    pairs, cut at the prepared set's count of cross-table pairs."""
     calls = []
 
     def spy(functions, pairs, *args, run=solver.distance_matrix):
         calls.append(list(pairs))
         return run(functions, pairs, *args)
 
+    def prepare_spy(*args, run=multicolumn.prepare_columns):
+        prep = run(*args)
+        assert len(calls) <= 1
+        if calls:
+            n_lr = len(prep.pairs.lr_right)
+            calls[:] = [calls[0][:n_lr], calls[0][n_lr:]]
+            assert len(calls[1]) == len(prep.pairs.ll_a)
+        return prep
+
     with mock.patch.object(solver, "distance_matrix", spy), \
-            mock.patch.object(solver, "group_queries", group_queries):
+            mock.patch.object(solver, "group_queries", group_queries), \
+            mock.patch.object(multicolumn, "prepare_columns", prepare_spy):
         res = solve(L, R, "name", tau=0.6, functions=fns)
     return res, calls
 
@@ -878,8 +889,8 @@ def test_solve_frees_the_column_table_before_the_search(monkeypatch):
     alive = []
     searched = []  # the columns of each search, aligned with alive
 
-    def column_strings(*args, build=solver.ColumnStrings):
-        table = build(*args)
+    def column_strings(*args, build=solver.ColumnStrings, **kwargs):
+        table = build(*args, **kwargs)
         tables.append(weakref.ref(table))
         return table
 
@@ -918,7 +929,9 @@ def spy_matrix_release(monkeypatch):
 
     def prepare_spy(L, R, columns, *args):
         prep = prepare_columns(L, R, columns, *args)
-        refs[columns] = [weakref.ref(m) for d in (prep.d_lr, prep.d_ll) for m in d.values()]
+        # a column's two matrices are slices of the one its call returned
+        assert all(prep.d_lr[c].base is prep.d_ll[c].base is not None for c in prep.d_lr)
+        refs[columns] = [weakref.ref(d.base) for d in prep.d_lr.values()]
         return prep
 
     def solve_spy(*args, run=multicolumn.solve_from_distances):

@@ -1,4 +1,5 @@
 import math
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -20,6 +21,7 @@ from fuzzyjoin import (
     text,
     tokenize,
 )
+from fuzzyjoin.stem import stem
 from fuzzyjoin.text import idf_weights, tokenize_strings
 
 
@@ -68,6 +70,35 @@ class TestPreprocess:
     def test_unknown_option(self):
         with pytest.raises(ValueError):
             apply_preprocess("x", "L+X")
+
+    @given(
+        st.text(
+            st.one_of(
+                st.characters(max_codepoint=127),
+                # ASCII symbols outside P*, and _ (Pc)
+                st.sampled_from("$+<=>^`|~_"),
+                # non-ASCII punctuation, and astral characters
+                st.sampled_from("«‐¿\U0001F600\U00010400"),
+                st.characters(),
+            ),
+            max_size=30,
+        ),
+        st.sampled_from(["L", "L+S", "L+RP", "L+S+RP"]),
+    )
+    def test_ascii_fast_path_matches_per_character_loop(self, s, option):
+        # ASCII strings drop their punctuation through a translate table,
+        # the rest character by character: both give the loop's result
+        out = s.lower()
+        if "RP" in option:
+            out = "".join(c for c in out if not unicodedata.category(c).startswith("P"))
+        if "S" in option.split("+"):
+            out = " ".join(stem(w) for w in out.split())
+        assert apply_preprocess(s, option) == out
+        if "RP" in option:
+            # the ASCII part alone, and with a dropped mark that sends it
+            # through the loop
+            part = s.encode("ascii", "ignore").decode()
+            assert apply_preprocess(part + "«", option) == apply_preprocess(part, option)
 
     @given(st.text(max_size=40))
     def test_idempotent_l(self, s):
@@ -243,6 +274,25 @@ class TestIdf:
             idf = build_idf_from_values(values, p, t)
             got = shipped_weights(values, p, t)
             assert got == {token: idf.weight(token) for token in got}
+
+
+@given(
+    st.lists(st.integers(0, 6), max_size=40),
+    st.integers(0, 8),
+    st.integers(1, 50),
+)
+def test_idf_weights_match_per_token_loop(tokens, extra_vocab, n_docs):
+    # tokens of one string each, with 0-3 documents per string: repeated
+    # and zero document frequencies, and vocab ids no string holds
+    n_vocab = max(tokens, default=-1) + 1 + extra_vocab
+    sizes = np.ones(len(tokens), dtype=np.int64)
+    copies = np.arange(len(tokens), dtype=np.float64) % 4
+    ids = np.array(tokens, dtype=np.int32)
+    doc_freq = np.bincount(ids, weights=copies, minlength=n_vocab)
+    want = np.array([math.log(n_docs / (df or 1)) for df in doc_freq.tolist()])
+    got = idf_weights(sizes, ids, n_vocab, copies, n_docs)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestBagWeight:
