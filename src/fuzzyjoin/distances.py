@@ -289,19 +289,18 @@ def _levenshtein_batch(table: _PeqTable, a: np.ndarray, b: np.ndarray) -> np.nda
     distance, one uint64 word per pair, all pairs advancing one text
     character per step.  The pattern is the longer string, the text the
     shorter one, and each step gathers the pattern's mask of one text
-    symbol."""
+    symbol.  A pair's distance is read off its last column: the text's
+    length plus the pattern's vertical deltas there."""
     la, lb = table.lengths[a], table.lengths[b]
     longer = la >= lb
     pattern, text = np.where(longer, a, b), np.where(longer, b, a)
+    lt = np.minimum(la, lb)
     out = np.empty(len(a), dtype=np.int64)
-    for rows, active in _blocks(np.minimum(la, lb)):
+    for rows, active in _blocks(lt):
         base = pattern[rows] * table.width
         chars = table.symbols[text[rows]]
-        lp = np.maximum(la[rows], lb[rows])
-        top = _LOW[lp] & ~_LOW[lp - 1]  # bit lp-1, the last pattern character
         pv = np.full(len(rows), ~np.uint64(0))
         mv = np.zeros(len(rows), dtype=np.uint64)
-        score = lp.copy()
         for j, k in enumerate(active):
             eq = table.eq(base[:k] + chars[:k, j])
             vp, vm = pv[:k], mv[:k]
@@ -309,13 +308,12 @@ def _levenshtein_batch(table: _PeqTable, a: np.ndarray, b: np.ndarray) -> np.nda
             xh = (((eq & vp) + vp) ^ vp) | eq
             ph = vm | ~(xh | vp)
             mh = vp & xh
-            score[:k] += (ph & top[:k]) != 0
-            score[:k] -= (mh & top[:k]) != 0
             ph = (ph << 1) | 1
             mh = mh << 1
             pv[:k] = mh | ~(xv | ph)
             mv[:k] = ph & xv
-        out[rows] = score
+        low = _LOW[np.maximum(la[rows], lb[rows])]  # the pattern's bits
+        out[rows] = lt[rows] + np.bitwise_count(pv & low) - np.bitwise_count(mv & low)
     return out
 
 

@@ -69,22 +69,6 @@ def interpolate(
     )
 
 
-def weighted_sum(mats: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
-    """``sum(w * d for w, d in zip(weights, mats))`` bit for bit, for
-    distances >= 0, without its full-size temporaries: one matrix at weight
-    1.0 is returned itself, and more are summed in place and capped at 1.0.
-    Weights summing to 1 can round a sum of distances at 1 an ulp above it
-    (0.64 + 0.16 + 0.2), which is no valid threshold."""
-    if len(mats) == 1 and weights[0] == 1.0:
-        return mats[0]
-    out = weights[0] * mats[0]
-    for w, d in zip(weights[1:], mats[1:]):
-        out += w * d
-    if len(mats) > 1:
-        np.minimum(out, 1.0, out=out)
-    return out
-
-
 def shared_columns(L: Table, R: Table, columns: Sequence[str] | None) -> list[str]:
     if columns is not None:
         missing = [c for c in columns if c not in L.columns or c not in R.columns]
@@ -173,9 +157,11 @@ def solve_multi(
                 pair_counts={"tied_queries": 0},
             )
         assert prep.d_lr, f"column set {list(active)} tried after its last trial"
+        t0 = time.perf_counter()
         reduced = reduce_distances(
             prep.pairs, [prep.d_lr[c] for c in active], [prep.d_ll[c] for c in active], ws, s
         )
+        reduce_s = time.perf_counter() - t0
         if last:
             # free the set's matrices before the configuration table is built
             prep.d_lr.clear()
@@ -183,6 +169,7 @@ def solve_multi(
         res = solve_from_distances(
             fns, prep.pairs, reduced, tau, np.random.default_rng(seed), ws, active
         )
+        res.timings["precompute"] += reduce_s
         for k, v in res.timings.items():
             solve_timings[k] = solve_timings.get(k, 0.0) + v
         return res

@@ -34,13 +34,14 @@ records are the reduction's joins under the row's function.  It has one
 row per run of consecutive thresholds of a function that join alike: a row
 changes only where a query is first assigned or the ball of a joined left
 record grows, so only those thresholds are filled, and the search runs over
-the rows, each standing for its run of configurations.  The search is incremental: it keeps each row's
-weighted tp gain over the current union and its weighted count of newly
-assigned rights, and a pick updates them only on the queries whose union
-precision it raises.  Those sums are exact (precisions are
-float32(1/k), k <= n_left + 1, times integer weights summing to n_right, in
-float64 while n_right * (n_left + 1) < 2**29), so the search picks what a
-full recomputation per pick over all rights would.
+the rows, reading each configuration's row from the table's configuration
+-> row map.  The search is incremental: it keeps each row's weighted tp gain
+over the current union and its weighted count of newly assigned rights, and
+a pick updates them only on the queries whose union precision it raises.
+Those sums are exact (precisions are float32(1/k), k <= n_left + 1, times
+integer weights summing to n_right, in float64 while n_right * (n_left + 1)
+< 2**29), so the search picks what a full recomputation per pick over all
+rights would.
 """
 
 from __future__ import annotations
@@ -118,12 +119,27 @@ class ReducedDistances:
     # right records whose query has candidates but a tied minimum under
     # every function, so joins nothing
     tied_queries: int
-    seconds: float  # the reduction's time, reported in "precompute"
 
     @property
     def thresholds(self) -> list[np.ndarray]:
         """Per function, its ascending grid."""
         return [g[:n] for g, n in zip(self.grid, self.sizes.tolist())]
+
+
+def weighted_sum(mats: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
+    """``sum(w * d for w, d in zip(weights, mats))`` bit for bit, for
+    distances >= 0, without its full-size temporaries: one matrix at weight
+    1.0 is returned itself, and more are summed in place and capped at 1.0.
+    Weights summing to 1 can round a sum of distances at 1 an ulp above it
+    (0.64 + 0.16 + 0.2), which is no valid threshold."""
+    if len(mats) == 1 and weights[0] == 1.0:
+        return mats[0]
+    out = weights[0] * mats[0]
+    for w, d in zip(weights[1:], mats[1:]):
+        out += w * d
+    if len(mats) > 1:
+        np.minimum(out, 1.0, out=out)
+    return out
 
 
 def _first_reaching(
@@ -184,7 +200,7 @@ def reduce_distances(
     weights: Sequence[float],
     s: int,
 ) -> ReducedDistances:
-    """Reduce the weighted sum (``multicolumn.weighted_sum``) of per-column
+    """Reduce the weighted sum (``weighted_sum``) of per-column
     distance matrices over ``pairs`` to the configuration table's summary,
     one block of functions at a time: the sum is formed for one block only,
     and one column at weight 1.0 is read in place.
@@ -200,12 +216,8 @@ def reduce_distances(
     Both are the ``searchsorted`` indices, taken from the grid's equal
     spacing (``_first_reaching``).
     """
-    # multicolumn imports this module, so it is imported at the call
-    from .multicolumn import weighted_sum
-
     if s < 1:
         raise ValueError(f"step count must be >= 1, got {s}")
-    t0 = time.perf_counter()
     n_fn, n_lr = d_lr[0].shape
     if n_lr == 0:
         raise ValueError("no observed distances to discretize")
@@ -251,9 +263,7 @@ def reduce_distances(
             cs = slice(c, c + chunk)
             _first_reaching(2.0 * g, sizes[fs], 2.0 * lo, 2.0 * width, ll[:, cs], ball_slot[fs, cs])
     tied = int(np.bincount(pairs.query)[rights[~ever_unique]].sum())
-    return ReducedDistances(
-        grid, sizes, joined, assign_at, ball_slot, tied, time.perf_counter() - t0
-    )
+    return ReducedDistances(grid, sizes, joined, assign_at, ball_slot, tied)
 
 
 @dataclass
@@ -264,15 +274,13 @@ class ConfigTable:
     Column k is query k.  Row i holds a join: ``prec[i, k]`` is the
     estimated precision of query k's join under the ball of radius twice
     the threshold, 0 where the row assigns query k nothing and > 0
-    elsewhere.  The left record joined is that of the row's function
-    (``row_function``), ``joined[row_function[i], k]``, wherever the row
-    assigns one; ``left`` builds that table.
+    elsewhere.  The left record joined is that of the row's function,
+    ``joined[cfg_function[c], k]`` for any configuration c of the row,
+    wherever the row assigns one; ``left`` builds that table.
 
     Consecutive thresholds of one function often join alike, so the table
     keeps one row per run of them with equal rows: configuration c's row is
-    ``row[c]``, rows are numbered in configuration order, and each row's
-    members are one ascending run of configurations.  ``prec[row]`` is the
-    table over all configurations.
+    ``row[c]``, and ``prec[row]`` is the table over all configurations.
     """
 
     functions: list[JoinFunction]
@@ -287,22 +295,12 @@ class ConfigTable:
         return len(self.cfg_function)
 
     @property
-    def members(self) -> np.ndarray:
-        """(n_row,) int64, the configurations per row."""
-        return np.bincount(self.row, minlength=len(self.prec))
-
-    @property
-    def row_function(self) -> np.ndarray:
-        """(n_row,) each row's function."""
-        out = np.empty(len(self.prec), dtype=self.cfg_function.dtype)
-        out[self.row] = self.cfg_function
-        return out
-
-    @property
     def left(self) -> np.ndarray:
         """(n_row, n_query) int32, the left position each row joins to
         each query, -1 for none; built on each access."""
-        return np.where(self.prec > 0, self.joined[self.row_function], -1)
+        row_function = np.empty(len(self.prec), dtype=self.cfg_function.dtype)
+        row_function[self.row] = self.cfg_function
+        return np.where(self.prec > 0, self.joined[row_function], -1)
 
     def configuration(self, c: int) -> Configuration:
         return Configuration(
@@ -442,7 +440,6 @@ class GreedyStep:
 @dataclass
 class GreedyOutcome:
     selected: list[int]  # configuration indices, in insertion order
-    cur_row: np.ndarray  # (n_query,) int64, the table row that set it or -1, per query
     cur_prec: np.ndarray  # (n_query,) float
     cur_source: np.ndarray  # (n_query,) index into selected, or -1
     tp: float
@@ -471,7 +468,7 @@ def greedy_select(
     weight: np.ndarray,
     tau: float,
     rng: np.random.Generator,
-    members: np.ndarray | None = None,
+    row: np.ndarray | None = None,
 ) -> GreedyOutcome:
     """Iteratively add the configuration maximizing the profit of the union.
 
@@ -487,18 +484,20 @@ def greedy_select(
     ``cfg_prec[i, k]`` is > 0 exactly where row i assigns query k: a
     union's per-query precision is then the elementwise maximum of its
     picks' rows.  The returned ``cur_*`` arrays are per query;
-    ``cur_row`` is the row whose pick set each query's join (the caller
-    knows which left record that row joins it to).
+    ``selected[cur_source[k]]`` is the configuration whose pick set query
+    k's join (the caller knows which left record it joins k to).
 
-    Row i of the table stands for ``members[i]`` configurations with equal
-    rows (the ConfigTable rows; one each by default), numbered in one
-    ascending run after those of row i - 1, and the search equals the one
-    over the table with each row repeated that many times.  Equal rows tie
-    at every step, and once one is picked the others add no tp, so at most
-    one member of a row is picked; a tie draws ``rng.choice`` over the tied
-    rows' members, which is the array the expanded search draws from.
+    Configuration c's row of the table is ``row[c]`` (``ConfigTable.row``;
+    one configuration per row by default), and the search equals the one
+    over the table expanded to ``cfg_prec[row]``, one row per
+    configuration.  A row's configurations tie at every step, and once one
+    is picked the others add no tp, so at most one configuration of a row
+    is picked; a tie draws ``rng.choice`` over the configurations whose row
+    ties, ascending, which is the array the expanded search draws from.
     ``selected`` and the trace hold configuration indices, and the search
-    is "exhausted" only once every configuration is picked.
+    is "exhausted" only once every configuration is picked.  A ``row`` that
+    is not 1-D integers, holds a value outside ``[0, n_row)`` or leaves a
+    row with no configuration is a ``ValueError``.
 
     The search is incremental.  Per row c it keeps
     ``gain[c] = sum_k weight[k] * max(0, prec[c, k] - cur_prec[k])`` in
@@ -516,12 +515,16 @@ def greedy_select(
     which runs on one thread.
     """
     n_row, n_col = cfg_prec.shape
-    members = np.ones(n_row, dtype=np.int64) if members is None else np.asarray(members)
-    first_member = np.cumsum(members) - members  # each row's first configuration
-    n_cfg = int(members.sum())
+    row = np.arange(n_row) if row is None else np.asarray(row)
+    if row.ndim != 1 or not np.issubdtype(row.dtype, np.integer):
+        raise ValueError(f"row map must be 1-D integers, got shape {row.shape} of {row.dtype}")
+    if len(row) and (row.min() < 0 or row.max() >= n_row):
+        raise ValueError(f"row map values must lie in [0, {n_row}), got {row.min()}..{row.max()}")
+    if n_row and np.bincount(row, minlength=n_row).min() == 0:
+        raise ValueError("row map leaves a table row with no configuration")
+    n_cfg = len(row)
     weight_f = np.asarray(weight, dtype=np.float64)
-    available = np.ones(n_row, dtype=bool)  # rows none of whose members is picked
-    cur_row = np.full(n_col, -1, dtype=np.int64)
+    available = np.ones(n_row, dtype=bool)  # rows none of whose configurations is picked
     cur_prec = np.zeros(n_col, dtype=np.float32)
     cur_source = np.full(n_col, -1, dtype=np.int32)
     selected: list[int] = []
@@ -552,13 +555,9 @@ def greedy_select(
         ties = prof == best_profit
         if np.isinf(best_profit):
             ties &= tp_new == tp_new[ties].max()
-        tie_rows = np.flatnonzero(ties)
-        counts = members[tie_rows]
-        # the tied rows' members, ascending
-        tied = np.repeat(first_member[tie_rows] - np.cumsum(counts) + counts, counts)
-        tied += np.arange(len(tied))
+        tied = np.flatnonzero(ties[row])  # the tied rows' configurations
         config = int(tied[0]) if len(tied) == 1 else int(rng.choice(tied))
-        pick = int(np.searchsorted(first_member, config, side="right")) - 1
+        pick = int(row[config])
 
         tp_pick, fp_pick = float(tp_new[pick]), float(fp_new[pick])
         total = tp_pick + fp_pick
@@ -575,7 +574,7 @@ def greedy_select(
         for start in range(0, len(taken), _UPDATE_COLUMNS):
             cols = taken[start : start + _UPDATE_COLUMNS]
             block = cfg_prec[:, cols]
-            opened = cur_row[cols] == -1  # columns the pick newly assigns
+            opened = cur_source[cols] == -1  # columns the pick newly assigns
             # prec > 0 iff assigned
             cover -= np.einsum("ck,k->c", block[:, opened] > 0, weight[cols[opened]])
             # max(0, p - old) - max(0, p - new) = max(0, min(p, new) - old)
@@ -583,15 +582,12 @@ def greedy_select(
             lost -= cur_prec[cols]
             np.maximum(lost, 0.0, out=lost)
             gain -= np.einsum("ck,k->c", lost, weight_f[cols])
-        cur_row[taken] = pick
         cur_prec[taken] = cfg_prec[pick, taken]
         cur_source[taken] = slot
         tp_cur, n_cur = tp_pick, int(n_assigned[pick])
 
     fp_cur = max(n_cur - tp_cur, 0.0)
-    return GreedyOutcome(
-        selected, cur_row, cur_prec, cur_source, tp_cur, fp_cur, stop_reason, trace
-    )
+    return GreedyOutcome(selected, cur_prec, cur_source, tp_cur, fp_cur, stop_reason, trace)
 
 
 # --- column-set preparation and end-to-end solve ----------------------------
@@ -727,21 +723,24 @@ def solve_from_distances(
 ) -> SolveResult:
     """Precomputation and greedy selection, given the reduction
     (``reduce_distances``) of the distances over the blocked pairs of
-    distinct queries; every right record gets its query's assignment."""
+    distinct queries; every right record gets its query's assignment.  The
+    "precompute" timing is the table fill's; the caller adds the
+    reduction's."""
     t0 = time.perf_counter()
     table = precompute_config_table(functions, pairs, reduced)
     t1 = time.perf_counter()
     weight = np.bincount(pairs.query)  # right records per query
-    outcome = greedy_select(table.prec, weight, tau, rng, table.members)
+    outcome = greedy_select(table.prec, weight, tau, rng, table.row)
     t2 = time.perf_counter()
 
     configs = tuple(table.configuration(c) for c in outcome.selected)
     solution = Solution(configs, column_weights, columns)
     assignments: dict[str, Assignment] = {}
-    # each query's left record, joined by the function of the row that set it
-    query_left = np.full(len(outcome.cur_row), -1, dtype=np.int64)
-    set_by = np.flatnonzero(outcome.cur_row >= 0)
-    fn = table.row_function[outcome.cur_row[set_by]]
+    # each query's left record, joined by the function of the pick that set it
+    query_left = np.full(len(outcome.cur_source), -1, dtype=np.int64)
+    set_by = np.flatnonzero(outcome.cur_source >= 0)
+    picked = np.asarray(outcome.selected, dtype=np.int64)
+    fn = table.cfg_function[picked[outcome.cur_source[set_by]]]
     query_left[set_by] = reduced.joined[fn, set_by]
     cur_left = query_left[pairs.query]
     cur_prec = outcome.cur_prec[pairs.query]
@@ -767,7 +766,7 @@ def solve_from_distances(
         estimated_precision=outcome.tp / total if total > 0 else 1.0,
         estimated_recall=outcome.tp,
         warnings=warnings,
-        timings={"precompute": reduced.seconds + t1 - t0, "greedy": t2 - t1},
+        timings={"precompute": t1 - t0, "greedy": t2 - t1},
         pair_counts={"config_rows": len(table.prec), "tied_queries": reduced.tied_queries},
         greedy=outcome,
     )

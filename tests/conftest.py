@@ -22,13 +22,13 @@ from hypothesis import settings
 from fuzzyjoin import CandidateIndex, Record, Table, blocking_cutoff, solver
 from fuzzyjoin.distances import char_distance
 from fuzzyjoin.functions import CHAR_DISTANCES, Configuration, JoinFunction
-from fuzzyjoin.multicolumn import weighted_sum
 from fuzzyjoin.solver import (
     BlockedPairs,
     ConfigTable,
     GreedyOutcome,
     GreedyStep,
     ReducedDistances,
+    weighted_sum,
 )
 from fuzzyjoin.text import apply_preprocess, tokenize
 
@@ -352,7 +352,7 @@ def loop_reduce_distances(
         assign_at[fi] = np.searchsorted(thetas, dmin, side="left")
         ball_slot[fi] = np.searchsorted(2.0 * thetas, ll_all[fi], side="left")
     tied = int(np.bincount(pairs.query)[rights[(joined[:, rights] == -1).all(axis=0)]].sum())
-    return ReducedDistances(grid, sizes, joined, assign_at, ball_slot, tied, 0.0)
+    return ReducedDistances(grid, sizes, joined, assign_at, ball_slot, tied)
 
 
 def loop_config_table(
@@ -442,11 +442,17 @@ def config_table(
     return solver.precompute_config_table(functions, pairs, reduced)
 
 
-def union_left(cfg_left: np.ndarray, cur_row: np.ndarray) -> np.ndarray:
-    """Per query k, ``cfg_left[cur_row[k], k]``, -1 where no row set it."""
-    got = np.full(len(cur_row), -1, dtype=np.int32)
-    k = np.flatnonzero(cur_row >= 0)
-    got[k] = cfg_left[cur_row[k], k]
+def union_left(
+    cfg_left: np.ndarray, outcome: GreedyOutcome, row: np.ndarray | None = None
+) -> np.ndarray:
+    """Per query k, ``cfg_left[r, k]`` at the row r of the pick that set its
+    join, ``row[selected[cur_source[k]]]`` (``row`` being the search's
+    configuration -> row map, the identity by default), -1 where no pick
+    set it."""
+    got = np.full(len(outcome.cur_source), -1, dtype=np.int32)
+    k = np.flatnonzero(outcome.cur_source >= 0)
+    picked = np.asarray(outcome.selected, dtype=np.int64)[outcome.cur_source[k]]
+    got[k] = cfg_left[picked if row is None else row[picked], k]
     return got
 
 
@@ -457,7 +463,6 @@ def dense_greedy(cfg_prec: np.ndarray, tau: float, rng: np.random.Generator) -> 
     n_cfg, n_right = cfg_prec.shape
     cfg_assigned = cfg_prec > 0
     available = np.ones(n_cfg, dtype=bool)
-    cur_row = np.full(n_right, -1, dtype=np.int64)
     cur_prec = np.zeros(n_right, dtype=np.float32)
     cur_source = np.full(n_right, -1, dtype=np.int32)
     selected: list[int] = []
@@ -467,7 +472,7 @@ def dense_greedy(cfg_prec: np.ndarray, tau: float, rng: np.random.Generator) -> 
 
     while available.any():
         tp_new = np.maximum(cfg_prec, cur_prec).sum(axis=1, dtype=np.float64)
-        n_assigned = (cfg_assigned | (cur_row != -1)).sum(axis=1)
+        n_assigned = (cfg_assigned | (cur_source != -1)).sum(axis=1)
         fp_new = np.maximum(n_assigned - tp_new, 0.0)
 
         eligible = available & (tp_new > tp_cur)
@@ -501,16 +506,13 @@ def dense_greedy(cfg_prec: np.ndarray, tau: float, rng: np.random.Generator) -> 
         )
         available[pick] = False
         row_take = cfg_prec[pick] > cur_prec
-        cur_row = np.where(row_take, pick, cur_row)
         cur_prec = np.where(row_take, cfg_prec[pick], cur_prec)
         cur_source = np.where(row_take, slot, cur_source)
         tp_cur = float(cur_prec.sum(dtype=np.float64))
 
-    n_joined = int((cur_row != -1).sum())
+    n_joined = int((cur_source != -1).sum())
     fp_cur = max(n_joined - tp_cur, 0.0)
-    return GreedyOutcome(
-        selected, cur_row, cur_prec, cur_source, tp_cur, fp_cur, stop_reason, trace
-    )
+    return GreedyOutcome(selected, cur_prec, cur_source, tp_cur, fp_cur, stop_reason, trace)
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,7 @@ def union_of(rows: list[dict[int, tuple[int, float]]], n_right: int, tau: float 
     left, prec = as_table(rows, n_right)
     ones = np.ones(n_right, dtype=np.int64)
     u = greedy_select(prec, ones, tau, np.random.default_rng(0))
-    return u, union_left(left, u.cur_row)
+    return u, union_left(left, u)
 
 
 # picked first (profit 3.5 / 0.5 = 7), right 0 at precision 1/2

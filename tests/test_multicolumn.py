@@ -1,3 +1,5 @@
+import itertools
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -64,7 +66,7 @@ def test_weighted_sum_is_the_sum_bit_for_bit(data):
         d.setflags(write=False)  # as prepared distances are
         mats.append(d)
     active = [(x, d) for x, d in zip(w, mats) if x > 0.0]
-    got = multicolumn.weighted_sum([d for _, d in active], [x for x, _ in active])
+    got = solver.weighted_sum([d for _, d in active], [x for x, _ in active])
     # capped at 1.0, which only an ulp of rounding can exceed
     expected = np.minimum(sum(x * d for x, d in active), 1.0)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
@@ -76,7 +78,7 @@ def test_weighted_sum_caps_an_ulp_over_one():
     w = interpolate(interpolate((1.0, 0.0, 0.0), 1, 0.2), 2, 0.2)
     ones = np.ones((2, 3))
     assert sum(x * ones for x in w).max() > 1.0
-    got = multicolumn.weighted_sum([ones] * 3, w)
+    got = solver.weighted_sum([ones] * 3, w)
     assert (got == 1.0).all()
 
 
@@ -87,7 +89,7 @@ def assert_reduced_in_blocks_equals_full_sum(pairs, d_lr, d_ll, w, s):
     ws = [w[i] for i in active]
     lr, ll = [d_lr[i] for i in active], [d_ll[i] for i in active]
     want = reduce_distances(
-        pairs, [multicolumn.weighted_sum(lr, ws)], [multicolumn.weighted_sum(ll, ws)], (1.0,), s
+        pairs, [solver.weighted_sum(lr, ws)], [solver.weighted_sum(ll, ws)], (1.0,), s
     )
     for block in (1, solver._BLOCK_CELLS):
         with mock.patch.object(solver, "_BLOCK_CELLS", block):
@@ -387,8 +389,9 @@ class TestSolveMulti:
         assert res.invocations == len(res.trials)
 
     def test_solve_timings_summed_over_trials(self, monkeypatch):
-        # precompute and greedy run once per trial, and the manifest reports
-        # their total, as it does the preparation stages' over column sets
+        # precompute (the reduction, timed by the trial, and the table fill)
+        # and greedy run once per trial, and the manifest reports their
+        # total, as it does the preparation stages' over column sets
         L, R, _ = two_column_tables(seed=3, n_pairs=8)
 
         def fixed_timings(*args):
@@ -396,8 +399,11 @@ class TestSolveMulti:
             res.timings = {"precompute": 0.25, "greedy": 0.125}
             return res
 
+        # a clock that ticks 1.0 per read, so each reduction takes 1.0
+        clock = itertools.count()
+        monkeypatch.setattr(multicolumn, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
         monkeypatch.setattr(multicolumn, "solve_from_distances", fixed_timings)
         res = solve_multi(L, R, tau=0.9, g=5, seed=0)
         assert res.invocations > 1
-        assert res.timings["precompute"] == 0.25 * res.invocations
+        assert res.timings["precompute"] == 1.25 * res.invocations
         assert res.timings["greedy"] == 0.125 * res.invocations

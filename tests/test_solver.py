@@ -109,8 +109,8 @@ def assert_table_matches_dense(args, block):
     assert table.row.dtype == np.int64 and len(table.row) == table.n_configs
     step = np.diff(table.row)
     assert table.row[:1].tolist() in ([], [0]) and set(step.tolist()) <= {0, 1}
-    assert len(table.members) == len(table.left) == len(table.prec)
-    assert (table.members > 0).all()
+    assert len(table.left) == len(table.prec)
+    assert (np.bincount(table.row, minlength=len(table.prec)) > 0).all()
     same_function = np.diff(table.cfg_function) == 0
     assert (step[~same_function] == 1).all()  # no row spans two functions
     for r in table.row[1:][same_function & (step == 1)]:
@@ -468,7 +468,7 @@ def test_greedy_matches_exhaustive_argmax(seed):
     )
     assert outcome.tp == pytest.approx(tp, abs=1e-9)
     assert outcome.fp == pytest.approx(fp, abs=1e-9)
-    assert union_left(cfg_left, outcome.cur_row).tolist() == left
+    assert union_left(cfg_left, outcome).tolist() == left
     if outcome.selected:
         assert outcome.precision > tau
 
@@ -518,33 +518,29 @@ def test_greedy_does_not_recompute_distances():
 # --- incremental greedy vs the dense loop ------------------------------------
 
 
-def assert_same_search(cfg_left, cfg_prec, tau, seed, column=None, members=None):
+def assert_same_search(cfg_left, cfg_prec, tau, seed, column=None, row=None):
     """greedy_select and the dense reference loop agree exactly: picks, union
     arrays, tp/fp, stop reason, trace and the random draws consumed.  The
-    row that set each right's join is the dense loop's, grouped, so the
-    joined left records, read from ``cfg_left``, agree too.
+    joined left records, read from ``cfg_left`` at the row of the pick that
+    set each right's join, agree too.
 
     With ``column``, table column k stands for the rights r with
     ``column[r] == k``: greedy_select weighs each column by its count of
     rights, and the dense loop runs over the table expanded to one column
-    per right.  With ``members``, table row i stands for ``members[i]``
-    configurations, and the dense loop runs over the table with row i
-    repeated that many times."""
+    per right.  With ``row``, configuration c's table row is ``row[c]``,
+    and the dense loop runs over the table expanded to ``cfg_prec[row]``,
+    one row per configuration."""
     if column is None:
         column = np.arange(cfg_left.shape[1])
-    row = np.repeat(np.arange(len(cfg_left)), 1 if members is None else members)
     weight = np.bincount(column, minlength=cfg_left.shape[1])
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = greedy_select(cfg_prec, weight, tau, rng_a, members)
+    got = greedy_select(cfg_prec, weight, tau, rng_a, row)
+    if row is None:
+        row = np.arange(len(cfg_left))
     want = dense_greedy(cfg_prec[row][:, column], tau, rng_b)
     assert got.selected == want.selected
-    set_by = want.cur_row >= 0
-    want_row = np.full_like(want.cur_row, -1)
-    want_row[set_by] = row[want.cur_row[set_by]]
-    assert got.cur_row.dtype == want.cur_row.dtype
-    assert np.array_equal(got.cur_row[column], want_row)
-    got_left = union_left(cfg_left, got.cur_row)[column]
-    assert np.array_equal(got_left, union_left(cfg_left[row][:, column], want.cur_row))
+    got_left = union_left(cfg_left, got, row)[column]
+    assert np.array_equal(got_left, union_left(cfg_left[row][:, column], want))
     for name in ("cur_prec", "cur_source"):
         a, b = getattr(got, name)[column], getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -596,8 +592,10 @@ def test_weighted_greedy_matches_dense_loop_on_repeated_columns(seed):
 
 def group_rows(rng, cfg_left, cfg_prec):
     """Equal rows grouped into one row each, in first-appearance order, with
-    their counts as member counts; a group of several rows is split in two
-    rows at random, as equal rows of two functions are not grouped."""
+    the configuration -> row map of the rows they were: each group's rows
+    are one ascending run of configurations, as the ConfigTable's are, and
+    a group of several rows is split in two rows at random, as equal rows
+    of two functions are not grouped."""
     codes: dict[bytes, int] = {}
     keys = [l.tobytes() + p.tobytes() for l, p in zip(cfg_left, cfg_prec)]
     group = np.array([codes.setdefault(k, len(codes)) for k in keys])
@@ -610,19 +608,43 @@ def group_rows(rng, cfg_left, cfg_prec):
             parts = [cut, count - cut]
         rows += [rep] * len(parts)
         members += parts
-    return cfg_left[rows], cfg_prec[rows], np.array(members)
+    row = np.repeat(np.arange(len(rows)), members)
+    return cfg_left[rows], cfg_prec[rows], row
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_row_greedy_matches_dense_loop_on_tied_instances(seed):
     rng = np.random.default_rng(3000 + seed)
-    cfg_left, cfg_prec, members = group_rows(rng, *tied_instance(rng))
-    assert members.max() > 1
+    cfg_left, cfg_prec, row = group_rows(rng, *tied_instance(rng))
+    assert len(row) > len(cfg_left)
     n_col = cfg_left.shape[1]
     column = rng.permutation(np.repeat(np.arange(n_col), rng.integers(1, 4, size=n_col)))
     for tau in (0.3, 0.6, 0.8, 0.95):
-        assert_same_search(cfg_left, cfg_prec, tau, seed, members=members)
-        assert_same_search(cfg_left, cfg_prec, tau, seed, column, members)
+        assert_same_search(cfg_left, cfg_prec, tau, seed, row=row)
+        assert_same_search(cfg_left, cfg_prec, tau, seed, column, row)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_row_greedy_matches_dense_loop_on_interleaved_rows(data):
+    # each table row stands for configurations scattered over the map, not
+    # one run: the search over the rows equals the dense loop over the
+    # expanded table, seeded tie draws included.  Rows are drawn from a few
+    # distinct ones, so equal rows tie, within one table row and across two
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_row, n_col = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 12))
+    base_left, base_prec = tied_instance(rng)
+    base = rng.integers(0, len(base_left), size=int(rng.integers(1, n_row + 1)))
+    pick = base[rng.integers(0, len(base), size=n_row)]
+    cols = rng.integers(0, base_left.shape[1], size=n_col)
+    cfg_left, cfg_prec = base_left[pick][:, cols], base_prec[pick][:, cols]
+    extra = data.draw(st.lists(st.integers(0, n_row - 1), max_size=3 * n_row))
+    row = rng.permutation(np.concatenate([np.arange(n_row), extra]).astype(np.int64))
+    column = rng.permutation(np.repeat(np.arange(n_col), rng.integers(1, 4, size=n_col)))
+    tau = data.draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))
+    assert_same_search(cfg_left, cfg_prec, tau, seed, row=row)
+    assert_same_search(cfg_left, cfg_prec, tau, seed, column, row)
 
 
 ROW_LEFT = np.array([[0, 1], [0, -1]], dtype=np.int32)
@@ -632,14 +654,38 @@ ROW_PREC = np.array([[1.0, 0.5], [1.0, 0.0]], dtype=np.float32)
 def test_row_greedy_stops_with_an_unpicked_duplicate():
     # configurations 0 and 1 share row 0: one of them is drawn, and the
     # other adds no tp once one is picked
-    got = assert_same_search(ROW_LEFT, ROW_PREC, 0.1, 0, members=np.array([2, 1]))
+    got = assert_same_search(ROW_LEFT, ROW_PREC, 0.1, 0, row=np.array([0, 0, 1]))
     assert got.selected[0] == 2 and got.selected[1] in (0, 1)
     assert len(got.selected) == 2 and got.stop_reason == "no_gain"
 
 
+def test_row_greedy_draws_over_interleaved_configurations():
+    # configurations 0 and 2 share row 0, so the first pick draws from
+    # [0, 1, 2] as the expanded search does
+    got = assert_same_search(ROW_LEFT, ROW_PREC, 0.1, 0, row=np.array([0, 1, 0]))
+    assert got.selected[0] == 1 and got.selected[1] in (0, 2)
+
+
 def test_row_greedy_exhausts_single_member_rows():
-    got = assert_same_search(ROW_LEFT, ROW_PREC, 0.1, 0, members=np.array([1, 1]))
+    got = assert_same_search(ROW_LEFT, ROW_PREC, 0.1, 0, row=np.array([0, 1]))
     assert got.selected == [1, 0] and got.stop_reason == "exhausted"
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        (np.array([[0, 1]]), "1-D integers"),
+        (np.array([0.0, 1.0]), "1-D integers"),
+        (np.array([0, 2]), r"\[0, 2\)"),
+        (np.array([-1, 1]), r"\[0, 2\)"),
+        (np.array([1, 1]), "no configuration"),
+    ],
+    ids=["2-D", "floats", "past the table", "negative", "empty row"],
+)
+def test_greedy_rejects_a_malformed_row_map(row, problem):
+    ones = np.ones(2, dtype=np.int64)
+    with pytest.raises(ValueError, match=problem):
+        greedy_select(ROW_PREC, ones, 0.1, np.random.default_rng(0), row)
 
 
 @pytest.fixture(scope="module")
@@ -675,7 +721,7 @@ def test_weighted_greedy_matches_dense_loop_on_golden_table(golden_tables, which
     if which == 1:  # every query row 4 times: no query holds a single right
         assert np.bincount(query).min() >= 4
     assert len(table.left) < table.n_configs
-    got = assert_same_search(table.left, table.prec, tau, 0, query, table.members)
+    got = assert_same_search(table.left, table.prec, tau, 0, query, table.row)
     assert got.selected
 
 
