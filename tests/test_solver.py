@@ -659,13 +659,6 @@ def test_row_greedy_stops_with_an_unpicked_duplicate():
     assert len(got.selected) == 2 and got.stop_reason == "no_gain"
 
 
-def test_row_greedy_draws_over_interleaved_configurations():
-    # configurations 0 and 2 share row 0, so the first pick draws from
-    # [0, 1, 2] as the expanded search does
-    got = assert_same_search(ROW_LEFT, ROW_PREC, 0.1, 0, row=np.array([0, 1, 0]))
-    assert got.selected[0] == 1 and got.selected[1] in (0, 2)
-
-
 def test_row_greedy_exhausts_single_member_rows():
     got = assert_same_search(ROW_LEFT, ROW_PREC, 0.1, 0, row=np.array([0, 1]))
     assert got.selected == [1, 0] and got.stop_reason == "exhausted"
