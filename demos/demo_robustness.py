@@ -13,29 +13,31 @@ Three stress tests, scaled down for a quick run:
 """
 
 from fuzzyjoin import (
+    generate_disjoint_tables,
     generate_synthetic,
-    robustness_beta_sweep,
-    robustness_irrelevant_r,
-    robustness_zero_join,
+    inject_irrelevant_rows,
+    score,
+    solve,
 )
 
 print("zero-join stress (200 x 200 disjoint random token strings):")
-point = robustness_zero_join(n_left=200, n_right=200, seed=0)
-print(f"  joins produced: {point.report.n_assigned}, "
-      f"false-positive rate: {point.fp_rate:.4f} (want < 0.05)")
+L, R = generate_disjoint_tables(n_left=200, n_right=200, seed=0)
+joins = len(solve(L, R, "name").result.assignments)
+print(f"  joins produced: {joins}, "
+      f"false-positive rate: {joins / len(R):.4f} (want < 0.05)")
 print()
 
 L, R, gt = generate_synthetic(n_left=80, seed=3, unmatched_rate=0.1)
 
 print("irrelevant right rows (fraction of query table that is noise):")
-for p in robustness_irrelevant_r(L, R, gt, rates=(0.2, 0.6), seed=0):
-    r = p.report
-    print(f"  rate={p.params['rate']:.1f}: precision={r.precision:.3f} "
+for rate in (0.2, 0.6):
+    r = score(solve(L, inject_irrelevant_rows(R, rate), "name").result, gt)
+    print(f"  rate={rate:.1f}: precision={r.precision:.3f} "
           f"recall_abs={r.recall_absolute}")
 print()
 
 print("blocking factor sweep (candidates kept per row = beta * sqrt(|L|)):")
-for p in robustness_beta_sweep(L, R, gt, betas=(0.25, 1.0, 2.0), seed=0):
-    r = p.report
-    print(f"  beta={p.params['beta']:.2f}: precision={r.precision:.3f} "
+for beta in (0.25, 1.0, 2.0):
+    r = score(solve(L, R, "name", beta=beta).result, gt)
+    print(f"  beta={beta:.2f}: precision={r.precision:.3f} "
           f"recall_abs={r.recall_absolute}")

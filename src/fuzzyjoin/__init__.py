@@ -31,7 +31,6 @@ from .evaluation import (
     MIXED_PROFILE,
     MetricsReport,
     PerturbationProfile,
-    RobustnessPoint,
     TYPO_ONLY_PROFILE,
     add_random_column,
     adjusted_recall,
@@ -40,10 +39,6 @@ from .evaluation import (
     inject_irrelevant_rows,
     pr_auc,
     recall_upper_bound,
-    robustness_beta_sweep,
-    robustness_irrelevant_r,
-    robustness_sparse_l,
-    robustness_zero_join,
     score,
 )
 from .functions import (
@@ -71,7 +66,6 @@ from .negative_rules import (
 from .pipeline import ConfigError, PipelineOutcome, RunConfig, StageError, run_pipeline
 from .solver import (
     SolveResult,
-    discretize_thresholds,
     greedy_select,
     solve,
 )

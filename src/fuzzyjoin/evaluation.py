@@ -3,21 +3,19 @@
 Nothing here feeds back into the join search; these utilities measure a
 produced join against known truth, bound what any configuration could
 achieve, and generate reproducible synthetic datasets for the benchmark
-and robustness suites.
+and the tests.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .blocking import build_index
-from .distances import distance_matrix
 from .functions import JoinFunction, JoinResult
-from .solver import SolveResult, flatten_index, solve, value_pairs
+from .solver import prepare_columns
 from .tables import Record, Table, make_table
 
 
@@ -151,21 +149,20 @@ def recall_upper_bound(
     """Fraction of true matches whose left record is nearest to its right
     record under at least one join function, over blocked candidates.
 
-    Thresholds are irrelevant; negative rules are not applied, so this
-    bounds anything the configuration search could produce.
+    Candidates and distances come from ``solver.prepare_columns`` over the
+    column, without negative rules, so this bounds anything the
+    configuration search could produce; thresholds are irrelevant.
     """
     if gt.total_true() == 0:
         return 0.0
-    pairs = flatten_index(build_index(L, R, (column,), beta))
+    prepared = prepare_columns(L, R, (column,), functions, beta, use_negative_rules=False)
+    pairs = prepared.pairs
     if len(pairs.lr_right) == 0:
         return 0.0
-    lvals, rvals = L.column_values(column), R.column_values(column)
-    lr_values = value_pairs((lvals, rvals), (pairs.lr_left, pairs.lr_right))
-    # the column's values in both tables are the IDF corpus, as in the solver
-    d_lr = distance_matrix(functions, lr_values, lvals + rvals)
+    d_lr = prepared.d_lr[column]
     _, starts, counts = np.unique(pairs.lr_right, return_index=True, return_counts=True)
     seg_min = np.minimum.reduceat(d_lr, starts, axis=1)
-    # pairs whose left is nearest to their right under some function
+    # pairs whose left is nearest to their query under some function
     feasible = (d_lr == np.repeat(seg_min, counts, axis=1)).any(axis=0)
     n_left = len(pairs.left_ids)
     keys = pairs.lr_right[feasible] * n_left + pairs.lr_left[feasible]
@@ -174,7 +171,7 @@ def recall_upper_bound(
     left_pos = {lid: i for i, lid in enumerate(pairs.left_ids)}
     truth = np.array(
         [
-            right_pos[rid] * n_left + left_pos[lid]
+            pairs.query[right_pos[rid]] * n_left + left_pos[lid]
             for rid, lid in gt.matches.items()
             if rid in right_pos and lid in left_pos
         ],
@@ -305,6 +302,15 @@ def _unmatched_value(rng: np.random.Generator) -> str:
     )
 
 
+def _rows_at_rate(rate: float, n: int, name: str) -> int:
+    """How many rows to add to ``n`` rows so that ``rate`` of the whole is
+    added ones; ``name`` is the rate's argument, named when it is not in
+    [0, 1)."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"{name} must be in [0, 1), got {rate}")
+    return round(rate / (1.0 - rate) * n)
+
+
 def generate_synthetic(
     n_left: int = 200,
     profile: PerturbationProfile = MIXED_PROFILE,
@@ -315,8 +321,8 @@ def generate_synthetic(
     """Reference table of templated entity names, a query table of perturbed
     variants (0..max_variants per entity), and the provenance ground truth.
 
-    ``unmatched_rate`` is the approximate fraction of query rows drawn from
-    a disjoint vocabulary, with no true match.
+    ``unmatched_rate``, in [0, 1), is the approximate fraction of query rows
+    drawn from a disjoint vocabulary, with no true match.
     """
     if n_left < 10:
         raise ValueError("n_left must be at least 10")
@@ -342,12 +348,10 @@ def generate_synthetic(
             counter += 1
             right_rows.append((rid, (variant,)))
             matches[rid] = lid
-    if unmatched_rate > 0:
-        n_unmatched = round(unmatched_rate / (1.0 - unmatched_rate) * len(right_rows))
-        for _ in range(n_unmatched):
-            rid = f"R{counter:05d}"
-            counter += 1
-            right_rows.append((rid, (_unmatched_value(rng),)))
+    for _ in range(_rows_at_rate(unmatched_rate, len(right_rows), "unmatched_rate")):
+        rid = f"R{counter:05d}"
+        counter += 1
+        right_rows.append((rid, (_unmatched_value(rng),)))
     order = rng.permutation(len(right_rows))
     right_rows = [right_rows[i] for i in order]
 
@@ -407,24 +411,12 @@ def generate_disjoint_tables(
     return L, R
 
 
-# --- robustness drivers ------------------------------------------------------
-
-
-@dataclass
-class RobustnessPoint:
-    label: str
-    params: dict
-    report: MetricsReport | None = None
-    fp_rate: float | None = None
-    solve_result: SolveResult | None = field(default=None, repr=False)
-
-
 def inject_irrelevant_rows(
     R: Table, rate: float, seed: int = 0, column: str = "name"
 ) -> Table:
     """Add disjoint-vocabulary rows until `rate` of the table is irrelevant."""
+    n_new = _rows_at_rate(rate, len(R), "rate")
     rng = np.random.default_rng(seed)
-    n_new = round(rate / (1.0 - rate) * len(R))
     col_idx = R.column_index(column)
     extra = []
     for i in range(n_new):
@@ -432,94 +424,3 @@ def inject_irrelevant_rows(
         values[col_idx] = _unmatched_value(rng)
         extra.append(Record(f"IRR{i:06d}", tuple(values)))
     return Table(R.columns, R.records + tuple(extra), R.role)
-
-
-def robustness_irrelevant_r(
-    L: Table,
-    R: Table,
-    gt: GroundTruth,
-    column: str = "name",
-    rates: Sequence[float] = (0.2, 0.4, 0.6, 0.8),
-    seed: int = 0,
-    **solve_kwargs,
-) -> list[RobustnessPoint]:
-    points = []
-    for rate in rates:
-        injected = inject_irrelevant_rows(R, rate, seed, column)
-        res = solve(L, injected, column, seed=seed, **solve_kwargs)
-        points.append(
-            RobustnessPoint(
-                label="irrelevant-R",
-                params={"rate": rate},
-                report=score(res.result, gt),
-                solve_result=res,
-            )
-        )
-    return points
-
-
-def robustness_zero_join(
-    n_left: int = 500, n_right: int = 500, seed: int = 0, **solve_kwargs
-) -> RobustnessPoint:
-    L, R = generate_disjoint_tables(n_left, n_right, seed)
-    res = solve(L, R, "name", seed=seed, **solve_kwargs)
-    return RobustnessPoint(
-        label="zero-join",
-        params={"n_left": n_left, "n_right": n_right},
-        report=score(res.result, GroundTruth({})),
-        fp_rate=len(res.result.assignments) / len(R),
-        solve_result=res,
-    )
-
-
-def robustness_sparse_l(
-    L: Table,
-    R: Table,
-    gt: GroundTruth,
-    column: str = "name",
-    fractions: Sequence[float] = (0.1, 0.2, 0.3),
-    seed: int = 0,
-    **solve_kwargs,
-) -> list[RobustnessPoint]:
-    """Remove true-match targets from L and measure the damage."""
-    rng = np.random.default_rng(seed)
-    targets = sorted(set(gt.matches.values()))
-    points = []
-    for frac in fractions:
-        n_remove = round(frac * len(targets))
-        removed = set(rng.choice(targets, size=n_remove, replace=False))
-        kept = tuple(rec for rec in L.records if rec.id not in removed)
-        sparse = Table(L.columns, kept, L.role)
-        res = solve(sparse, R, column, seed=seed, **solve_kwargs)
-        points.append(
-            RobustnessPoint(
-                label="sparse-L",
-                params={"fraction": frac, "removed": n_remove},
-                report=score(res.result, gt),
-                solve_result=res,
-            )
-        )
-    return points
-
-
-def robustness_beta_sweep(
-    L: Table,
-    R: Table,
-    gt: GroundTruth,
-    column: str = "name",
-    betas: Sequence[float] = (0.25, 0.5, 1.0, 2.0),
-    seed: int = 0,
-    **solve_kwargs,
-) -> list[RobustnessPoint]:
-    points = []
-    for beta in betas:
-        res = solve(L, R, column, beta=beta, seed=seed, **solve_kwargs)
-        points.append(
-            RobustnessPoint(
-                label="beta-sweep",
-                params={"beta": beta},
-                report=score(res.result, gt),
-                solve_result=res,
-            )
-        )
-    return points

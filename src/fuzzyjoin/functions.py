@@ -217,7 +217,9 @@ def parse_solution(text: str) -> Solution:
         try:
             if line.startswith("columns:"):
                 body = line[len("columns:"):].strip()
-                columns = tuple(c for c in body.split(",") if c) if body else ()
+                columns = tuple(body.split(",")) if body else ()
+                if not all(columns) or len(set(columns)) < len(columns):
+                    raise ValueError("column names must be non-empty and distinct")
                 header_no = line_no
             elif line.startswith("column_weights:"):
                 body = line[len("column_weights:"):].strip()

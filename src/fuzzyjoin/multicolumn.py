@@ -70,6 +70,8 @@ def interpolate(
 
 
 def shared_columns(L: Table, R: Table, columns: Sequence[str] | None) -> list[str]:
+    """``columns``, each checked to be in both tables, or by default every
+    named column the tables share: a header's empty cell names none."""
     if columns is not None:
         missing = [c for c in columns if c not in L.columns or c not in R.columns]
         if missing:
@@ -78,7 +80,7 @@ def shared_columns(L: Table, R: Table, columns: Sequence[str] | None) -> list[st
                 f"left has {list(L.columns)}, right has {list(R.columns)}"
             )
         return list(columns)
-    shared = [c for c in L.columns if c in R.columns]
+    shared = [c for c in L.columns if c and c in R.columns]
     if not shared:
         raise DataError(
             f"no shared column names; left has {list(L.columns)}, "
@@ -110,6 +112,8 @@ def solve_multi(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if columns is not None and not columns:
         raise ValueError("no columns to join on")
+    if columns is not None and not all(columns):
+        raise ValueError(f"column names must be non-empty, got {list(columns)}")
     if columns is not None and len(set(columns)) < len(columns):
         repeated = sorted({c for c in columns if list(columns).count(c) > 1})
         raise ValueError(f"repeated column names {repeated} in {list(columns)}")

@@ -71,25 +71,6 @@ from .negative_rules import (
 from .tables import Table
 
 
-def discretize_thresholds(distances: Sequence[float] | np.ndarray, s: int) -> np.ndarray:
-    """s ascending thresholds dividing [min, max] of the observed distances
-    into equal steps; a degenerate range yields the single maximum value."""
-    if s < 1:
-        raise ValueError(f"step count must be >= 1, got {s}")
-    arr = np.asarray(distances, dtype=float)
-    if arr.size == 0:
-        raise ValueError("no observed distances to discretize")
-    dmin = float(arr.min())
-    dmax = float(arr.max())
-    if dmin == dmax:
-        return np.array([dmax])
-    grid = dmin + np.arange(1, s + 1) * ((dmax - dmin) / s)
-    # rounding may overshoot dmax (and 1.0) by a few ulp mid-grid
-    np.clip(grid, dmin, dmax, out=grid)
-    grid[-1] = dmax
-    return grid
-
-
 # --- configuration table ----------------------------------------------------
 
 
@@ -119,11 +100,6 @@ class ReducedDistances:
     # right records whose query has candidates but a tied minimum under
     # every function, so joins nothing
     tied_queries: int
-
-    @property
-    def thresholds(self) -> list[np.ndarray]:
-        """Per function, its ascending grid."""
-        return [g[:n] for g, n in zip(self.grid, self.sizes.tolist())]
 
 
 def weighted_sum(mats: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
@@ -205,9 +181,10 @@ def reduce_distances(
     one block of functions at a time: the sum is formed for one block only,
     and one column at weight 1.0 is read in place.
 
-    Function fi's grid is ``discretize_thresholds`` of its summed L-R row
-    in ``s`` steps, formed for the whole block with the same float
-    operations.  Per query (``lr_right`` must be sorted ascending), the
+    Function fi's grid divides [min, max] of its summed L-R row into ``s``
+    equal steps, clipped to that range and ending at its maximum; a
+    degenerate range gives the one value max.  It is formed for the whole
+    block at once.  Per query (``lr_right`` must be sorted ascending), the
     minimum candidate distance and the left record achieving it; a query
     with no candidate, or whose minimum is tied, joins nothing.  Its
     assigning threshold is the first that reaches the minimum, and a
@@ -246,8 +223,8 @@ def reduce_distances(
         ever_unique |= unique.any(axis=0)
         dmin[:, rights] = np.where(unique, seg_min, np.inf)
         joined[fs, rights] = np.where(unique, pairs.lr_left[first], -1)
-        # discretize_thresholds per row: lo + k * ((hi - lo) / s), clipped,
-        # ending at hi; a degenerate row is all hi, of which one is kept
+        # per row lo + k * ((hi - lo) / s), k = 1..s, clipped, ending at
+        # hi; a degenerate row is all hi, of which one is kept
         lo, hi = seg_min.min(axis=1), lr.max(axis=1)
         width = (hi - lo) / s
         g = grid[fs]

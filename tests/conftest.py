@@ -309,6 +309,32 @@ def dense_config_table(
     )
 
 
+def discretize_thresholds(distances: Sequence[float] | np.ndarray, s: int) -> np.ndarray:
+    """The threshold grid of one function, as ``solver.reduce_distances``
+    forms it in closed form, kept as its oracle: s ascending thresholds
+    dividing [min, max] of the observed distances into equal steps; a
+    degenerate range yields the single maximum value."""
+    if s < 1:
+        raise ValueError(f"step count must be >= 1, got {s}")
+    arr = np.asarray(distances, dtype=float)
+    if arr.size == 0:
+        raise ValueError("no observed distances to discretize")
+    dmin = float(arr.min())
+    dmax = float(arr.max())
+    if dmin == dmax:
+        return np.array([dmax])
+    grid = dmin + np.arange(1, s + 1) * ((dmax - dmin) / s)
+    # rounding may overshoot dmax (and 1.0) by a few ulp mid-grid
+    np.clip(grid, dmin, dmax, out=grid)
+    grid[-1] = dmax
+    return grid
+
+
+def reduced_thresholds(reduced: ReducedDistances) -> list[np.ndarray]:
+    """Per function, its ascending grid, cut to its size."""
+    return [g[:n] for g, n in zip(reduced.grid, reduced.sizes.tolist())]
+
+
 def loop_reduce_distances(
     pairs: BlockedPairs,
     d_lr: Sequence[np.ndarray],
@@ -338,7 +364,7 @@ def loop_reduce_distances(
     for fi in range(n_fn):
         lr = lr_all[fi]
         if thresholds is None:
-            thetas = solver.discretize_thresholds(lr, s)
+            thetas = discretize_thresholds(lr, s)
         else:
             thetas = np.asarray(thresholds[fi], dtype=float)
         grid[fi, : len(thetas)], sizes[fi] = thetas, len(thetas)
@@ -363,7 +389,7 @@ def loop_config_table(
     row, one ``bincount`` and cumulative sum of its balls at every
     threshold, and its rows filled from them, the joined left records
     included.  Asserts that those equal the table's derived ``left``."""
-    thresholds, joined = reduced.thresholds, reduced.joined
+    thresholds, joined = reduced_thresholds(reduced), reduced.joined
     assign_at, ball_slot = reduced.assign_at, reduced.ball_slot
     n_query = joined.shape[1]
     n_left = len(pairs.left_ids)

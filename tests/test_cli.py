@@ -513,3 +513,27 @@ def test_duplicate_reference_rows_reported(tmp_path, capsys, command):
     assert counts["copied"]["left_duplicate_rows"] == 60
     assert counts["clean"]["tied_queries"] == 0 < counts["copied"]["tied_queries"]
 
+
+
+def test_run_multi_leaves_out_an_unnamed_column(tmp_path, capsys):
+    # a header's empty cell names no column: if searched and selected, it
+    # would be written as "columns: " and read back as no column at all
+    L, R, _ = generate_synthetic(n_left=40, seed=2, unmatched_rate=0.2)
+
+    def unnamed_copy(table):
+        records = tuple(Record(r.id, r.values + r.values) for r in table.records)
+        return Table(("",) + table.columns, records, table.role)
+
+    code = main(
+        [
+            "run-multi",
+            "--left", str(write_table_csv(unnamed_copy(L), tmp_path / "left.csv")),
+            "--right", str(write_table_csv(unnamed_copy(R), tmp_path / "right.csv")),
+            "--weight-steps", "4",
+            "--out", str(tmp_path / "joins.csv"),
+            "--solution", str(tmp_path / "solution.txt"),
+        ]
+    )
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "left.csv").read_text().startswith("id,,name\n")
+    assert load_solution(tmp_path / "solution.txt").columns == ("name",)

@@ -1,6 +1,6 @@
 """Every narrative script under demos/ runs to completion against the
-package in src/, and the distance tour and the safety estimate print the
-values they always have."""
+package in src/, and the distance tour, the safety estimate and the
+robustness drills print the values they always have."""
 
 import os
 import subprocess
@@ -52,6 +52,21 @@ risky ones; whether a crowded ball scores 1/5 or 1/8 barely matters
 once the target precision is 0.9.
 """
 
+# demo_robustness.py's stdout, pinned so that a moved join or score shows
+ROBUSTNESS_STDOUT = """\
+zero-join stress (200 x 200 disjoint random token strings):
+  joins produced: 0, false-positive rate: 0.0000 (want < 0.05)
+
+irrelevant right rows (fraction of query table that is noise):
+  rate=0.2: precision=0.898 recall_abs=114
+  rate=0.6: precision=0.905 recall_abs=114
+
+blocking factor sweep (candidates kept per row = beta * sqrt(|L|)):
+  beta=0.25: precision=0.884 recall_abs=114
+  beta=1.00: precision=0.898 recall_abs=114
+  beta=2.00: precision=0.905 recall_abs=114
+"""
+
 
 def run_demo(demo: Path, cwd: Path) -> subprocess.CompletedProcess:
     src = str(ROOT / "src")
@@ -80,3 +95,9 @@ def test_safety_estimation_stdout(tmp_path):
     proc = run_demo(ROOT / "demos" / "demo_safety_estimation.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == SAFETY_STDOUT
+
+
+def test_robustness_stdout(tmp_path):
+    proc = run_demo(ROOT / "demos" / "demo_robustness.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ROBUSTNESS_STDOUT

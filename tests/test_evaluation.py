@@ -14,15 +14,14 @@ from fuzzyjoin import (
     enumerate_function_space,
     generate_disjoint_tables,
     generate_synthetic,
+    inject_irrelevant_rows,
     pr_auc,
     recall_upper_bound,
-    robustness_beta_sweep,
-    robustness_sparse_l,
     score,
     solve,
     tokenize,
 )
-from fuzzyjoin import evaluation
+from fuzzyjoin import solver
 from fuzzyjoin.distances import distance_matrix
 
 
@@ -211,11 +210,17 @@ class TestRecallUpperBound:
             calls.append(len(pairs))
             return distance_matrix(functions, pairs, corpus, threads)
 
-        monkeypatch.setattr(evaluation, "distance_matrix", spy)
+        monkeypatch.setattr(solver, "distance_matrix", spy)
         ubr = recall_upper_bound(L, R, "name", gt, fns, beta)
-        # one call, over the cross-table pairs only
-        lr_pairs = sum(map(len, index_by_id(build_index(L, R, "name", beta))[0].values()))
-        assert calls == [lr_pairs]
+        # one call, over the cross-table pairs of each distinct right value's
+        # first record followed by the self-join pairs
+        lr, ll = index_by_id(build_index(L, R, "name", beta))
+        first: dict[str, str] = {}
+        for rid, value in zip(R.ids(), R.column_values("name")):
+            first.setdefault(value, rid)
+        n_lr = sum(len(lr[rid]) for rid in first.values())
+        assert n_lr < sum(map(len, lr.values()))  # some right values repeat
+        assert calls == [n_lr + sum(map(len, ll.values()))]
         assert ubr < 1.0
         assert ubr == loop_recall_upper_bound(L, R, "name", gt, fns, beta)
 
@@ -254,6 +259,15 @@ class TestGenerator:
         frac = 1 - gt.total_true() / len(R)
         assert 0.1 <= frac <= 0.3
 
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.2, float("nan")])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        # 1.0 would divide by zero, and 1.5 or -0.2 would add no row
+        with pytest.raises(ValueError, match="unmatched_rate must be in"):
+            generate_synthetic(n_left=20, seed=1, unmatched_rate=rate)
+        _, R, _ = generate_synthetic(n_left=20, seed=1)
+        with pytest.raises(ValueError, match="rate must be in"):
+            inject_irrelevant_rows(R, rate)
+
     def test_deterministic_by_seed(self):
         a = generate_synthetic(n_left=20, seed=9)
         b = generate_synthetic(n_left=20, seed=9)
@@ -273,18 +287,10 @@ class TestGenerator:
         assert lw.isdisjoint(rw)
 
 
-class TestRobustnessDrivers:
-    def test_sparse_l_series(self):
-        L, R, gt = generate_synthetic(n_left=40, seed=12, unmatched_rate=0.1)
-        points = robustness_sparse_l(L, R, gt, fractions=(0.2,), seed=0)
-        assert len(points) == 1
-        assert points[0].params == {"fraction": 0.2, "removed": round(0.2 * len(set(gt.matches.values())))}
-        assert points[0].report is not None
-
+class TestBlockingFactor:
     def test_beta_sweep_stable_beyond_one(self):
         L, R, gt = generate_synthetic(n_left=60, seed=13, unmatched_rate=0.1)
-        points = robustness_beta_sweep(L, R, gt, betas=(1.0, 2.0), seed=0)
-        r1, r2 = (p.report for p in points)
+        r1, r2 = (score(solve(L, R, "name", beta=b).result, gt) for b in (1.0, 2.0))
         base = max(r1.recall_absolute, 1)
         assert abs(r1.recall_absolute - r2.recall_absolute) <= 0.05 * base
         assert abs(r1.precision - r2.precision) <= 0.05

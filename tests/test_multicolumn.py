@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import ulp_over_one_tables
+from conftest import reduced_thresholds, ulp_over_one_tables
 from fuzzyjoin import (
     DataError,
     JoinFunction,
@@ -94,8 +94,9 @@ def assert_reduced_in_blocks_equals_full_sum(pairs, d_lr, d_ll, w, s):
     for block in (1, solver._BLOCK_CELLS):
         with mock.patch.object(solver, "_BLOCK_CELLS", block):
             got = reduce_distances(pairs, lr, ll, ws, s)
-        assert len(got.thresholds) == len(want.thresholds)
-        for a, b in zip(got.thresholds, want.thresholds):
+        got_t, want_t = reduced_thresholds(got), reduced_thresholds(want)
+        assert len(got_t) == len(want_t)
+        for a, b in zip(got_t, want_t):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         for name in ("joined", "assign_at", "ball_slot"):
             a, b = getattr(got, name), getattr(want, name)
@@ -152,7 +153,7 @@ def test_reduction_in_blocks_caps_an_ulp_over_one():
     d_lr = [prep.d_lr[c] for c in ("a", "b", "c")]
     d_ll = [prep.d_ll[c] for c in ("a", "b", "c")]
     reduced = assert_reduced_in_blocks_equals_full_sum(prep.pairs, d_lr, d_ll, w, 50)
-    assert reduced.thresholds[0][-1] == 1.0
+    assert reduced_thresholds(reduced)[0][-1] == 1.0
 
 
 def test_three_column_search_with_weights_an_ulp_over_one():
@@ -354,6 +355,17 @@ class TestSolveMulti:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             solve(L, R, "name", seed=-1)
         assert prepared == []
+
+    def test_unnamed_column_left_out_by_default_and_rejected_by_name(self):
+        # a CSV header's empty cell gives a column named ""
+        L = make_table(("", "name"), [("1", ("x", "alpha")), ("2", ("y", "beta"))])
+        R = make_table(("", "name"), [("3", ("x", "alpha"))], role="query")
+        assert multicolumn.shared_columns(L, R, None) == ["name"]
+        with pytest.raises(ValueError, match="non-empty"):
+            solve_multi(L, R, columns=["", "name"], g=4)
+        L1 = make_table(("",), [("1", ("x",))])
+        with pytest.raises(DataError, match="no shared column names"):
+            solve_multi(L1, L1)
 
     def test_repeated_column_names_rejected(self):
         # a repeated name would search one column as several

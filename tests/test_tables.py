@@ -161,11 +161,15 @@ CONFIG = "config: preprocess=L tokenizer=NONE weights=NONE distance=ED threshold
         ("column_weights: 0.5,0.5\n\ncolumns: a\n", 3),
         ("columns: a\ncolumn_weights: nan\n", 2),
         ("column_weights: 0.5,0.4\n", 1),
+        ("columns: a,,b\ncolumn_weights: 0.5,0.5\n", 1),
+        ("column_weights: 1.0\ncolumns: name,\n", 2),
+        ("columns: a,a\ncolumn_weights: 0.5,0.5\n", 1),
     ],
     ids=[
         "missing-field", "bare-token", "unknown-field", "unknown-distance",
         "repeated-field", "fewer-weights", "fewer-columns", "nan-weight",
-        "weights-not-summing-to-1",
+        "weights-not-summing-to-1", "empty-column-name", "trailing-comma-column",
+        "repeated-column-name",
     ],
 )
 def test_parse_solution_rejects_malformed_lines(text, line):
