@@ -8,10 +8,10 @@ shared tokens, ties going to the smaller reference id.  The same procedure
 links each reference record to its nearest other reference records (the
 self-join side).
 
-Scoring is batched over distinct values.  The lowercased values of both
-tables are interned, and each distinct value is tokenized once (by
-``text.tokenize_strings``, as for the set kernel) into a CSR of trigram ids,
-then reordered to sorted-token order.  Each distinct value is scored once,
+Scoring is batched over distinct values: the distinct lowercased strings of
+the compared values' ``distances.ColumnStrings`` (a single column's own),
+with their trigram ids from its one 3G pass, which the set kernel also
+reads, reordered to sorted-token order.  Each distinct value is scored once,
 whichever table and however many rows it occurs in, and keeps its top k + 1
 reference records; a query row takes its value's first k, and a reference
 row the first k after dropping itself.  Values are scored in chunks: the
@@ -33,8 +33,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .distances import ColumnStrings, _ranges
 from .tables import Table
-from .text import apply_preprocess, idf_weights, tokenize_strings
 
 # score cells plus posting entries per scoring chunk, which bounds the
 # chunk's temporaries
@@ -71,12 +71,6 @@ class CandidateIndex:
 
 def blocking_cutoff(n_left: int, beta: float) -> int:
     return math.ceil(beta * math.sqrt(n_left))
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenated ranges [start, start + length)."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
 
 
 def _group_rank(group: np.ndarray, n_groups: int) -> np.ndarray:
@@ -162,45 +156,45 @@ def build_index(
     R: Table,
     column: str | Sequence[str],
     beta: float = 1.0,
+    table: ColumnStrings | None = None,
 ) -> CandidateIndex:
     """Build blocked L-L and L-R candidate lists for one join column (or a
-    sequence of columns, compared on their space-joined concatenation)."""
-    if beta <= 0:
-        raise ValueError(f"blocking factor must be positive, got {beta}")
+    sequence of columns, compared on their space-joined concatenation), read
+    from ``table``, their string table with option L, by default their own."""
+    if not math.isfinite(beta) or beta <= 0:
+        raise ValueError(f"blocking factor must be positive and finite, got {beta}")
     if isinstance(column, str):
         left_values = L.column_values(column)
         right_values = R.column_values(column)
     else:
         left_values = L.joined_values(column)
         right_values = R.joined_values(column)
+    if table is None:
+        table = ColumnStrings((), left_values + right_values, options=("L",))
     left_ids = L.ids()
     right_ids = R.ids()
     n_left = len(left_ids)
     k = blocking_cutoff(n_left, beta)
 
-    # the distinct lowercased values of both tables, each tokenized once
-    # into distinct trigram ids, reordered in sorted-token order
-    distinct: dict[str, int] = {}
-    codes = np.array(
-        [distinct.setdefault(apply_preprocess(v, "L"), len(distinct)) for v in left_values + right_values],
-        dtype=np.int64,
-    )
-    vocab, sizes, tokens, _ = tokenize_strings(list(distinct), "3G")
+    # the distinct lowercased values of both tables, each with its trigram
+    # ids from the table's one 3G pass, reordered in sorted-token order
+    held, codes = np.unique(table.string_ids(left_values + right_values, "L"), return_inverse=True)
+    tok = table.tokens("3G")
+    sizes = tok.sizes[held]
+    tokens = tok.tokens[tok.entries(held)]
     # packed trigram codes sort as their token strings do
-    rank = np.empty(len(vocab), dtype=np.int64)
-    rank[np.argsort(vocab)] = np.arange(len(vocab))
-    tokens = tokens[np.lexsort((rank[tokens], np.repeat(np.arange(len(distinct)), sizes)))]
+    rank = np.empty(tok.n_vocab, dtype=np.int64)
+    rank[np.argsort(tok.vocab)] = np.arange(tok.n_vocab)
+    tokens = tokens[np.lexsort((rank[tokens], np.repeat(np.arange(len(held)), sizes)))]
     bounds = np.concatenate([[0], np.cumsum(sizes)])
-
     # IDF over the rows of both tables: log(rows / rows holding the token)
-    copies = np.bincount(codes, minlength=len(distinct))
-    weight = idf_weights(sizes, tokens, len(vocab), copies, len(codes))
+    weight = table.idf("3G", "L")[0]
 
     # posting lists: per token, the ascending left rows holding it
     left_codes = codes[:n_left]
     left_tokens = tokens[_ranges(bounds[left_codes], sizes[left_codes])]
     post_left = np.repeat(np.arange(n_left), sizes[left_codes])[np.argsort(left_tokens, kind="stable")]
-    post_count = np.bincount(left_tokens, minlength=len(vocab))
+    post_count = np.bincount(left_tokens, minlength=tok.n_vocab)
     post_start = np.cumsum(post_count) - post_count
     id_rank = np.empty(n_left, dtype=np.int64)
     id_rank[sorted(range(n_left), key=left_ids.__getitem__)] = np.arange(n_left)
@@ -210,8 +204,8 @@ def build_index(
     return CandidateIndex(
         left_ids,
         right_ids,
-        _expand(ranked, len(distinct), codes[n_left:], k, skip_self=False),
-        _expand(ranked, len(distinct), left_codes, k, skip_self=True),
+        _expand(ranked, len(held), codes[n_left:], k, skip_self=False),
+        _expand(ranked, len(held), left_codes, k, skip_self=True),
         beta,
         k,
     )

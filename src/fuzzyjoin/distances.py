@@ -12,10 +12,10 @@ it, and the single-pair `evaluate` is one call to it.  Every call runs on a
 `ColumnStrings`, the string table of one column: its raw values in both
 tables (the IDF corpus), each distinct value interned once and preprocessed
 once per option into one table of distinct preprocessed strings.  The
-solver builds one per column, which also holds the negative rules'
-preprocessed strings when the rules run, and makes one call per column and
-column set over its L-R pairs followed by its L-L pairs; the table is
-shared across the column sets of a multi-column search.  A raw or missing
+solver builds one per column, which also holds blocking's lowercased strings
+and, when the rules run, the rules', and makes one call per column and
+column set over its L-R pairs followed by its L-L pairs; the column's
+blocking and the column sets of a search share it.  A raw or missing
 corpus becomes one at the start of the call.  A call computes every
 (preprocess, tokenizer, weights) combination once per distinct pair of
 string ids, shared across all distance kinds that use it.  A pair's row
@@ -58,9 +58,10 @@ terms over the tokens both hold, in the order of a loop over its token
 results equal, bit for bit, the per-pair loop kept as the test oracle in
 `tests/conftest.py` (`loop_set_stats`, `scalar_evaluate`).  Count
 statistics are shared across preprocess options like the character cache;
-only the IDF weights differ.  Within one chunk, a (preprocess, tokenizer,
-weights) combination's statistics are gathered when its first function is
-reached, and its rows are dropped after the last function that reads them.
+only the IDF weights differ.  Within one chunk, the distinct string pairs
+are found once per set of options the kernels read, and a (preprocess,
+tokenizer, weights) combination's statistics are gathered when its first
+function is reached, and its rows dropped after the last that reads them.
 
 IDF weights count the table's documents: each raw corpus value stands for
 as many documents as it has copies, and a value of a pair that is not in
@@ -73,6 +74,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -330,15 +332,16 @@ def _jaro_winkler_batch(table: _PeqTable, a: np.ndarray, b: np.ndarray) -> np.nd
         left, right = table.symbols[a[rows]], table.symbols[b[rows]]
         base = b[rows] * table.width
         window = np.maximum(np.maximum(ln, rn) // 2 - 1, 0)
+        # b's positions i - window to i + window around a's character i,
+        # shifted one bit per step; bits past b's end match no mask of b
+        reach = _LOW[window + 1]
         taken_b = np.zeros(n, dtype=np.uint64)
         taken_a = np.zeros((n, _WORD), dtype=bool)
         for i, k in enumerate(active):
-            lo = np.maximum(i - window[:k], 0)
-            hi = np.minimum(i + window[:k] + 1, rn[:k])
-            free = _LOW[hi] & ~_LOW[lo] & ~taken_b[:k]
-            cand = table.eq(base[:k] + left[:k, i]) & free
+            cand = table.eq(base[:k] + left[:k, i]) & reach[:k] & ~taken_b[:k]
             taken_b[:k] |= cand & (~cand + np.uint64(1))
             taken_a[:k, i] = cand != 0
+            reach[:k] = (reach[:k] << 1) | (window[:k] > i)
         m = taken_a.sum(axis=1)
         bits_b = np.unpackbits(
             taken_b.astype("<u8").view(np.uint8).reshape(n, 8), axis=1, bitorder="little"
@@ -371,15 +374,13 @@ def _distinct_pairs(
 
 
 def _char_rows(
-    strings: Sequence[str],
-    pairs_by_option: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    strings: Sequence[str], a: np.ndarray, b: np.ndarray, gather: Mapping[str, np.ndarray]
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """ED and JW rows per preprocess option, equal to ``char_distance``.
-    The options share one cache: each distinct preprocessed pair is computed
+    """ED and JW rows per preprocess option, equal to ``char_distance``, over
+    a ``_distinct_pairs`` table: each distinct preprocessed pair is computed
     once, whichever options produce it.  Pairs of strings up to 64
     characters run through the kernels over one Peq table of the strings
     they hold; the scalar code takes the rest."""
-    a, b, gather = _distinct_pairs(pairs_by_option, len(strings))
     lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
     ed = np.empty(len(a))
     jw = np.empty(len(a))
@@ -405,6 +406,12 @@ _SET_ENTRIES = 1 << 14
 _SET_BLOCK_BYTES = 1 << 18
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [start, start + length)."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
+
+
 class _Tokens:
     """One ``tokenize_strings`` pass over every string of a table: its
     vocabulary, and per string its entries (token ids and counts, in
@@ -419,9 +426,7 @@ class _Tokens:
 
     def entries(self, strings: np.ndarray) -> np.ndarray:
         """The positions of the given strings' entries, string by string."""
-        lengths = self.sizes[strings]
-        first = np.cumsum(lengths) - lengths
-        return np.arange(int(lengths.sum())) + np.repeat(self.starts[strings] - first, lengths)
+        return _ranges(self.starts[strings], self.sizes[strings])
 
     def idf(self, docs: np.ndarray, n_docs: int) -> tuple[np.ndarray, np.ndarray]:
         """Per token its IDF weight over ``n_docs`` documents, of which string
@@ -435,11 +440,12 @@ class _Tokens:
 
 @dataclass
 class _SetStats:
-    """``_set_stats`` of one tokenizer: the distinct pairs' statistics, and
-    per preprocess option its pairs and their indices among the distinct."""
+    """``_set_stats`` of one tokenizer: the distinct pairs and their
+    statistics, and per preprocess option its pairs' indices among them."""
 
     tok: _Tokens
-    pairs: Mapping[str, tuple[np.ndarray, np.ndarray]]
+    a: np.ndarray
+    b: np.ndarray
     idf: Mapping[str, tuple[np.ndarray, np.ndarray]]
     at: Mapping[str, np.ndarray]
     cnt_i: np.ndarray
@@ -449,8 +455,8 @@ class _SetStats:
     def gather(self, option: str, weights: str) -> tuple[np.ndarray, ...]:
         """An option's per-pair intersection, A size and B size under one
         weight scheme, and whether B is a sub-multiset of A."""
-        pa, pb = self.pairs[option]
         g = self.at[option]
+        pa, pb = self.a[g], self.b[g]
         if weights == "EW":
             inter, w_a, w_b = self.cnt_i[g], self.tok.size[pa], self.tok.size[pb]
         else:
@@ -461,14 +467,17 @@ class _SetStats:
 
 def _set_stats(
     tok: _Tokens,
-    pairs_by_option: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    a: np.ndarray,
+    b: np.ndarray,
+    gather: Mapping[str, np.ndarray],
     idf_by_option: Mapping[str, tuple[np.ndarray, np.ndarray]],
 ) -> _SetStats:
     """Per preprocess option, the per-pair intersection and size statistics
-    of one tokenizer under both weight schemes, and whether the right bag is
-    a sub-multiset of the left one, each gathered when asked for
-    (``_SetStats.gather``).  ``idf_by_option[option]`` holds the option's
-    IDF weights (``_Tokens.idf``); only those options have IDF statistics.
+    of one tokenizer under both weight schemes over a ``_distinct_pairs``
+    table, and whether the right bag is a sub-multiset of the left one, each
+    gathered when asked for (``_SetStats.gather``).  ``idf_by_option[option]``
+    holds the option's IDF weights (``_Tokens.idf``); only those options
+    have IDF statistics.
 
     The count statistics of a distinct string pair are computed once,
     whichever options produce it; only the IDF weights differ between
@@ -484,7 +493,6 @@ def _set_stats(
     the loop bit for bit.  B is a sub-multiset of A exactly when the summed
     ``min(count in A, count in B)`` reaches B's total count.
     """
-    a, b, gather = _distinct_pairs(pairs_by_option, len(tok.sizes))
     n = len(a)
     n_vocab = tok.n_vocab
     cnt_i = np.empty(n)
@@ -523,7 +531,7 @@ def _set_stats(
                 idf_i[option][lo:hi] = np.bincount(pair, weights=m * w[t], minlength=hi - lo)
         dense[cells] = 0
     contained = cnt_i == tok.size[b]
-    return _SetStats(tok, pairs_by_option, idf_by_option, gather, cnt_i, idf_i, contained)
+    return _SetStats(tok, a, b, idf_by_option, gather, cnt_i, idf_i, contained)
 
 
 def _set_rows(inter, w_a, w_b, contained) -> dict[str, np.ndarray]:
@@ -553,11 +561,11 @@ class ColumnStrings:
     document per value, so a value stands for as many documents as it has
     copies), plus ``extra`` values of no document.  It interns each distinct
     value once and preprocesses it once per preprocess option of
-    ``functions``, and of ``options`` (the solver adds the negative rules'),
-    into one table of distinct preprocessed strings.  On first
-    use it tokenizes all of those strings once per tokenizer and counts each
-    IDFW option's weights once; later calls, and later column sets that
-    keep the table, read them again.
+    ``functions``, and of ``options`` (the solver adds blocking's L, and the
+    negative rules'), into one table of distinct preprocessed strings.  On
+    first use it tokenizes all of those strings once per tokenizer and counts
+    each IDFW option's weights once; blocking, later calls, and later column
+    sets that keep the table read them again.
 
     It also remembers, per tuple of functions, the matrices that
     ``distance_matrix`` returned over it: per call, the sorted keys of the
@@ -625,24 +633,25 @@ def _write_rows(
     right: np.ndarray,
 ) -> None:
     """Write to ``out[fi, at]`` function fi's row over the distinct value
-    pairs (left[i], right[i]) of ``table``.  A (preprocess, tokenizer,
-    weights) combination's statistics are gathered when its first function
-    is reached, and its rows are dropped after its last."""
-    pre_pairs = {
-        o: (table.of_value[o][left], table.of_value[o][right])
-        for o in dict.fromkeys(f.preprocess for f in functions)
-    }
-    char_pairs = {
-        f.preprocess: pre_pairs[f.preprocess] for f in functions if f.distance in CHAR_DISTANCES
-    }
-    char_rows = _char_rows(table.strings, char_pairs) if char_pairs else {}
+    pairs (left[i], right[i]) of ``table``, whose distinct string pairs are
+    found once per set of options a kernel reads.  A combination's
+    statistics are gathered at its first function, its rows dropped after
+    its last."""
+
+    @cache
+    def pairs_of(options: frozenset[str]) -> tuple:
+        by_option = {o: (table.of_value[o][left], table.of_value[o][right]) for o in options}
+        return _distinct_pairs(by_option, len(table.strings))
+
+    char_options = frozenset(f.preprocess for f in functions if f.distance in CHAR_DISTANCES)
+    char_rows = _char_rows(table.strings, *pairs_of(char_options)) if char_options else {}
     set_fns = [f for f in functions if f.is_set_based]
     set_stats: dict[str, _SetStats] = {}
     for tokenizer in dict.fromkeys(f.tokenizer for f in set_fns):
         fns = [f for f in set_fns if f.tokenizer == tokenizer]
         set_stats[tokenizer] = _set_stats(
             table.tokens(tokenizer),
-            {f.preprocess: pre_pairs[f.preprocess] for f in fns},
+            *pairs_of(frozenset(f.preprocess for f in fns)),
             {f.preprocess: table.idf(tokenizer, f.preprocess) for f in fns if f.weights == "IDFW"},
         )
     set_rows: dict[tuple[str, str, str], dict[str, np.ndarray]] = {}

@@ -108,6 +108,8 @@ def solve_multi(
         raise ValueError(f"precision target must be in (0, 1], got {tau}")
     if g < 2:
         raise ValueError(f"weight step count must be >= 2, got {g}")
+    if s < 1:
+        raise ValueError(f"step count must be >= 1, got {s}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if columns is not None and not columns:

@@ -814,13 +814,13 @@ def prepare_columns(
 
     After blocking, right records with equal raw values in ``columns`` are
     collapsed into distinct queries (``group_queries``), and the rules and
-    L-R distances read each query's first record.  Every later step reads
-    one ``ColumnStrings`` per column, of the column's values in both
-    tables, every record's copy included (the IDF corpus), which also holds
-    the rules' preprocessed strings when the rules run; it is built by the first step that
-    needs it, and only when blocking left pairs that need it.  The rules run
-    over its SP token ids: learned from the self-join pairs, and tested once
-    per distinct cross-table string pair.  Each column's L-R and L-L
+    L-R distances read each query's first record.  Every step reads one
+    ``ColumnStrings`` per column, of its values in both tables, every
+    record's copy included (the IDF corpus), with blocking's strings and the
+    rules' when they run.  A single column blocks on its table's 3G pass; a
+    column set blocks on its joined values, and a later step builds its
+    tables.  The rules run over the SP token ids: learned from the self-join
+    pairs, and tested once per distinct cross-table string pair.  Each column's L-R and L-L
     distances are then one ``distance_matrix`` call over the L-R pairs
     followed by the L-L pairs, of which ``d_lr`` and ``d_ll`` are column
     slices.
@@ -838,9 +838,9 @@ def prepare_columns(
     timings: dict[str, float] = {}
     if tables is None:
         tables, final = {}, True
-    # the rules' strings, when the rules run: the flag is fixed for a whole
-    # search, so every table shared across its column sets holds them alike
-    options = (RULE_PREPROCESS,) if use_negative_rules else ()
+    # blocking's strings, and the rules' when they run: the flag is fixed for
+    # a search, so every table shared across its column sets holds them alike
+    options = ("L", RULE_PREPROCESS) if use_negative_rules else ("L",)
 
     def table(c: str) -> ColumnStrings:
         if c not in tables:
@@ -849,7 +849,8 @@ def prepare_columns(
         return tables[c]
 
     t0 = time.perf_counter()
-    pairs = flatten_index(build_index(L, R, columns, beta))
+    one_column = table(columns[0]) if len(columns) == 1 else None
+    pairs = flatten_index(build_index(L, R, columns, beta, one_column))
     pairs, first = group_queries(pairs, list(zip(*(values[c][1] for c in columns))))
     query_values = {c: [values[c][1][i] for i in first.tolist()] for c in columns}
     timings["blocking"] = time.perf_counter() - t0

@@ -77,59 +77,55 @@ def tokenize_strings(
     """Each string tokenized once: the token vocabulary, numbered by first
     appearance, and a CSR over the strings of token ids and counts in
     ``Counter`` order, as a loop over ``tokenize`` gives them.  The set
-    kernel reads its tokens and, with ``idf_weights``, its IDF weights from
-    one such pass per tokenizer over the strings of a column's
-    ``distances.ColumnStrings``; ``blocking.build_index`` reads its trigrams
-    from another.
+    kernel, the negative rules (SP) and blocking (3G) read one such pass per
+    tokenizer over the strings of a column's ``distances.ColumnStrings``.
 
-    SP is that loop, and its vocabulary a list of token strings.  3G is one
-    array pass that builds no token string: each string's whitespace runs
+    Both tokenizers code each token occurrence as an int64, in position
+    order, and share one CSR construction over the codes.  SP's codes are
+    its words interned by first appearance, and its vocabulary is the list
+    of words.  3G builds no token string: each string's whitespace runs
     collapsed as ``tokenize`` does, its UTF-32 code points are packed three
     to an int64 trigram code, 21 bits each (a string shorter than 3 leaves
     the missing ones 0), so codes sort as their token strings do, and the
     vocabulary is the array of codes.  One stable sort of the codes groups
     each token's occurrences in position order: the first is the token's
-    first appearance, and each string's first occurrence and run length
-    give its entry and count, which read back in position order are in
+    first appearance, and each string's first occurrence and run length give
+    its entry and count, which read back in position order are in
     ``Counter`` order.
     """
-    if tokenizer != "3G":
-        vocab: dict[str, int] = {}
-        tokens: list[int] = []
-        counts: list[int] = []
-        lengths: list[int] = []
-        for s in strings:
-            bag = tokenize(s, tokenizer)
-            lengths.append(len(bag))
-            tokens.extend([vocab.setdefault(t, len(vocab)) for t in bag])
-            counts.extend(bag.values())
-        sizes = np.array(lengths, dtype=np.int64)
-        return list(vocab), sizes, np.array(tokens, dtype=np.int32), np.array(counts, dtype=np.int32)
-
-    collapsed = [" ".join(s.split()) for s in strings]
-    n = len(collapsed)
-    lengths = np.fromiter(map(len, collapsed), dtype=np.int64, count=n)
-    # code points plus 1, and the positions of each trigram's first, as
-    # int32 while they fit: the per-trigram int64 arrays are the codes alone
-    chars = np.zeros(int(lengths.sum()) + 2, dtype=np.int32)
-    chars[:-2] = np.frombuffer("".join(collapsed).encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    chars[:-2] += 1
-    index = np.int32 if len(chars) < 2**31 else np.int64
-    # k >= 3 characters give k - 2 trigrams, and 1 or 2 one token of them all
-    grams = np.maximum(lengths - 2, lengths > 0)
-    first = np.cumsum(grams) - grams
-    start = np.repeat((np.cumsum(lengths) - lengths - first).astype(index), grams)
-    start += np.arange(len(start), dtype=index)
-    codes = chars[start].astype(np.int64)
-    codes <<= 2 * _CHAR_BITS
-    part = chars[1:][start].astype(np.int64)
-    part <<= _CHAR_BITS
-    codes |= part
-    codes |= chars[2:][start]
-    del chars, start, part
-    # a short string's token reads the next string's characters: zero them
-    short = np.flatnonzero((lengths > 0) & (lengths < 3))
-    codes[first[short]] &= -1 << _CHAR_BITS * (3 - lengths[short])
+    n = len(strings)
+    if tokenizer == "SP":
+        words = [s.split() for s in strings]
+        grams = np.fromiter(map(len, words), dtype=np.int64, count=n)
+        interned: dict[str, int] = {}
+        ids = [interned.setdefault(w, len(interned)) for ws in words for w in ws]
+        codes = np.array(ids, dtype=np.int64)
+    elif tokenizer == "3G":
+        collapsed = [" ".join(s.split()) for s in strings]
+        lengths = np.fromiter(map(len, collapsed), dtype=np.int64, count=n)
+        # code points plus 1, and the positions of each trigram's first, as
+        # int32 while they fit: the per-trigram int64 arrays are the codes alone
+        chars = np.zeros(int(lengths.sum()) + 2, dtype=np.int32)
+        chars[:-2] = np.frombuffer("".join(collapsed).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        chars[:-2] += 1
+        index = np.int32 if len(chars) < 2**31 else np.int64
+        # k >= 3 characters give k - 2 trigrams, and 1 or 2 one token of them all
+        grams = np.maximum(lengths - 2, lengths > 0)
+        first = np.cumsum(grams) - grams
+        start = np.repeat((np.cumsum(lengths) - lengths - first).astype(index), grams)
+        start += np.arange(len(start), dtype=index)
+        codes = chars[start].astype(np.int64)
+        codes <<= 2 * _CHAR_BITS
+        part = chars[1:][start].astype(np.int64)
+        part <<= _CHAR_BITS
+        codes |= part
+        codes |= chars[2:][start]
+        del chars, start, part
+        # a short string's token reads the next string's characters: zero them
+        short = np.flatnonzero((lengths > 0) & (lengths < 3))
+        codes[first[short]] &= -1 << _CHAR_BITS * (3 - lengths[short])
+    else:
+        raise ValueError(f"unknown tokenizer {tokenizer!r}")
 
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
@@ -138,7 +134,7 @@ def tokenize_strings(
     np.not_equal(codes[1:], codes[:-1], out=new[1:])
     heads = np.flatnonzero(new)
     by_appearance = np.argsort(order[heads])
-    vocab = codes[heads[by_appearance]]
+    vocab = list(interned) if tokenizer == "SP" else codes[heads[by_appearance]]
     del codes
     token_id = np.empty(len(heads), dtype=np.int32)
     token_id[by_appearance] = np.arange(len(heads), dtype=np.int32)
@@ -153,7 +149,7 @@ def tokenize_strings(
     count_of = np.zeros(len(order), dtype=np.int32)
     count_of[order[entry]] = np.diff(entry, append=len(order))
     entry = np.flatnonzero(count_of)
-    sizes = np.bincount(np.searchsorted(first + grams, entry, side="right"), minlength=n)
+    sizes = np.bincount(np.searchsorted(np.cumsum(grams), entry, side="right"), minlength=n)
     return vocab, sizes, token_of[entry], count_of[entry]
 
 

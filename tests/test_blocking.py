@@ -7,6 +7,7 @@ from fuzzyjoin import (
     build_index,
     generate_synthetic,
     make_table,
+    solve,
     tokenize,
 )
 
@@ -132,6 +133,15 @@ class TestBuildIndex:
         L, R, *_ = small_tables()
         with pytest.raises(ValueError):
             build_index(L, R, "name", beta=0.0)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_beta_names_the_blocking_factor(self, beta):
+        # not a numeric error from the cutoff's math.ceil
+        L, R, *_ = small_tables()
+        with pytest.raises(ValueError, match="blocking factor"):
+            build_index(L, R, "name", beta=beta)
+        with pytest.raises(ValueError, match="blocking factor"):
+            solve(L, R, "name", beta=beta)
 
 
 class TestIndexStats:

@@ -15,12 +15,14 @@ from fuzzyjoin import (
     add_random_column,
     blocking,
     build_index,
+    distances,
+    enumerate_function_space,
     generate_synthetic,
     make_table,
 )
-from fuzzyjoin.distances import _Tokens
-from fuzzyjoin.negative_rules import pair_blocked
-from fuzzyjoin.solver import BlockedPairs, filter_lr_by_rules, flatten_index
+from fuzzyjoin.distances import ColumnStrings, _Tokens
+from fuzzyjoin.negative_rules import RULE_PREPROCESS, pair_blocked
+from fuzzyjoin.solver import BlockedPairs, filter_lr_by_rules, flatten_index, prepare_columns
 
 WORK = [1, 3, blocking._BLOCK_WORK]
 
@@ -106,7 +108,7 @@ def test_each_distinct_value_tokenized_and_scored_once(monkeypatch):
     left = ["Oak Tigers", "oak tigers", "pine bears", "pine bears", ""]
     right = ["oak tigers", "OAK TIGERS", "pine bears", "elm", "elm", "elm", ""]
     passes, scored = [], []
-    tokenize_strings, rank = blocking.tokenize_strings, blocking._rank_values
+    tokenize_strings, rank = distances.tokenize_strings, blocking._rank_values
 
     def spy_tokenize(strings, tokenizer):
         passes.append((tokenizer, list(strings)))
@@ -116,11 +118,12 @@ def test_each_distinct_value_tokenized_and_scored_once(monkeypatch):
         scored.append(len(bounds) - 1)
         return rank(bounds, *args)
 
-    monkeypatch.setattr(blocking, "tokenize_strings", spy_tokenize)
+    monkeypatch.setattr(distances, "tokenize_strings", spy_tokenize)
     monkeypatch.setattr(blocking, "_rank_values", spy_rank)
     build_index(*tables(left, right), "name", 1.0)
     distinct = {v.lower() for v in left + right}
-    # one pass, which holds each distinct lowercased value once
+    # one pass of the values' own string table, which holds each distinct
+    # lowercased value once
     [(tokenizer, strings)] = passes
     assert tokenizer == "3G"
     assert sorted(strings) == sorted(distinct)
@@ -139,7 +142,7 @@ def test_trigram_rank_is_token_string_order(left, right):
     # each value's distinct trigrams are scored in the sorted order of their
     # token strings, which blocking ranks by packed trigram code
     passes, scored = [], []
-    tokenize_strings, rank = blocking.tokenize_strings, blocking._rank_values
+    tokenize_strings, rank = distances.tokenize_strings, blocking._rank_values
 
     def spy_tokenize(strings, tokenizer):
         passes.append(tokenize_strings(strings, tokenizer))
@@ -149,7 +152,7 @@ def test_trigram_rank_is_token_string_order(left, right):
         scored.append((bounds, tokens))
         return rank(bounds, tokens, *args)
 
-    with mock.patch.object(blocking, "tokenize_strings", spy_tokenize), mock.patch.object(
+    with mock.patch.object(distances, "tokenize_strings", spy_tokenize), mock.patch.object(
         blocking, "_rank_values", spy_rank
     ):
         build_index(*tables(left, right), "name", 1.0)
@@ -160,6 +163,47 @@ def test_trigram_rank_is_token_string_order(left, right):
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         value = [names[t] for t in tokens[lo:hi].tolist()]
         assert value == sorted(set(value))
+
+
+def solver_table(L, R, column):
+    """The string table ``prepare_columns`` builds for a column and passes to
+    its one-column blocking: every preprocess option of the function space,
+    blocking's L and the rules' option included."""
+    values = L.column_values(column) + R.column_values(column)
+    return ColumnStrings(FUNCTIONS, values, options=("L", RULE_PREPROCESS))
+
+
+FUNCTIONS = enumerate_function_space()
+
+
+def assert_same_index(got, want):
+    for a, b in ((got.lr_pairs, want.lr_pairs), (got.ll_pairs, want.ll_pairs)):
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert (got.left_ids, got.right_ids, got.k) == (want.left_ids, want.right_ids, want.k)
+
+
+class TestSharedTable:
+    """Blocking over a column's shared string table, whose strings include
+    other options' and whose 3G pass also serves the set kernel, equals
+    blocking over a table of its own, and the per-row loop."""
+
+    @given(blocking_cases())
+    def test_random_tables(self, case):
+        L, R, beta = case
+        got = build_index(L, R, "name", beta, solver_table(L, R, "name"))
+        assert_same_index(got, build_index(L, R, "name", beta))
+        assert index_by_id(got) == loop_build_index(L, R, "name", beta)
+
+    def test_solver_table(self):
+        # the very table prepare_columns keeps for later column sets
+        L, R, _ = generate_synthetic(n_left=40, seed=5, unmatched_rate=0.2)
+        tables = {}
+        prepare_columns(L, R, ("name",), FUNCTIONS, tables=tables)
+        for beta in (0.5, 1.0, 3.0):
+            got = build_index(L, R, "name", beta, tables["name"])
+            assert_same_index(got, build_index(L, R, "name", beta))
+            assert index_by_id(got) == loop_build_index(L, R, "name", beta)
 
 
 class TestViews:

@@ -25,6 +25,7 @@ from fuzzyjoin.distances import (
     ColumnStrings,
     _Tokens,
     _char_rows,
+    _distinct_pairs,
     _jaro_winkler_batch,
     _levenshtein_batch,
     _peq_table,
@@ -217,12 +218,27 @@ class TestCharKernels:
         strings, a, b = interned(pairs)
         for cap in PEQ_CAPS:
             with mock.patch.object(distances, "_PEQ_ROW_BYTES", cap):
-                ed, jw = _char_rows(strings, {"L": (a, b)})["L"]
+                ed, jw = _char_rows(strings, *_distinct_pairs({"L": (a, b)}, len(strings)))["L"]
             assert float_bits(ed) == float_bits([char_distance(x, y, "ED") for x, y in pairs])
             assert float_bits(jw) == float_bits([char_distance(x, y, "JW") for x, y in pairs])
 
     def test_edge_cases(self):
         self.check_kernels(with_swapped(self.EDGE))
+
+    def test_jaro_winkler_window_edges(self):
+        # one "a" among "b"s on each side matches exactly when the two
+        # positions are within the window; a short b clips a window at both
+        # its start and its end
+        def one_a(position, length):
+            return "b" * position + "a" + "b" * (length - position - 1)
+
+        pairs = [
+            (one_a(p, la), one_a(q, lb))
+            for la, lb in ((64, 1), (64, 3), (40, 7), (33, 33), (9, 2), (2, 1))
+            for p in range(la)
+            for q in range(lb)
+        ]
+        self.check_kernels(with_swapped(pairs))
 
     def test_table_kind(self):
         strings = interned(self.EDGE)[0]
@@ -408,7 +424,7 @@ def kernel_set_stats(pairs_by_option, tokenizer, docs_by_option, n_docs, rows=No
     idf = {option: tok.idf(docs, n_docs) for option, docs in doc_counts.items()}
     cap = distances._SET_BLOCK_BYTES if rows is None else rows * 4 * max(tok.n_vocab, 1)
     with mock.patch.object(distances, "_SET_BLOCK_BYTES", cap):
-        stats = _set_stats(tok, id_pairs, idf)
+        stats = _set_stats(tok, *_distinct_pairs(id_pairs, len(string_ids)), idf)
     out = {}
     for option in id_pairs:
         *ew, contained = stats.gather(option, "EW")
@@ -583,12 +599,12 @@ class TestDistanceMatrix:
         strings = table.strings
 
         def spy(kernel):
-            def run(source, pairs_by_option, *args):
+            def run(source, a, b, gather, *args):
                 seen.append({
-                    o: Counter((strings[x], strings[y]) for x, y in zip(a, b))
-                    for o, (a, b) in pairs_by_option.items()
+                    o: Counter((strings[x], strings[y]) for x, y in zip(a[g], b[g]))
+                    for o, g in gather.items()
                 })
-                return kernel(source, pairs_by_option, *args)
+                return kernel(source, a, b, gather, *args)
 
             return run
 

@@ -214,9 +214,9 @@ def test_multi_column_distances_unchanged(monkeypatch):
         prepare_columns(L, R, (c,), fns, tables=tables)
     computed = []
 
-    def spy(strings, pairs_by_option, char_rows=distances._char_rows):
-        computed.append(len(next(iter(pairs_by_option.values()))[0]))
-        return char_rows(strings, pairs_by_option)
+    def spy(strings, a, b, gather, char_rows=distances._char_rows):
+        computed.append(len(next(iter(gather.values()))))
+        return char_rows(strings, a, b, gather)
 
     monkeypatch.setattr(distances, "_char_rows", spy)
     assert distance_digest("run-multi", tables) == GOLDEN_DISTANCES["run-multi"]

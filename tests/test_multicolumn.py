@@ -356,6 +356,23 @@ class TestSolveMulti:
             solve(L, R, "name", seed=-1)
         assert prepared == []
 
+    @pytest.mark.parametrize("s", [0, -3])
+    def test_step_count_rejected_before_preparation(self, monkeypatch, s):
+        # the reduction rejects it, after blocking, rules and distances
+        prepared = []
+
+        def prepare_spy(*args):
+            prepared.append(args)
+            return prepare_columns(*args)
+
+        monkeypatch.setattr(multicolumn, "prepare_columns", prepare_spy)
+        L, R, _ = generate_synthetic(n_left=30, seed=2)
+        with pytest.raises(ValueError, match=f"step count must be >= 1, got {s}"):
+            solve_multi(L, R, s=s)
+        with pytest.raises(ValueError, match=f"step count must be >= 1, got {s}"):
+            solve(L, R, "name", s=s)
+        assert prepared == []
+
     def test_unnamed_column_left_out_by_default_and_rejected_by_name(self):
         # a CSV header's empty cell gives a column named ""
         L = make_table(("", "name"), [("1", ("x", "alpha")), ("2", ("y", "beta"))])

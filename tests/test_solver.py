@@ -21,7 +21,7 @@ from fuzzyjoin import (
     solve,
     solve_multi,
 )
-from fuzzyjoin import distances
+from fuzzyjoin import blocking, distances, text
 from fuzzyjoin.functions import SPACE_PRESETS, dump_solution
 from fuzzyjoin.solver import precompute_config_table, prepare_columns, reduce_distances
 from fuzzyjoin.tables import Record, Table
@@ -872,9 +872,10 @@ def test_repeated_queries_solve_once_per_distinct_value(case):
 
 
 def spy_tokenization(monkeypatch):
-    """Counts, over the ``tokenize_strings`` passes of the distance stage,
-    of each (string, tokenizer) tokenized and of each (tokenizer, strings)
-    pass.  Blocking's own pass over lowercased values is not counted."""
+    """Counts, over the ``tokenize_strings`` passes of the column string
+    tables, of each (string, tokenizer) tokenized and of each (tokenizer,
+    strings) pass.  Those are blocking's, the rules' and the distance
+    stage's passes."""
     seen = Counter()
     passes = Counter()
 
@@ -920,7 +921,34 @@ def test_solve_multi_tokenizes_each_column_once_per_tokenizer(monkeypatch):
     solve_multi(L, R, g=4, functions=fns)
     assert len(sets) > len(L.columns)
     assert max(passes.values()) == 1
-    assert sorted(t for t, _ in passes) == ["3G"] * len(L.columns) + ["SP"] * len(L.columns)
+    # per column one pass per tokenizer, which also serves blocking on a
+    # single column; a set of several columns blocks on its joined values,
+    # in one more 3G pass each
+    joined = len({frozenset(cols) for cols in sets if len(cols) > 1})
+    assert joined > 0
+    assert sorted(t for t, _ in passes) == ["3G"] * (len(L.columns) + joined) + ["SP"] * len(
+        L.columns
+    )
+
+
+@pytest.mark.parametrize("use_rules", [True, False])
+def test_one_column_blocks_on_its_tables_pass(monkeypatch, use_rules):
+    # blocking reads the column table's 3G pass: one pass per tokenizer in
+    # all, wherever in the library tokenize_strings is called from
+    L, R, _ = generate_synthetic(n_left=30, seed=3, unmatched_rate=0.2)
+    passes = []
+
+    def tokenize_strings_spy(strings, tokenizer):
+        passes.append(tokenizer)
+        return tokenize_strings(strings, tokenizer)
+
+    for module in (text, distances, blocking, solver):
+        for name, value in list(vars(module).items()):
+            if value is tokenize_strings:
+                monkeypatch.setattr(module, name, tokenize_strings_spy)
+    prep = prepare_columns(L, R, ("name",), enumerate_function_space(), use_negative_rules=use_rules)
+    assert len(prep.pairs.lr_right) > 0
+    assert sorted(passes) == ["3G", "SP"]
 
 
 def test_solve_frees_the_column_table_before_the_search(monkeypatch):

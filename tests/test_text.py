@@ -17,8 +17,8 @@ from fuzzyjoin import (
     JoinFunction,
     apply_preprocess,
     enumerate_function_space,
+    distances,
     evaluate,
-    text,
     tokenize,
 )
 from fuzzyjoin.stem import stem
@@ -155,6 +155,11 @@ TOKEN_TEXT = st.lists(
     st.sampled_from(["a", "b", "é", "\U0001F600", "\ud83d", "\x00", " ", "\t", "\xa0", "\u2003"]),
     max_size=9,
 ).map("".join)
+# words and whitespace runs, each drawn from a few, so words repeat
+SP_TEXT = st.lists(
+    st.sampled_from(["oak", "Oak", "pine", "é", "\U0001F600", " ", "\t", "\xa0", "\u2003", " \t "]),
+    max_size=10,
+).map("".join)
 TOKEN_STRINGS = st.lists(
     st.one_of(st.just("aaaa"), TOKEN_TEXT), max_size=8
 ).flatmap(lambda pool: st.lists(st.sampled_from(pool or [""]), max_size=12))
@@ -170,6 +175,19 @@ class TestTokenizeStrings:
         vocab, sizes, tokens, counts = tokenize_strings(strings, tokenizer)
         want = loop_tokenize_strings(strings, tokenizer)
         assert token_strings(vocab) == list(want[0])
+        for got, expected in zip((sizes, tokens, counts), want[1:]):
+            assert got.dtype == expected.dtype
+            assert got.tolist() == expected.tolist()
+
+    @given(st.lists(SP_TEXT, max_size=10))
+    @example(["", "oak oak\tpine", "pine\xa0oak", "", "Oak  oak"])
+    def test_sp_words_match_loop(self, strings):
+        # SP's words, interned into codes, go through 3G's CSR construction:
+        # words repeated within and across strings, whitespace runs of tabs,
+        # NBSP and em spaces, and empty strings give the loop's CSR
+        vocab, sizes, tokens, counts = tokenize_strings(strings, "SP")
+        want = loop_tokenize_strings(strings, "SP")
+        assert vocab == list(want[0])
         for got, expected in zip((sizes, tokens, counts), want[1:]):
             assert got.dtype == expected.dtype
             assert got.tolist() == expected.tolist()
@@ -226,17 +244,18 @@ class TestIdf:
     def test_each_distinct_value_tokenized_once(self, monkeypatch):
         # a corpus value repeated, or equal to a pair value, is still
         # tokenized once per tokenizer, and counts as often as it occurs
-        seen = []
+        passes = []
 
-        def spy(s, scheme):
-            seen.append(s)
-            return tokenize(s, scheme)
+        def spy(strings, tokenizer):
+            passes.append((tokenizer, list(strings)))
+            return tokenize_strings(strings, tokenizer)
 
         corpus = ["a b", "c", "a b", "a b", "c"]
         f = JoinFunction("L", "SP", "IDFW", "JD")
-        monkeypatch.setattr(text, "tokenize", spy)
+        monkeypatch.setattr(distances, "tokenize_strings", spy)
         d = evaluate(f, "a b", "a d", corpus)
-        assert sorted(seen) == ["a b", "a d", "c"]
+        [(tokenizer, seen)] = passes
+        assert tokenizer == "SP" and sorted(seen) == ["a b", "a d", "c"]
         idf = build_idf_from_values(corpus, "L", "SP")
         assert idf == IdfIndex({"a": 3, "b": 3, "c": 2}, 5)
         assert d == scalar_evaluate(f, "a b", "a d", idf)
