@@ -27,7 +27,9 @@ after the column's distance call, before the next column's; a one-column
 search frees its table before precompute and greedy.  A set's trials run as
 one consecutive batch, so once its last trial has reduced the set's distance
 matrices they are dropped, before that trial's configuration table is
-built.  The manifest's preparation timings
+built.  Each trial draws greedy's tie-breaks from a fresh
+``solver.TieDraws`` of the search's seed, the engine's own copy of numpy's
+``default_rng(seed).choice`` stream.  The manifest's preparation timings
 are summed over the column sets, and its precompute (reduction and fill)
 and greedy timings over the trials.
 """
@@ -38,13 +40,12 @@ import time
 from collections import Counter
 from typing import Sequence
 
-import numpy as np
-
 from .distances import ColumnStrings
 from .functions import JoinFunction, JoinResult, Solution, enumerate_function_space
 from .solver import (
     PreparedColumns,
     SolveResult,
+    TieDraws,
     prepare_columns,
     reduce_distances,
     solve_from_distances,
@@ -119,8 +120,10 @@ def solve_multi(
     if columns is not None and len(set(columns)) < len(columns):
         repeated = sorted({c for c in columns if list(columns).count(c) > 1})
         raise ValueError(f"repeated column names {repeated} in {list(columns)}")
-    cols = shared_columns(L, R, columns)
     fns = list(functions) if functions is not None else enumerate_function_space()
+    if not fns:
+        raise ValueError("no join functions to search: functions is empty")
+    cols = shared_columns(L, R, columns)
     # the reference table is assumed duplicate-free: a query nearest two
     # left rows with equal values in the join columns has a tied minimum
     # under every function, and joins neither
@@ -173,7 +176,7 @@ def solve_multi(
             prep.d_lr.clear()
             prep.d_ll.clear()
         res = solve_from_distances(
-            fns, prep.pairs, reduced, tau, np.random.default_rng(seed), ws, active
+            fns, prep.pairs, reduced, tau, TieDraws(seed), ws, active
         )
         res.timings["precompute"] += reduce_s
         for k, v in res.timings.items():

@@ -1,7 +1,8 @@
 """Metamorphic checks of the whole CLI pipeline: the order of a table's rows
 is not part of the input, so permuting the rows of the reference table, or
 of the query table, leaves ``joins.csv`` and ``solution.txt`` byte-identical
-in ``run`` and ``run-multi``."""
+in ``run`` and ``run-multi``.  And the search's contract: a result that
+joins anything has estimated precision above the target."""
 
 import tempfile
 from pathlib import Path
@@ -11,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_table_csv
-from fuzzyjoin import add_random_column, generate_synthetic
+from fuzzyjoin import (
+    FunctionSpaceOptions,
+    add_random_column,
+    enumerate_function_space,
+    generate_synthetic,
+    solve,
+    solve_multi,
+)
 from fuzzyjoin.cli import main
 from fuzzyjoin.tables import Table
 
@@ -54,3 +62,29 @@ def test_permuting_a_tables_rows_keeps_the_outputs(mode, seed, side, order_seed)
         got = outputs(mode, L2, R2, Path(b))
     assert got[0] == want[0], "joins.csv"
     assert got[1] == want[1], "solution.txt"
+
+
+REDUCED24 = enumerate_function_space(FunctionSpaceOptions.reduced24())
+
+
+# bounded: each example is one solve of at most 30 reference rows
+@settings(max_examples=40)
+@given(
+    multi=st.booleans(),
+    n_left=st.integers(10, 30),
+    data_seed=st.integers(0, 2**16),
+    tau=st.sampled_from([0.5, 0.8, 0.9, 0.95]),
+    seed=st.integers(0, 2**40),
+)
+def test_a_non_empty_result_has_estimated_precision_above_tau(multi, n_left, data_seed, tau, seed):
+    L, R, _ = generate_synthetic(n_left=n_left, seed=data_seed, unmatched_rate=0.2)
+    if multi:
+        L = add_random_column(L, seed=2 * data_seed + 1)
+        R = add_random_column(R, seed=2 * data_seed + 2)
+        res = solve_multi(L, R, tau=tau, g=4, seed=seed, functions=REDUCED24)
+    else:
+        res = solve(L, R, "name", tau=tau, seed=seed, functions=REDUCED24)
+    if res.solution.configs or res.result.assignments:
+        assert res.solution.configs and res.result.assignments
+        assert res.estimated_precision > tau
+        assert res.estimated_precision == res.tp / (res.tp + res.fp)

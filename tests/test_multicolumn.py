@@ -341,7 +341,7 @@ class TestSolveMulti:
             solve_multi(L, R, columns=[])
 
     def test_negative_seed_rejected_before_preparation(self, monkeypatch):
-        # numpy's generator rejects it, once every column set is prepared
+        # the tie-break stream rejects it, once every column set is prepared
         prepared = []
 
         def prepare_spy(*args):
@@ -371,6 +371,25 @@ class TestSolveMulti:
             solve_multi(L, R, s=s)
         with pytest.raises(ValueError, match=f"step count must be >= 1, got {s}"):
             solve(L, R, "name", s=s)
+        assert prepared == []
+
+    def test_empty_function_space_rejected_before_preparation(self, monkeypatch):
+        # searched, it joins nothing, stops "exhausted" and warns that
+        # every query ties under every join function
+        prepared = []
+
+        def prepare_spy(*args):
+            prepared.append(args)
+            return prepare_columns(*args)
+
+        monkeypatch.setattr(multicolumn, "prepare_columns", prepare_spy)
+        L, R, _ = generate_synthetic(n_left=30, seed=0)
+        with pytest.raises(ValueError, match="functions is empty"):
+            solve_multi(L, R, functions=[])
+        with pytest.raises(ValueError, match="functions is empty"):
+            solve(L, R, "name", functions=[])
+        with pytest.raises(ValueError, match="functions is empty"):
+            solve(L, R, "name", functions=iter(()))
         assert prepared == []
 
     def test_unnamed_column_left_out_by_default_and_rejected_by_name(self):

@@ -12,6 +12,7 @@ import fuzzyjoin.multicolumn as multicolumn
 import fuzzyjoin.solver as solver
 from fuzzyjoin import (
     JoinFunction,
+    TieDraws,
     add_random_column,
     greedy_select,
     enumerate_function_space,
@@ -681,6 +682,98 @@ def test_greedy_rejects_a_malformed_row_map(row, problem):
     ones = np.ones(2, dtype=np.int64)
     with pytest.raises(ValueError, match=problem):
         greedy_select(ROW_PREC, ones, 0.1, np.random.default_rng(0), row)
+
+
+# --- the tie-break stream vs numpy's Generator ---------------------------------
+
+
+# population sizes: small ones built as arrays, and up to 2**32 drawn as the
+# index ``choice`` draws; 2**31 + 1 rejects about half its 32-bit draws and
+# 2**32 takes them raw
+POPULATION = st.one_of(
+    st.integers(1, 40),
+    st.integers(1, 2**32),
+    st.sampled_from([2**31 + 1, 2**32 - 1, 2**32, 3 * 2**30 + 7]),
+)
+
+
+def assert_same_draw(ours: TieDraws, rng: np.random.Generator, n: int) -> None:
+    if n <= 40:
+        a = np.arange(100, 100 + n)
+        assert ours.choice(a) == rng.choice(a)
+    else:
+        # too large to build: choice(a) is a[integers(0, len(a))]
+        assert ours.choice(range(n)) == rng.integers(0, n)
+
+
+@settings(max_examples=300)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**70), st.integers(0, 2**200)),
+    sizes=st.lists(POPULATION, min_size=1, max_size=30),
+)
+def test_tie_draws_equal_numpy_choice(seed, sizes):
+    # sizes interleave in one stream, so a buffered half or a rejected draw
+    # out of step shows in a later draw
+    ours, rng = TieDraws(seed), np.random.default_rng(seed)
+    for n in sizes + [2**32, 7]:
+        assert_same_draw(ours, rng, n)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 5, 2**70, 2**160 + 3])
+def test_tie_draws_rejection_loop_equals_numpy(seed):
+    # about half of the draws below 2**31 + 1 are rejected, odd runs of
+    # 32-bit draws included, so the stream's buffered half changes parity
+    ours, rng = TieDraws(seed), np.random.default_rng(seed)
+    for n in [2**31 + 1] * 200 + [3, 2**32, 2**31 + 1, 2]:
+        assert_same_draw(ours, rng, n)
+
+
+def test_tie_draws_reject_an_empty_or_oversized_population_and_a_negative_seed():
+    with pytest.raises(ValueError, match="empty"):
+        TieDraws(0).choice([])
+    with pytest.raises(ValueError, match=r"at most 2\*\*32 choices"):
+        TieDraws(0).choice(range(2**32 + 1))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TieDraws(-1)
+
+
+def test_tie_draws_take_a_numpy_integer_seed():
+    ours, want = TieDraws(np.int64(5)), TieDraws(5)
+    for n in [2**31 + 1] * 20 + [3, 2**32, 7]:
+        assert ours.choice(range(n)) == want.choice(range(n))
+    with pytest.raises(TypeError):
+        TieDraws(5.0)
+
+
+class CountingDraws(TieDraws):
+    """Counts the choices that draw: those among two or more."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def choice(self, a):
+        self.calls += len(a) > 1
+        return super().choice(a)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 2**40 + 5, 2**64 + 11])
+def test_greedy_with_tie_draws_equals_numpy_generator(seed):
+    draws = 0
+    for instance in range(10):
+        rng = np.random.default_rng(1000 + instance)
+        cfg_left, cfg_prec, row = group_rows(rng, *tied_instance(rng))
+        weight = rng.integers(1, 4, size=cfg_prec.shape[1])
+        for tau in (0.3, 0.6, 0.8, 0.95):
+            ours = CountingDraws(seed)
+            got = greedy_select(cfg_prec, weight, tau, ours, row)
+            want = greedy_select(cfg_prec, weight, tau, np.random.default_rng(seed), row)
+            assert got.selected == want.selected and got.trace == want.trace
+            assert got.stop_reason == want.stop_reason
+            assert np.array_equal(got.cur_prec, want.cur_prec)
+            assert np.array_equal(got.cur_source, want.cur_source)
+            draws += ours.calls
+    assert draws > 100  # the tables are tie-heavy
 
 
 @pytest.fixture(scope="module")
