@@ -19,7 +19,7 @@ print("sample reference row: ", L.records[0].values[0])
 print("sample query row:     ", R.records[0].values[0])
 print()
 
-result = solve(L, R, "name", tau=0.9, seed=0)
+result = solve(L, R, "name", tau=0.9)
 
 print(f"configurations selected: {len(result.solution.configs)}")
 for i, cfg in enumerate(result.solution.configs[:5]):

@@ -66,7 +66,6 @@ from .negative_rules import (
 from .pipeline import ConfigError, PipelineOutcome, RunConfig, StageError, run_pipeline
 from .solver import (
     SolveResult,
-    TieDraws,
     greedy_select,
     solve,
 )

@@ -27,11 +27,9 @@ after the column's distance call, before the next column's; a one-column
 search frees its table before precompute and greedy.  A set's trials run as
 one consecutive batch, so once its last trial has reduced the set's distance
 matrices they are dropped, before that trial's configuration table is
-built.  Each trial draws greedy's tie-breaks from a fresh
-``solver.TieDraws`` of the search's seed, the engine's own copy of numpy's
-``default_rng(seed).choice`` stream.  The manifest's preparation timings
-are summed over the column sets, and its precompute (reduction and fill)
-and greedy timings over the trials.
+built.  The manifest's preparation timings are summed over the column
+sets, and its precompute (reduction and fill) and greedy timings over the
+trials.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from .functions import JoinFunction, JoinResult, Solution, enumerate_function_sp
 from .solver import (
     PreparedColumns,
     SolveResult,
-    TieDraws,
     prepare_columns,
     reduce_distances,
     solve_from_distances,
@@ -90,12 +87,17 @@ def shared_columns(L: Table, R: Table, columns: Sequence[str] | None) -> list[st
     return shared
 
 
+# the most threshold steps per function: the reduction's (functions x steps)
+# grid and the table's per-configuration arrays grow with it; a 3-row join
+# over the full 136-function space peaked at 72 MB at 10 000 steps
+MAX_STEPS = 10_000
+
+
 def solve_multi(
     L: Table,
     R: Table,
     tau: float = 0.9,
     g: int = 10,
-    seed: int = 0,
     columns: Sequence[str] | None = None,
     functions: Sequence[JoinFunction] | None = None,
     s: int = 50,
@@ -111,8 +113,8 @@ def solve_multi(
         raise ValueError(f"weight step count must be >= 2, got {g}")
     if s < 1:
         raise ValueError(f"step count must be >= 1, got {s}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if s > MAX_STEPS:
+        raise ValueError(f"step count must be <= {MAX_STEPS}, got {s}")
     if columns is not None and not columns:
         raise ValueError("no columns to join on")
     if columns is not None and not all(columns):
@@ -175,9 +177,7 @@ def solve_multi(
             # free the set's matrices before the configuration table is built
             prep.d_lr.clear()
             prep.d_ll.clear()
-        res = solve_from_distances(
-            fns, prep.pairs, reduced, tau, TieDraws(seed), ws, active
-        )
+        res = solve_from_distances(fns, prep.pairs, reduced, tau, ws, active)
         res.timings["precompute"] += reduce_s
         for k, v in res.timings.items():
             solve_timings[k] = solve_timings.get(k, 0.0) + v

@@ -1,9 +1,9 @@
 """Batch pipeline: ingest, solve, and write artifacts.
 
 The stages run in a fixed order (ingest, blocking, negative rules,
-distances, precompute, greedy) and the outputs are deterministic for a
-fixed RunConfig: identical config and seed produce byte-identical
-joins.csv and solution.txt, across runs and processes.  The manifest
+distances, precompute, greedy) and the outputs are deterministic: the
+same input tables and RunConfig produce byte-identical joins.csv and
+solution.txt, across runs and processes.  The manifest
 carries timings and is exempt from that guarantee.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .functions import JoinResult, SPACE_PRESETS, enumerate_function_space, save_solution
-from .multicolumn import solve_multi
+from .multicolumn import MAX_STEPS, solve_multi
 from .negative_rules import dump_rules
 from .solver import SolveResult
 from .tables import DataError, load_table
@@ -50,7 +50,6 @@ class RunConfig:
     s: int = 50
     g: int = 10
     space_preset: str = "full"
-    seed: int = 0
     threads: int = 1  # ignored; kept only because perfbench's job sets it
     use_negative_rules: bool = True
     out_path: str = "joins.csv"
@@ -65,10 +64,10 @@ class RunConfig:
             raise ConfigError(f"blocking factor must be positive and finite, got {self.beta}")
         if self.s < 1:
             raise ConfigError(f"threshold steps must be >= 1, got {self.s}")
+        if self.s > MAX_STEPS:
+            raise ConfigError(f"threshold steps must be <= {MAX_STEPS}, got {self.s}")
         if self.g < 2:
             raise ConfigError(f"weight steps must be >= 2, got {self.g}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if len(self.delimiter) != 1:
             raise ConfigError(
                 f"delimiter must be one character, got {self.delimiter!r}"
@@ -149,7 +148,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineOutcome:
             R,
             tau=cfg.tau,
             g=cfg.g,
-            seed=cfg.seed,
             columns=cfg.columns if cfg.multi else [cfg.column],
             functions=functions,
             s=cfg.s,

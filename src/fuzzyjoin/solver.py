@@ -46,7 +46,6 @@ rights would.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -440,107 +439,11 @@ class GreedyOutcome:
 # or 64 columns ran no faster.
 _UPDATE_COLUMNS = 8
 
-_MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-class TieDraws:
-    """The seeded stream greedy selection draws its tie-breaks from: for a
-    non-empty sequence ``a``, ``choice(a)`` returns the element that
-    ``np.random.default_rng(seed).choice(a)`` returns (numpy 2.x), call for
-    call, in plain integer arithmetic, so a run imports no ``numpy.random``
-    and its picks do not depend on the installed numpy's Generator.
-
-    The seed's 32-bit words (least significant first) are mixed into four
-    64-bit words by numpy's ``SeedSequence``; those seed PCG64, the 128-bit
-    LCG with the XSL-RR output (O'Neill, 2014); each 64-bit output gives
-    two 32-bit draws, low half first; and an index below n is drawn by
-    Lemire's multiply-and-reject method (Lemire, ACM TOMACS 2019), with no
-    draw for n = 1 (at n = 2**32 it takes the 32-bit draw as it is, as
-    numpy does).  More than 2**32
-    choices (numpy's 64-bit path, which no configuration table reaches) is
-    a ``ValueError``."""
-
-    def __init__(self, seed: int):
-        seed = operator.index(seed)  # a numpy integer seed becomes a Python int
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        entropy = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
-        state = _seed_sequence_state(entropy)
-        init_state = state[0] << 64 | state[1]
-        self._inc = (state[2] << 64 | state[3]) << 1 & _MASK128 | 1
-        self._state = (self._inc + init_state) * _PCG64_MULTIPLIER + self._inc & _MASK128
-        self._high: int | None = None  # the buffered high half of the last output
-
-    def _next32(self) -> int:
-        if self._high is not None:
-            out, self._high = self._high, None
-            return out
-        self._state = self._state * _PCG64_MULTIPLIER + self._inc & _MASK128
-        word = (self._state >> 64 ^ self._state) & _MASK64
-        rot = self._state >> 122
-        word = (word >> rot | word << (64 - rot)) & _MASK64
-        self._high = word >> 32
-        return word & _MASK32
-
-    def choice(self, a):
-        n = len(a)
-        if n == 0:
-            raise ValueError("cannot choose from an empty sequence")
-        if n > 1 << 32:
-            raise ValueError(f"at most 2**32 choices, got {n}")
-        if n == 1:
-            return a[0]
-        m = self._next32() * n
-        if m & _MASK32 < n:
-            threshold = (1 << 32) % n
-            while m & _MASK32 < threshold:
-                m = self._next32() * n
-        return a[m >> 32]
-
-
-def _seed_sequence_state(entropy: list[int]) -> list[int]:
-    """numpy's ``SeedSequence(entropy).generate_state(4, np.uint64)`` for
-    32-bit entropy words: a pool of four 32-bit words, hashed and mixed,
-    then cycled through a second hash into eight words, paired low first."""
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = 0x8B51F9DD
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _MASK32
-        value = value * hash_const & _MASK32
-        words.append(value ^ value >> 16)
-    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
-
 
 def greedy_select(
     cfg_prec: np.ndarray,
     weight: np.ndarray,
     tau: float,
-    rng: TieDraws | np.random.Generator,
     row: np.ndarray | None = None,
 ) -> GreedyOutcome:
     """Iteratively add the configuration maximizing the profit of the union.
@@ -549,8 +452,8 @@ def greedy_select(
     stops when none remain, when the candidate pool is exhausted, or when
     the best addition would push estimated precision down to tau.  Profit
     ties are broken by larger tp among false-positive-free candidates, then
-    by ``rng.choice``: a run passes its ``TieDraws``, and a numpy
-    ``Generator`` of the same seed draws the same configurations.
+    by the lowest configuration index: the first tied function in
+    enumeration order, at its lowest tied threshold.
 
     Column k of the table is a query standing for ``weight[k]`` right
     records, which it assigns alike (the ConfigTable columns); the search
@@ -566,12 +469,12 @@ def greedy_select(
     over the table expanded to ``cfg_prec[row]``, one row per
     configuration.  A row's configurations tie at every step, and once one
     is picked the others add no tp, so at most one configuration of a row
-    is picked; a tie draws ``rng.choice`` over the configurations whose row
-    ties, ascending, which is the array the expanded search draws from.
-    ``selected`` and the trace hold configuration indices, and the search
-    is "exhausted" only once every configuration is picked.  A ``row`` that
-    is not 1-D integers, holds a value outside ``[0, n_row)`` or leaves a
-    row with no configuration is a ``ValueError``.
+    is picked; a tie takes the lowest configuration whose row ties, the one
+    the expanded search takes.  ``selected`` and the trace hold
+    configuration indices, and the search is "exhausted" only once every
+    configuration is picked.  A ``row`` that is not 1-D integers, holds a
+    value outside ``[0, n_row)`` or leaves a row with no configuration is a
+    ``ValueError``.
 
     The search is incremental.  Per row c it keeps
     ``gain[c] = sum_k weight[k] * max(0, prec[c, k] - cur_prec[k])`` in
@@ -580,13 +483,13 @@ def greedy_select(
     ``n_cur + cover[c]`` assigned rights.  A pick changes ``cur_prec`` only
     on the queries it takes, and only those columns of the table are read to
     update ``gain`` and ``cover``.  The sums are exact, so they equal the
-    dense per-pick recomputation over all rights bit for bit, and picks,
-    ties and random draws do not depend on the update order or on the
-    weighting: every precision is ``float32(1/k)`` with k at most
-    n_left + 1, so each weighted sum is a multiple of the smallest value's
-    float32 ulp below ``sum(weight)`` = n_right, exact in float64 while
-    n_right * (n_left + 1) < 2**29.  The products and sums use ``np.einsum``,
-    which runs on one thread.
+    dense per-pick recomputation over all rights bit for bit, and picks and
+    ties do not depend on the update order or on the weighting: every
+    precision is ``float32(1/k)`` with k at most n_left + 1, so each
+    weighted sum is a multiple of the smallest value's float32 ulp below
+    ``sum(weight)`` = n_right, exact in float64 while n_right * (n_left + 1)
+    < 2**29.  The products and sums use ``np.einsum``, which runs on one
+    thread.
     """
     n_row, n_col = cfg_prec.shape
     row = np.arange(n_row) if row is None else np.asarray(row)
@@ -629,8 +532,7 @@ def greedy_select(
         ties = prof == best_profit
         if np.isinf(best_profit):
             ties &= tp_new == tp_new[ties].max()
-        tied = np.flatnonzero(ties[row])  # the tied rows' configurations
-        config = int(rng.choice(tied))  # no draw for a single tied row
+        config = int(np.argmax(ties[row]))  # the lowest tied configuration
         pick = int(row[config])
 
         tp_pick, fp_pick = float(tp_new[pick]), float(fp_new[pick])
@@ -791,21 +693,19 @@ def solve_from_distances(
     pairs: BlockedPairs,
     reduced: ReducedDistances,
     tau: float,
-    rng: TieDraws | np.random.Generator,
     column_weights: tuple[float, ...] = (1.0,),
     columns: tuple[str, ...] = (),
 ) -> SolveResult:
     """Precomputation and greedy selection, given the reduction
     (``reduce_distances``) of the distances over the blocked pairs of
     distinct queries; every right record gets its query's assignment.
-    ``rng`` draws greedy's tie-breaks (a trial's ``TieDraws``).  The
-    "precompute" timing is the table fill's; the caller adds the
+    The "precompute" timing is the table fill's; the caller adds the
     reduction's."""
     t0 = time.perf_counter()
     table = precompute_config_table(functions, pairs, reduced)
     t1 = time.perf_counter()
     weight = np.bincount(pairs.query)  # right records per query
-    outcome = greedy_select(table.prec, weight, tau, rng, table.row)
+    outcome = greedy_select(table.prec, weight, tau, table.row)
     t2 = time.perf_counter()
 
     configs = tuple(table.configuration(c) for c in outcome.selected)
@@ -998,7 +898,6 @@ def solve(
     functions: Sequence[JoinFunction] | None = None,
     s: int = 50,
     beta: float = 1.0,
-    seed: int = 0,
     use_negative_rules: bool = True,
 ) -> SolveResult:
     """Single-column solve: ``multicolumn.solve_multi``'s column search over
@@ -1009,6 +908,6 @@ def solve(
     from .multicolumn import solve_multi
 
     return solve_multi(
-        L, R, tau=tau, seed=seed, columns=[column], functions=functions, s=s,
+        L, R, tau=tau, columns=[column], functions=functions, s=s,
         beta=beta, use_negative_rules=use_negative_rules,
     )

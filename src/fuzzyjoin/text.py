@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import Counter
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -21,20 +20,6 @@ from .stem import stem
 _ASCII_PUNCTUATION = {c: None for c in range(128) if unicodedata.category(chr(c)).startswith("P")}
 
 
-@lru_cache(maxsize=65536)
-def _preprocess_cached(s: str, option: str) -> str:
-    out = s.lower()
-    if "RP" in option.split("+"):
-        # drop every character in a Unicode punctuation category (P*)
-        if out.isascii():
-            out = out.translate(_ASCII_PUNCTUATION)
-        else:
-            out = "".join(c for c in out if not unicodedata.category(c).startswith("P"))
-    if "S" in option.split("+"):
-        out = " ".join(stem(w) for w in out.split())
-    return out
-
-
 def apply_preprocess(s: str, option: str) -> str:
     """Apply a preprocessing option: L (lowercase), optional RP (strip all
     Unicode punctuation), optional S (stem each whitespace word).
@@ -43,7 +28,16 @@ def apply_preprocess(s: str, option: str) -> str:
     """
     if option not in ("L", "L+S", "L+RP", "L+S+RP"):
         raise ValueError(f"unknown preprocess option {option!r}")
-    return _preprocess_cached(s, option)
+    out = s.lower()
+    if "RP" in option:
+        # drop every character in a Unicode punctuation category (P*)
+        if out.isascii():
+            out = out.translate(_ASCII_PUNCTUATION)
+        else:
+            out = "".join(c for c in out if not unicodedata.category(c).startswith("P"))
+    if "S" in option:
+        out = " ".join(stem(w) for w in out.split())
+    return out
 
 
 def tokenize(s: str, scheme: str) -> Counter:

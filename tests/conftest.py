@@ -482,10 +482,11 @@ def union_left(
     return got
 
 
-def dense_greedy(cfg_prec: np.ndarray, tau: float, rng: np.random.Generator) -> GreedyOutcome:
+def dense_greedy(cfg_prec: np.ndarray, tau: float) -> GreedyOutcome:
     """Reference greedy search: every pick recomputes each candidate's union
-    tp and assigned count over the whole table.  Same profit, tie rule,
-    random draws and stop rule as ``solver.greedy_select``."""
+    tp and assigned count over the whole table.  Same profit, tie rule
+    (the lowest tied configuration) and stop rule as
+    ``solver.greedy_select``."""
     n_cfg, n_right = cfg_prec.shape
     cfg_assigned = cfg_prec > 0
     available = np.ones(n_cfg, dtype=bool)
@@ -516,8 +517,7 @@ def dense_greedy(cfg_prec: np.ndarray, tau: float, rng: np.random.Generator) -> 
         ties = prof == best_profit
         if np.isinf(best_profit):
             ties &= tp_new == tp_new[ties].max()
-        tie_rows = np.nonzero(ties)[0]
-        pick = int(tie_rows[0]) if len(tie_rows) == 1 else int(rng.choice(tie_rows))
+        pick = int(np.nonzero(ties)[0][0])
 
         total = tp_new[pick] + fp_new[pick]
         union_precision = tp_new[pick] / total if total > 0 else 1.0

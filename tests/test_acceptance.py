@@ -73,7 +73,7 @@ def synthetic200():
 def clean_run(synthetic200):
     L, R, gt = synthetic200
     t0 = time.perf_counter()
-    res = solve(L, R, "name", tau=0.9, seed=0)
+    res = solve(L, R, "name", tau=0.9)
     elapsed = time.perf_counter() - t0
     return res, elapsed
 
@@ -119,9 +119,7 @@ def test_criterion_3_greedy_exhaustive():
         rng = np.random.default_rng(1000 + seed)
         cfg_left, cfg_prec = make_random_instance(rng, dyadic=True)
         tau = float(rng.choice([0.5, 0.7, 0.9]))
-        outcome = greedy_select(
-            cfg_prec, np.ones(cfg_left.shape[1], np.int64), tau, np.random.default_rng(seed)
-        )
+        outcome = greedy_select(cfg_prec, np.ones(cfg_left.shape[1], np.int64), tau)
         for i, pick in enumerate(outcome.selected):
             argmax = oracle_step(cfg_left, cfg_prec, outcome.selected[:i], tau)
             assert argmax is not None and pick in argmax
@@ -146,7 +144,7 @@ def test_criterion_4_end_to_end(synthetic200, clean_run):
 def test_criterion_5_zero_join():
     t0 = time.perf_counter()
     L, R = generate_disjoint_tables(500, 500, seed=0)
-    res = solve(L, R, "name", seed=0)
+    res = solve(L, R, "name")
     assert len(res.result.assignments) / len(R) < 0.05
     assert time.perf_counter() - t0 < 30.0
 
@@ -157,7 +155,7 @@ def test_criterion_6_irrelevant_rows(synthetic200, clean_run):
     clean_res, _ = clean_run
     clean_recall = score(clean_res.result, gt).recall_absolute
     injected = inject_irrelevant_rows(R, 0.8, seed=0, column="name")
-    res = solve(L, injected, "name", tau=0.9, seed=0)
+    res = solve(L, injected, "name", tau=0.9)
     report = score(res.result, gt)
     assert abs(report.recall_absolute - clean_recall) <= 0.05 * clean_recall
     assert report.precision >= 0.75
@@ -234,13 +232,12 @@ def test_criterion_8_negative_rules():
 @criterion(9, "multi-column robustness and invocation bound")
 def test_criterion_9_multicolumn():
     L, R, gt = generate_synthetic(n_left=80, seed=5, unmatched_rate=0.1)
-    base = solve_multi(L, R, tau=0.9, g=10, seed=0)
+    base = solve_multi(L, R, tau=0.9, g=10)
     noisy = solve_multi(
         add_random_column(L, seed=11),
         add_random_column(R, seed=12),
         tau=0.9,
         g=10,
-        seed=0,
     )
     assert "noise" not in noisy.selected_columns
     assert noisy.result.assignments == base.result.assignments
@@ -275,7 +272,6 @@ def test_criterion_11_determinism(tmp_path):
             left_path=str(left),
             right_path=str(right),
             column="name",
-            seed=11,
             out_path=str(tmp_path / f"joins_{tag}.csv"),
             solution_path=str(tmp_path / f"solution_{tag}.txt"),
         )

@@ -11,12 +11,14 @@ import fuzzyjoin
 from conftest import ulp_over_one_tables, write_gt_csv, write_table_csv
 from fuzzyjoin import (
     build_index,
+    interpolate,
     enumerate_function_space,
     generate_synthetic,
     generate_disjoint_tables,
     load_solution,
     load_table,
 )
+from fuzzyjoin import multicolumn, solver
 from fuzzyjoin.cli import main
 from fuzzyjoin.functions import SPACE_PRESETS
 from fuzzyjoin.tables import Record, Table
@@ -63,7 +65,7 @@ def assert_pair_counts_over_records(manifest, left, right):
 def test_run_produces_artifacts(tmp_path, synthetic_csvs, capsys):
     left, right, _ = synthetic_csvs
     code = main(
-        run_args(tmp_path, left, right, manifest=tmp_path / "m.json", seed=1)
+        run_args(tmp_path, left, right, manifest=tmp_path / "m.json")
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -79,7 +81,7 @@ def test_run_produces_artifacts(tmp_path, synthetic_csvs, capsys):
     solution = load_solution(tmp_path / "solution.txt")
     assert len(solution.configs) > 0
     manifest = json.loads((tmp_path / "m.json").read_text())
-    assert manifest["config"]["seed"] == 1
+    assert "seed" not in manifest["config"]
     assert set(manifest["timings"]) >= {"ingest", "blocking", "distances", "greedy"}
     assert manifest["pair_counts"]["lr_pairs"] > 0
     assert_pair_counts_over_records(manifest, left, right)
@@ -96,7 +98,6 @@ def test_run_deterministic_bytes(tmp_path, synthetic_csvs):
             "--left", str(left),
             "--right", str(right),
             "--column", "name",
-            "--seed", "4",
             "--out", str(tmp_path / f"joins_{suffix}.csv"),
             "--solution", str(tmp_path / f"sol_{suffix}.txt"),
         ]
@@ -212,34 +213,59 @@ def test_missing_column_exits_3(tmp_path, synthetic_csvs, capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
-def test_run_multi_with_weights_an_ulp_over_one_exits_0(tmp_path, capsys):
+def test_run_multi_with_weights_an_ulp_over_one_exits_0(tmp_path, capsys, monkeypatch):
     # the first trial over all three columns weighs them (0.64, 0.16, 0.2),
-    # whose float sum once made the top threshold 1.0000000000000002
+    # whose float sum once made the top threshold 1.0000000000000002: every
+    # configuration of that trial's table, picked or not, must be a valid
+    # one, up to threshold 1.0
     L, R = ulp_over_one_tables()
+    weights, tables = [], []  # per trial
+
+    def solve_spy(*args, run=multicolumn.solve_from_distances):
+        weights.append(args[4])
+        return run(*args)
+
+    def precompute_spy(*args, run=solver.precompute_config_table):
+        tables.append(run(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(multicolumn, "solve_from_distances", solve_spy)
+    monkeypatch.setattr(solver, "precompute_config_table", precompute_spy)
     code = main(
         [
             "run-multi",
             "--left", str(write_table_csv(L, tmp_path / "left.csv")),
             "--right", str(write_table_csv(R, tmp_path / "right.csv")),
             "--weight-steps", "5",
-            "--seed", "1",
             "--out", str(tmp_path / "joins.csv"),
             "--solution", str(tmp_path / "solution.txt"),
         ]
     )
     assert code == 0 and "Traceback" not in capsys.readouterr().err
     solution = load_solution(tmp_path / "solution.txt")
-    assert solution.columns == ("a", "b", "c")
-    assert max(c.threshold for c in solution.configs) == 1.0
+    assert solution.columns == ("a", "b", "c") and solution.configs
+    table = tables[weights.index(interpolate(interpolate((1.0, 0.0, 0.0), 1, 0.2), 2, 0.2))]
+    assert max(table.configuration(c).threshold for c in range(table.n_configs)) == 1.0
 
 
-def test_negative_seed_exits_2(tmp_path, synthetic_csvs, capsys):
-    # rejected before the work, not by numpy's generator after it
+def test_seed_flag_exits_2(tmp_path, synthetic_csvs, capsys):
+    # greedy breaks ties by configuration order, so there is no seed to set
     left, right, _ = synthetic_csvs
-    code = main(run_args(tmp_path, left, right, seed=-1, manifest=tmp_path / "m.json"))
+    with pytest.raises(SystemExit) as exc:
+        main(run_args(tmp_path, left, right, seed=0))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+    assert not (tmp_path / "joins.csv").exists()
+
+
+@pytest.mark.parametrize("steps", ["10001", "100000000000"])
+def test_oversized_step_count_exits_2(tmp_path, synthetic_csvs, capsys, steps):
+    # rejected before the work, not by an allocation of (functions x steps)
+    left, right, _ = synthetic_csvs
+    code = main(run_args(tmp_path, left, right, steps=steps, manifest=tmp_path / "m.json"))
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "seed must be >= 0, got -1" in err
+    assert "config error" in err and f"threshold steps must be <= 10000, got {steps}" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.csv", "left.csv", "right.csv"]
 

@@ -129,7 +129,7 @@ def union_of(rows: list[dict[int, tuple[int, float]]], n_right: int, tau: float 
     row that set it."""
     left, prec = as_table(rows, n_right)
     ones = np.ones(n_right, dtype=np.int64)
-    u = greedy_select(prec, ones, tau, np.random.default_rng(0))
+    u = greedy_select(prec, ones, tau)
     return u, union_left(left, u)
 
 

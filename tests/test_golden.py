@@ -1,15 +1,13 @@
 """Golden artifacts: fixed inputs must keep producing byte-identical
 ``joins.csv`` and ``solution.txt``, and bit-identical distance matrices.
 
-The artifact digests were recorded before the configuration table was built
-from per-left ball counts (the tied-queries case before greedy selection
-became incremental, and at engine seeds 1 and 2**40 + 5 before the tie draws
-became the engine's own PCG64 stream instead of numpy's Generator), the
-"run" distance digest before the character distances became batch kernels
-and the "run-multi" one before the set distances did; a change that moves
-them changes the program's output and must say why.  The tied-queries case
-repeats every query row, so many configurations tie on profit and the seeded
-tie-break draws decide picks; 2**40 + 5 is a seed of two 32-bit words.
+The artifact digests were recorded when greedy selection came to break
+profit ties by the lowest configuration index instead of a seeded random
+draw, the "run" distance digest before the character distances became batch
+kernels and the "run-multi" one before the set distances did; a change that
+moves them changes the program's output and must say why.  The tied-queries
+case repeats every query row, so many configurations tie on profit and the
+tie rule decides picks.
 The distance digest catches a last-ulp drift in a kernel even when the joins
 survive it.  The blocking digests, recorded before blocking was batched over
 distinct query values, pin the flattened blocked pairs and their blocking
@@ -45,27 +43,16 @@ from fuzzyjoin.text import tokenize_strings
 
 GOLDEN = {
     "run": (
-        "5c933c388cc50a2a237b6877088f7373b418a54dec8a9f0f7825a751e28355c7",
-        "a0abf29812a3e266530f41c33fbc7919613ac1d74d9bd65fd925e3149a965260",
+        "3be5635b9d8fe61ac4a5e3cbcbf96c7f2f6dd261f2df3e6b10cdd8bb4421e41e",
+        "1e9792a9fe788ef4beafe0bdcd92b4c861adc2df3f1ecb233a1ffda5e8c5bf19",
     ),
     "run-ties": (
-        "a886ae0fb26a6a0dce0ce30b4c9bce69fed24c97736f8376cd34ceb6c8b1d31f",
-        "ce09762d5f7609cba93a93bb6c3d536c06034e658209f71aa2ac4f232dfde42f",
+        "655db66eaf9a1ea0f3870c2fa44ad3f9a332dbd8075fedfe18bb485c401409dd",
+        "1165c1f24b24867260afa0c8d0e939979c254899fbeb763bee6003bbf75ec184",
     ),
     "run-multi": (
-        "1e4596459629dcf31460280debcfeef475dd3dc9b5ce5e603d6a7545b07f4c3a",
-        "1bf83f5ca2e70b7d229d61d2fe16e07f0a14101ea5b8bff938bdb0f507a189e3",
-    ),
-}
-# the tied-queries case at non-zero engine seeds (--seed)
-GOLDEN_TIES_SEEDED = {
-    1: (
-        "570555eef5b5b7c8c2a65d0d311d46b3962e7b1649a18f5be1f89064af9ab2ad",
-        "fc136f863d80e34708dd02725eb3808e52d498c8b2f3017c974ac550c9120e47",
-    ),
-    2**40 + 5: (
-        "3fac3617be5f864345057b4fd1bb15ddfe5e32c554ff6a1fa0025dca153f2f84",
-        "b20414741850ab10185f13ad664735745ecc6e4eeb306e8beec8f8d8e01d5ce9",
+        "b97420db50c6bc3464d0b9e914b94b70bf7d772d003f60ddfc36760f261d97a9",
+        "9846cbca8782cfd63f5ea094f6a63676e527441498ea5161cd08ffc44d9fb155",
     ),
 }
 # sha256 of d_lr then d_ll (float64 bytes) of each column of a mode's input
@@ -128,11 +115,9 @@ def cli_args(mode: str, tmp: Path) -> list[str]:
             "--out", str(tmp / "joins.csv"), "--solution", str(tmp / "solution.txt"), *extra]
 
 
-def artifacts(mode: str, tmp: Path, seed: int | None = None) -> tuple[str, str]:
-    """Run one CLI mode on its fixed inputs, at engine seed ``seed`` if
-    given (the CLI's default otherwise); digests of joins and solution."""
-    extra = [] if seed is None else ["--seed", str(seed)]
-    assert main(cli_args(mode, tmp) + extra) == 0
+def artifacts(mode: str, tmp: Path) -> tuple[str, str]:
+    """Run one CLI mode on its fixed inputs; digests of joins and solution."""
+    assert main(cli_args(mode, tmp)) == 0
     return sha256(tmp / "joins.csv"), sha256(tmp / "solution.txt")
 
 
@@ -253,10 +238,6 @@ def test_run_multi_artifacts_unchanged(tmp_path):
     assert artifacts("run-multi", tmp_path) == GOLDEN["run-multi"]
 
 
-@pytest.mark.parametrize("seed", sorted(GOLDEN_TIES_SEEDED))
-def test_run_tied_queries_artifacts_unchanged_at_seed(tmp_path, seed):
-    assert artifacts("run-ties", tmp_path, seed) == GOLDEN_TIES_SEEDED[seed]
-
 
 if __name__ == "__main__":
     import tempfile
@@ -264,9 +245,6 @@ if __name__ == "__main__":
     for mode in GOLDEN:
         with tempfile.TemporaryDirectory() as tmp:
             print(mode, *artifacts(mode, Path(tmp)))
-    for seed in GOLDEN_TIES_SEEDED:
-        with tempfile.TemporaryDirectory() as tmp:
-            print("run-ties", "--seed", seed, *artifacts("run-ties", Path(tmp), seed))
     for mode in GOLDEN_DISTANCES:
         print("distances", mode, distance_digest(mode))
     for mode in GOLDEN:
@@ -286,7 +264,7 @@ print("numpy.ma" in sys.modules, "numpy.random" in sys.modules)
 def test_golden_pipelines_never_import_numpy_ma(tmp_path):
     # a plain np.unique or np.isin imports numpy.ma, about 12 ms of CPU in a
     # fresh process; the job path calls neither.  numpy.random adds about
-    # 5.7 MB resident and 9 ms; the tie draws are the engine's own
+    # 5.7 MB resident and 9 ms; nothing in a run draws at random
     commands = []
     for mode in ("run", "run-multi"):
         (tmp_path / mode).mkdir()

@@ -74,16 +74,15 @@ REDUCED24 = enumerate_function_space(FunctionSpaceOptions.reduced24())
     n_left=st.integers(10, 30),
     data_seed=st.integers(0, 2**16),
     tau=st.sampled_from([0.5, 0.8, 0.9, 0.95]),
-    seed=st.integers(0, 2**40),
 )
-def test_a_non_empty_result_has_estimated_precision_above_tau(multi, n_left, data_seed, tau, seed):
+def test_a_non_empty_result_has_estimated_precision_above_tau(multi, n_left, data_seed, tau):
     L, R, _ = generate_synthetic(n_left=n_left, seed=data_seed, unmatched_rate=0.2)
     if multi:
         L = add_random_column(L, seed=2 * data_seed + 1)
         R = add_random_column(R, seed=2 * data_seed + 2)
-        res = solve_multi(L, R, tau=tau, g=4, seed=seed, functions=REDUCED24)
+        res = solve_multi(L, R, tau=tau, g=4, functions=REDUCED24)
     else:
-        res = solve(L, R, "name", tau=tau, seed=seed, functions=REDUCED24)
+        res = solve(L, R, "name", tau=tau, functions=REDUCED24)
     if res.solution.configs or res.result.assignments:
         assert res.solution.configs and res.result.assignments
         assert res.estimated_precision > tau

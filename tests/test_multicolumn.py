@@ -244,8 +244,8 @@ class TestSolveMulti:
         monkeypatch.setattr(multicolumn, "prepare_columns", prepare_spy)
         monkeypatch.setattr(multicolumn, "reduce_distances", reduce_spy)
         L, R, gt = generate_synthetic(n_left=40, seed=6, unmatched_rate=0.1)
-        multi = solve_multi(L, R, tau=0.9, g=10, seed=0)
-        single = solve(L, R, "name", tau=0.9, seed=0)
+        multi = solve_multi(L, R, tau=0.9, g=10)
+        single = solve(L, R, "name", tau=0.9)
         assert multi.selected_columns == single.selected_columns == ("name",)
         assert multi.weights == single.weights == (1.0,)
         assert multi.result.assignments == single.result.assignments
@@ -260,8 +260,8 @@ class TestSolveMulti:
         # no candidate pairs: both modes give the same empty result
         L2 = make_table(("name",), [("L0", ("aaa bbb",)), ("L1", ("ccc ddd",))])
         R2 = make_table(("name",), [("R0", ("xxx yyy",)), ("R1", ("zzz www",))], role="query")
-        multi = solve_multi(L2, R2, tau=0.9, g=10, seed=0)
-        single = solve(L2, R2, "name", tau=0.9, seed=0)
+        multi = solve_multi(L2, R2, tau=0.9, g=10)
+        single = solve(L2, R2, "name", tau=0.9)
         assert multi.solution == single.solution
         assert multi.result.assignments == single.result.assignments == {}
         assert any("no candidate pairs" in w for w in multi.warnings)
@@ -270,8 +270,8 @@ class TestSolveMulti:
     def test_empty_result_warning_names_the_cause(self):
         # pairs survive blocking, but tau = 1.0 cannot be exceeded
         L, R, _ = generate_synthetic(n_left=30, seed=2, unmatched_rate=0.2)
-        multi = solve_multi(L, R, tau=1.0, g=10, seed=0)
-        single = solve(L, R, "name", tau=1.0, seed=0)
+        multi = solve_multi(L, R, tau=1.0, g=10)
+        single = solve(L, R, "name", tau=1.0)
         assert multi.pair_counts["lr_pairs"] > 0
         assert multi.result.assignments == single.result.assignments == {}
         for res in (multi, single):
@@ -281,16 +281,16 @@ class TestSolveMulti:
         # disjoint vocabularies: nothing survives blocking
         L2 = make_table(("name",), [("L0", ("aaa bbb",)), ("L1", ("ccc ddd",))])
         R2 = make_table(("name",), [("R0", ("xxx yyy",)), ("R1", ("zzz www",))], role="query")
-        multi = solve_multi(L2, R2, tau=1.0, g=10, seed=0)
-        single = solve(L2, R2, "name", tau=1.0, seed=0)
+        multi = solve_multi(L2, R2, tau=1.0, g=10)
+        single = solve(L2, R2, "name", tau=1.0)
         for res in (multi, single):
             assert any("no candidate pairs" in w for w in res.warnings)
             assert not any("precision target" in w for w in res.warnings)
 
     def test_disambiguating_second_column_selected(self):
         L, R, gt = two_column_tables(seed=1)
-        name_only = solve_multi(L, R, tau=0.9, seed=0, columns=["name"])
-        both = solve_multi(L, R, tau=0.9, g=10, seed=0)
+        name_only = solve_multi(L, R, tau=0.9, columns=["name"])
+        both = solve_multi(L, R, tau=0.9, g=10)
         assert both.selected_columns[0] == "name"
         assert set(both.selected_columns) == {"name", "city"}
         w = dict(zip(both.selected_columns, both.weights))
@@ -309,7 +309,7 @@ class TestSolveMulti:
 
     def test_forward_pick_is_grid_argmax(self):
         L, R, _ = two_column_tables(seed=1)
-        res = solve_multi(L, R, tau=0.9, g=10, seed=0)
+        res = solve_multi(L, R, tau=0.9, g=10)
         # each committed step carries the best recall seen so far in trials
         best_by_iteration = {}
         for t in res.trials:
@@ -324,10 +324,10 @@ class TestSolveMulti:
 
     def test_random_column_never_selected(self):
         L, R, gt = generate_synthetic(n_left=40, seed=6, unmatched_rate=0.1)
-        base = solve_multi(L, R, tau=0.9, g=10, seed=0)
+        base = solve_multi(L, R, tau=0.9, g=10)
         L2 = add_random_column(L, seed=21)
         R2 = add_random_column(R, seed=22)
-        noisy = solve_multi(L2, R2, tau=0.9, g=10, seed=0)
+        noisy = solve_multi(L2, R2, tau=0.9, g=10)
         assert "noise" not in noisy.selected_columns
         assert noisy.result.assignments == base.result.assignments
         assert noisy.invocations <= 2 * 2 * 10
@@ -340,26 +340,13 @@ class TestSolveMulti:
         with pytest.raises(ValueError, match="no columns"):
             solve_multi(L, R, columns=[])
 
-    def test_negative_seed_rejected_before_preparation(self, monkeypatch):
-        # the tie-break stream rejects it, once every column set is prepared
-        prepared = []
-
-        def prepare_spy(*args):
-            prepared.append(args)
-            return prepare_columns(*args)
-
-        monkeypatch.setattr(multicolumn, "prepare_columns", prepare_spy)
-        L, R, _ = generate_synthetic(n_left=30, seed=2)
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            solve_multi(L, R, seed=-1)
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            solve(L, R, "name", seed=-1)
-        assert prepared == []
-
-    @pytest.mark.parametrize("s", [0, -3])
+    @pytest.mark.parametrize("s", [0, -3, multicolumn.MAX_STEPS + 1])
     def test_step_count_rejected_before_preparation(self, monkeypatch, s):
-        # the reduction rejects it, after blocking, rules and distances
+        # unchecked, a count below 1 would fail in the reduction, after
+        # blocking, rules and distances, and one above the cap would build
+        # a (functions x steps) grid there
         prepared = []
+        bound = ">= 1" if s < 1 else f"<= {multicolumn.MAX_STEPS}"
 
         def prepare_spy(*args):
             prepared.append(args)
@@ -367,9 +354,9 @@ class TestSolveMulti:
 
         monkeypatch.setattr(multicolumn, "prepare_columns", prepare_spy)
         L, R, _ = generate_synthetic(n_left=30, seed=2)
-        with pytest.raises(ValueError, match=f"step count must be >= 1, got {s}"):
+        with pytest.raises(ValueError, match=f"step count must be {bound}, got {s}"):
             solve_multi(L, R, s=s)
-        with pytest.raises(ValueError, match=f"step count must be >= 1, got {s}"):
+        with pytest.raises(ValueError, match=f"step count must be {bound}, got {s}"):
             solve(L, R, "name", s=s)
         assert prepared == []
 
@@ -420,7 +407,7 @@ class TestSolveMulti:
             return preps[columns]
 
         monkeypatch.setattr(multicolumn, "prepare_columns", prepare_spy)
-        solve_multi(L, R, tau=0.9, g=4, seed=0)
+        solve_multi(L, R, tau=0.9, g=4)
         assert {len(c) for c in preps} == {1, 2}
         for columns, prep in preps.items():
             keys = list(zip(*(R.column_values(c) for c in columns)))
@@ -431,7 +418,7 @@ class TestSolveMulti:
 
     def test_invocation_bound(self):
         L, R, _ = two_column_tables(seed=3, n_pairs=8)
-        res = solve_multi(L, R, tau=0.9, g=5, seed=0)
+        res = solve_multi(L, R, tau=0.9, g=5)
         m = 2
         assert res.invocations <= m * m * 5
         assert res.invocations == len(res.trials)
@@ -451,7 +438,7 @@ class TestSolveMulti:
         clock = itertools.count()
         monkeypatch.setattr(multicolumn, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
         monkeypatch.setattr(multicolumn, "solve_from_distances", fixed_timings)
-        res = solve_multi(L, R, tau=0.9, g=5, seed=0)
+        res = solve_multi(L, R, tau=0.9, g=5)
         assert res.invocations > 1
         assert res.timings["precompute"] == 1.25 * res.invocations
         assert res.timings["greedy"] == 0.125 * res.invocations

@@ -12,7 +12,6 @@ import fuzzyjoin.multicolumn as multicolumn
 import fuzzyjoin.solver as solver
 from fuzzyjoin import (
     JoinFunction,
-    TieDraws,
     add_random_column,
     greedy_select,
     enumerate_function_space,
@@ -457,7 +456,7 @@ def test_greedy_matches_exhaustive_argmax(seed):
     tau = float(rng.choice([0.5, 0.7, 0.9]))
 
     ones = np.ones(cfg_left.shape[1], np.int64)
-    outcome = greedy_select(cfg_prec, ones, tau, np.random.default_rng(seed))
+    outcome = greedy_select(cfg_prec, ones, tau)
     # verify each pick along the engine's own path, then the stop itself
     for i, pick in enumerate(outcome.selected):
         argmax = oracle_step(cfg_left, cfg_prec, outcome.selected[:i], tau)
@@ -481,7 +480,7 @@ def test_greedy_tp_strictly_increases(seed):
     rng = np.random.default_rng(100 + seed)
     cfg_left, cfg_prec = make_random_instance(rng, dyadic=True)
     ones = np.ones(cfg_left.shape[1], np.int64)
-    outcome = greedy_select(cfg_prec, ones, 0.5, np.random.default_rng(0))
+    outcome = greedy_select(cfg_prec, ones, 0.5)
     tps = []
     for i in range(len(outcome.selected)):
         tp, _, _, _ = oracle_union(
@@ -492,13 +491,39 @@ def test_greedy_tp_strictly_increases(seed):
     assert all(b > a for a, b in zip(tps, tps[1:]))
 
 
-def test_greedy_reproducible_with_seed():
+def test_greedy_reproducible():
     rng = np.random.default_rng(42)
     cfg_left, cfg_prec = make_random_instance(rng, n_cfg=32, n_right=20)
     ones = np.ones(cfg_left.shape[1], np.int64)
-    a = greedy_select(cfg_prec, ones, 0.6, np.random.default_rng(5))
-    b = greedy_select(cfg_prec, ones, 0.6, np.random.default_rng(5))
+    a = greedy_select(cfg_prec, ones, 0.6)
+    b = greedy_select(cfg_prec, ones, 0.6)
     assert a.selected == b.selected
+
+
+def test_greedy_breaks_a_tie_of_identical_rows_by_the_lower_configuration():
+    # configurations 1 and 2 join alike; 0 adds less tp and loses
+    prec = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]], dtype=np.float32)
+    ones = np.ones(3, np.int64)
+    got = greedy_select(prec, ones, 0.5)
+    assert got.selected == [1] and got.stop_reason == "no_gain"
+    assert dense_greedy(prec, 0.5).selected == [1]
+
+
+def test_greedy_breaks_a_profit_tie_of_different_rows_by_the_lower_index():
+    # rows 1 and 2 each join two queries at precision 0.5 (profit 1) but
+    # different ones; row 0 joins one at 0.25 (profit 1/3)
+    prec = np.array(
+        [[0.25, 0, 0, 0, 0], [0, 0.5, 0.5, 0, 0], [0, 0, 0, 0.5, 0.5]], dtype=np.float32
+    )
+    ones = np.ones(5, np.int64)
+    got = greedy_select(prec, ones, 0.1)
+    assert got.selected[0] == 1
+    assert np.flatnonzero(got.cur_source == 0).tolist() == [1, 2]
+    # with rows 1 and 2 swapped, row 1 is still picked first, now joining
+    # queries 3 and 4
+    swapped = greedy_select(prec[[0, 2, 1]], ones, 0.1)
+    assert swapped.selected[0] == 1
+    assert np.flatnonzero(swapped.cur_source == 0).tolist() == [3, 4]
 
 
 def test_greedy_does_not_recompute_distances():
@@ -512,20 +537,18 @@ def test_greedy_does_not_recompute_distances():
 
     with mock.patch.object(solver, "distance_matrix", forbidden):
         reduced = reduce_distances(prep.pairs, [prep.d_lr["name"]], [prep.d_ll["name"]], (1.0,), 10)
-        res = solver.solve_from_distances(
-            fns, prep.pairs, reduced, 0.8, np.random.default_rng(0)
-        )
+        res = solver.solve_from_distances(fns, prep.pairs, reduced, 0.8)
     assert res.solution.configs
 
 
 # --- incremental greedy vs the dense loop ------------------------------------
 
 
-def assert_same_search(cfg_left, cfg_prec, tau, seed, column=None, row=None):
+def assert_same_search(cfg_left, cfg_prec, tau, column=None, row=None):
     """greedy_select and the dense reference loop agree exactly: picks, union
-    arrays, tp/fp, stop reason, trace and the random draws consumed.  The
-    joined left records, read from ``cfg_left`` at the row of the pick that
-    set each right's join, agree too.
+    arrays, tp/fp, stop reason and trace.  The joined left records, read
+    from ``cfg_left`` at the row of the pick that set each right's join,
+    agree too.
 
     With ``column``, table column k stands for the rights r with
     ``column[r] == k``: greedy_select weighs each column by its count of
@@ -536,11 +559,10 @@ def assert_same_search(cfg_left, cfg_prec, tau, seed, column=None, row=None):
     if column is None:
         column = np.arange(cfg_left.shape[1])
     weight = np.bincount(column, minlength=cfg_left.shape[1])
-    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = greedy_select(cfg_prec, weight, tau, rng_a, row)
+    got = greedy_select(cfg_prec, weight, tau, row)
     if row is None:
         row = np.arange(len(cfg_left))
-    want = dense_greedy(cfg_prec[row][:, column], tau, rng_b)
+    want = dense_greedy(cfg_prec[row][:, column], tau)
     assert got.selected == want.selected
     got_left = union_left(cfg_left, got, row)[column]
     assert np.array_equal(got_left, union_left(cfg_left[row][:, column], want))
@@ -550,7 +572,6 @@ def assert_same_search(cfg_left, cfg_prec, tau, seed, column=None, row=None):
     assert (got.tp, got.fp) == (want.tp, want.fp)
     assert got.stop_reason == want.stop_reason
     assert got.trace == want.trace
-    assert rng_a.bit_generator.state == rng_b.bit_generator.state
     return got
 
 
@@ -579,7 +600,7 @@ def test_greedy_matches_dense_loop_on_tied_instances(seed):
     rng = np.random.default_rng(1000 + seed)
     cfg_left, cfg_prec = tied_instance(rng)
     for tau in (0.3, 0.6, 0.8, 0.95):
-        assert_same_search(cfg_left, cfg_prec, tau, seed)
+        assert_same_search(cfg_left, cfg_prec, tau)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -590,7 +611,7 @@ def test_weighted_greedy_matches_dense_loop_on_repeated_columns(seed):
     n_col = cfg_left.shape[1]
     column = rng.permutation(np.repeat(np.arange(n_col), rng.integers(1, 6, size=n_col)))
     for tau in (0.3, 0.6, 0.8, 0.95):
-        assert_same_search(cfg_left, cfg_prec, tau, seed, column)
+        assert_same_search(cfg_left, cfg_prec, tau, column)
 
 
 def group_rows(rng, cfg_left, cfg_prec):
@@ -623,8 +644,8 @@ def test_row_greedy_matches_dense_loop_on_tied_instances(seed):
     n_col = cfg_left.shape[1]
     column = rng.permutation(np.repeat(np.arange(n_col), rng.integers(1, 4, size=n_col)))
     for tau in (0.3, 0.6, 0.8, 0.95):
-        assert_same_search(cfg_left, cfg_prec, tau, seed, row=row)
-        assert_same_search(cfg_left, cfg_prec, tau, seed, column, row)
+        assert_same_search(cfg_left, cfg_prec, tau, row=row)
+        assert_same_search(cfg_left, cfg_prec, tau, column, row)
 
 
 @settings(max_examples=60)
@@ -632,7 +653,7 @@ def test_row_greedy_matches_dense_loop_on_tied_instances(seed):
 def test_row_greedy_matches_dense_loop_on_interleaved_rows(data):
     # each table row stands for configurations scattered over the map, not
     # one run: the search over the rows equals the dense loop over the
-    # expanded table, seeded tie draws included.  Rows are drawn from a few
+    # expanded table, ties included.  Rows are drawn from a few
     # distinct ones, so equal rows tie, within one table row and across two
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -646,8 +667,8 @@ def test_row_greedy_matches_dense_loop_on_interleaved_rows(data):
     row = rng.permutation(np.concatenate([np.arange(n_row), extra]).astype(np.int64))
     column = rng.permutation(np.repeat(np.arange(n_col), rng.integers(1, 4, size=n_col)))
     tau = data.draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))
-    assert_same_search(cfg_left, cfg_prec, tau, seed, row=row)
-    assert_same_search(cfg_left, cfg_prec, tau, seed, column, row)
+    assert_same_search(cfg_left, cfg_prec, tau, row=row)
+    assert_same_search(cfg_left, cfg_prec, tau, column, row)
 
 
 ROW_LEFT = np.array([[0, 1], [0, -1]], dtype=np.int32)
@@ -655,15 +676,15 @@ ROW_PREC = np.array([[1.0, 0.5], [1.0, 0.0]], dtype=np.float32)
 
 
 def test_row_greedy_stops_with_an_unpicked_duplicate():
-    # configurations 0 and 1 share row 0: one of them is drawn, and the
-    # other adds no tp once one is picked
-    got = assert_same_search(ROW_LEFT, ROW_PREC, 0.1, 0, row=np.array([0, 0, 1]))
-    assert got.selected[0] == 2 and got.selected[1] in (0, 1)
+    # configurations 0 and 1 share row 0: the lower is picked, and the
+    # other adds no tp once it is
+    got = assert_same_search(ROW_LEFT, ROW_PREC, 0.1, row=np.array([0, 0, 1]))
+    assert got.selected == [2, 0]
     assert len(got.selected) == 2 and got.stop_reason == "no_gain"
 
 
 def test_row_greedy_exhausts_single_member_rows():
-    got = assert_same_search(ROW_LEFT, ROW_PREC, 0.1, 0, row=np.array([0, 1]))
+    got = assert_same_search(ROW_LEFT, ROW_PREC, 0.1, row=np.array([0, 1]))
     assert got.selected == [1, 0] and got.stop_reason == "exhausted"
 
 
@@ -681,99 +702,7 @@ def test_row_greedy_exhausts_single_member_rows():
 def test_greedy_rejects_a_malformed_row_map(row, problem):
     ones = np.ones(2, dtype=np.int64)
     with pytest.raises(ValueError, match=problem):
-        greedy_select(ROW_PREC, ones, 0.1, np.random.default_rng(0), row)
-
-
-# --- the tie-break stream vs numpy's Generator ---------------------------------
-
-
-# population sizes: small ones built as arrays, and up to 2**32 drawn as the
-# index ``choice`` draws; 2**31 + 1 rejects about half its 32-bit draws and
-# 2**32 takes them raw
-POPULATION = st.one_of(
-    st.integers(1, 40),
-    st.integers(1, 2**32),
-    st.sampled_from([2**31 + 1, 2**32 - 1, 2**32, 3 * 2**30 + 7]),
-)
-
-
-def assert_same_draw(ours: TieDraws, rng: np.random.Generator, n: int) -> None:
-    if n <= 40:
-        a = np.arange(100, 100 + n)
-        assert ours.choice(a) == rng.choice(a)
-    else:
-        # too large to build: choice(a) is a[integers(0, len(a))]
-        assert ours.choice(range(n)) == rng.integers(0, n)
-
-
-@settings(max_examples=300)
-@given(
-    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**70), st.integers(0, 2**200)),
-    sizes=st.lists(POPULATION, min_size=1, max_size=30),
-)
-def test_tie_draws_equal_numpy_choice(seed, sizes):
-    # sizes interleave in one stream, so a buffered half or a rejected draw
-    # out of step shows in a later draw
-    ours, rng = TieDraws(seed), np.random.default_rng(seed)
-    for n in sizes + [2**32, 7]:
-        assert_same_draw(ours, rng, n)
-
-
-@pytest.mark.parametrize("seed", [0, 5, 2**40 + 5, 2**70, 2**160 + 3])
-def test_tie_draws_rejection_loop_equals_numpy(seed):
-    # about half of the draws below 2**31 + 1 are rejected, odd runs of
-    # 32-bit draws included, so the stream's buffered half changes parity
-    ours, rng = TieDraws(seed), np.random.default_rng(seed)
-    for n in [2**31 + 1] * 200 + [3, 2**32, 2**31 + 1, 2]:
-        assert_same_draw(ours, rng, n)
-
-
-def test_tie_draws_reject_an_empty_or_oversized_population_and_a_negative_seed():
-    with pytest.raises(ValueError, match="empty"):
-        TieDraws(0).choice([])
-    with pytest.raises(ValueError, match=r"at most 2\*\*32 choices"):
-        TieDraws(0).choice(range(2**32 + 1))
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        TieDraws(-1)
-
-
-def test_tie_draws_take_a_numpy_integer_seed():
-    ours, want = TieDraws(np.int64(5)), TieDraws(5)
-    for n in [2**31 + 1] * 20 + [3, 2**32, 7]:
-        assert ours.choice(range(n)) == want.choice(range(n))
-    with pytest.raises(TypeError):
-        TieDraws(5.0)
-
-
-class CountingDraws(TieDraws):
-    """Counts the choices that draw: those among two or more."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.calls = 0
-
-    def choice(self, a):
-        self.calls += len(a) > 1
-        return super().choice(a)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 2**40 + 5, 2**64 + 11])
-def test_greedy_with_tie_draws_equals_numpy_generator(seed):
-    draws = 0
-    for instance in range(10):
-        rng = np.random.default_rng(1000 + instance)
-        cfg_left, cfg_prec, row = group_rows(rng, *tied_instance(rng))
-        weight = rng.integers(1, 4, size=cfg_prec.shape[1])
-        for tau in (0.3, 0.6, 0.8, 0.95):
-            ours = CountingDraws(seed)
-            got = greedy_select(cfg_prec, weight, tau, ours, row)
-            want = greedy_select(cfg_prec, weight, tau, np.random.default_rng(seed), row)
-            assert got.selected == want.selected and got.trace == want.trace
-            assert got.stop_reason == want.stop_reason
-            assert np.array_equal(got.cur_prec, want.cur_prec)
-            assert np.array_equal(got.cur_source, want.cur_source)
-            draws += ours.calls
-    assert draws > 100  # the tables are tie-heavy
+        greedy_select(ROW_PREC, ones, 0.1, row)
 
 
 @pytest.fixture(scope="module")
@@ -798,7 +727,7 @@ def test_greedy_matches_dense_loop_on_golden_table(golden_tables, which, tau):
     table, query = golden_tables[which]
     cfg_left = table.left[table.row][:, query]
     cfg_prec = table.prec[table.row][:, query]
-    got = assert_same_search(cfg_left, cfg_prec, tau, seed=0)
+    got = assert_same_search(cfg_left, cfg_prec, tau)
     assert got.selected
 
 
@@ -809,13 +738,13 @@ def test_weighted_greedy_matches_dense_loop_on_golden_table(golden_tables, which
     if which == 1:  # every query row 4 times: no query holds a single right
         assert np.bincount(query).min() >= 4
     assert len(table.left) < table.n_configs
-    got = assert_same_search(table.left, table.prec, tau, 0, query, table.row)
+    got = assert_same_search(table.left, table.prec, tau, query, table.row)
     assert got.selected
 
 
 def test_greedy_matches_dense_loop_without_candidates():
     cfg_left = np.full((0, 5), -1, dtype=np.int32)
-    got = assert_same_search(cfg_left, np.zeros((0, 5), dtype=np.float32), 0.9, 0)
+    got = assert_same_search(cfg_left, np.zeros((0, 5), dtype=np.float32), 0.9)
     assert got.selected == [] and got.stop_reason == "exhausted"
 
 
@@ -823,7 +752,7 @@ def test_greedy_matches_dense_loop_fp_free():
     rng = np.random.default_rng(3)
     cfg_left, _ = make_random_instance(rng, n_cfg=12, n_right=30)
     cfg_prec = np.where(cfg_left != -1, 1.0, 0.0).astype(np.float32)
-    got = assert_same_search(cfg_left, cfg_prec, 0.9, 0)
+    got = assert_same_search(cfg_left, cfg_prec, 0.9)
     assert got.fp == 0.0 and got.stop_reason in ("no_gain", "exhausted")
 
 
@@ -846,7 +775,7 @@ def exact_copy_tables():
 
 def test_dominant_config_returned_alone():
     L, R = exact_copy_tables()
-    res = solve(L, R, "name", tau=0.9, seed=0)
+    res = solve(L, R, "name", tau=0.9)
     assert len(res.solution.configs) == 1
     assert len(res.result.assignments) == len(R)
     assert all(a.precision == 1.0 for a in res.result.assignments.values())
@@ -856,7 +785,7 @@ def test_dominant_config_returned_alone():
 def test_tau_one_returns_empty():
     # precision must strictly exceed tau, so tau = 1.0 is unsatisfiable
     L, R = exact_copy_tables()
-    res = solve(L, R, "name", tau=1.0, seed=0)
+    res = solve(L, R, "name", tau=1.0)
     assert res.solution.configs == ()
     assert res.result.assignments == {}
     assert res.warnings
@@ -868,7 +797,7 @@ def test_empty_candidate_space_warns():
     # force it by using single characters far apart
     L2 = make_table(("name",), [("L0", ("aaa bbb",)), ("L1", ("ccc ddd",))])
     R2 = make_table(("name",), [("R0", ("xxx yyy",)), ("R1", ("zzz www",))], role="query")
-    res = solve(L2, R2, "name", tau=0.9, seed=0)
+    res = solve(L2, R2, "name", tau=0.9)
     assert res.solution.configs == ()
     assert any("no candidate pairs" in w for w in res.warnings)
 
@@ -877,7 +806,7 @@ def test_nonempty_solution_beats_target():
     rng_seeds = [0, 1]
     for seed in rng_seeds:
         L, R, _ = generate_synthetic(n_left=30, seed=seed, unmatched_rate=0.2)
-        res = solve(L, R, "name", tau=0.85, seed=seed)
+        res = solve(L, R, "name", tau=0.85)
         if res.solution.configs:
             assert res.estimated_precision > 0.85
 

@@ -1,12 +1,16 @@
-"""The benchmark's tracer (``perfbench/spans.py``) against the program.
+"""The benchmark's tracer (``perfbench/spans.py``) and job
+(``perfbench/job.py``) against the program.
 
 The tracer wraps module functions wherever a ``fuzzyjoin`` module binds
 them, by identity, and calls ``distance_matrix`` with (str, str) pair lists
-and, to time its own overhead, with no functions and no corpus.  A change
-to those names or that call shape shows here, not only in a traced
-benchmark run.  The tracer is imported from its file and not edited.
+and, to time its own overhead, with no functions and no corpus.  The job
+builds its ``RunConfig`` by keyword.  A change to those names, that call
+shape or those keywords shows here, not only in a benchmark run.  The
+benchmark's files are read and not edited.
 """
 
+import ast
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -19,6 +23,7 @@ from fuzzyjoin import add_random_column, generate_synthetic
 from fuzzyjoin.pipeline import RunConfig, run_pipeline
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+JOB = SPANS.with_name("job.py")
 
 
 def load_spans():
@@ -73,3 +78,26 @@ def test_tracer_wraps_and_restores_the_program(tmp_path, multi):
     assert metrics["distances.calls"] > 0
     assert metrics["distances.set_s"] > 0 and metrics["distances.char_s"] > 0
     assert metrics["trace.overhead_s"] > 0
+
+
+def test_benchmark_job_builds_a_run_config():
+    # every keyword of the job's RunConfig(...) call is a field, and the call
+    # constructs: a value read from the job's spec stands in as the field's
+    # default, or as a path for a required field
+    tree = ast.parse(JOB.read_text(encoding="utf-8"))
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "RunConfig"
+    ]
+    assert len(calls) == 1 and not calls[0].args
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    keywords = {kw.arg: kw.value for kw in calls[0].keywords}
+    assert set(keywords) <= set(fields), sorted(set(keywords) - set(fields))
+    kwargs = {}
+    for name, value in keywords.items():
+        try:
+            kwargs[name] = ast.literal_eval(value)
+        except ValueError:
+            default = fields[name].default
+            kwargs[name] = "input.csv" if default is dataclasses.MISSING else default
+    RunConfig(**kwargs)
