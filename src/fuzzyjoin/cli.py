@@ -217,9 +217,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StageError as exc:
-        code = EXIT_DATA if isinstance(exc.cause, DataError) else EXIT_INTERNAL
         print(f"error in stage {exc.stage}: {exc.cause}", file=sys.stderr)
-        return code
+        return EXIT_DATA
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

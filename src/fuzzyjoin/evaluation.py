@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,12 +52,7 @@ class MetricsReport:
         }
 
 
-def score(
-    result: JoinResult,
-    gt: GroundTruth,
-    valid_right_ids: Iterable[str] | None = None,
-    valid_left_ids: Iterable[str] | None = None,
-) -> MetricsReport:
+def score(result: JoinResult, gt: GroundTruth) -> MetricsReport:
     """Precision and recall of a join against ground truth.
 
     Precision is the correct fraction of assigned rights (reported as 1
@@ -65,15 +60,6 @@ def score(
     counts correct assignments; normalized recall divides by the number of
     rights that have a true match.
     """
-    if valid_right_ids is not None:
-        unknown = set(result.assignments) - set(valid_right_ids)
-        if unknown:
-            raise ValueError(f"unknown right ids in result: {sorted(unknown)[:5]}")
-    if valid_left_ids is not None:
-        valid_left = set(valid_left_ids)
-        unknown = {a.left_id for a in result.assignments.values()} - valid_left
-        if unknown:
-            raise ValueError(f"unknown left ids in result: {sorted(unknown)[:5]}")
     n_assigned = len(result.assignments)
     n_correct = sum(
         1

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .functions import JoinResult, SPACE_PRESETS, enumerate_function_space, save_solution
-from .multicolumn import MAX_STEPS, solve_multi
+from .multicolumn import check_settings, solve_multi
 from .negative_rules import dump_rules
 from .solver import SolveResult
 from .tables import DataError, load_table
@@ -28,9 +27,9 @@ class ConfigError(Exception):
 
 
 class StageError(Exception):
-    """Failure inside a named pipeline stage."""
+    """Bad data met inside a named pipeline stage."""
 
-    def __init__(self, stage: str, cause: Exception):
+    def __init__(self, stage: str, cause: DataError):
         super().__init__(f"{stage}: {cause}")
         self.stage = stage
         self.cause = cause
@@ -57,17 +56,18 @@ class RunConfig:
     manifest_path: str | None = None
     dump_rules_path: str | None = None
 
+    def join_columns(self) -> list[str] | None:
+        """The columns ``solve_multi`` searches: ``--column`` alone in
+        single-column mode; None for every shared column."""
+        return self.columns if self.multi else [self.column]
+
     def validate(self) -> None:
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError(f"precision target must be in (0, 1], got {self.tau}")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ConfigError(f"blocking factor must be positive and finite, got {self.beta}")
-        if self.s < 1:
-            raise ConfigError(f"threshold steps must be >= 1, got {self.s}")
-        if self.s > MAX_STEPS:
-            raise ConfigError(f"threshold steps must be <= {MAX_STEPS}, got {self.s}")
-        if self.g < 2:
-            raise ConfigError(f"weight steps must be >= 2, got {self.g}")
+        if not self.multi and not self.column:
+            raise ConfigError("single-column mode requires --column")
+        try:
+            check_settings(self.tau, self.s, self.g, self.beta, self.join_columns())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if len(self.delimiter) != 1:
             raise ConfigError(
                 f"delimiter must be one character, got {self.delimiter!r}"
@@ -77,13 +77,6 @@ class RunConfig:
                 f"unknown space preset {self.space_preset!r}; "
                 f"choose from {sorted(SPACE_PRESETS)}"
             )
-        if not self.multi and not self.column:
-            raise ConfigError("single-column mode requires --column")
-        if self.columns is not None:
-            if not self.columns or not all(self.columns):
-                raise ConfigError(f"column names must be non-empty, got {self.columns}")
-            if len(set(self.columns)) != len(self.columns):
-                raise ConfigError(f"duplicate column names in {self.columns}")
         # fail before the work, not when the artifacts are written
         for path in (self.out_path, self.solution_path, self.manifest_path, self.dump_rules_path):
             check_output_dir(path)
@@ -148,7 +141,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineOutcome:
             R,
             tau=cfg.tau,
             g=cfg.g,
-            columns=cfg.columns if cfg.multi else [cfg.column],
+            columns=cfg.join_columns(),
             functions=functions,
             s=cfg.s,
             beta=cfg.beta,

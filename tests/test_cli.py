@@ -18,7 +18,7 @@ from fuzzyjoin import (
     load_solution,
     load_table,
 )
-from fuzzyjoin import multicolumn, solver
+from fuzzyjoin import multicolumn, pipeline, solver
 from fuzzyjoin.cli import main
 from fuzzyjoin.functions import SPACE_PRESETS
 from fuzzyjoin.tables import Record, Table
@@ -265,7 +265,7 @@ def test_oversized_step_count_exits_2(tmp_path, synthetic_csvs, capsys, steps):
     code = main(run_args(tmp_path, left, right, steps=steps, manifest=tmp_path / "m.json"))
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error" in err and f"threshold steps must be <= 10000, got {steps}" in err
+    assert "config error" in err and f"threshold steps must be in [1, 10000], got {steps}" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.csv", "left.csv", "right.csv"]
 
@@ -301,8 +301,32 @@ def test_duplicate_columns_exit_2(tmp_path, synthetic_csvs, capsys):
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "duplicate column" in err
+    assert "config error" in err
+    assert "repeated column names ['name'] in ['name', 'name']" in err
     assert "Traceback" not in err
+
+
+def test_oversized_weight_step_count_exits_2(tmp_path, synthetic_csvs, capsys, monkeypatch):
+    # each round of the column search tries g - 1 weights per remaining
+    # column: unchecked, a huge count runs a solve per weight and never ends
+    loaded = []
+    monkeypatch.setattr(pipeline, "load_table", lambda *args, **kw: loaded.append(args))
+    left, right, _ = synthetic_csvs
+    code = main(
+        [
+            "run-multi",
+            "--left", str(left),
+            "--right", str(right),
+            "--weight-steps", "1001",
+            "--out", str(tmp_path / "joins.csv"),
+            "--solution", str(tmp_path / "sol.txt"),
+        ]
+    )
+    assert code == 2 and loaded == []
+    err = capsys.readouterr().err
+    assert "config error: weight steps must be in [2, 1000], got 1001" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "joins.csv").exists()
 
 
 @pytest.mark.parametrize("flag", ["out", "solution", "manifest", "dump_negative_rules"])

@@ -1,4 +1,5 @@
 import itertools
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -10,8 +11,10 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import reduced_thresholds, ulp_over_one_tables
 from fuzzyjoin import (
+    ConfigError,
     DataError,
     JoinFunction,
+    RunConfig,
     add_random_column,
     enumerate_function_space,
     generate_synthetic,
@@ -346,7 +349,7 @@ class TestSolveMulti:
         # blocking, rules and distances, and one above the cap would build
         # a (functions x steps) grid there
         prepared = []
-        bound = ">= 1" if s < 1 else f"<= {multicolumn.MAX_STEPS}"
+        message = re.escape(f"threshold steps must be in [1, {multicolumn.MAX_STEPS}], got {s}")
 
         def prepare_spy(*args):
             prepared.append(args)
@@ -354,11 +357,70 @@ class TestSolveMulti:
 
         monkeypatch.setattr(multicolumn, "prepare_columns", prepare_spy)
         L, R, _ = generate_synthetic(n_left=30, seed=2)
-        with pytest.raises(ValueError, match=f"step count must be {bound}, got {s}"):
+        with pytest.raises(ValueError, match=message):
             solve_multi(L, R, s=s)
-        with pytest.raises(ValueError, match=f"step count must be {bound}, got {s}"):
+        with pytest.raises(ValueError, match=message):
             solve(L, R, "name", s=s)
         assert prepared == []
+
+    def test_weight_step_count_bounded_before_preparation(self, monkeypatch):
+        # each round tries g - 1 weights per remaining column, one solve
+        # each: over the cap, the search is refused before any column set is
+        # prepared; at the cap it runs
+        L = make_table(
+            ("name", "city"),
+            [("1", ("oak tigers", "dover")), ("2", ("elm hawks", "salem")),
+             ("3", ("ash owls", "camden"))],
+        )
+        R = make_table(
+            ("name", "city"),
+            [("a", ("oak tiger", "dover")), ("b", ("elm hawk", "salem")),
+             ("c", ("ash owl", "camdn"))],
+            role="query",
+        )
+        prepared = []
+
+        def prepare_spy(*args):
+            prepared.append(args)
+            return prepare_columns(*args)
+
+        monkeypatch.setattr(multicolumn, "prepare_columns", prepare_spy)
+        with pytest.raises(ValueError, match=re.escape("weight steps must be in [2, 1000], got 1001")):
+            solve_multi(L, R, g=multicolumn.MAX_WEIGHT_STEPS + 1)
+        assert prepared == []
+        res = solve_multi(L, R, g=multicolumn.MAX_WEIGHT_STEPS)
+        # a trial for each column from the zero vector, then 999 weights
+        # for the column left after the first commit
+        assert len(res.trials) == 1001 and res.selected_columns == ("name",)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ({"tau": 0}, "precision target must be in (0, 1], got 0"),
+            ({"tau": 1.5}, "precision target must be in (0, 1], got 1.5"),
+            ({"s": 0}, "threshold steps must be in [1, 10000], got 0"),
+            ({"s": multicolumn.MAX_STEPS + 1}, "threshold steps must be in [1, 10000], got 10001"),
+            ({"g": 1}, "weight steps must be in [2, 1000], got 1"),
+            ({"g": 1001}, "weight steps must be in [2, 1000], got 1001"),
+            ({"beta": 0}, "blocking factor must be positive and finite, got 0"),
+            ({"beta": -1}, "blocking factor must be positive and finite, got -1"),
+            ({"beta": float("nan")}, "blocking factor must be positive and finite, got nan"),
+            ({"beta": float("inf")}, "blocking factor must be positive and finite, got inf"),
+            ({"columns": []}, "no columns to join on"),
+            ({"columns": [""]}, "column names must be non-empty, got ['']"),
+            ({"columns": ["a", "a"]}, "repeated column names ['a'] in ['a', 'a']"),
+        ],
+    )
+    def test_run_config_and_solve_multi_reject_alike(self, fault, message):
+        # one check decides: the CLI's exit 2 and the library's ValueError
+        # carry the same message
+        with pytest.raises(ConfigError) as config_error:
+            RunConfig("left.csv", "right.csv", multi=True, **fault).validate()
+        L = make_table(("a",), [("1", ("x",))])
+        R = make_table(("a",), [("2", ("x",))], role="query")
+        with pytest.raises(ValueError) as value_error:
+            solve_multi(L, R, **fault)
+        assert str(config_error.value) == str(value_error.value) == message
 
     def test_empty_function_space_rejected_before_preparation(self, monkeypatch):
         # searched, it joins nothing, stops "exhausted" and warns that
